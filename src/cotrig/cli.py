@@ -36,7 +36,7 @@ from .counterexample import (RealizabilityError, build_partial_sum,
                              plan_recursion)
 from .experiments import EXPERIMENT_NAMES, run_experiment
 from .grids import Interval, SOLVER_GRID
-from .ledger import ConstantsLedger, EpsGrowthError
+from .ledger import DEFAULT_MAX_BITS, ConstantsLedger, EpsGrowthError
 from .minimax import best_approx, best_co_q_monotone
 from .mollifier import build_mollifier_table
 from .reports import write_json, write_report_files
@@ -266,7 +266,8 @@ def cmd_build_partial_sum(cfg: dict, out_dir: Path) -> int:
         "head_window_residual": partial.window_polynomial_residual(),
     }
     artifact = {"kind": "partial-sum",
-                "params": {"K": K, "d": str(d), "eps_rule": eps_rule},
+                "params": {"K": K, "d": str(d), "eps_rule": eps_rule,
+                           **kwargs},
                 "ledger": ledger.to_dict(),
                 "plan_checks": checks,
                 "summary": summary, "function": partial.to_dict()}
@@ -311,7 +312,8 @@ def _function_from_artifact(path: str):
         ledger = ConstantsLedger.from_dict(art["ledger"])
         plan = plan_recursion(ledger, Fraction(params["d"]),
                               params["K"] + 1,
-                              eps_rule=params.get("eps_rule", "log"))
+                              eps_rule=params.get("eps_rule", "log"),
+                              max_bits=params.get("max_bits", DEFAULT_MAX_BITS))
         return build_partial_sum(plan, params["K"]), None
     raise ValueError(f"artifact {path} has unknown kind {kind!r}")
 

@@ -8,7 +8,9 @@ constrained approximation errors are forced above a floor that beats any
 admissible growth rule.
 
 Plans are exact big-rational objects and remain computable even when the
-degrees are far too large to evaluate a function at (mode "proven").
+degrees are far too large to evaluate a function at (mode "proven").  They
+are both computed and verified by the growth rule's exact threshold
+inversion, never by materialising eps_n at a planned degree.
 Realizing a summand additionally needs its smoothing width to stay above
 a hard floor, otherwise a typed error reports the level as plan-only.
 """
@@ -173,11 +175,12 @@ class RecursionPlan:
             b_k = self.b[k - 1]
             threshold = Fraction(k) / (c10 * b_k ** (r * (m + 1)))
             try:
-                ok_92 = rule.lower_bound(n_next) >= threshold
+                # with a budget that holds n_next, a growth error means
+                # the rule needs a degree above n_next
+                ok_92 = n_next >= rule.min_degree(
+                    threshold, max(DEFAULT_MAX_BITS, n_next.bit_length()))
             except EpsGrowthError:
-                # the rule refuses to materialise eps at this degree;
-                # monotonicity makes the inverted form equivalent
-                ok_92 = n_next >= rule.min_degree(threshold)
+                ok_92 = False
             row = {
                 "level": k,
                 "n": n_cur,

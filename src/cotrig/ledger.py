@@ -4,10 +4,12 @@ The nested construction keeps every chained constant as an exact rational:
 either conservative values carried by the underlying proofs (mode
 "proven") or calibrated measurements (mode "empirical", provenance
 recorded).  Growth rules map a required exact threshold to the smallest
-admissible integer degree; the default logarithmic rule produces degrees
-far beyond any representable integer for proven constants, so integer-
-valued rules are provided and a representability budget turns silent
-explosions into a typed error.
+admissible integer degree, and recursion plans are both computed and
+verified by that exact threshold inversion, so no rule value eps_n is
+ever materialised.  The default logarithmic rule produces degrees far
+beyond any representable integer for proven constants, so integer-valued
+rules are provided and a representability budget turns silent explosions
+into a typed error.
 """
 
 from __future__ import annotations
@@ -72,20 +74,26 @@ def ilog_threshold(base: int, x: Fraction) -> int:
 
 
 class EpsRule:
-    """Monotone growth rule n -> eps_n with exact threshold inversion."""
+    """Monotone growth rule n -> eps_n with exact threshold inversion.
+
+    Because eps_n is monotone in n, eps_n >= t holds exactly when
+    n >= min_degree(t); the log rule inverts a certified lower bound on
+    eps_n instead.  Recursion plans are both computed and verified
+    by this inversion, so eps_n is never materialised: at planned
+    degrees the geometric and tower values have millions of digits.
+    """
 
     name = "abstract"
-    exact = True
 
     def value(self, n: int) -> float:
         raise NotImplementedError
 
-    def lower_bound(self, n: int) -> Fraction:
-        """Certified rational lower bound on eps_n (equals it when exact)."""
-        raise NotImplementedError
-
     def min_degree(self, threshold: Fraction, max_bits: int = DEFAULT_MAX_BITS) -> int:
-        """Smallest n >= 1 with eps_n >= threshold."""
+        """Smallest n >= 1 with eps_n >= threshold.
+
+        Raises EpsGrowthError when that degree needs more than max_bits
+        bits.
+        """
         raise NotImplementedError
 
     def _budget(self, n: int, max_bits: int) -> int:
@@ -100,42 +108,38 @@ class LogEps(EpsRule):
     """eps_n = ln(n + 2)."""
 
     name = "log"
-    exact = False
 
     # past this threshold the required degree exceeds 1e304 and can serve
     # no computation; treat it as unrepresentable rather than grind out
-    # million-digit exponentials
+    # million-digit exponentials (plans and their verification alike)
     _THRESHOLD_CAP = 700
 
     def value(self, n: int) -> float:
         return math.log(n + 2)
 
-    def _enclosure(self, n: int):
+    def _lower(self, n: int) -> Fraction:
+        """Certified rational lower bound on ln(n + 2), monotone in n."""
         with mpmath.workdps(80):
             v = mpmath.log(mpmath.mpf(n) + 2)
             s = mpmath.nstr(v, 45)
         val = Fraction(s)
-        pad = abs(val) / 10 ** 38 + Fraction(1, 10 ** 38)
-        return val - pad, val + pad
-
-    def lower_bound(self, n: int) -> Fraction:
-        return self._enclosure(n)[0]
+        return val - abs(val) / 10 ** 38 - Fraction(1, 10 ** 38)
 
     def min_degree(self, threshold: Fraction, max_bits: int = DEFAULT_MAX_BITS) -> int:
         if threshold > self._THRESHOLD_CAP:
             raise EpsGrowthError(
                 f"rule 'log' grows too slowly: the required degree is about "
                 f"exp({float(threshold):.4g}), beyond any representable plan")
-        if threshold <= self.lower_bound(1):
+        if threshold <= self._lower(1):
             return 1
         t = float(threshold)
         hi = max(2, int(math.exp(min(t, 709.0))))
-        while self.lower_bound(hi) < threshold:
+        while self._lower(hi) < threshold:
             hi *= 2
         lo = 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if self.lower_bound(mid) >= threshold:
+            if self._lower(mid) >= threshold:
                 hi = mid
             else:
                 lo = mid
@@ -144,8 +148,6 @@ class LogEps(EpsRule):
 
 class PowerEps(EpsRule):
     """eps_n = n**a for a fixed positive integer exponent."""
-
-    exact = True
 
     def __init__(self, a: int):
         if a < 1:
@@ -156,9 +158,6 @@ class PowerEps(EpsRule):
     def value(self, n: int) -> float:
         return float(n ** self.a)
 
-    def lower_bound(self, n: int) -> Fraction:
-        return Fraction(n ** self.a)
-
     def min_degree(self, threshold: Fraction, max_bits: int = DEFAULT_MAX_BITS) -> int:
         n = max(1, iroot_ceil(max(ceil_fraction(threshold), 1), self.a))
         return self._budget(n, max_bits)
@@ -166,8 +165,6 @@ class PowerEps(EpsRule):
 
 class GeometricEps(EpsRule):
     """eps_n = B**n."""
-
-    exact = True
 
     def __init__(self, base: int):
         if base < 2:
@@ -178,17 +175,12 @@ class GeometricEps(EpsRule):
     def value(self, n: int) -> float:
         return float(self.base) ** n
 
-    def lower_bound(self, n: int) -> Fraction:
-        return Fraction(self.base ** n)
-
     def min_degree(self, threshold: Fraction, max_bits: int = DEFAULT_MAX_BITS) -> int:
         return self._budget(max(1, ilog_threshold(self.base, threshold)), max_bits)
 
 
 class TowerEps(EpsRule):
     """eps_n = B**(n**e): fast enough to keep planned degrees tiny."""
-
-    exact = True
 
     def __init__(self, base: int, expo: int):
         if base < 2 or expo < 1:
@@ -202,11 +194,6 @@ class TowerEps(EpsRule):
             return float(self.base) ** float(n ** self.expo)
         except OverflowError:
             return math.inf
-
-    def lower_bound(self, n: int) -> Fraction:
-        if n ** self.expo > 40_000_000:
-            raise EpsGrowthError("tower rule value too large to materialise")
-        return Fraction(self.base ** (n ** self.expo))
 
     def min_degree(self, threshold: Fraction, max_bits: int = DEFAULT_MAX_BITS) -> int:
         e_min = ilog_threshold(self.base, threshold)

@@ -1,0 +1,43 @@
+"""Tests for the command-line entry point: partial-sum builds and reloads."""
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from cotrig import cli
+from cotrig.counterexample import build_partial_sum, plan_recursion
+from cotrig.ledger import DEFAULT_MAX_BITS, make_proven_ledger
+from cotrig.reports import write_json
+
+
+@pytest.mark.parametrize("ledger_name, rule, K, d, max_bits", [
+    ("proven", "geometric:2", 1, 2, None),
+    ("toy", "tower:2:3", 2, 1, 40),
+])
+def test_build_partial_sum_round_trip(tmp_path, toy_ledger, table,
+                                      ledger_name, rule, K, d, max_bits):
+    ledger = {"proven": make_proven_ledger(3, 4, s_norms=(1, 2, 4)),
+              "toy": toy_ledger}[ledger_name]
+    ledger_path = tmp_path / f"{ledger_name}.json"
+    write_json(ledger_path, ledger.to_dict())
+    out = tmp_path / "run"
+    argv = ["build", "partial-sum", "--ledger", str(ledger_path),
+            "--K", str(K), "--eps-rule", rule, "--d", str(d),
+            "--out", str(out)]
+    if max_bits is not None:
+        argv += ["--max-bits", str(max_bits)]
+    assert cli.main(argv) == cli.EXIT_OK
+    artifact_path = out / "artifacts" / "partial_sum.json"
+    artifact = json.loads(artifact_path.read_text())
+    assert artifact["summary"]["plan_satisfied"] is True
+    assert artifact["summary"]["membership"] is True
+    assert artifact["params"].get("max_bits") == max_bits
+
+    plan = plan_recursion(ledger, Fraction(d), K + 1, eps_rule=rule,
+                          max_bits=max_bits or DEFAULT_MAX_BITS)
+    built = build_partial_sum(plan, K, table=table)
+    reloaded, _, _ = cli._resolve_target(str(artifact_path))
+    xs = np.linspace(-np.pi, np.pi, 64)
+    assert np.array_equal(reloaded(xs), built(xs))

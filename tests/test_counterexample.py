@@ -1,14 +1,16 @@
 """Tests for summands, exact recursion plans, and partial sums."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cotrig.counterexample import (MIN_REALIZED_WIDTH, PartialSum,
-                                   RealizabilityError, build_partial_sum,
-                                   build_summand, canonical_sign_set,
-                                   plan_recursion, transition_width)
+                                   RealizabilityError, RecursionPlan,
+                                   build_partial_sum, build_summand,
+                                   canonical_sign_set, plan_recursion,
+                                   transition_width)
 from cotrig.ledger import EpsGrowthError, make_proven_ledger
 
 
@@ -90,6 +92,25 @@ def test_plan_conditions_all_hold(toy_ledger):
     assert plan.all_satisfied()
 
 
+def test_plan_verify_flags_unmet_growth_condition(toy_ledger):
+    plan = toy_plan(toy_ledger)
+    # the linear rule's threshold at level 2 is exactly n_2 = 2^111
+    short = plan.n[2] - 1
+    width = toy_ledger["c6"] * plan.b[1] ** toy_ledger.r / short
+    bad = RecursionPlan(ledger=toy_ledger, d=plan.d, eps_rule_name="linear",
+                        n=plan.n[:2] + (short,), b=plan.b[:2] + (width,))
+    row = bad.verify()[1]
+    assert row["cond_92"] is False
+    assert row["doubling_ok"] and row["cond_91"] and row["cond_93"]
+    assert row["width_ok"]
+    assert bad.all_satisfied() is False
+    # the log rule cannot reach these thresholds within any budget;
+    # verify() reports the condition unmet instead of raising
+    slow = dataclasses.replace(plan, eps_rule_name="log")
+    assert [r["cond_92"] for r in slow.verify()] == [False, False]
+    assert slow.all_satisfied() is False
+
+
 def test_plan_tail_bounds_exact(toy_ledger):
     plan = toy_plan(toy_ledger)
     assert plan.tail_bound(1) == Fraction(1, 2 ** 229)
@@ -132,9 +153,18 @@ def test_plan_with_proven_ledger_needs_fast_rule():
     assert plan.verify()[1]["cond_93"] is True
 
 
+def test_proven_plan_verifies_at_depth():
+    # eps at the third level's degree would be 2^(2^138); verify() must
+    # decide it by inverting the threshold, without materialising it
+    led = make_proven_ledger(3, 4, s_norms=(1, 2, 4))
+    plan = plan_recursion(led, d=2, levels=3, eps_rule="geometric:2")
+    assert plan.n[3].bit_length() == 139
+    assert plan.all_satisfied()
+
+
 def test_plan_verify_handles_immaterial_eps(toy_ledger):
     # at this level the tower value would need tens of millions of digits;
-    # verify() must fall back to the inverted comparison
+    # verify() decides the condition by the inverted comparison instead
     plan = plan_recursion(toy_ledger, d=1, levels=2, eps_rule="tower:2:3")
     assert plan.n[2] ** 3 > 40_000_000
     assert plan.all_satisfied()

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cotrig.ledger import (ConstantsLedger, EpsGrowthError, GeometricEps,
                            LogEps, PowerEps, TowerEps, ceil_fraction,
@@ -48,7 +50,6 @@ def test_power_rule():
     lin = PowerEps(1)
     assert lin.name == "linear"
     assert lin.value(5) == 5.0
-    assert lin.lower_bound(5) == 5
     assert lin.min_degree(Fraction(5)) == 5
     sq = PowerEps(2)
     assert sq.name == "power:2"
@@ -61,7 +62,6 @@ def test_power_rule():
 def test_geometric_rule():
     geo = GeometricEps(2)
     assert geo.name == "geometric:2"
-    assert geo.lower_bound(10) == 1024
     assert geo.min_degree(Fraction(9)) == 4
     assert geo.min_degree(Fraction(8)) == 3
     assert geo.min_degree(Fraction(1, 2)) == 1
@@ -72,25 +72,46 @@ def test_geometric_rule():
 def test_tower_rule():
     tow = TowerEps(2, 2)
     assert tow.name == "tower:2:2"
-    assert tow.lower_bound(3) == 512
     assert tow.min_degree(Fraction(513)) == 4
     assert tow.min_degree(Fraction(512)) == 3
-    with pytest.raises(EpsGrowthError):
-        tow.lower_bound(10 ** 6)
     with pytest.raises(ValueError):
         TowerEps(1, 1)
 
 
 def test_log_rule():
     log = LogEps()
-    # ln 3 ~ 1.0986: certified bounds bracket it tightly
-    lb = log.lower_bound(1)
-    assert Fraction(10985, 10000) < lb < Fraction(10987, 10000)
+    # eps_1 = ln 3 ~ 1.0986: the certified inversion brackets it tightly
+    assert log.min_degree(Fraction(10985, 10000)) == 1
+    assert log.min_degree(Fraction(10987, 10000)) == 2
     assert log.min_degree(Fraction(2)) == 6
     assert log.min_degree(Fraction(1, 10)) == 1
     assert log.value(1) == pytest.approx(1.0986, abs=1e-4)
     with pytest.raises(EpsGrowthError):
         log.min_degree(Fraction(800))
+
+
+_RULES = st.one_of(
+    st.builds(PowerEps, st.integers(1, 3)),
+    st.builds(GeometricEps, st.integers(2, 5)),
+    st.builds(TowerEps, st.integers(2, 3), st.integers(1, 3)),
+)
+
+
+def _exact_eps(rule, n: int) -> int:
+    if isinstance(rule, PowerEps):
+        return n ** rule.a
+    if isinstance(rule, GeometricEps):
+        return rule.base ** n
+    return rule.base ** (n ** rule.expo)
+
+
+@given(rule=_RULES, n=st.integers(1, 12), m=st.integers(1, 12),
+       shift=st.sampled_from([Fraction(-1, 7), Fraction(0), Fraction(1, 7)]))
+def test_min_degree_inverts_rule_exactly(rule, n, m, shift):
+    # n >= min_degree(t) must hold exactly when eps_n >= t; thresholds sit
+    # on and just beside the exact value eps_m
+    t = _exact_eps(rule, m) + shift
+    assert (n >= rule.min_degree(t)) == (_exact_eps(rule, n) >= t)
 
 
 def test_degree_budget():
