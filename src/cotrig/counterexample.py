@@ -128,6 +128,14 @@ def build_summand(ledger: ConstantsLedger, n: int, b, d,
     return Summand(n=n, b=b, width=lam, amplitude=amplitude, spline=spline)
 
 
+def rows_satisfied(rows) -> bool:
+    """Whether every condition in rows from RecursionPlan.verify() holds
+    (cond_93 is None on the first level, where it does not apply)."""
+    return all(row["doubling_ok"] and row["cond_91"] and row["cond_92"]
+               and row["width_ok"] and row["cond_93"] is not False
+               for row in rows)
+
+
 @dataclass(frozen=True)
 class RecursionPlan:
     """Exact plan (n_1..n_{K+1}, b_1..b_{K+1}) for K levels.
@@ -200,14 +208,7 @@ class RecursionPlan:
         return rows
 
     def all_satisfied(self) -> bool:
-        for row in self.verify():
-            checks = [row["doubling_ok"], row["cond_91"], row["cond_92"],
-                      row["width_ok"]]
-            if row["cond_93"] is not None:
-                checks.append(row["cond_93"])
-            if not all(checks):
-                return False
-        return True
+        return rows_satisfied(self.verify())
 
     def tail_bound(self, K: int) -> Fraction:
         """Upper bound on the norm sum of all levels beyond K.

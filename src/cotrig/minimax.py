@@ -2,12 +2,13 @@
 
 The continuous problem min_T max_t |g(t) - T(t)|, optionally subject to the
 sign pattern sigma_l * T^(q) >= 0 on prescribed gaps, is sampled on
-Chebyshev-clustered grids and solved as a linear program.  The LP is
-assembled in dual standard form, whose basis dimension is the number of
-coefficients plus one regardless of grid size; the primal coefficients are
-recovered from the simplex multipliers.  Grids are then refined at the
+Chebyshev-clustered grids and solved as a linear program by HiGHS.  The LP
+is posed in an orthonormal basis of the sampled columns, in dual standard
+form over an exchanged working set of grid points and sign constraints;
+the coefficients are the LP's row duals.  Grids are then refined at the
 residual maxima (and, for constrained problems, densified where the sign
-pattern fails) until the discrete error and a finer post-check agree.
+pattern fails) until the discrete error and a finer post-check agree, and
+each round's exchange starts from the working set the last one ended on.
 """
 
 from __future__ import annotations
@@ -63,31 +64,33 @@ class ApproxResult:
         }
 
 
-def _minimax_lp(Bw, Cw, vw, nonneg_idx, p):
-    """Dual-form LP for one working set of points and constraint rows."""
-    mw = Bw.shape[0]
+def _minimax_lp(Uw, Cw, vw):
+    """Dual standard form of min t, |vw - Uw phi| <= t, Cw phi >= 0.
+
+    The multipliers of the two residual sides and of the constraint rows
+    are the LP's variables; its row duals are (phi, t) and its optimum is
+    -t.  The basis dimension is the number of coefficients plus one,
+    whatever the size of the working set.
+    """
+    mw, k = Uw.shape
     lw = Cw.shape[0]
-    A = np.zeros((p + 1, 2 * mw + lw + nonneg_idx.size))
-    A[:p, :mw] = Bw.T
-    A[:p, mw:2 * mw] = -Bw.T
-    if lw:
-        A[:p, 2 * mw:2 * mw + lw] = -Cw.T
-    for slot, j in enumerate(nonneg_idx):
-        A[j, 2 * mw + lw + slot] = -1.0
-    A[p, :mw] = -1.0
-    A[p, mw:2 * mw] = -1.0
-    rhs = np.zeros(p + 1)
-    rhs[p] = -1.0
-    cost = np.concatenate([vw, -vw, np.zeros(lw + nonneg_idx.size)])
+    A = np.zeros((k + 1, 2 * mw + lw))
+    A[:k, :mw] = Uw.T
+    A[:k, mw:2 * mw] = -Uw.T
+    A[:k, 2 * mw:] = -Cw.T
+    A[k, :2 * mw] = -1.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = -1.0
+    cost = np.concatenate([vw, -vw, np.zeros(lw)])
     return A, rhs, cost
 
 
 def _violation_peaks(scores, tol, cap):
     """Isolated local maxima of a violation profile, capped at the worst few.
 
-    Adding one index per extremum cluster (rather than a block of adjacent
-    grid points) keeps the working-set columns well separated, which is what
-    keeps the simplex bases well conditioned.
+    Adjacent grid points carry nearly the same row, so one index per
+    violation cluster (rather than a block of neighbours) adds as much to
+    the working set as the whole block would, at a fraction of its size.
     """
     n = scores.size
     if n == 0:
@@ -102,75 +105,84 @@ def _violation_peaks(scores, tol, cap):
     return idx
 
 
+def _spread(total, count):
+    if total == 0:
+        return np.zeros(0, dtype=int)
+    return np.unique(np.linspace(0, total - 1, min(total, count))
+                     .round().astype(int))
+
+
 def solve_grid_minimax(values, columns, cons_matrix=None, nonneg=None,
-                       max_iterations: int = 20000):
-    """Best linear minimax fit on a fixed grid via the dual simplex route.
+                       max_iterations: int = 20000, start=None):
+    """Best linear minimax fit on a fixed grid, solved by exchange.
 
     Minimises max_i |values_i - (columns theta)_i| over theta, subject to
     (cons_matrix theta)_l >= 0 and theta_j >= 0 for flagged j.  Returns
-    (theta, error, info).  Column scaling keeps narrow-interval trig bases
-    workable; it is undone before returning.
+    (theta, error, info).
 
-    Dense grids are handled by exchange: the LP is solved on a spread-out
-    working subset of rows, the worst violated points and sign constraints
-    join the subset, and the solve repeats until nothing violates.  Feeding
-    every grid point to one LP would hand the simplex thousands of nearly
-    parallel columns (adjacent grid points differ by O(h)), whose bases are
-    numerically singular; the working set sidesteps that entirely.
+    The LP runs in an orthonormal basis: with the truncated SVD
+    columns = U_k S_k V_k' (singular values above 1e-12 of the largest),
+    theta = V_k S_k^-1 phi, so the objective rows are the orthonormal U_k
+    and values are scaled to unit maximum.  On narrow windows the trig and
+    monomial columns are nearly dependent, and this is what keeps the LP
+    well posed there.  Constraint rows and the nonneg flags are mapped
+    through the same transform and scaled to unit length.
+
+    The LP is solved on a working subset of grid points and constraint
+    rows; the worst violated points and rows join it, and the solve
+    repeats until nothing on the whole grid violates.  ``start`` =
+    (point indices, constraint indices) seeds the working set, and
+    ``info["working_rows"]`` returns the final one in the same form.
+    Coefficients whose largest contribution on the grid is below 1e-12
+    of max|values| come back as exact zeros.
     """
     values = np.asarray(values, dtype=float)
     columns = np.asarray(columns, dtype=float)
     M, p = columns.shape
-    if cons_matrix is None:
-        cons_matrix = np.zeros((0, p))
-    cons_matrix = np.asarray(cons_matrix, dtype=float)
-    L = cons_matrix.shape[0]
-    nonneg_idx = np.flatnonzero(np.asarray(nonneg, dtype=bool)) if nonneg is not None \
-        else np.zeros(0, dtype=int)
+    cons = np.zeros((0, p)) if cons_matrix is None \
+        else np.asarray(cons_matrix, dtype=float)
+    L = cons.shape[0]
+    if nonneg is not None:
+        cons = np.vstack([cons, np.eye(p)[np.asarray(nonneg, dtype=bool)]])
 
-    # normalize the target so the solver tolerances are scale-free: the
-    # scaled summands of the nested construction have sups around 1e-13,
-    # far below any absolute reduced-cost tolerance
+    # scale-free tolerances: the scaled summands of the nested
+    # construction have sups around 1e-13
     vscale = float(np.abs(values).max()) if M else 1.0
     if not vscale > 0.0:
         vscale = 1.0
-
-    scale = np.maximum(np.abs(columns).max(axis=0),
-                       np.abs(cons_matrix).max(axis=0) if L else 0.0)
-    scale = np.where(scale > 0, scale, 1.0)
-    Bs = columns / scale
-    Cs = cons_matrix / scale if L else cons_matrix
     vals = values / vscale
+    U, s, Vt = np.linalg.svd(columns, full_matrices=False)
+    keep = s > 1e-12 * s[0]
+    U = U[:, keep]
+    to_theta = Vt[keep].T / s[keep]
+    k = U.shape[1]
+    C = cons @ to_theta
+    norms = np.linalg.norm(C, axis=1)
+    C /= np.where(norms > 0, norms, 1.0)[:, None]
 
-    def spread(total, count):
-        if total == 0:
-            return np.zeros(0, dtype=int)
-        return np.unique(np.linspace(0, total - 1, min(total, count))
-                         .round().astype(int))
-
-    work_pts = spread(M, max(2 * p + 5, 33))
-    work_cons = spread(L, max(p + 5, 17))
-    cap = p + 5
+    if start is None:
+        work_pts = _spread(M, max(2 * k + 5, 33))
+        work_cons = _spread(L, max(k + 5, 17))
+    else:
+        work_pts, work_cons = (np.unique(np.asarray(w, dtype=int))
+                               for w in start)
+    # the nonneg rows are few: all of them stay in the working set
+    work_cons = np.union1d(work_cons, np.arange(L, C.shape[0]))
+    cap = k + 5
 
     total_iters = 0
-    theta_s = np.zeros(p)
-    t = 0.0
-    residual = vals.copy()
-    sol = None
     rounds = 0
     while rounds < 60:
         rounds += 1
-        A, rhs, cost = _minimax_lp(Bs[work_pts], Cs[work_cons],
-                                   vals[work_pts], nonneg_idx, p)
+        A, rhs, cost = _minimax_lp(U[work_pts], C[work_cons], vals[work_pts])
         sol = solve_lp(A, rhs, cost, max_iterations=max_iterations)
         total_iters += sol.iterations
-        theta_s = sol.duals[:p]
+        phi = sol.duals[:k]
         t = -sol.objective
-        residual = vals - Bs @ theta_s
-        over = np.abs(residual) - t
-        under = -(Cs @ theta_s) if L else np.zeros(0)
-        tol = max(1e-9, 50.0 * abs(sol.duality_gap))
-        if (over.max(initial=0.0) <= tol and under.max(initial=0.0) <= tol):
+        over = np.abs(vals - U @ phi) - t
+        under = -(C @ phi)
+        tol = max(1e-9, 50.0 * sol.duality_gap)
+        if over.max(initial=0.0) <= tol and under.max(initial=0.0) <= tol:
             break
         add_p = _violation_peaks(over, tol, cap)
         add_c = _violation_peaks(under, tol, cap)
@@ -184,18 +196,18 @@ def solve_grid_minimax(values, columns, cons_matrix=None, nonneg=None,
             break
         work_pts, work_cons = new_pts, new_cons
 
+    theta = to_theta @ phi * vscale
+    reach = np.abs(theta) * np.abs(columns).max(axis=0, initial=0.0)
+    theta[reach < 1e-12 * vscale] = 0.0
     # certify against the whole grid, not just the final working set
-    error = max(t, float(np.abs(residual).max()) if M else t) * vscale
-    theta = theta_s / scale * vscale
-    mw = work_pts.size
+    residual = values - columns @ theta
+    error = max(t * vscale, float(np.abs(residual).max(initial=0.0)))
     info = {
         "iterations": total_iters,
         "duality_gap": sol.duality_gap,
-        "t_multiplier": float(sol.duals[p]),
-        "active_high": work_pts[np.flatnonzero(sol.x[:mw] > 1e-12)],
-        "active_low": work_pts[np.flatnonzero(sol.x[mw:2 * mw] > 1e-12)],
         "outer_rounds": rounds,
-        "working_points": int(mw),
+        "working_points": int(work_pts.size),
+        "working_rows": (work_pts, work_cons[work_cons < L]),
     }
     return theta, float(error), info
 
@@ -257,9 +269,25 @@ def _signed_min(tp: TrigPoly, ys: SignChangeSet, q: int, per_gap: int):
     return worst, top
 
 
+def _nearest(grid, xs):
+    """Index of the grid point nearest to each of xs."""
+    order = np.argsort(grid)
+    srt = grid[order]
+    j = np.clip(np.searchsorted(srt, xs), 1, srt.size - 1)
+    j -= xs - srt[j - 1] < srt[j] - xs
+    return order[j]
+
+
 def _refinement_loop(target, degree: int, subintervals, grid: GridSpec,
                      cons_builder=None, cons_check=None):
-    """Shared solve-refine loop.  cons_builder() -> (rows matrix, densify_fn)."""
+    """Shared solve-refine loop.
+
+    cons_builder() -> (constraint abscissae, rows matrix).  Each round
+    starts its exchange from the previous round's working set, carried
+    over by abscissa: the refined objective grid contains the old one, so
+    its points map exactly; constraint points map to their nearest
+    neighbour on a densified constraint grid.
+    """
     total = max(grid.points_per_degree * max(degree, 1), 512)
     points = _split_points(subintervals, total)
     fine = _split_points(subintervals, 4 * total)
@@ -268,11 +296,20 @@ def _refinement_loop(target, degree: int, subintervals, grid: GridSpec,
 
     rounds = []
     best = None
+    carried = None
     for round_idx in range(max(grid.max_refinements, 1) + 1):
         values = np.asarray(target(points), dtype=float)
         columns = trig_basis(points, degree)
-        cons_matrix = cons_builder() if cons_builder is not None else None
-        theta, error, info = solve_grid_minimax(values, columns, cons_matrix)
+        cons_pts, cons_matrix = cons_builder() if cons_builder is not None \
+            else (np.zeros(0), None)
+        start = None
+        if carried is not None:
+            start = (_nearest(points, carried[0]),
+                     _nearest(cons_pts, carried[1]))
+        theta, error, info = solve_grid_minimax(values, columns, cons_matrix,
+                                                start=start)
+        work_pts, work_cons = info["working_rows"]
+        carried = (points[work_pts], cons_pts[work_cons])
         tp = coeffs_from_vector(theta, degree)
 
         fine_all = np.unique(np.concatenate([fine, points]))
@@ -332,8 +369,8 @@ def best_co_q_monotone(target, degree: int, q: int, ys: SignChangeSet,
     state = {"per_gap": per_gap, "densify": 0}
 
     def cons_builder():
-        _, _, rows = _constraint_rows(ys, degree, q, state["per_gap"])
-        return rows
+        pts, _, rows = _constraint_rows(ys, degree, q, state["per_gap"])
+        return pts, rows
 
     def cons_check(tp: TrigPoly, round_idx: int):
         worst, top = _signed_min(tp, ys, q, 10 * state["per_gap"])

@@ -1,29 +1,21 @@
-"""Dense two-phase revised simplex for standard-form linear programs.
+"""Standard-form linear programs solved by HiGHS.
 
-Solves min c.x subject to A x = b, x >= 0.  Pricing is exact steepest
-edge (the basis has few rows, so pricing every improving column is
-cheap) with a permanent downgrade to Bland's rule after a run of
-degenerate steps.  The ratio test is the two-pass kind: a small
-feasibility slack first sets the step limit, then the largest pivot
-element among the eligible rows wins.  The phase-1 artificial costs are
-graded slightly so the massively degenerate feasibility optima of
-discretised Chebyshev grids do not admit dual ties.  The second phase
-pins leftover artificials at zero instead of forcing them out through
-conditioning-hostile pivots, walks a right-hand side perturbed along
-the current basis to dodge degenerate-vertex crawls, and repairs any
-residual infeasibility with dual simplex steps; a wedged run is retried
-once under a tiny graded cost perturbation, and every answer must
-certify against the true problem.  Basis systems are small here (tens
-of rows), so each iteration refactors densely.
+Solves min c.x subject to A x = b, x >= 0 with scipy's HiGHS interface
+(the dual revised simplex of Huangfu & Hall, Math. Prog. Comp. 2018),
+presolve on.  The feasibility tolerances are tightened from HiGHS's 1e-7
+to 1e-10: the minimax LPs normalise their values to 1, and a 1e-7 slack
+shows up in their optima.  HiGHS's status codes become typed errors, so
+a solve that gives up never returns a number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
-_STALL_LIMIT = 30
+FEASIBILITY_TOL = 1e-10
 
 
 class LPError(Exception):
@@ -31,11 +23,7 @@ class LPError(Exception):
 
 
 class LPInfeasibleError(LPError):
-    """No feasible point; carries a Farkas certificate y with y.b > 0 >= A'y."""
-
-    def __init__(self, message: str, certificate=None):
-        super().__init__(message)
-        self.certificate = certificate
+    pass
 
 
 class LPUnboundedError(LPError):
@@ -56,277 +44,33 @@ class LPSolution:
     duals: np.ndarray
     objective: float
     iterations: int
-    basis: np.ndarray
     duality_gap: float
-    phase1_objective: float = 0.0
-    diagnostics: dict = field(default_factory=dict)
 
 
-def _leave_row(xB, direction, basis, bland, piv_tol, slack, pinned=None):
-    """Two-pass ratio test.  The first pass sets the step limit with a small
-    feasibility slack; the second picks the sturdiest pivot among the rows
-    inside the limit (smallest variable index under Bland's rule, largest
-    pivot element otherwise).  Rows whose basic variable is pinned at zero
-    block in both directions, so those variables can leave but never grow.
-    Returns None on an unbounded direction."""
-    gate = direction if pinned is None \
-        else np.where(pinned, np.abs(direction), direction)
-    positive = gate > piv_tol
-    if not positive.any():
-        return None, 0.0
-    xb = np.maximum(xB, 0.0)
-    ratios = np.full(xB.size, np.inf)
-    ratios[positive] = xb[positive] / gate[positive]
-    limit = np.min((xb[positive] + slack) / gate[positive])
-    eligible = np.flatnonzero(positive & (ratios <= limit))
-    if bland:
-        dmax = gate[eligible].max()
-        solid = eligible[gate[eligible] >= max(piv_tol, 1e-7 * dmax)]
-        pool = solid if solid.size else eligible
-        pos = int(pool[np.argmin(np.asarray(basis, dtype=int)[pool])])
-    else:
-        pos = int(eligible[np.argmax(gate[eligible])])
-    return pos, float(ratios[eligible].min())
-
-
-def _simplex_core(A, b, c, basis, max_iterations, rc_tol, piv_tol, slack,
-                  start_bland=False, fixed_from=None):
-    """Iterate to optimality from a feasible basis.  Returns (basis, iters).
-
-    Columns at or beyond fixed_from are pinned at zero: they never enter,
-    and when basic they block the ratio test in both directions, so their
-    values cannot grow.  The second phase runs this way on the extended
-    matrix, leaving the artificials in place rather than forcing them out
-    of a degenerate optimum through conditioning-hostile pivots.
-    """
-    basis = list(basis)
-    bland = start_bland
-    stall = 0
-    enterable = np.ones(A.shape[1], dtype=bool)
-    if fixed_from is not None:
-        enterable[fixed_from:] = False
-    for it in range(max_iterations):
-        B = A[:, basis]
-        basis_arr = np.asarray(basis, dtype=int)
-        try:
-            xB = np.linalg.solve(B, b)
-            y = np.linalg.solve(B.T, c[basis])
-        except np.linalg.LinAlgError as exc:
-            raise LPNumericalError(f"singular basis at iteration {it}") from exc
-        reduced = c - A.T @ y
-        reduced[basis] = 0.0
-        pinned = ~enterable[basis_arr] if fixed_from is not None else None
-        if bland:
-            candidates = np.flatnonzero((reduced < -rc_tol) & enterable)
-            if candidates.size == 0:
-                return basis, it, xB, y
-            enter = int(candidates[0])
-            direction = np.linalg.solve(B, A[:, enter])
-        else:
-            # exact steepest-edge pricing: the basis has few rows, so
-            # solving for every improving column is cheap, and plain
-            # most-negative pricing zigzags badly between the
-            # near-parallel columns a fine value grid produces
-            neg = (reduced < -rc_tol) & enterable
-            if not neg.any():
-                return basis, it, xB, y
-            W = np.linalg.solve(B, A[:, neg])
-            norms = np.sqrt(1.0 + np.einsum("ij,ij->j", W, W))
-            pick = int(np.argmin(reduced[neg] / norms))
-            enter = int(np.flatnonzero(neg)[pick])
-            direction = W[:, pick]
-        leave_pos, step = _leave_row(xB, direction, basis, bland, piv_tol,
-                                     slack, pinned)
-        if leave_pos is None:
-            raise LPUnboundedError("unbounded descent direction")
-        if step <= piv_tol:
-            stall += 1
-            if stall > _STALL_LIMIT:
-                bland = True
-        else:
-            stall = 0
-        basis[leave_pos] = enter
-    raise LPIterationLimitError(f"no optimum within {max_iterations} iterations")
-
-
-def _dual_repair(A, b, c, basis, feas_tol, piv_tol, barred_from=None,
-                 max_steps=300):
-    """Pivot small primal infeasibilities out of a dual-feasible basis.
-
-    An optimum computed for a perturbed right-hand side can be slightly
-    infeasible for the true one, and no amount of further rhs shifting
-    changes that: the fix is a different basis.  Since reduced costs are
-    nonnegative at that optimum, classic dual simplex steps apply: leave
-    the most negative basic variable, enter the column that keeps every
-    reduced cost nonnegative under the min-ratio rule.  Columns at or
-    past barred_from never enter.  Returns the repaired basis and the
-    step count; gives up quietly when no eligible entering column exists
-    or a basis goes singular, since the caller re-checks feasibility.
-    """
-    basis = list(basis)
-    columns = np.arange(A.shape[1])
-    for step in range(max_steps):
-        B = A[:, basis]
-        try:
-            xB = np.linalg.solve(B, b)
-        except np.linalg.LinAlgError:
-            return basis, step
-        row_out = int(np.argmin(xB))
-        if xB[row_out] >= -feas_tol:
-            return basis, step
-        try:
-            y = np.linalg.solve(B.T, c[np.asarray(basis)])
-            unit = np.zeros(len(basis))
-            unit[row_out] = 1.0
-            pivot_row = np.linalg.solve(B.T, unit) @ A
-        except np.linalg.LinAlgError:
-            return basis, step
-        reduced = c - A.T @ y
-        eligible = pivot_row < -piv_tol
-        eligible[np.asarray(basis)] = False
-        if barred_from is not None:
-            eligible[barred_from:] = False
-        if not eligible.any():
-            return basis, step
-        ratios = np.maximum(reduced[eligible], 0.0) / -pivot_row[eligible]
-        basis[row_out] = int(columns[eligible][int(np.argmin(ratios))])
-    return basis, max_steps
+_STATUS_ERRORS = {1: LPIterationLimitError, 2: LPInfeasibleError,
+                  3: LPUnboundedError}
 
 
 def solve_lp(A, b, c, max_iterations: int = 20000) -> LPSolution:
-    """Optimal basic solution of min c.x, A x = b, x >= 0.
+    """Optimal solution of min c.x, A x = b, x >= 0.
 
-    Raises LPInfeasibleError (with a Farkas certificate), LPUnboundedError,
-    LPIterationLimitError, or LPNumericalError.  The returned duals refer to
-    the rows of A exactly as passed in.
+    Raises LPInfeasibleError, LPUnboundedError, LPIterationLimitError, or
+    LPNumericalError for any other HiGHS failure.  The duals y refer to
+    the rows of A as passed in (A'y <= c, and b.y equals the optimum).
     """
-    A = np.ascontiguousarray(np.asarray(A, dtype=float))
-    b = np.asarray(b, dtype=float).copy()
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     if A.ndim != 2 or A.shape[0] != b.size or A.shape[1] != c.size:
         raise ValueError("inconsistent LP dimensions")
-    m, n = A.shape
-
-    flip = b < 0
-    A1 = A.copy()
-    A1[flip] *= -1.0
-    b1 = np.abs(b)
-    scale = max(1.0, float(np.abs(b1).max()) if m else 1.0)
-    cmax = max(1.0, float(np.abs(c).max()) if n else 1.0)
-    rc_tol = 1e-10 * cmax
-    piv_tol = 1e-11
-    # the feasibility verdict must sit above the float noise of reduced
-    # costs at moderately conditioned bases, or marginal stops misreport
-    feas_tol = 1e-8 * scale
-    slack = 1e-9 * scale
-
-    # phase 1 from the identity basis, under a strictly positive rhs
-    # perturbation: the discrete Chebyshev instances have rhs e_last, whose
-    # vertices are so degenerate that feasibility pivoting crawls, while a
-    # nondegenerate rhs forces strict decrease and therefore termination.
-    # Grading the artificial costs breaks dual ties the same way.
-    # Feasibility is judged on the unperturbed rhs afterwards.
-    ext = np.hstack([A1, np.eye(m)])
-    c1 = np.concatenate([np.zeros(n),
-                         1.0 + 1e-7 * (1.0 + np.arange(m)) / max(m, 1)])
-    basis = list(range(n, n + m))
-    bump = 1e3 * slack * (1.0 + np.arange(m)) / max(m, 1)
-    try:
-        basis, it1, xB, y1 = _simplex_core(ext, b1 + bump, c1, basis,
-                                           max_iterations, 1e-10, piv_tol,
-                                           slack)
-    except LPUnboundedError as exc:
-        raise LPNumericalError("feasibility phase found a descent ray") from exc
-    try:
-        xB_true = np.linalg.solve(ext[:, basis], b1)
-    except np.linalg.LinAlgError as exc:
-        raise LPNumericalError("singular basis after phase 1") from exc
-    arts = np.asarray(basis) >= n
-    phase1_obj = float(np.maximum(xB_true[arts], 0.0).sum())
-    if phase1_obj > feas_tol:
-        cert = y1.copy()
-        cert[flip] *= -1.0
-        raise LPInfeasibleError(
-            f"infeasible: phase-1 objective {phase1_obj:.3e}", certificate=cert)
-
-    # phase 2 on the extended matrix with the artificials pinned at zero:
-    # they cannot enter and cannot grow, but may stay basic on rows no
-    # pivot touches, where their zeroed cost prices the row at zero.  The
-    # rhs is perturbed along the current basis so the walk never enters
-    # the degenerate-vertex crawl; since reduced costs do not see b, the
-    # resulting basis is optimal for any rhs it is feasible for, and dual
-    # simplex steps then trade it for a neighbouring vertex feasible for
-    # the true rhs.  The answer is therefore always an exact vertex of
-    # the unperturbed problem.
-    cext = np.concatenate([c, np.zeros(m)])
-    w = 1e3 * slack * (1.0 + np.arange(m)) / max(m, 1)
-    it2 = 0
-    xB = xB_true
-    for round2 in range(8):
-        b_work = b1 + ext[:, basis] @ w
-        try:
-            basis, it, _, _ = _simplex_core(ext, b_work, cext, basis,
-                                            max_iterations, rc_tol, piv_tol,
-                                            slack, fixed_from=n)
-        except (LPIterationLimitError, LPNumericalError):
-            # wedged run: a tiny graded cost perturbation breaks the dual
-            # degeneracy behind floating-point pivot cycles; the outcome
-            # still faces the certification against the true costs below
-            cpert = cext.copy()
-            cpert[:n] += rc_tol * (1.0 + np.arange(n)) / max(n, 1)
-            basis, it, _, _ = _simplex_core(ext, b_work, cpert, basis,
-                                            max_iterations, rc_tol, piv_tol,
-                                            slack, fixed_from=n)
-        it2 += it
-        basis, steps = _dual_repair(ext, b1, cext, basis, feas_tol, piv_tol,
-                                    barred_from=n)
-        it2 += steps
-        try:
-            xB = np.linalg.solve(ext[:, basis], b1)
-            y = np.linalg.solve(ext[:, basis].T, cext[np.asarray(basis)])
-        except np.linalg.LinAlgError as exc:
-            raise LPNumericalError("singular basis after phase 2") from exc
-        if float(xB.min(initial=0.0)) >= -feas_tol:
-            # each repair pivot smears float noise of order the basis
-            # condition number into the reduced costs, which on grids with
-            # large cancelling coefficients buys visible objective slack;
-            # finishing on the true rhs from this feasible basis sharpens
-            # the vertex back to reduced-cost resolution, and a wedge here
-            # just keeps the repaired vertex, which already certifies
-            try:
-                basis, it, xB, y = _simplex_core(ext, b1, cext, basis,
-                                                 min(max_iterations, 5000),
-                                                 rc_tol, piv_tol, slack,
-                                                 fixed_from=n)
-                it2 += it
-            except (LPIterationLimitError, LPNumericalError):
-                pass
-            break
-        w = np.maximum(-xB, 0.0) + slack * (1.0 + np.arange(m)) / max(m, 1)
-    else:
-        raise LPNumericalError("infeasible basic solution after phase 2")
-    x = np.zeros(n)
-    for pos, j in enumerate(basis):
-        if j < n:
-            x[j] = max(float(xB[pos]), 0.0)
-    objective = float(c @ x)
-    if n and float((c - A1.T @ y).min()) < -1e-8 * cmax:
-        raise LPNumericalError("dual infeasibility at reported optimum")
-
-    duals_full = y.copy()
-    duals_full[flip] *= -1.0
-
-    dual_obj = float(duals_full @ b)
-    gap = abs(objective - dual_obj)
-    # the ratio-test slack tolerates infeasibility up to feas_tol, which
-    # reaches the gap scaled by the duals
-    gap_tol = (feas_tol * (10.0 + float(np.abs(duals_full).sum()))
-               + 1e-9 * (1.0 + abs(objective)) * max(1.0, scale))
-    if gap > gap_tol:
-        raise LPNumericalError(f"duality gap {gap:.3e} too large at optimum")
-
-    return LPSolution(x=x, duals=duals_full, objective=objective,
-                      iterations=it1 + it2, basis=np.asarray(basis),
-                      duality_gap=gap, phase1_objective=phase1_obj,
-                      diagnostics={"phase1_iterations": it1,
-                                   "phase2_iterations": it2})
+    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs",
+                  options={"maxiter": max_iterations,
+                           "primal_feasibility_tolerance": FEASIBILITY_TOL,
+                           "dual_feasibility_tolerance": FEASIBILITY_TOL})
+    if res.status != 0:
+        raise _STATUS_ERRORS.get(res.status, LPNumericalError)(res.message)
+    duals = np.asarray(res.eqlin.marginals, dtype=float)
+    objective = float(res.fun)
+    return LPSolution(x=np.asarray(res.x, dtype=float), duals=duals,
+                      objective=objective, iterations=int(res.nit),
+                      duality_gap=abs(objective - float(duals @ b)))

@@ -41,3 +41,12 @@ def test_build_partial_sum_round_trip(tmp_path, toy_ledger, table,
     reloaded, _, _ = cli._resolve_target(str(artifact_path))
     xs = np.linspace(-np.pi, np.pi, 64)
     assert np.array_equal(reloaded(xs), built(xs))
+
+
+def test_solve_f1_at_degree_24(tmp_path):
+    # a full-period kink at degree 24: the exchange LPs grow to ~50 rows
+    out = tmp_path / "run"
+    argv = ["solve", "--target", "F1", "--degree", "24", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    solution = json.loads((out / "artifacts" / "solution.json").read_text())
+    assert solution["post_check_error"] >= solution["error"] > 0

@@ -8,6 +8,7 @@ from cotrig.minimax import (MinimaxProblem, best_approx, best_co_q_monotone,
                             count_alternations, solve_grid_minimax,
                             solve_problem)
 from cotrig.signsets import SignChangeSet
+from cotrig.splines import build_ideal_spline
 from cotrig.trigpoly import random_trig
 
 
@@ -17,7 +18,7 @@ def test_constant_fit():
     theta, error, info = solve_grid_minimax(values, columns)
     assert error == pytest.approx(1.0, abs=1e-10)
     assert theta[0] == pytest.approx(1.0, abs=1e-10)
-    assert info["iterations"] > 0
+    assert info["outer_rounds"] >= 1
 
 
 def test_line_fit_equioscillates():
@@ -148,3 +149,34 @@ def test_result_serialization():
     d = res.to_dict()
     assert d["approximant"]["kind"] == "trigpoly"
     assert "post_check_error" in d and "rounds" in d
+
+
+# thm-12/13 targets with sign changes at -0.6 and 0.6 (minimal gap b = 1.2),
+# solved with the canonical sign set (-b, 0)
+@pytest.mark.parametrize("r, n, constrained, error", [
+    (1, 8, True, 0.9708168819476706),
+    (1, 16, True, 0.9708168819476706),
+    (2, 8, True, 0.4725602969561449),
+    (2, 8, False, 0.0022175557012119144),
+])
+def test_pinned_theorem_errors(r, n, constrained, error):
+    b = 1.2
+    target = build_ideal_spline(r, b)
+    if constrained:
+        res = best_co_q_monotone(target, n, 3, SignChangeSet([-b, 0.0]))
+    else:
+        res = best_approx(target, n)
+    assert res.error == pytest.approx(error, rel=1e-6)
+    assert res.post_check_error == pytest.approx(error, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_constrained_zero_optimum_is_exact(n):
+    # for the r = 1 ideal spline the best co-3-monotone fit is T = 0;
+    # solver noise of 1e-14 there would break the sign pattern check
+    b = 1.0178075340250505
+    res = best_co_q_monotone(build_ideal_spline(1, b), n, 3,
+                             SignChangeSet([-b, 0.0]))
+    tp = res.approximant
+    assert tp.a0 == 0.0
+    assert not np.any(tp.cos_coeffs) and not np.any(tp.sin_coeffs)
