@@ -16,7 +16,7 @@ from .ledger import (ConstantsLedger, EpsGrowthError, make_empirical_ledger,
 from .minimax import (ApproxResult, best_approx, best_co_q_monotone,
                       solve_grid_minimax)
 from .mollifier import MollifierTable, build_mollifier_table
-from .piecewise import PiecewisePoly
+from .piecewise import PiecewiseCheb
 from .reports import (Assertion, ConstantReading, ExperimentReport,
                       write_report_files)
 from .signsets import (SignChangeSet, delta_q_membership,
@@ -34,7 +34,7 @@ __all__ = [
     "ApproxResult", "Assertion", "ConstantReading", "ConstantsLedger",
     "EpsGrowthError", "ExperimentReport", "FULL_PERIOD", "GridSpec",
     "IdealSpline", "Interval", "LPError", "LPInfeasibleError", "LPSolution",
-    "LPUnboundedError", "MollifierTable", "PartialSum", "PiecewisePoly",
+    "LPUnboundedError", "MollifierTable", "PartialSum", "PiecewiseCheb",
     "RealizabilityError", "RecursionPlan", "SignChangeSet", "SmoothSpline",
     "Summand", "TrigPoly", "abs_power", "best_approx", "best_co_q_monotone",
     "build_ideal_spline", "build_mollifier_table", "build_partial_sum",

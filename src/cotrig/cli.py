@@ -43,7 +43,7 @@ from .reports import write_json, write_report_files
 from .signsets import (SignChangeSet, delta_q_membership,
                        delta_q_membership_by_convexity)
 from .simplex import LPError
-from .smooth import SmoothSpline, build_smooth_spline, spline_distance
+from .smooth import build_smooth_spline, spline_distance
 from .splines import IdealSpline, abs_power, build_ideal_spline, step_offset
 
 EXIT_OK = 0
@@ -303,7 +303,8 @@ def _function_from_artifact(path: str):
     if kind == "ideal":
         return build_ideal_spline(params["r"], float(params["b"])), None
     if kind == "smooth":
-        return SmoothSpline.from_dict(art["function"]), None
+        return build_smooth_spline(params["r"], float(params["d"]),
+                                   float(params["lam"])), None
     if kind == "fnb":
         ledger = ConstantsLedger.from_dict(art["ledger"])
         return build_summand(ledger, params["n"], Fraction(params["b"]),
@@ -366,8 +367,6 @@ def cmd_solve(cfg: dict, out_dir: Path) -> int:
         "iterations": result.iterations,
         "duality_gap": result.duality_gap,
     }
-    if result.extra_coefficients is not None:
-        solution["extra_coefficients"] = list(result.extra_coefficients)
     write_json(out_dir / "artifacts" / "solution.json", solution)
     lines = [
         f"{mode} approximation of {desc} at degree {degree}",

@@ -322,13 +322,13 @@ class PartialSum:
         return sup_norm(lambda x: self.derivative_values(j, x), self.window,
                         seeds=self.seed_points(), floor=4096)
 
-    def membership_margin(self, points_per_gap: int = 512):
+    def membership_margin(self):
         """(is member, worst signed margin) of the q-th derivative test."""
         q = self.ledger.q
         zone_seeds = self.seed_points()
         return delta_q_membership(
             lambda x: self.derivative_values(q, x), self.sign_set,
-            points_per_gap=points_per_gap, extra_points=zone_seeds,
+            points_per_gap=512, extra_points=zone_seeds,
             return_margin=True)
 
     def window_polynomial_residual(self) -> float:

@@ -18,17 +18,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counterexample import build_summand, canonical_sign_set
-from .grids import FULL_PERIOD, Interval, chebyshev_points, sup_norm
+from .counterexample import build_summand
+from .grids import Interval, chebyshev_points, sup_norm
 from .ledger import ConstantsLedger, make_empirical_ledger
 from .minimax import best_approx, best_co_q_monotone, solve_grid_minimax
 from .mollifier import MollifierTable, build_mollifier_table
 from .reports import Assertion, ConstantReading, ExperimentReport
-from .signsets import (SignChangeSet, delta_q_membership,
-                       delta_q_membership_by_convexity)
+from .signsets import SignChangeSet, delta_q_membership_by_convexity
 from .smooth import build_smooth_spline, spline_distance
 from .splines import abs_power, build_ideal_spline
-from .trigpoly import TrigPoly, random_trig, trig_basis, trig_derivative_basis
+from .trigpoly import TrigPoly, trig_basis, trig_derivative_basis
 
 DEGREE_CAP = 32
 DEGREE_CAP_LARGE = 128

@@ -1,9 +1,11 @@
-"""Intervals, Chebyshev sampling grids, and refined sup-norm estimation.
+"""Intervals, Chebyshev sampling grids, and the one sup-norm routine.
 
-Sup norms of the piecewise and spline objects in this package are estimated
-by sampling on Chebyshev-distributed points (clustered at the endpoints,
-where the kinks of the target functions sit) and then polishing every local
-maximum of |f| with a golden-section search in its two neighbouring cells.
+Every sup norm in this package goes through sup_norm: sample |f| on
+Chebyshev-distributed points of the interval (clustered at the endpoints,
+where the kinks of the target functions sit), merge in any seed points the
+caller knows about (breakpoints, per-piece or per-zone Chebyshev points),
+and polish every local maximum and both endpoints with a golden-section
+search in the neighbouring cells.
 """
 
 from __future__ import annotations
@@ -55,9 +57,10 @@ class GridSpec:
     """Sampling density and refinement policy for norm and solver grids.
 
     points_per_degree scales the sample count with the trig degree involved;
-    refinement_tolerance is the stopping gap for iterative refinement
-    (absolute for sup norms, relative for minimax grids);
-    max_refinements caps golden-section steps or regrid rounds.
+    refinement_tolerance is the relative gap between a minimax grid's error
+    and its post-check at which regridding stops (sup norms do not read it);
+    max_refinements caps golden-section steps (sup norms) or regrid rounds
+    (minimax).  The defaults are the sup-norm settings.
     """
 
     points_per_degree: int = 20
@@ -77,8 +80,6 @@ class GridSpec:
             return floor
         return max(floor, self.points_per_degree * max(int(degree), 1))
 
-
-SUP_GRID = GridSpec(points_per_degree=20, refinement_tolerance=1e-10, max_refinements=60)
 
 # Default for minimax objective/constraint grids: denser sampling, a few
 # regrid rounds, relative stopping gap.
@@ -128,14 +129,14 @@ def golden_refine_max(f, lo: np.ndarray, hi: np.ndarray, rounds: int) -> np.ndar
     return np.maximum(f1, f2)
 
 
-def sup_norm(f, interval: Interval, grid: GridSpec | None = None,
-             degree_hint: int | None = None, seeds=None, floor: int = 256) -> float:
+def sup_norm(f, interval: Interval, degree_hint: int | None = None,
+             seeds=None, floor: int = 256) -> float:
     """Sup norm of f on the interval, Chebyshev sampling plus refinement.
 
     seeds: optional extra sample abscissae (breakpoints, zone grids) merged
     into the Chebyshev sample before the local maxima are located.
     """
-    g = grid or SUP_GRID
+    g = GridSpec()
     count = g.sample_count(degree_hint, floor=floor)
     xs = chebyshev_points(interval, count)
     if seeds is not None and len(seeds) > 0:
@@ -158,6 +159,3 @@ def sup_norm(f, interval: Interval, grid: GridSpec | None = None,
         best = max(best, float(refined.max()))
     return best
 
-
-def uniform_points(interval: Interval, count: int) -> np.ndarray:
-    return np.linspace(interval.lo, interval.hi, count)

@@ -24,22 +24,6 @@ from .trigpoly import TrigPoly, coeffs_from_vector, trig_basis, trig_derivative_
 
 
 @dataclass
-class MinimaxProblem:
-    """Declarative description of one approximation problem."""
-
-    degree: int
-    domain: Interval | None = None
-    q: int | None = None
-    sign_changes: SignChangeSet | None = None
-    objective_grid: GridSpec = field(default_factory=lambda: SOLVER_GRID)
-    constraint_grid: GridSpec = field(default_factory=lambda: SOLVER_GRID)
-
-    @property
-    def constrained(self) -> bool:
-        return self.q is not None and self.sign_changes is not None
-
-
-@dataclass
 class ApproxResult:
     approximant: TrigPoly
     error: float
@@ -49,7 +33,6 @@ class ApproxResult:
     duality_gap: float
     alternation_count: int
     rounds: list = field(default_factory=list)
-    extra_coefficients: np.ndarray | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -384,13 +367,3 @@ def best_co_q_monotone(target, degree: int, q: int, ys: SignChangeSet,
 
     return _refinement_loop(target, degree, subintervals, og,
                             cons_builder=cons_builder, cons_check=cons_check)
-
-
-def solve_problem(target, problem: MinimaxProblem) -> ApproxResult:
-    if problem.constrained:
-        return best_co_q_monotone(target, problem.degree, problem.q,
-                                  problem.sign_changes,
-                                  objective_grid=problem.objective_grid,
-                                  constraint_grid=problem.constraint_grid)
-    return best_approx(target, problem.degree, domain=problem.domain,
-                       grid=problem.objective_grid)

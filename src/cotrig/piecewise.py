@@ -1,46 +1,52 @@
-"""Piecewise polynomials on a breakpoint partition, optionally periodic.
+"""Piecewise Chebyshev series on a breakpoint partition, optionally periodic.
 
-Each piece stores coefficients in powers of (x - mid) for its own midpoint,
-which keeps evaluation well conditioned when pieces of very different widths
-coexist (mollification zones can be ten orders of magnitude narrower than
-their neighbours).  Integration and differentiation are exact coefficient
-operations.
+Both spline families of this package are stored this way: the ideal
+splines, whose top derivative jumps at its joins, and the mollified
+splines, whose transition zones can be ten orders of magnitude narrower
+than the plateaus beside them.  Each piece is a Chebyshev series in its own
+coordinate u = (x - centre) / half.  The centre and half-width of every
+piece are stored as the spline constructors give them, never re-derived
+from the breakpoints: a zone centre recomputed from its end points is off
+by a rounding error of the window, which is large in units of a narrow
+zone.
+Integrals and antiderivatives are exact coefficient operations; the sup
+norm is grids.sup_norm seeded with Chebyshev points of every piece.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import chebyshev as _cheb
 
-from .grids import TWO_PI, GridSpec, Interval, chebyshev_points, golden_refine_max
+from .grids import TWO_PI, Interval, chebyshev_points, sup_norm
 
 
-class PiecewisePoly:
-    """Polynomial pieces between consecutive breakpoints."""
+class PiecewiseCheb:
+    """Chebyshev series pieces between consecutive breakpoints."""
 
-    def __init__(self, breakpoints, coefficients, periodic: bool = False):
+    def __init__(self, breakpoints, centres, halves, coefficients,
+                 periodic: bool = False):
         bp = np.asarray(breakpoints, dtype=float)
         if bp.ndim != 1 or bp.size < 2:
             raise ValueError("need at least two breakpoints")
         if np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
-        if len(coefficients) != bp.size - 1:
-            raise ValueError("exactly one coefficient array per piece required")
+        if not len(centres) == len(halves) == len(coefficients) == bp.size - 1:
+            raise ValueError("exactly one centre, half-width and coefficient "
+                             "array per piece required")
         if periodic and abs((bp[-1] - bp[0]) - TWO_PI) > 1e-9:
-            raise ValueError("a periodic piecewise polynomial must span one period")
+            raise ValueError("a periodic piecewise function must span one period")
         self.breakpoints = bp
+        self.centres = np.asarray(centres, dtype=float)
+        self.halves = np.asarray(halves, dtype=float)
+        if np.any(self.halves <= 0):
+            raise ValueError("half-widths must be positive")
         self.coefficients = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coefficients]
         self.periodic = bool(periodic)
 
     @property
     def window(self) -> Interval:
         return Interval(float(self.breakpoints[0]), float(self.breakpoints[-1]))
-
-    @property
-    def piece_count(self) -> int:
-        return len(self.coefficients)
-
-    def _mids(self) -> np.ndarray:
-        return 0.5 * (self.breakpoints[:-1] + self.breakpoints[1:])
 
     def _wrap(self, x: np.ndarray) -> np.ndarray:
         if not self.periodic:
@@ -51,138 +57,80 @@ class PiecewisePoly:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
-        xs = self._wrap(np.atleast_1d(x).copy())
+        xs = self._wrap(np.atleast_1d(x))
         idx = np.searchsorted(self.breakpoints, xs, side="right") - 1
-        idx = np.clip(idx, 0, self.piece_count - 1)
+        idx = np.clip(idx, 0, len(self.coefficients) - 1)
         out = np.empty_like(xs)
-        mids = self._mids()
-        for i in range(self.piece_count):
+        for i, coef in enumerate(self.coefficients):
             mask = idx == i
             if mask.any():
-                out[mask] = np.polynomial.polynomial.polyval(xs[mask] - mids[i],
-                                                             self.coefficients[i])
+                out[mask] = _cheb.chebval((xs[mask] - self.centres[i]) / self.halves[i], coef)
         return float(out[0]) if scalar else out
 
-    def derivative(self, order: int = 1) -> "PiecewisePoly":
-        coeffs = self.coefficients
-        for _ in range(order):
-            coeffs = [np.polynomial.polynomial.polyder(c) if c.size > 1 else np.zeros(1)
-                      for c in coeffs]
-        return PiecewisePoly(self.breakpoints, coeffs, self.periodic)
+    def _with(self, coefficients) -> "PiecewiseCheb":
+        return PiecewiseCheb(self.breakpoints, self.centres, self.halves,
+                             coefficients, self.periodic)
 
-    def piece_integrals(self) -> np.ndarray:
-        """Exact integral of every piece over its own subinterval."""
-        mids = self._mids()
-        halves = 0.5 * np.diff(self.breakpoints)
-        out = np.empty(self.piece_count)
-        for i, c in enumerate(self.coefficients):
-            k = np.arange(c.size)
-            # int_{-h}^{h} c_k u^k du: odd powers cancel
-            terms = 2.0 * c[::2] * halves[i] ** (k[::2] + 1) / (k[::2] + 1)
-            out[i] = terms.sum()
-        return out
+    def integral(self) -> float:
+        """Exact integral over the window: half * int_{-1}^{1} of each series."""
+        total = 0.0
+        for half, coef in zip(self.halves, self.coefficients):
+            k = np.arange(0, coef.size, 2, dtype=float)
+            # int_{-1}^{1} T_k du = 2 / (1 - k^2) for even k, 0 for odd k
+            total += half * float(np.sum(coef[::2] * 2.0 / (1.0 - k ** 2)))
+        return total
 
-    def period_integral(self) -> float:
-        return float(self.piece_integrals().sum())
-
-    def period_mean(self) -> float:
-        return self.period_integral() / self.window.width
-
-    def antiderivative(self) -> "PiecewisePoly":
+    def antiderivative(self) -> "PiecewiseCheb":
         """Continuous antiderivative, zero at the left end of the window."""
-        mids = self._mids()
-        new_coeffs = []
+        new = []
         running = 0.0
-        for i, c in enumerate(self.coefficients):
-            k = np.arange(c.size, dtype=float)
-            ic = np.concatenate([[0.0], c / (k + 1.0)])
-            lo = self.breakpoints[i] - mids[i]
-            val_lo = np.polynomial.polynomial.polyval(lo, ic)
-            ic[0] = running - val_lo
-            hi = self.breakpoints[i + 1] - mids[i]
-            running = float(np.polynomial.polynomial.polyval(hi, ic))
-            new_coeffs.append(ic)
-        return PiecewisePoly(self.breakpoints, new_coeffs, self.periodic)
+        for half, coef in zip(self.halves, self.coefficients):
+            ic = _cheb.chebint(coef, scl=half)
+            ic[0] += running - _cheb.chebval(-1.0, ic)
+            running = float(_cheb.chebval(1.0, ic))
+            new.append(ic)
+        return self._with(new)
 
-    def plus_constant(self, value: float) -> "PiecewisePoly":
+    def plus_constant(self, value: float) -> "PiecewiseCheb":
         coeffs = [c.copy() for c in self.coefficients]
         for c in coeffs:
             c[0] += value
-        return PiecewisePoly(self.breakpoints, coeffs, self.periodic)
+        return self._with(coeffs)
 
-    def with_zero_mean(self) -> "PiecewisePoly":
-        return self.plus_constant(-self.period_mean())
+    def with_zero_mean(self) -> "PiecewiseCheb":
+        return self.plus_constant(-self.integral() / self.window.width)
 
-    def one_sided(self, x: float, side: str, order: int = 0) -> float:
-        """Evaluate the piece polynomial touching x from the given side."""
-        obj = self.derivative(order) if order else self
-        bp = obj.breakpoints
-        if side == "left":
-            i = int(np.searchsorted(bp, x, side="left")) - 1
-            if i < 0:
-                i = obj.piece_count - 1 if obj.periodic else 0
-        elif side == "right":
-            i = int(np.searchsorted(bp, x, side="right")) - 1
-            if i >= obj.piece_count:
-                i = 0 if obj.periodic else obj.piece_count - 1
-        else:
-            raise ValueError("side must be 'left' or 'right'")
-        i = min(max(i, 0), obj.piece_count - 1)
-        mid = 0.5 * (bp[i] + bp[i + 1])
-        return float(np.polynomial.polynomial.polyval(x - mid, obj.coefficients[i]))
-
-    def continuity_defects(self, orders: int = 0) -> np.ndarray:
-        """Relative derivative mismatches at interior breakpoints (and wrap).
-
-        Row j holds the order-j defects |left - right| / max(1, |left|, |right|).
-        """
-        xs = list(self.breakpoints[1:-1])
-        wrap = self.periodic
-        rows = []
-        for order in range(orders + 1):
-            row = []
-            for x in xs:
-                a = self.one_sided(x, "left", order)
-                b = self.one_sided(x, "right", order)
-                row.append(abs(a - b) / max(1.0, abs(a), abs(b)))
-            if wrap:
-                a = self.one_sided(self.breakpoints[-1], "left", order)
-                b = self.one_sided(self.breakpoints[0], "right", order)
-                row.append(abs(a - b) / max(1.0, abs(a), abs(b)))
-            rows.append(row)
-        return np.asarray(rows)
-
-    def sup_norm(self, grid: GridSpec | None = None, points_per_piece: int = 128) -> float:
-        """Refined max of |f|: per-piece Chebyshev samples plus polishing."""
-        g = grid or GridSpec()
-        best = 0.0
-        for i in range(self.piece_count):
-            iv = Interval(float(self.breakpoints[i]), float(self.breakpoints[i + 1]))
-            deg = max(self.coefficients[i].size - 1, 1)
-            count = max(points_per_piece, 8 * deg)
-            xs = chebyshev_points(iv, count)
-            ys = np.abs(self(xs))
-            best = max(best, float(ys.max()))
-            inner = np.flatnonzero((ys[1:-1] >= ys[:-2]) & (ys[1:-1] >= ys[2:])) + 1
-            if inner.size:
-                ref = golden_refine_max(self, xs[inner - 1], xs[inner + 1], g.max_refinements)
-                best = max(best, float(ref.max()))
-        return best
+    def sup_norm(self) -> float:
+        """Refined max of |f| over the window."""
+        bp = self.breakpoints
+        seeds = [chebyshev_points(Interval(lo, hi), max(192, 4 * coef.size))
+                 for lo, hi, coef in zip(bp[:-1], bp[1:], self.coefficients)]
+        return sup_norm(self, self.window, seeds=np.concatenate(seeds))
 
     def global_piece_coefficients(self, piece: int) -> np.ndarray:
-        """Coefficients of the piece in plain powers of x (not recentred)."""
-        mid = self._mids()[piece]
-        p = np.polynomial.Polynomial(self.coefficients[piece])
-        return p(np.polynomial.Polynomial([-mid, 1.0])).coef
+        """Coefficients of one piece in plain powers of x (not recentred)."""
+        centre, half = self.centres[piece], self.halves[piece]
+        p = np.polynomial.Polynomial(_cheb.cheb2poly(self.coefficients[piece]))
+        return p(np.polynomial.Polynomial([-centre / half, 1.0 / half])).coef
 
     def to_dict(self) -> dict:
         return {
-            "kind": "piecewise_poly",
+            "kind": "piecewise_cheb",
             "periodic": self.periodic,
             "breakpoints": self.breakpoints.tolist(),
+            "centres": self.centres.tolist(),
+            "halves": self.halves.tolist(),
             "coefficients": [c.tolist() for c in self.coefficients],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PiecewisePoly":
-        return cls(d["breakpoints"], d["coefficients"], d["periodic"])
+
+def zero_mean_levels(base: PiecewiseCheb, r: int) -> list:
+    """[base, then r successive zero-mean antiderivatives].
+
+    Every level of a periodic spline: each has zero period mean, so each
+    antiderivative is again periodic.
+    """
+    levels = [base]
+    for _ in range(r):
+        levels.append(levels[-1].antiderivative().with_zero_mean())
+    return levels

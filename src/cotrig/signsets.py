@@ -88,7 +88,7 @@ class SignChangeSet:
         return SignChangeSet(pts)
 
     def product(self, t):
-        """prod_i (t - y_i) for t it one period window above the lowest point."""
+        """prod_i (t - y_i) for t in the one-period window above the lowest point."""
         t = np.asarray(t, dtype=float)
         out = np.ones_like(t)
         for y in self.points:
@@ -132,9 +132,9 @@ def delta_q_membership_by_convexity(fq2, ys: SignChangeSet,
     return ok
 
 
-def delta_q_membership(dq, ys: SignChangeSet, interval: Interval | None = None,
-                       tol: float | None = None, points_per_gap: int = 512,
-                       extra_points=None, return_margin: bool = False):
+def delta_q_membership(dq, ys: SignChangeSet, tol: float | None = None,
+                       points_per_gap: int = 512, extra_points=None,
+                       return_margin: bool = False):
     """Grid check of the sign pattern dq(t) * prod(t - y_i) >= -tol.
 
     dq evaluates the q-th derivative of the candidate function on arrays.
@@ -144,7 +144,6 @@ def delta_q_membership(dq, ys: SignChangeSet, interval: Interval | None = None,
     width is far below the default grid resolution).
     """
     lo = ys.points[0]
-    window = interval or Interval(lo, lo + TWO_PI)
     samples = []
     for glo, ghi, _ in ys.intervals():
         samples.append(chebyshev_points(Interval(glo, ghi), points_per_gap, open_ends=True))
@@ -153,7 +152,6 @@ def delta_q_membership(dq, ys: SignChangeSet, interval: Interval | None = None,
         pts = lo + np.mod(pts - lo, TWO_PI)
         samples.append(pts)
     ts = np.concatenate(samples)
-    ts = ts[(ts >= window.lo) & (ts <= window.hi)]
     vals = np.asarray(dq(ts), dtype=float)
     prods = ys.product(ts)
     signed = vals * prods

@@ -7,9 +7,9 @@ of width 2*lam, placed at [lam, 3*lam] (upward) and [-d+lam, -d+3*lam]
 antiderivatives; all higher derivatives are supported on the zones alone
 and inherit closed forms from S.
 
-Pieces are either centred polynomials (the plateaus) or Chebyshev series in
-the zone-local coordinate, so antiderivatives are exact coefficient
-operations at any zone width.
+Every level is a piecewise Chebyshev series whose zone pieces keep the
+zone's exact centre 2*lam (or -d + 2*lam) and half-width lam, so
+antiderivatives are exact coefficient operations at any zone width.
 """
 
 from __future__ import annotations
@@ -17,154 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial import polynomial as _poly
 
-from .grids import TWO_PI, GridSpec, Interval, chebyshev_points, golden_refine_max, sup_norm
+from .grids import TWO_PI, Interval, chebyshev_points, sup_norm
 from .mollifier import MollifierTable, build_mollifier_table
+from .piecewise import PiecewiseCheb, zero_mean_levels
 from .splines import step_offset
-
-
-class MixedPiecewise:
-    """Piecewise function whose pieces are centred polynomials or Chebyshev series."""
-
-    def __init__(self, pieces, periodic: bool = True):
-        # pieces: list of (kind, lo, hi, center, half, coef)
-        self.pieces = []
-        for kind, lo, hi, center, half, coef in pieces:
-            if hi <= lo:
-                raise ValueError("piece with empty support")
-            self.pieces.append((kind, float(lo), float(hi), float(center), float(half),
-                                np.atleast_1d(np.asarray(coef, dtype=float))))
-        self.periodic = bool(periodic)
-        if periodic and abs((self.pieces[-1][2] - self.pieces[0][1]) - TWO_PI) > 1e-9:
-            raise ValueError("periodic mixed piecewise must span one period")
-
-    @property
-    def window(self) -> Interval:
-        return Interval(self.pieces[0][1], self.pieces[-1][2])
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        return np.asarray([p[1] for p in self.pieces] + [self.pieces[-1][2]])
-
-    def _wrap(self, x):
-        if not self.periodic:
-            return x
-        lo = self.pieces[0][1]
-        return lo + np.mod(x - lo, TWO_PI)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xs = self._wrap(np.atleast_1d(x))
-        bp = self.breakpoints
-        idx = np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, len(self.pieces) - 1)
-        out = np.empty_like(xs)
-        for i, (kind, _, _, center, half, coef) in enumerate(self.pieces):
-            mask = idx == i
-            if not mask.any():
-                continue
-            u = (xs[mask] - center) / half if kind == "cheb" else xs[mask] - center
-            out[mask] = (_cheb.chebval(u, coef) if kind == "cheb"
-                         else _poly.polyval(u, coef))
-        return float(out[0]) if scalar else out
-
-    def piece_value(self, i: int, x: float) -> float:
-        kind, _, _, center, half, coef = self.pieces[i]
-        if kind == "cheb":
-            return float(_cheb.chebval((x - center) / half, coef))
-        return float(_poly.polyval(x - center, coef))
-
-    def piece_integral(self, i: int) -> float:
-        kind, lo, hi, center, half, coef = self.pieces[i]
-        if kind == "cheb":
-            k = np.arange(coef.size)
-            even = k % 2 == 0
-            weights = np.zeros(coef.size)
-            weights[even] = 2.0 / (1.0 - k[even].astype(float) ** 2)
-            return float(half * (coef * weights).sum())
-        k = np.arange(coef.size, dtype=float)
-        a, b = lo - center, hi - center
-        return float(np.sum(coef / (k + 1.0) * (b ** (k + 1) - a ** (k + 1))))
-
-    def integral(self) -> float:
-        return sum(self.piece_integral(i) for i in range(len(self.pieces)))
-
-    def antiderivative(self) -> "MixedPiecewise":
-        """Continuous antiderivative, zero at the window's left end."""
-        new = []
-        running = 0.0
-        for kind, lo, hi, center, half, coef in self.pieces:
-            if kind == "cheb":
-                ic = _cheb.chebint(coef, m=1, scl=half)
-                ic[0] += running - float(_cheb.chebval(-1.0, ic))
-                running = float(_cheb.chebval(1.0, ic))
-            else:
-                k = np.arange(coef.size, dtype=float)
-                ic = np.concatenate([[0.0], coef / (k + 1.0)])
-                ic[0] = running - float(_poly.polyval(lo - center, ic))
-                running = float(_poly.polyval(hi - center, ic))
-            new.append((kind, lo, hi, center, half, ic))
-        return MixedPiecewise(new, self.periodic)
-
-    def plus_constant(self, value: float) -> "MixedPiecewise":
-        new = []
-        for kind, lo, hi, center, half, coef in self.pieces:
-            c = coef.copy()
-            c[0] += value
-            new.append((kind, lo, hi, center, half, c))
-        return MixedPiecewise(new, self.periodic)
-
-    def with_zero_mean(self) -> "MixedPiecewise":
-        return self.plus_constant(-self.integral() / self.window.width)
-
-    def sup_norm(self, grid: GridSpec | None = None, points_per_piece: int = 192) -> float:
-        g = grid or GridSpec()
-        best = 0.0
-        for i, (kind, lo, hi, _, _, coef) in enumerate(self.pieces):
-            iv = Interval(lo, hi)
-            count = max(points_per_piece, 4 * coef.size)
-            xs = chebyshev_points(iv, count)
-            ys = np.abs(self(xs))
-            best = max(best, float(ys.max()))
-            inner = np.flatnonzero((ys[1:-1] >= ys[:-2]) & (ys[1:-1] >= ys[2:])) + 1
-            if inner.size:
-                ref = golden_refine_max(self, xs[inner - 1], xs[inner + 1],
-                                        g.max_refinements)
-                best = max(best, float(ref.max()))
-        return best
-
-    def continuity_defect(self) -> float:
-        """Worst relative value mismatch across interior joins and the wrap."""
-        worst = 0.0
-        for i in range(len(self.pieces) - 1):
-            x = self.pieces[i][2]
-            a = self.piece_value(i, x)
-            b = self.piece_value(i + 1, x)
-            worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
-        if self.periodic:
-            a = self.piece_value(len(self.pieces) - 1, self.pieces[-1][2])
-            b = self.piece_value(0, self.pieces[0][1])
-            worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
-        return worst
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "mixed_piecewise",
-            "periodic": self.periodic,
-            "pieces": [
-                {"type": kind, "lo": lo, "hi": hi, "center": center, "half": half,
-                 "coef": coef.tolist()}
-                for kind, lo, hi, center, half, coef in self.pieces
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MixedPiecewise":
-        pieces = [(p["type"], p["lo"], p["hi"], p["center"], p["half"], p["coef"])
-                  for p in d["pieces"]]
-        return cls(pieces, d["periodic"])
 
 
 @dataclass
@@ -215,12 +72,12 @@ class SmoothSpline:
             return self.levels[self.r - j](x)
         return self.step_derivative_values(j - self.r, x)
 
-    def sup_derivative(self, j: int, grid: GridSpec | None = None) -> float:
+    def sup_derivative(self, j: int) -> float:
         if j <= self.r:
-            return self.levels[self.r - j].sup_norm(grid=grid)
+            return self.levels[self.r - j].sup_norm()
         k = j - self.r
         inner = sup_norm(lambda u: self.table.step_derivative(k, u),
-                         Interval(-1.0, 1.0), grid=grid, floor=8193)
+                         Interval(-1.0, 1.0), floor=8193)
         return inner / self.lam ** k
 
     def seed_points(self, per_zone: int = 65) -> np.ndarray:
@@ -240,13 +97,6 @@ class SmoothSpline:
             "levels": [lv.to_dict() for lv in self.levels],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SmoothSpline":
-        t = d["table"]
-        table = build_mollifier_table(t["grid_size"], t["max_order"], t["cheb_degree"])
-        levels = [MixedPiecewise.from_dict(lv) for lv in d["levels"]]
-        return cls(d["r"], d["d"], d["lam"], d["offset"], table, levels)
-
 
 def build_smooth_spline(r: int, d: float, lam: float,
                         table: MollifierTable | None = None) -> SmoothSpline:
@@ -263,23 +113,18 @@ def build_smooth_spline(r: int, d: float, lam: float,
     up = table.cheb_coeffs.copy()
     up[0] -= gamma
     down = -table.cheb_coeffs
-    down = down.copy()
     down[0] -= gamma
 
-    base = MixedPiecewise([
-        ("poly", -d, -d + lam, 0.5 * (-2 * d + lam), 1.0, [1.0 - gamma]),
-        ("cheb", -d + lam, -d + 3 * lam, -d + 2 * lam, lam, down),
-        ("poly", -d + 3 * lam, lam, 0.5 * (-d + 4 * lam), 1.0, [-1.0 - gamma]),
-        ("cheb", lam, 3 * lam, 2 * lam, lam, up),
-        ("poly", 3 * lam, TWO_PI - d, 0.5 * (TWO_PI - d + 3 * lam), 1.0, [1.0 - gamma]),
-    ], periodic=True)
-
-    levels = [base]
-    current = base
-    for _ in range(r):
-        current = current.antiderivative().with_zero_mean()
-        levels.append(current)
-    return SmoothSpline(r=r, d=d, lam=lam, offset=gamma, table=table, levels=levels)
+    base = PiecewiseCheb(
+        [-d, -d + lam, -d + 3 * lam, lam, 3 * lam, TWO_PI - d],
+        centres=[0.5 * (-2 * d + lam), -d + 2 * lam, 0.5 * (-d + 4 * lam),
+                 2 * lam, 0.5 * (TWO_PI - d + 3 * lam)],
+        halves=[0.5 * lam, lam, 0.5 * (d - 2 * lam), lam,
+                0.5 * (TWO_PI - d - 3 * lam)],
+        coefficients=[[1.0 - gamma], down, [-1.0 - gamma], up, [1.0 - gamma]],
+        periodic=True)
+    return SmoothSpline(r=r, d=d, lam=lam, offset=gamma, table=table,
+                        levels=zero_mean_levels(base, r))
 
 
 def spline_distance(f, g, window: Interval, seeds=None, floor: int = 4096) -> float:

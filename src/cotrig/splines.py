@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import factorial
 
 from .grids import TWO_PI, Interval
-from .piecewise import PiecewisePoly
+from .piecewise import PiecewiseCheb, zero_mean_levels
 
 
 def abs_power(r: int, x):
@@ -52,15 +52,11 @@ class IdealSpline:
     levels: list
 
     @property
-    def poly(self) -> PiecewisePoly:
-        return self.levels[self.r]
-
-    @property
     def window(self) -> Interval:
-        return self.poly.window
+        return self.levels[self.r].window
 
     def __call__(self, x):
-        return self.poly(x)
+        return self.levels[self.r](x)
 
     def derivative_values(self, j: int, x):
         """Values of the j-th derivative, 0 <= j <= r."""
@@ -80,8 +76,8 @@ class IdealSpline:
         difference), which is a construction self-check.
         """
         rfact = float(factorial(self.r, exact=True))
-        plus = self.poly.global_piece_coefficients(1)
-        minus = self.poly.global_piece_coefficients(0)
+        plus = self.levels[self.r].global_piece_coefficients(1)
+        minus = self.levels[self.r].global_piece_coefficients(0)
         p_plus = plus.copy()
         p_plus[self.r] -= 1.0 / rfact
         p_minus = minus.copy()
@@ -98,45 +94,15 @@ class IdealSpline:
             "levels": [lv.to_dict() for lv in self.levels],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "IdealSpline":
-        levels = [PiecewisePoly.from_dict(lv) for lv in d["levels"]]
-        return cls(d["r"], d["b"], d["offset"], levels)
-
 
 def build_ideal_spline(r: int, b: float) -> IdealSpline:
     """Construct the degree-r ideal spline on the window [-b, 2pi - b]."""
     if r < 1:
         raise ValueError("r must be a positive integer")
     offset = step_offset(b)
-    step = PiecewisePoly([-b, 0.0, TWO_PI - b],
-                         [[-1.0 - offset], [1.0 - offset]],
+    step = PiecewiseCheb([-b, 0.0, TWO_PI - b],
+                         centres=[-0.5 * b, 0.5 * (TWO_PI - b)],
+                         halves=[0.5 * b, 0.5 * (TWO_PI - b)],
+                         coefficients=[[-1.0 - offset], [1.0 - offset]],
                          periodic=True)
-    levels = [step]
-    current = step
-    for _ in range(r):
-        current = current.antiderivative().with_zero_mean()
-        levels.append(current)
-    return IdealSpline(r=r, b=b, offset=offset, levels=levels)
-
-
-def residual_polynomial(r: int, b: float):
-    """Degree <= r polynomial linking the ideal spline to the power kink."""
-    return build_ideal_spline(r, b).residual_poly()
-
-
-def ideal_qth_derivative_quotient(spline: IdealSpline, h: float = 1e-7):
-    """One-sided difference quotient of the top derivative, as a callable.
-
-    Away from the two step breakpoints the r-th derivative is constant, so
-    the forward quotient vanishes identically; near a breakpoint it is a
-    large one-signed spike.  Used for membership checks of splines whose
-    (r+1)-th derivative only exists distributionally.
-    """
-    top = spline.levels[0]
-
-    def quotient(t):
-        t = np.asarray(t, dtype=float)
-        return (top(t + h) - top(t)) / h
-
-    return quotient
+    return IdealSpline(r=r, b=b, offset=offset, levels=zero_mean_levels(step, r))

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import FULL_PERIOD, GridSpec, Interval, sup_norm
-
 
 class TrigPoly:
     """a0 + sum_k (cos_coeffs[k-1] cos(kt) + sin_coeffs[k-1] sin(kt))."""
@@ -58,12 +56,6 @@ class TrigPoly:
             a0 = 0.0
         return TrigPoly(a0, ac, bs)
 
-    def even_odd_split(self):
-        """Split into the even (cosine) and odd (sine) parts."""
-        even = TrigPoly(self.a0, self.cos_coeffs, np.zeros(self.degree))
-        odd = TrigPoly(0.0, np.zeros(self.degree), self.sin_coeffs)
-        return even, odd
-
     def shifted(self, theta: float) -> "TrigPoly":
         """Return the polynomial t -> self(t - theta)."""
         n = self.degree
@@ -94,9 +86,6 @@ class TrigPoly:
         return TrigPoly(self.a0 * s, self.cos_coeffs * s, self.sin_coeffs * s)
 
     __rmul__ = __mul__
-
-    def sup_norm(self, interval: Interval = FULL_PERIOD, grid: GridSpec | None = None) -> float:
-        return sup_norm(self, interval, grid=grid, degree_hint=self.degree)
 
     def to_dict(self) -> dict:
         return {

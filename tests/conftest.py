@@ -1,4 +1,5 @@
-"""Shared fixtures: the mollifier table and two small constants ledgers.
+"""Shared fixtures: the mollifier table, two small constants ledgers, and
+a continuity probe for piecewise Chebyshev series.
 
 The toy ledger uses round numbers so recursion-plan arithmetic can be
 checked against hand-computed exact values; the table ledger carries the
@@ -7,7 +8,9 @@ measured step norms so scaled-summand identities come out at 1.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 
 from cotrig.ledger import make_empirical_ledger
 from cotrig.mollifier import build_mollifier_table
@@ -39,3 +42,21 @@ def table_ledger(table):
                   "c3": Fraction(1, 100), "c4": 4, "c5": 60},
         gap=1, reference_b=Fraction(1, 4),
         provenance={"source": "modest constants over measured step norms"})
+
+
+def _join_defects(f):
+    """Relative value jumps of a PiecewiseCheb at its interior joins (and
+    at the wrap, if periodic): each piece's series at u = +1 against the
+    next piece's at u = -1, divided by max(1, |left|, |right|)."""
+    ends = np.array([chebval(1.0, c) for c in f.coefficients])
+    starts = np.array([chebval(-1.0, c) for c in f.coefficients])
+    left, right = ends[:-1], starts[1:]
+    if f.periodic:
+        left, right = np.append(left, ends[-1]), np.append(right, starts[0])
+    return np.abs(left - right) / np.maximum(1.0, np.maximum(np.abs(left),
+                                                             np.abs(right)))
+
+
+@pytest.fixture(scope="session")
+def join_defects():
+    return _join_defects

@@ -1,4 +1,4 @@
-"""Tests for the command-line entry point: partial-sum builds and reloads."""
+"""Tests for the command-line entry point: builds and their reloads."""
 
 import json
 from fractions import Fraction
@@ -10,6 +10,8 @@ from cotrig import cli
 from cotrig.counterexample import build_partial_sum, plan_recursion
 from cotrig.ledger import DEFAULT_MAX_BITS, make_proven_ledger
 from cotrig.reports import write_json
+from cotrig.smooth import build_smooth_spline
+from cotrig.splines import build_ideal_spline
 
 
 @pytest.mark.parametrize("ledger_name, rule, K, d, max_bits", [
@@ -41,6 +43,22 @@ def test_build_partial_sum_round_trip(tmp_path, toy_ledger, table,
     reloaded, _, _ = cli._resolve_target(str(artifact_path))
     xs = np.linspace(-np.pi, np.pi, 64)
     assert np.array_equal(reloaded(xs), built(xs))
+
+
+@pytest.mark.parametrize("argv, direct", [
+    (["build", "ideal", "--r", "2", "--b", "1.2"],
+     lambda table: build_ideal_spline(2, 1.2)),
+    (["build", "smooth", "--r", "2", "--d", "1", "--lam", "1/12"],
+     lambda table: build_smooth_spline(2, 1.0, 1.0 / 12.0, table=table)),
+], ids=["ideal", "smooth"])
+def test_build_spline_round_trip(tmp_path, table, argv, direct):
+    # artifacts are rebuilt from their params, not from the stored pieces
+    out = tmp_path / "run"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+    artifact_path = out / "artifacts" / f"{argv[1]}.json"
+    reloaded, _, _ = cli._resolve_target(str(artifact_path))
+    xs = np.linspace(-np.pi, np.pi, 64)
+    assert np.array_equal(reloaded(xs), direct(table)(xs))
 
 
 def test_solve_f1_at_degree_24(tmp_path):

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from cotrig.grids import (FULL_PERIOD, GridSpec, Interval, SUP_GRID,
-                          chebyshev_points, golden_refine_max, sup_norm,
-                          uniform_points)
+from cotrig.grids import (FULL_PERIOD, GridSpec, Interval, chebyshev_points,
+                          golden_refine_max, sup_norm)
 
 
 def test_interval_basic_properties():
@@ -108,8 +107,3 @@ def test_sup_norm_seeds_are_clipped():
     iv = Interval(0.0, 1.0)
     val = sup_norm(lambda x: x, iv, seeds=[-50.0, 50.0])
     assert val == pytest.approx(1.0, abs=1e-12)
-
-
-def test_uniform_points():
-    xs = uniform_points(Interval(0.0, 1.0), 5)
-    assert np.allclose(xs, [0.0, 0.25, 0.5, 0.75, 1.0])

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from cotrig.grids import Interval
-from cotrig.minimax import (MinimaxProblem, best_approx, best_co_q_monotone,
-                            count_alternations, solve_grid_minimax,
-                            solve_problem)
+from cotrig.minimax import (best_approx, best_co_q_monotone,
+                            count_alternations, solve_grid_minimax)
 from cotrig.signsets import SignChangeSet
 from cotrig.splines import build_ideal_spline
 from cotrig.trigpoly import random_trig
@@ -130,18 +129,6 @@ def test_constrained_never_beats_unconstrained():
 def test_constrained_q_validation():
     with pytest.raises(ValueError):
         best_co_q_monotone(np.sin, 2, 0, SignChangeSet([-1.0, 0.0]))
-
-
-def test_solve_problem_dispatch():
-    prob = MinimaxProblem(degree=2)
-    assert not prob.constrained
-    res = solve_problem(np.cos, prob)
-    assert res.post_check_error <= 1e-10
-    ys = SignChangeSet([-np.pi / 2, np.pi / 2])
-    prob_c = MinimaxProblem(degree=2, q=3, sign_changes=ys)
-    assert prob_c.constrained
-    res_c = solve_problem(np.sin, prob_c)
-    assert res_c.constraint_violation is not None
 
 
 def test_result_serialization():

@@ -1,31 +1,39 @@
-"""Tests for midpoint-centred piecewise polynomials."""
+"""Tests for piecewise Chebyshev series."""
 
 import numpy as np
 import pytest
 
-from cotrig.piecewise import PiecewisePoly
+from cotrig.piecewise import PiecewiseCheb, zero_mean_levels
 
 
 def two_piece():
-    # f(x) = x on [-1, 0] and x^2 on [0, 2], in midpoint-centred powers
-    return PiecewisePoly([-1.0, 0.0, 2.0], [[-0.5, 1.0], [1.0, 2.0, 1.0]])
+    # f(x) = x on [-1, 0] and x^2 on [0, 2]: u = 2x + 1 and u = x - 1
+    return PiecewiseCheb([-1.0, 0.0, 2.0], centres=[-0.5, 1.0],
+                         halves=[0.5, 1.0],
+                         coefficients=[[-0.5, 0.5], [1.5, 2.0, 0.5]])
 
 
 def square_wave():
-    return PiecewisePoly([-np.pi, 0.0, np.pi], [[-1.0], [1.0]], periodic=True)
+    return PiecewiseCheb([-np.pi, 0.0, np.pi], centres=[-np.pi / 2, np.pi / 2],
+                         halves=[np.pi / 2, np.pi / 2],
+                         coefficients=[[-1.0], [1.0]], periodic=True)
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        PiecewisePoly([0.0], [[1.0]])
+        PiecewiseCheb([0.0], [], [], [])
     with pytest.raises(ValueError):
-        PiecewisePoly([0.0, 0.0], [[1.0]])
+        PiecewiseCheb([0.0, 0.0], [0.0], [1.0], [[1.0]])
     with pytest.raises(ValueError):
-        PiecewisePoly([1.0, 0.0], [[1.0]])
+        PiecewiseCheb([1.0, 0.0], [0.5], [0.5], [[1.0]])
     with pytest.raises(ValueError):
-        PiecewisePoly([0.0, 1.0], [[1.0], [2.0]])
+        PiecewiseCheb([0.0, 1.0], [0.5], [0.5], [[1.0], [2.0]])
     with pytest.raises(ValueError):
-        PiecewisePoly([0.0, 1.0], [[1.0]], periodic=True)
+        PiecewiseCheb([0.0, 1.0], [0.5, 0.5], [0.5], [[1.0]])
+    with pytest.raises(ValueError):
+        PiecewiseCheb([0.0, 1.0], [0.5], [0.0], [[1.0]])
+    with pytest.raises(ValueError):
+        PiecewiseCheb([0.0, 1.0], [0.5], [0.5], [[1.0]], periodic=True)
 
 
 def test_evaluation():
@@ -33,33 +41,33 @@ def test_evaluation():
     xs = np.array([-1.0, -0.5, 0.5, 2.0])
     assert np.allclose(f(xs), [-1.0, -0.5, 0.25, 4.0], atol=1e-14)
     assert f(1.5) == pytest.approx(2.25, abs=1e-14)
-
-
-def test_derivative():
-    f = two_piece()
-    d = f.derivative()
-    assert d(-0.5) == pytest.approx(1.0)
-    assert d(1.0) == pytest.approx(2.0)
-    d2 = f.derivative(2)
-    assert d2(-0.5) == pytest.approx(0.0)
-    assert d2(1.0) == pytest.approx(2.0)
+    assert isinstance(f(1.5), float)
+    # the stored centre, not the breakpoint midpoint, anchors u
+    g = PiecewiseCheb([0.0, 2.0], centres=[0.5], halves=[1.0],
+                      coefficients=[[0.0, 1.0]])
+    assert g(0.5) == pytest.approx(0.0, abs=1e-15)
+    assert g(2.0) == pytest.approx(1.5, abs=1e-15)
 
 
 def test_piece_integrals_exact():
     f = two_piece()
-    ints = f.piece_integrals()
-    assert ints[0] == pytest.approx(-0.5, abs=1e-14)
-    assert ints[1] == pytest.approx(8.0 / 3.0, abs=1e-13)
-    assert f.period_integral() == pytest.approx(-0.5 + 8.0 / 3.0, abs=1e-13)
-    assert f.period_mean() == pytest.approx((-0.5 + 8.0 / 3.0) / 3.0, abs=1e-13)
+    assert f.integral() == pytest.approx(-0.5 + 8.0 / 3.0, abs=1e-13)
+    # T1 integrates to 0 and T2 = 2u^2 - 1 to -2/3 over [-1, 1]; scaled by half
+    odd = PiecewiseCheb([0.0, 2.0], [1.0], [1.0], [[0.0, 1.0]])
+    assert odd.integral() == pytest.approx(0.0, abs=1e-14)
+    t2 = PiecewiseCheb([0.0, 6.0], [3.0], [3.0], [[0.0, 0.0, 1.0]])
+    assert t2.integral() == pytest.approx(-2.0, abs=1e-14)
 
 
 def test_with_zero_mean():
     g = two_piece().with_zero_mean()
-    assert g.period_mean() == pytest.approx(0.0, abs=1e-13)
+    assert g.integral() == pytest.approx(0.0, abs=1e-13)
+    xs = np.linspace(-1.0, 2.0, 7)
+    shift = (-0.5 + 8.0 / 3.0) / 3.0
+    assert np.allclose(g(xs), two_piece()(xs) - shift, atol=1e-14)
 
 
-def test_antiderivative_is_continuous_and_anchored():
+def test_antiderivative_is_continuous_and_anchored(join_defects):
     f = two_piece()
     F = f.antiderivative()
     assert F(-1.0) == pytest.approx(0.0, abs=1e-14)
@@ -67,41 +75,48 @@ def test_antiderivative_is_continuous_and_anchored():
     assert F(0.0) == pytest.approx(-0.5, abs=1e-13)
     # plus integral of x^2 from 0 to 1
     assert F(1.0) == pytest.approx(-0.5 + 1.0 / 3.0, abs=1e-13)
-    left = F.one_sided(0.0, "left")
-    right = F.one_sided(0.0, "right")
-    assert left == pytest.approx(right, abs=1e-13)
-    # derivative of the antiderivative returns the original
-    xs = np.linspace(-0.9, 1.9, 17)
-    assert np.allclose(F.derivative()(xs), f(xs), atol=1e-12)
+    assert join_defects(F).max() < 1e-15
+    # central differences of the antiderivative return the original
+    xs = np.linspace(-0.95, 1.95, 31)
+    h = 1e-6
+    assert np.allclose((F(xs + h) - F(xs - h)) / (2 * h), f(xs), atol=1e-8)
 
 
-def test_one_sided_values():
+def test_antiderivative_welds_a_narrow_piece(join_defects):
+    # a piece 1e-9 wide between two wide ones, as a mollification zone sits
+    lam = 1e-9
+    f = PiecewiseCheb([0.0, 1.0, 1.0 + 2 * lam, 3.0],
+                      centres=[0.5, 1.0 + lam, 0.5 * (4.0 + 2 * lam)],
+                      halves=[0.5, lam, 0.5 * (2.0 - 2 * lam)],
+                      coefficients=[[1.0], [0.0, 1.0], [-1.0]])
+    F = f.antiderivative()
+    assert join_defects(F).max() < 1e-15
+    # 1 on [0, 1], an odd ramp through the zone, then -1
+    assert F(1.0) == pytest.approx(1.0, abs=1e-15)
+    assert F(1.0 + 2 * lam) == pytest.approx(1.0, abs=1e-15)
+    assert F(3.0) == pytest.approx(1.0 - (2.0 - 2 * lam), abs=1e-14)
+    # the zone's share of the integral is exact at its own scale
+    assert F(1.0 + lam) - F(1.0) == pytest.approx(-0.5 * lam, rel=1e-5)
+
+
+def test_continuity_defects(join_defects):
     f = two_piece()
-    assert f.one_sided(0.0, "left") == pytest.approx(0.0, abs=1e-15)
-    assert f.one_sided(0.0, "right") == pytest.approx(0.0, abs=1e-15)
-    assert f.one_sided(0.0, "left", order=1) == pytest.approx(1.0)
-    assert f.one_sided(0.0, "right", order=1) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        f.one_sided(0.0, "middle")
-
-
-def test_continuity_defects():
-    f = two_piece()
-    defects = f.continuity_defects(orders=1)
-    assert defects.shape == (2, 1)
-    assert defects[0, 0] == pytest.approx(0.0, abs=1e-14)
-    assert defects[1, 0] == pytest.approx(1.0)
+    assert join_defects(f).shape == (1,)
+    assert join_defects(f)[0] == pytest.approx(0.0, abs=1e-15)
+    # interior jump at 0 and the wrap jump at +-pi
+    assert np.allclose(join_defects(square_wave()), [2.0, 2.0])
 
 
 def test_periodic_wrap_and_defects():
     f = square_wave()
     assert f(np.pi + 0.5) == pytest.approx(-1.0)
     assert f(-np.pi - 0.5) == pytest.approx(1.0)
-    defects = f.continuity_defects()
-    # interior jump at 0 and the wrap jump at +-pi
-    assert defects.shape == (1, 2)
-    assert np.allclose(defects[0], [2.0, 2.0])
-    assert f.period_integral() == pytest.approx(0.0, abs=1e-13)
+    assert f.integral() == pytest.approx(0.0, abs=1e-13)
+    ramp = PiecewiseCheb([0.0, 2 * np.pi], [np.pi], [np.pi], [[0.0, 1.0]],
+                         periodic=True)
+    assert ramp(-0.5) == pytest.approx(ramp(2 * np.pi - 0.5), abs=1e-12)
+    with pytest.raises(ValueError):
+        PiecewiseCheb([0.0, 6.0], [3.0], [3.0], [[1.0]], periodic=True)
 
 
 def test_plus_constant():
@@ -113,9 +128,14 @@ def test_plus_constant():
 def test_sup_norm():
     f = two_piece()
     assert f.sup_norm() == pytest.approx(4.0, abs=1e-10)
-    # interior maximum: 1 - x^2 on [-1, 1] centred at 0
-    g = PiecewisePoly([-1.0, 1.0], [[1.0, 0.0, -1.0]])
+    # interior maximum: 1 - x^2 on [-1, 1] is T0/2 - T2/2
+    g = PiecewiseCheb([-1.0, 1.0], [0.0], [1.0], [[0.5, 0.0, -0.5]])
     assert g.sup_norm() == pytest.approx(1.0, abs=1e-10)
+    # a maximum strictly inside the second of two pieces, off every seed
+    h = PiecewiseCheb([0.0, 1.0, 3.0], [0.5, 2.0], [0.5, 1.0],
+                      [[1.0], [1.5, 0.1, -1.0]])
+    u = 0.1 / 4.0  # where 1.5 + 0.1 u - (2u^2 - 1) peaks
+    assert h.sup_norm() == pytest.approx(2.5 + 0.1 * u - 2 * u * u, abs=1e-12)
 
 
 def test_global_piece_coefficients():
@@ -126,9 +146,22 @@ def test_global_piece_coefficients():
                                atol=1e-14)
 
 
+def test_zero_mean_levels():
+    levels = zero_mean_levels(square_wave(), 3)
+    assert len(levels) == 4
+    xs = np.linspace(-3.0, 3.0, 13)
+    h = 1e-6
+    for lower, upper in zip(levels, levels[1:]):
+        assert abs(upper.integral()) < 1e-13
+        fd = (upper(xs + h) - upper(xs - h)) / (2 * h)
+        assert np.allclose(fd[xs != 0.0], lower(xs)[xs != 0.0], atol=1e-7)
+
+
 def test_round_trip_dict():
     f = two_piece()
-    g = PiecewisePoly.from_dict(f.to_dict())
+    d = f.to_dict()
+    assert d["kind"] == "piecewise_cheb"
+    g = PiecewiseCheb(d["breakpoints"], d["centres"], d["halves"],
+                      d["coefficients"], d["periodic"])
     xs = np.linspace(-1, 2, 13)
-    assert np.allclose(f(xs), g(xs))
-    assert f.to_dict()["kind"] == "piecewise_poly"
+    assert np.array_equal(f(xs), g(xs))

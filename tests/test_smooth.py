@@ -1,87 +1,10 @@
-"""Tests for mixed piecewise containers and mollified splines."""
+"""Tests for mollified splines."""
 
 import numpy as np
 import pytest
 
-from cotrig.grids import Interval
-from cotrig.smooth import (MixedPiecewise, SmoothSpline, build_smooth_spline,
-                           spline_distance)
+from cotrig.smooth import build_smooth_spline, spline_distance
 from cotrig.splines import build_ideal_spline, step_offset
-
-
-def test_mixed_validation():
-    with pytest.raises(ValueError):
-        MixedPiecewise([("poly", 1.0, 1.0, 1.0, 1.0, [0.0])], periodic=False)
-    with pytest.raises(ValueError):
-        MixedPiecewise([("poly", 0.0, 1.0, 0.5, 1.0, [0.0])], periodic=True)
-
-
-def test_mixed_poly_piece():
-    f = MixedPiecewise([("poly", 0.0, 1.0, 0.5, 1.0, [2.0, 1.0])], periodic=False)
-    assert f(0.5) == pytest.approx(2.0)
-    assert f(1.0) == pytest.approx(2.5)
-    assert f.piece_integral(0) == pytest.approx(2.0, abs=1e-14)
-
-
-def test_mixed_cheb_piece():
-    # T1(u) = u with u = x - 1 on [0, 2]
-    f = MixedPiecewise([("cheb", 0.0, 2.0, 1.0, 1.0, [0.0, 1.0])], periodic=False)
-    assert f(0.5) == pytest.approx(-0.5)
-    assert f.piece_integral(0) == pytest.approx(0.0, abs=1e-14)
-    # T2(u) = 2u^2 - 1 integrates to -2/3 over [-1, 1]
-    g = MixedPiecewise([("cheb", 0.0, 2.0, 1.0, 1.0, [0.0, 0.0, 1.0])],
-                       periodic=False)
-    assert g.piece_integral(0) == pytest.approx(-2.0 / 3.0, abs=1e-14)
-
-
-def test_mixed_antiderivative_weld():
-    f = MixedPiecewise([
-        ("poly", 0.0, 1.0, 0.5, 1.0, [1.0]),
-        ("cheb", 1.0, 3.0, 2.0, 1.0, [0.0, 1.0]),
-    ], periodic=False)
-    F = f.antiderivative()
-    assert F(0.0) == pytest.approx(0.0, abs=1e-14)
-    assert F(1.0) == pytest.approx(1.0, abs=1e-14)
-    # int_1^2 (x - 2) dx = -1/2
-    assert F(2.0) == pytest.approx(0.5, abs=1e-13)
-    assert F.continuity_defect() < 1e-13
-    xs = np.linspace(0.05, 2.95, 31)
-    h = 1e-6
-    fd = (F(xs + h) - F(xs - h)) / (2 * h)
-    assert np.allclose(fd, f(xs), atol=1e-8)
-
-
-def test_mixed_constant_shift_and_mean():
-    f = MixedPiecewise([("poly", 0.0, 2.0, 1.0, 1.0, [3.0])], periodic=False)
-    g = f.plus_constant(-1.0)
-    assert g(1.3) == pytest.approx(2.0)
-    z = f.with_zero_mean()
-    assert z.integral() == pytest.approx(0.0, abs=1e-13)
-
-
-def test_mixed_periodic_wrap():
-    f = MixedPiecewise([("poly", 0.0, 2 * np.pi, np.pi, 1.0, [0.0, 1.0])],
-                       periodic=True)
-    assert f(-0.5) == pytest.approx(f(2 * np.pi - 0.5), abs=1e-12)
-
-
-def test_mixed_sup_norm_and_defect():
-    f = MixedPiecewise([
-        ("poly", 0.0, 1.0, 0.5, 1.0, [1.0]),
-        ("poly", 1.0, 2.0, 1.5, 1.0, [-2.0]),
-    ], periodic=False)
-    assert f.sup_norm() == pytest.approx(2.0, abs=1e-12)
-    assert f.continuity_defect() == pytest.approx(3.0 / 2.0)
-
-
-def test_mixed_round_trip():
-    f = MixedPiecewise([
-        ("poly", 0.0, 1.0, 0.5, 1.0, [1.0, 2.0]),
-        ("cheb", 1.0, 3.0, 2.0, 1.0, [0.5, 0.0, 1.0]),
-    ], periodic=False)
-    g = MixedPiecewise.from_dict(f.to_dict())
-    xs = np.linspace(0, 3, 17)
-    assert np.allclose(f(xs), g(xs))
 
 
 def test_smooth_build_validation(table):
@@ -108,12 +31,12 @@ def test_smooth_step_plateaus(table):
     assert abs(base.integral()) < 1e-10
 
 
-def test_smooth_levels_are_smooth_and_mean_zero(table):
+def test_smooth_levels_are_smooth_and_mean_zero(table, join_defects):
     sp = build_smooth_spline(2, np.pi / 2, np.pi / 16, table=table)
     for level in sp.levels:
-        assert level.continuity_defect() < 1e-9
+        assert join_defects(level).max() < 1e-9
         assert abs(level.integral()) < 1e-9
-    assert sp.levels[0].continuity_defect() < 1e-10
+    assert join_defects(sp.levels[0]).max() < 1e-10
 
 
 def test_smooth_derivative_values_match_differences(table):
@@ -177,14 +100,6 @@ def test_smooth_seed_points(table):
     assert np.all(np.diff(seeds) > 0)
     lo, hi = sp.zones()[1]
     assert np.any((seeds > lo) & (seeds < hi))
-
-
-def test_smooth_round_trip(table):
-    sp = build_smooth_spline(2, np.pi / 2, np.pi / 10, table=table)
-    clone = SmoothSpline.from_dict(sp.to_dict())
-    xs = np.linspace(-1, 4, 37)
-    assert np.allclose(sp(xs), clone(xs), atol=1e-14)
-    assert clone.lam == sp.lam
 
 
 def test_spline_distance_of_identical_functions(table):

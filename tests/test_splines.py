@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from cotrig.signsets import SignChangeSet, delta_q_membership_by_convexity
-from cotrig.splines import (IdealSpline, abs_power, build_ideal_spline,
-                            ideal_qth_derivative_quotient, residual_polynomial,
-                            step_offset)
+from cotrig.splines import abs_power, build_ideal_spline, step_offset
 
 
 def test_abs_power_closed_forms():
@@ -53,14 +51,17 @@ def test_top_derivative_sup_is_exactly_one_plus_offset():
 def test_every_level_has_zero_period_mean():
     sp = build_ideal_spline(3, np.pi / 2)
     for level in sp.levels:
-        assert abs(level.period_mean()) < 1e-12
+        assert abs(level.integral()) < 1e-12
 
 
-def test_smoothness_at_breakpoints():
+def test_smoothness_at_breakpoints(join_defects):
+    # levels 1..r are the derivatives of orders r-1..0: all continuous
     for r in (2, 3):
         sp = build_ideal_spline(r, np.pi / 4)
-        defects = sp.poly.continuity_defects(orders=r - 1)
-        assert defects.max() < 1e-10
+        for level in sp.levels[1:]:
+            assert join_defects(level).max() < 1e-10
+        # the top derivative jumps by 2 at both joins
+        assert np.allclose(join_defects(sp.levels[0]) * (1.0 + sp.offset), 2.0)
 
 
 def test_residual_polynomial_leading_coefficient():
@@ -68,7 +69,7 @@ def test_residual_polynomial_leading_coefficient():
 
     for r in (1, 2, 3):
         for b in (np.pi / 3, np.pi):
-            coeffs, defect = residual_polynomial(r, b)
+            coeffs, defect = build_ideal_spline(r, b).residual_poly()
             assert defect < 1e-10
             assert coeffs[r] == pytest.approx(-step_offset(b) / factorial(r),
                                               abs=1e-10)
@@ -108,21 +109,3 @@ def test_membership_in_both_shape_classes():
             lambda t: sp.derivative_values(r - 1, t), ys, tol=1e-9)
         assert delta_q_membership_by_convexity(
             lambda t: sp.derivative_values(r, t), ys, tol=1e-9)
-
-
-def test_qth_derivative_quotient_spikes():
-    b = np.pi / 2
-    sp = build_ideal_spline(2, b)
-    h = 1e-7
-    q = ideal_qth_derivative_quotient(sp, h=h)
-    assert q(1.0) == pytest.approx(0.0, abs=1e-9)
-    assert q(-0.5 * h) == pytest.approx(2.0 / h, rel=1e-6)
-    assert q(-b - 0.5 * h) == pytest.approx(-2.0 / h, rel=1e-6)
-
-
-def test_round_trip_dict():
-    sp = build_ideal_spline(2, np.pi / 3)
-    clone = IdealSpline.from_dict(sp.to_dict())
-    xs = np.linspace(-1, 5, 23)
-    assert np.allclose(sp(xs), clone(xs), atol=1e-14)
-    assert clone.r == 2

@@ -58,15 +58,6 @@ def test_derivative_order_validation():
     assert q.a0 == 2.0
 
 
-def test_even_odd_split():
-    p = TrigPoly(1.0, [2.0], [3.0])
-    even, odd = p.even_odd_split()
-    ts = np.linspace(-2, 2, 9)
-    assert np.allclose(even(ts) + odd(ts), p(ts))
-    assert np.allclose(even(-ts), even(ts))
-    assert np.allclose(odd(-ts), -odd(ts))
-
-
 def test_shifted_translates_argument():
     rng = np.random.default_rng(11)
     p = random_trig(rng, 4)
@@ -83,10 +74,6 @@ def test_arithmetic():
     assert np.allclose((p - q)(ts), p(ts) - q(ts))
     assert np.allclose((3.0 * p)(ts), 3.0 * p(ts))
     assert np.allclose((p + 2.0)(ts), p(ts) + 2.0)
-
-
-def test_sup_norm_of_cosine():
-    assert TrigPoly(0.0, [1.0]).sup_norm() == pytest.approx(1.0, abs=1e-11)
 
 
 def test_trig_basis_columns():
