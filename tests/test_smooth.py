@@ -1,10 +1,81 @@
-"""Tests for mollified splines."""
+"""Tests for the mixed plateau and zone pieces of mollified splines, and
+for the splines themselves."""
 
 import numpy as np
 import pytest
 
+from cotrig.piecewise import PiecewiseCheb
 from cotrig.smooth import build_smooth_spline, spline_distance
 from cotrig.splines import build_ideal_spline, step_offset
+
+
+def plateau_then_zone():
+    # a plateau at -1 on [0, 1], then the zone piece T1(u), u = x - 2
+    return PiecewiseCheb([0.0, 1.0, 3.0], centres=[0.5, 2.0],
+                         halves=[0.5, 1.0], coefficients=[[-1.0], [0.0, 1.0]])
+
+
+def test_mixed_validation():
+    with pytest.raises(ValueError):
+        PiecewiseCheb([1.0, 1.0], [1.0], [1.0], [[0.0]])
+    with pytest.raises(ValueError):
+        PiecewiseCheb([0.0, 1.0], [0.5], [0.5], [[0.0]], periodic=True)
+
+
+def test_mixed_poly_piece():
+    # 2 + (x - 1/2) on [0, 1]
+    f = PiecewiseCheb([0.0, 1.0], [0.5], [0.5], [[2.0, 0.5]])
+    assert f(0.5) == pytest.approx(2.0)
+    assert f(1.0) == pytest.approx(2.5)
+    assert f.integral() == pytest.approx(2.0, abs=1e-14)
+
+
+def test_mixed_cheb_piece():
+    # T1(u) = u with u = x - 1 on [0, 2]
+    f = PiecewiseCheb([0.0, 2.0], [1.0], [1.0], [[0.0, 1.0]])
+    assert f(0.5) == pytest.approx(-0.5)
+    assert f.integral() == pytest.approx(0.0, abs=1e-14)
+    # T2(u) = 2u^2 - 1 integrates to -2/3 over [-1, 1]
+    g = PiecewiseCheb([0.0, 2.0], [1.0], [1.0], [[0.0, 0.0, 1.0]])
+    assert g.integral() == pytest.approx(-2.0 / 3.0, abs=1e-14)
+
+
+def test_mixed_constant_shift_and_mean():
+    f = PiecewiseCheb([0.0, 2.0], [1.0], [1.0], [[3.0]])
+    g = f.plus_constant(-1.0)
+    assert g(1.3) == pytest.approx(2.0)
+    z = plateau_then_zone().with_zero_mean()
+    assert z.integral() == pytest.approx(0.0, abs=1e-13)
+    # the mean of -1 on [0, 1] and x - 2 on [1, 3] is -1/3
+    assert z(0.5) == pytest.approx(-1.0 + 1.0 / 3.0, abs=1e-14)
+
+
+def test_mixed_periodic_wrap():
+    f = PiecewiseCheb([0.0, 1.0, 2 * np.pi], centres=[0.5, 0.5 + np.pi],
+                      halves=[0.5, np.pi - 0.5],
+                      coefficients=[[1.0], [0.0, 1.0]], periodic=True)
+    assert f(-0.5) == pytest.approx(f(2 * np.pi - 0.5), abs=1e-12)
+    assert f(2 * np.pi + 0.25) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_mixed_sup_norm_and_defect(join_defects):
+    f = PiecewiseCheb([0.0, 1.0, 2.0], [0.5, 1.5], [0.5, 0.5],
+                      [[1.0], [-2.0]])
+    assert f.sup_norm() == pytest.approx(2.0, abs=1e-12)
+    assert join_defects(f).max() == pytest.approx(3.0 / 2.0)
+    g = plateau_then_zone()
+    assert g.sup_norm() == pytest.approx(1.0, abs=1e-12)
+    assert join_defects(g).max() == pytest.approx(0.0, abs=1e-15)
+
+
+def test_mixed_round_trip():
+    f = PiecewiseCheb([0.0, 1.0, 3.0], centres=[0.5, 2.0], halves=[0.5, 1.0],
+                      coefficients=[[1.0, 1.0], [0.5, 0.0, 1.0]])
+    d = f.to_dict()
+    g = PiecewiseCheb(d["breakpoints"], d["centres"], d["halves"],
+                      d["coefficients"], d["periodic"])
+    xs = np.linspace(0, 3, 17)
+    assert np.allclose(f(xs), g(xs))
 
 
 def test_smooth_build_validation(table):
