@@ -41,9 +41,10 @@ def _check_degrees(n_list, large: bool = False):
     if any(n < 1 for n in ns):
         raise ValueError("degrees must be positive")
     if max(ns) > cap:
-        raise ValueError(f"degree {max(ns)} exceeds the cap {cap}; "
-                         f"use the large profile for degrees up to "
-                         f"{DEGREE_CAP_LARGE}")
+        hint = "" if large else (f"; only lemma-aux takes degrees up to "
+                                 f"{DEGREE_CAP_LARGE}")
+        raise ValueError(f"degree {max(ns)} exceeds this experiment's cap "
+                         f"{cap}{hint}")
     return ns
 
 

@@ -1,11 +1,20 @@
 """Intervals, Chebyshev sampling grids, and the one sup-norm routine.
 
-Every sup norm in this package goes through sup_norm: sample |f| on
+Every sup norm in this package goes through sup_norm.  It samples |f| on
 Chebyshev-distributed points of the interval (clustered at the endpoints,
-where the kinks of the target functions sit), merge in any seed points the
-caller knows about (breakpoints, per-piece or per-zone Chebyshev points),
-and polish every local maximum and both endpoints with a golden-section
-search in the neighbouring cells.
+where the kinks of the target functions sit), merges in any seed points
+the caller knows about (breakpoints, per-piece or per-zone Chebyshev
+points), and polishes every local maximum of the samples and both
+endpoints inside the bracket of their neighbouring samples.  A flat run of
+equal samples counts as one maximum, polished at its two ends.
+
+The polish depends on f.  A TrigPoly gets safeguarded Newton steps on
+T' = 0 with exact coefficient derivatives (Boyd, "Computing the zeros,
+maxima and inflection points of Chebyshev, Legendre and Fourier series",
+J. Eng. Math. 56, 2006); a bracket Newton cannot settle in a few steps
+falls back to golden-section search.  Any other callable (splines, hinge
+sums, differences of functions) gets golden-section search.  The result
+is the largest |f| seen, so polishing never lowers the sampled maximum.
 """
 
 from __future__ import annotations
@@ -14,9 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .trigpoly import TrigPoly
+
 TWO_PI = 2.0 * np.pi
 
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_EPS = np.finfo(float).eps
+# Newton steps per bracket before it falls back to golden-section search
+_NEWTON_ITERATIONS = 10
 
 
 @dataclass(frozen=True)
@@ -56,11 +70,13 @@ FULL_PERIOD = Interval(-np.pi, np.pi)
 class GridSpec:
     """Sampling density and refinement policy for norm and solver grids.
 
-    points_per_degree scales the sample count with the trig degree involved;
+    points_per_degree scales the sample count with the trig degree involved.
     refinement_tolerance is the relative gap between a minimax grid's error
-    and its post-check at which regridding stops (sup norms do not read it);
-    max_refinements caps golden-section steps (sup norms) or regrid rounds
-    (minimax).  The defaults are the sup-norm settings.
+    and its post-check at which regridding stops; sup norms do not read it.
+    max_refinements caps the regrid rounds of a minimax solve, and in a sup
+    norm the golden-section steps per bracket: those of a general callable,
+    and of a TrigPoly bracket that Newton polishing leaves unresolved.  The
+    defaults are the sup-norm settings.
     """
 
     points_per_degree: int = 20
@@ -129,6 +145,50 @@ def golden_refine_max(f, lo: np.ndarray, hi: np.ndarray, rounds: int) -> np.ndar
     return np.maximum(f1, f2)
 
 
+def _newton_refine_max(tp: TrigPoly, x0: np.ndarray, lo: np.ndarray,
+                       hi: np.ndarray):
+    """Safeguarded Newton maximisation of |T| on bracket arrays.
+
+    Each bracket [lo, hi] holds a sampled maximum x0 of |T|, and s T with
+    s = sign T(x0) is maximised there: Newton on (s T)' = 0 from x0, inside
+    a sub-bracket on which (s T)' falls from positive to negative, with a
+    bisection step wherever the Newton step leaves it or (s T)'' >= 0.
+    A bracket without such a sub-bracket keeps its samples when x0 is one
+    of its ends (s T rises to that end or falls away from it) and is
+    unresolved otherwise.  Returns the largest |T| at any iterate and the
+    mask of brackets still unresolved after _NEWTON_ITERATIONS steps.
+    """
+    m = x0.size
+    t, d1, d2 = tp.jet(np.concatenate([x0, lo, hi])).reshape(3, 3, m)
+    best = float(np.abs(t).max())
+    s = np.sign(t[0])
+    g, h = s * d1[0], s * d2[0]
+    up = g > 0
+    # sub-bracket [a, c] on which (s T)' falls from positive to negative
+    has_root = np.where(up, s * d1[2] < 0, s * d1[1] > 0)
+    a = np.where(up, x0, lo)
+    c = np.where(up, hi, x0)
+    unresolved = (g != 0) & ~has_root & (x0 > lo) & (x0 < hi)
+    todo = has_root & (g != 0)
+    x = x0
+    for _ in range(_NEWTON_ITERATIONS):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(h < 0, g / h, np.nan)
+        todo &= ~(np.abs(step) <= 4.0 * _EPS * np.maximum(np.abs(x), 1.0))
+        if not todo.any():
+            break
+        newton = x - step
+        inside = (newton > a) & (newton < c)
+        x = np.where(todo, np.where(inside, newton, 0.5 * (a + c)), x)
+        t, d1, d2 = tp.jet(x)
+        best = max(best, float(np.abs(t).max()))
+        g, h = s * d1, s * d2
+        a = np.where(todo & (g > 0), x, a)
+        c = np.where(todo & (g < 0), x, c)
+        todo &= g != 0
+    return best, unresolved | todo
+
+
 def sup_norm(f, interval: Interval, degree_hint: int | None = None,
              seeds=None, floor: int = 256) -> float:
     """Sup norm of f on the interval, Chebyshev sampling plus refinement.
@@ -146,7 +206,10 @@ def sup_norm(f, interval: Interval, degree_hint: int | None = None,
     if ys.size < 3:
         return float(ys.max())
 
-    inner = (ys[1:-1] >= ys[:-2]) & (ys[1:-1] >= ys[2:])
+    mid = ys[1:-1]
+    inner = (mid >= ys[:-2]) & (mid >= ys[2:])
+    # a flat run is one maximum: only its two end samples are polished
+    inner &= (mid != ys[:-2]) | (mid != ys[2:])
     idx = np.flatnonzero(inner) + 1
     # endpoints always get polished: kinks and window cuts live there
     idx = np.unique(np.concatenate([[0, ys.size - 1], idx]))
@@ -154,8 +217,11 @@ def sup_norm(f, interval: Interval, degree_hint: int | None = None,
     hi = xs[np.minimum(idx + 1, ys.size - 1)]
     keep = hi > lo
     best = float(ys.max())
+    if isinstance(f, TrigPoly):
+        polished, unresolved = _newton_refine_max(f, xs[idx], lo, hi)
+        best = max(best, polished)
+        keep &= unresolved
     if keep.any():
         refined = golden_refine_max(f, lo[keep], hi[keep], g.max_refinements)
         best = max(best, float(refined.max()))
     return best
-

@@ -42,6 +42,21 @@ class TrigPoly:
             out = out + np.cos(kt) @ self.cos_coeffs + np.sin(kt) @ self.sin_coeffs
         return float(out[0]) if scalar else out
 
+    def jet(self, t) -> np.ndarray:
+        """Rows T, T' and T'' at the points t, from one cos/sin table."""
+        tt = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.zeros((3, tt.size))
+        out[0] = self.a0
+        if self.degree:
+            k = np.arange(1, self.degree + 1, dtype=float)
+            kt = np.outer(tt, k)
+            c, s = np.cos(kt), np.sin(kt)
+            a, b = self.cos_coeffs, self.sin_coeffs
+            out[0] += c @ a + s @ b
+            out[1] = c @ (k * b) - s @ (k * a)
+            out[2] = -(c @ (k * k * a) + s @ (k * k * b))
+        return out
+
     def derivative(self, order: int = 1) -> "TrigPoly":
         """Exact derivative of the given order (order >= 0)."""
         if order < 0:

@@ -1,0 +1,55 @@
+"""Pinned values of the growth experiments and the degree-cap message."""
+
+import json
+
+import pytest
+
+from cotrig import cli
+from cotrig.experiments import (DEGREE_CAP, DEGREE_CAP_LARGE, _check_degrees,
+                                exp_bernstein_interval, exp_lemma_3111)
+
+BERNSTEIN_RHO = 1.1013516933585912
+LEMMA_3111_C2 = 0.43697937807154774
+
+
+def test_bernstein_pinned_ratio():
+    report = exp_bernstein_interval(1.0, [4], trials=40, seed=1)
+    assert [a.passed for a in report.assertions] == [True, True]
+    assert report.constants[0].name == "c0"
+    assert report.constants[0].value == pytest.approx(BERNSTEIN_RHO, rel=1e-12)
+
+
+def test_lemma_3111_pinned_ratio():
+    # hinge sums are plain callables, so their sup norms stay on the
+    # golden-section path and the constant is pinned exactly
+    report = exp_lemma_3111(3, 0.5, trials=40, seed=1)
+    assert [a.passed for a in report.assertions] == [True] * 4
+    assert report.constants[0].name == "c2"
+    assert report.constants[0].value == LEMMA_3111_C2
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["bernstein", "--b", "1", "--n", "4"], BERNSTEIN_RHO),
+    (["lemma-3111", "--q", "3", "--b", "0.5"], LEMMA_3111_C2),
+])
+def test_growth_experiments_through_cli(tmp_path, argv, value):
+    argv = ["experiment", *argv, "--trials", "40", "--seed", "1",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["passed"] is True
+    assert report["constants"][0]["value"] == pytest.approx(value, rel=1e-12)
+
+
+def test_degree_cap_message_names_lemma_aux(tmp_path, capsys):
+    hint = f"only lemma-aux takes degrees up to {DEGREE_CAP_LARGE}"
+    with pytest.raises(ValueError, match=hint):
+        _check_degrees([4, DEGREE_CAP + 1])
+    with pytest.raises(ValueError) as exc:
+        _check_degrees([DEGREE_CAP_LARGE + 1], large=True)
+    assert "lemma-aux" not in str(exc.value)
+    assert f"cap {DEGREE_CAP_LARGE}" in str(exc.value)
+    argv = ["experiment", "bernstein", "--b", "1", "--n", str(DEGREE_CAP + 1),
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert hint in capsys.readouterr().err

@@ -1,10 +1,17 @@
 """Tests for intervals, Chebyshev grids, and refined sup-norm estimates."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cotrig import grids
 from cotrig.grids import (FULL_PERIOD, GridSpec, Interval, chebyshev_points,
                           golden_refine_max, sup_norm)
+from cotrig.smooth import build_smooth_spline
+from cotrig.trigpoly import TrigPoly
 
 
 def test_interval_basic_properties():
@@ -107,3 +114,57 @@ def test_sup_norm_seeds_are_clipped():
     iv = Interval(0.0, 1.0)
     val = sup_norm(lambda x: x, iv, seeds=[-50.0, 50.0])
     assert val == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("j, value, most", [
+    # 2 endpoints and 16 last-digit ripples of the zone pieces next to
+    # the plateaus
+    (2, 1.6816901138230191, 20),
+    (3, 19.885652156858526, 5),
+])
+def test_sup_norm_polishes_a_flat_run_at_its_ends(monkeypatch, j, value,
+                                                   most):
+    # derivatives of a smooth spline have plateaus; each is one maximum,
+    # not one golden-section bracket per sample
+    spline = build_smooth_spline(2, 1.0, Fraction(1, 12))
+    brackets = []
+
+    def counting(f, lo, hi, rounds):
+        brackets.append(len(lo))
+        return golden_refine_max(f, lo, hi, rounds)
+
+    monkeypatch.setattr(grids, "golden_refine_max", counting)
+    assert spline.sup_derivative(j) == value
+    assert 0 < sum(brackets) <= most
+
+
+def _draw_trig(data, degree, kind):
+    coeff = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+    def draw():
+        return np.array(data.draw(st.lists(coeff, min_size=degree,
+                                           max_size=degree)))
+
+    if kind == "zero":
+        return TrigPoly(0.0, np.zeros(degree), np.zeros(degree))
+    if kind == "odd":
+        return TrigPoly(0.0, np.zeros(degree), draw())
+    a0 = data.draw(coeff)
+    if kind == "even":
+        return TrigPoly(a0, draw(), np.zeros(degree))
+    return TrigPoly(a0, draw(), draw())
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), degree=st.integers(0, 32),
+       kind=st.sampled_from(["odd", "even", "general", "zero"]),
+       half=st.one_of(st.none(), st.floats(0.05, np.pi, exclude_max=True)))
+def test_trigpoly_sup_norm_matches_golden_section(data, degree, kind, half):
+    tp = _draw_trig(data, degree, kind)
+    iv = FULL_PERIOD if half is None else Interval(-half, half)
+    newton = sup_norm(tp, iv, degree_hint=degree)
+    # a plain callable takes the golden-section path on the same brackets
+    golden = sup_norm(lambda x: tp(x), iv, degree_hint=degree)
+    assert abs(newton - golden) <= max(1e-13 * golden, 1e-15)
+    dense = np.abs(tp(np.linspace(iv.lo, iv.hi, 5001))).max()
+    assert newton >= dense * (1.0 - 1e-13) - 1e-15

@@ -51,6 +51,18 @@ def test_fourth_derivative_is_identity_at_degree_one():
     assert np.allclose(d4.sin_coeffs, p.sin_coeffs)
 
 
+def test_jet_matches_derivative_evaluations():
+    p = random_trig(np.random.default_rng(3), 7)
+    t = np.linspace(-3.0, 3.0, 41)
+    jet = p.jet(t)
+    assert jet.shape == (3, 41)
+    for order in range(3):
+        assert np.allclose(jet[order], p.derivative(order)(t), atol=1e-12)
+    assert p.jet(0.5).shape == (3, 1)
+    assert TrigPoly(2.5).jet(t).tolist() == [[2.5] * 41, [0.0] * 41,
+                                             [0.0] * 41]
+
+
 def test_derivative_order_validation():
     with pytest.raises(ValueError):
         TrigPoly(0.0, [1.0]).derivative(-1)
