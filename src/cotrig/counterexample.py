@@ -319,8 +319,11 @@ class PartialSum:
         return np.unique(np.concatenate([s.seed_points() for s in self.summands]))
 
     def sup_derivative(self, j: int) -> float:
+        def jet(x):
+            return np.array([self.derivative_values(j + i, x) for i in range(3)])
+
         return sup_norm(lambda x: self.derivative_values(j, x), self.window,
-                        seeds=self.seed_points(), floor=4096)
+                        seeds=self.seed_points(), floor=4096, jet=jet)
 
     def membership_margin(self):
         """(is member, worst signed margin) of the q-th derivative test."""

@@ -212,7 +212,8 @@ def exp_lemma_mod(b_list, n_list, seed: int = 0,
 
 def _halfconvex_family(q: int, b: float, weights, knots):
     """f with f^(q-2) piecewise linear, convex right of 0, concave left,
-    built from odd hinges; returns (f, fq2) closed-form callables."""
+    built from odd hinges; returns the closed-form callables f and fq2 and
+    their jets (rows of values, first and second derivatives)."""
     w = np.asarray(weights, dtype=float)
     t = np.asarray(knots, dtype=float)
     fact = float(math.factorial(q - 1))
@@ -228,12 +229,33 @@ def _halfconvex_family(q: int, b: float, weights, knots):
         neg = np.maximum(-x - t, 0.0) ** (q - 1)
         return ((pos - sigma * neg) @ w) / fact
 
-    return f, fq2
+    def hinges(x, e, sign, order):
+        # order-th derivative of sum_k w_k [(x-t_k)_+^e - sign (-x-t_k)_+^e],
+        # from d/dx (x - t)_+^e = e (x - t)_+^(e-1) and (x - t)_+^0 = [x > t]
+        x = np.asarray(x, dtype=float)[..., None]
+        k = e - order
+        if k < 0:
+            return np.zeros(x.shape[:-1])
+        if k == 0:
+            pos, neg = (x > t) * 1.0, (-x > t) * 1.0
+        else:
+            pos = np.maximum(x - t, 0.0) ** k
+            neg = np.maximum(-x - t, 0.0) ** k
+        return math.perm(e, order) * ((pos - sign * (-1.0) ** order * neg) @ w)
+
+    def f_jet(x):
+        return np.array([hinges(x, q - 1, sigma, i) for i in range(3)]) / fact
+
+    def fq2_jet(x):
+        return np.array([hinges(x, 1, 1.0, i) for i in range(3)])
+
+    return f, fq2, f_jet, fq2_jet
 
 
-def _domination_ratio(q: int, b: float, f, fq2) -> float:
-    num = b ** (q - 2) * sup_norm(fq2, Interval(-b, b), floor=1024)
-    den = sup_norm(f, Interval(-2 * b, 2 * b), floor=1024)
+def _domination_ratio(q: int, b: float, f, fq2, jets=(None, None)) -> float:
+    f_jet, fq2_jet = jets
+    num = b ** (q - 2) * sup_norm(fq2, Interval(-b, b), floor=1024, jet=fq2_jet)
+    den = sup_norm(f, Interval(-2 * b, 2 * b), floor=1024, jet=f_jet)
     return num / den if den > 0 else 0.0
 
 
@@ -252,17 +274,20 @@ def exp_lemma_3111(q: int, b: float, trials: int = 40,
 
     def _cell(item):
         trial, w = item
-        f, fq2 = _halfconvex_family(q, b, w, knots)
-        return {"trial": trial, "ratio": float(_domination_ratio(q, b, f, fq2))}
+        f, fq2, *jets = _halfconvex_family(q, b, w, knots)
+        return {"trial": trial,
+                "ratio": float(_domination_ratio(q, b, f, fq2, jets))}
 
     grid = _map(_cell, list(enumerate(draws)), jobs)
     best = max(row["ratio"] for row in grid)
 
     w7 = np.abs(rng.standard_normal(knots.size))
-    f7, fq27 = _halfconvex_family(q, b, w7, knots)
-    r_base = _domination_ratio(q, b, f7, fq27)
-    f7s, fq27s = _halfconvex_family(q, b, 7.0 * w7, knots)
-    r_scaled = _domination_ratio(q, b, f7s, fq27s)
+    f7, fq27, *jets7 = _halfconvex_family(q, b, w7, knots)
+    r_base = _domination_ratio(q, b, f7, fq27, jets7)
+    f7s, fq27s, *jets7s = _halfconvex_family(q, b, 7.0 * w7, knots)
+    r_scaled = _domination_ratio(q, b, f7s, fq27s, jets7s)
+    # the flipped and reference ratios take golden-section search, so the
+    # flip check also compares the two polish paths
     r_flipped = _domination_ratio(q, b, lambda x: f7(-np.asarray(x)),
                                   lambda x: fq27(-np.asarray(x)))
 
@@ -455,7 +480,8 @@ def exp_theorem_13(q: int, y_points, n_list, seed: int = 0,
     c3_vals = []
     for cell, n, con in zip(cells, ns, cons):
         resid = sup_norm(lambda x: f(x) - con.approximant(x), window,
-                         degree_hint=n)
+                         degree_hint=n,
+                         jet=lambda x: f.jet(x) - con.approximant.jet(x))
         c3_vals.append(n * resid / b ** r)
         cell["c3_direct"] = float(c3_vals[-1])
     c3 = float(min(c3_vals))

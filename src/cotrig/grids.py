@@ -8,13 +8,17 @@ points), and polishes every local maximum of the samples and both
 endpoints inside the bracket of their neighbouring samples.  A flat run of
 equal samples counts as one maximum, polished at its two ends.
 
-The polish depends on f.  A TrigPoly gets safeguarded Newton steps on
-T' = 0 with exact coefficient derivatives (Boyd, "Computing the zeros,
+The polish depends on what is known about f.  Where its first two
+derivatives are known in closed form, a jet (f, f', f'' at given points)
+drives safeguarded Newton steps on f' = 0 (Boyd, "Computing the zeros,
 maxima and inflection points of Chebyshev, Legendre and Fourier series",
-J. Eng. Math. 56, 2006); a bracket Newton cannot settle in a few steps
-falls back to golden-section search.  Any other callable (splines, hinge
-sums, differences of functions) gets golden-section search.  The result
-is the largest |f| seen, so polishing never lowers the sampled maximum.
+J. Eng. Math. 56, 2006): trigonometric polynomials, piecewise Chebyshev
+series and the splines built from them, closed-form step derivatives and
+hinge sums.  A bracket Newton cannot settle in a few steps, such as one
+holding a jump of f' at a breakpoint or knot, falls back to golden-section
+search, and so does every bracket of a callable without a jet.  The
+result is the largest |f| seen, so polishing never lowers the sampled
+maximum.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .trigpoly import TrigPoly
 
 TWO_PI = 2.0 * np.pi
 
@@ -74,9 +76,9 @@ class GridSpec:
     refinement_tolerance is the relative gap between a minimax grid's error
     and its post-check at which regridding stops; sup norms do not read it.
     max_refinements caps the regrid rounds of a minimax solve, and in a sup
-    norm the golden-section steps per bracket: those of a general callable,
-    and of a TrigPoly bracket that Newton polishing leaves unresolved.  The
-    defaults are the sup-norm settings.
+    norm the golden-section steps per bracket: those of a callable without
+    a jet, and those Newton polishing leaves unresolved.  The defaults are
+    the sup-norm settings.
     """
 
     points_per_degree: int = 20
@@ -145,31 +147,36 @@ def golden_refine_max(f, lo: np.ndarray, hi: np.ndarray, rounds: int) -> np.ndar
     return np.maximum(f1, f2)
 
 
-def _newton_refine_max(tp: TrigPoly, x0: np.ndarray, lo: np.ndarray,
-                       hi: np.ndarray):
-    """Safeguarded Newton maximisation of |T| on bracket arrays.
+def _newton_refine_max(jet, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Safeguarded Newton maximisation of |f| on bracket arrays.
 
-    Each bracket [lo, hi] holds a sampled maximum x0 of |T|, and s T with
-    s = sign T(x0) is maximised there: Newton on (s T)' = 0 from x0, inside
-    a sub-bracket on which (s T)' falls from positive to negative, with a
-    bisection step wherever the Newton step leaves it or (s T)'' >= 0.
+    jet(x) returns the rows f, f' and f'' at the points x, shape (3, m).
+    Each bracket [lo, hi] holds a sampled maximum x0 of |f|, and s f with
+    s = sign f(x0) is maximised there: Newton on (s f)' = 0 from x0, inside
+    a sub-bracket on which (s f)' falls from positive to negative, with a
+    bisection step wherever the Newton step leaves it or (s f)'' >= 0.
     A bracket without such a sub-bracket keeps its samples when x0 is one
-    of its ends (s T rises to that end or falls away from it) and is
-    unresolved otherwise.  Returns the largest |T| at any iterate and the
-    mask of brackets still unresolved after _NEWTON_ITERATIONS steps.
+    of its ends (s f rises to that end or falls away from it) or (s f)'
+    vanishes there, and is unresolved otherwise.  Only a step below 4 ulps
+    ends the steps: (s f)' = 0 alone does not, since at a breakpoint the
+    jet is that of the piece to the right, which may be flat while the
+    maximum lies to the left.  A jump of f' inside the sub-bracket never
+    lets the steps settle, so such a bracket ends unresolved too.  Returns
+    the largest |f| at any iterate and the mask of brackets still
+    unresolved after _NEWTON_ITERATIONS steps.
     """
     m = x0.size
-    t, d1, d2 = tp.jet(np.concatenate([x0, lo, hi])).reshape(3, 3, m)
+    t, d1, d2 = jet(np.concatenate([x0, lo, hi])).reshape(3, 3, m)
     best = float(np.abs(t).max())
     s = np.sign(t[0])
     g, h = s * d1[0], s * d2[0]
     up = g > 0
-    # sub-bracket [a, c] on which (s T)' falls from positive to negative
+    # sub-bracket [a, c] on which (s f)' falls from positive to negative
     has_root = np.where(up, s * d1[2] < 0, s * d1[1] > 0)
     a = np.where(up, x0, lo)
     c = np.where(up, hi, x0)
     unresolved = (g != 0) & ~has_root & (x0 > lo) & (x0 < hi)
-    todo = has_root & (g != 0)
+    todo = has_root
     x = x0
     for _ in range(_NEWTON_ITERATIONS):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -180,22 +187,27 @@ def _newton_refine_max(tp: TrigPoly, x0: np.ndarray, lo: np.ndarray,
         newton = x - step
         inside = (newton > a) & (newton < c)
         x = np.where(todo, np.where(inside, newton, 0.5 * (a + c)), x)
-        t, d1, d2 = tp.jet(x)
+        t, d1, d2 = jet(x)
         best = max(best, float(np.abs(t).max()))
         g, h = s * d1, s * d2
         a = np.where(todo & (g > 0), x, a)
         c = np.where(todo & (g < 0), x, c)
-        todo &= g != 0
     return best, unresolved | todo
 
 
 def sup_norm(f, interval: Interval, degree_hint: int | None = None,
-             seeds=None, floor: int = 256) -> float:
+             seeds=None, floor: int = 256, jet=None) -> float:
     """Sup norm of f on the interval, Chebyshev sampling plus refinement.
 
     seeds: optional extra sample abscissae (breakpoints, zone grids) merged
     into the Chebyshev sample before the local maxima are located.
+    jet: optional callable returning the rows f, f' and f'' at an array of
+    points, shape (3, m); it defaults to f.jet when f has one.  With a jet
+    the maxima are polished by Newton steps, without one by golden-section
+    search.
     """
+    if jet is None:
+        jet = getattr(f, "jet", None)
     g = GridSpec()
     count = g.sample_count(degree_hint, floor=floor)
     xs = chebyshev_points(interval, count)
@@ -217,8 +229,8 @@ def sup_norm(f, interval: Interval, degree_hint: int | None = None,
     hi = xs[np.minimum(idx + 1, ys.size - 1)]
     keep = hi > lo
     best = float(ys.max())
-    if isinstance(f, TrigPoly):
-        polished, unresolved = _newton_refine_max(f, xs[idx], lo, hi)
+    if jet is not None:
+        polished, unresolved = _newton_refine_max(jet, xs[idx], lo, hi)
         best = max(best, polished)
         keep &= unresolved
     if keep.any():

@@ -18,6 +18,8 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
 from scipy.integrate import quad
 
+from .grids import Interval, sup_norm
+
 # below 1 - t^2 = 2e-3 the bump is ~ exp(-500) ~ 1e-218: call it zero and
 # keep the rational prefactor from overflowing
 _EDGE = 2e-3
@@ -87,9 +89,10 @@ class MollifierTable:
     """Cached values and norms of the smooth step S and its derivatives.
 
     grid is a fine uniform partition of [-1, 1]; values[j] holds S^(j) on it
-    (j = 0 is S itself).  sup_norms[j] is a refined estimate of the true sup
-    of |S^(j)| (exactly 1 for j = 0).  cheb_coeffs is a Chebyshev interpolant
-    of S on [-1, 1] used when transition zones are integrated exactly.
+    (j = 0 is S itself).  sup_norms[j] is the sup of |S^(j)| from
+    sup_step_derivative (exactly 1 for j = 0).  cheb_coeffs is a Chebyshev
+    interpolant of S on [-1, 1] used when transition zones are integrated
+    exactly.
     """
 
     grid_size: int
@@ -115,6 +118,20 @@ class MollifierTable:
         if j < 1:
             raise ValueError("use step() for the 0-th derivative")
         return 2.0 / self.mass * bump_derivative(j - 1, u)
+
+    def sup_step_derivative(self, j: int) -> float:
+        """Sup of |S^(j)| on [-1, 1] for j >= 1.
+
+        Newton-polished by the closed-form rows S^(j), S^(j+1) and S^(j+2)
+        where the bump derivatives they need exist, golden-section search
+        at the top orders.
+        """
+        jet = None
+        if j < _MAX_DERIVATIVE:
+            jet = lambda u: np.array([self.step_derivative(j + i, u)
+                                      for i in range(3)])
+        return sup_norm(lambda u: self.step_derivative(j, u),
+                        Interval(-1.0, 1.0), floor=8193, jet=jet)
 
     def s_norm(self, j: int) -> float:
         return float(self.sup_norms[j])
@@ -164,7 +181,7 @@ def build_mollifier_table(grid_size: int = 2049, max_order: int = 8,
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
     if grid_size < 257:
-        raise ValueError("grid_size too small for reliable sup norms")
+        raise ValueError("grid_size too small for the sampled table")
     if max_order > _MAX_DERIVATIVE:
         raise ValueError(f"max_order capped at {_MAX_DERIVATIVE}")
     mass = bump_mass()
@@ -180,19 +197,9 @@ def build_mollifier_table(grid_size: int = 2049, max_order: int = 8,
                            values=[], sup_norms=np.zeros(max_order + 1),
                            cheb_coeffs=cheb_coeffs)
 
-    values = [table.step(grid)]
-    sups = [1.0]
-    for j in range(1, max_order + 1):
-        vj = table.step_derivative(j, grid)
-        values.append(vj)
-        # refine the grid max once through a local parabolic-free fine pass
-        k = int(np.argmax(np.abs(vj)))
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, grid_size - 1)]
-        fine = np.linspace(lo, hi, 4097)
-        sups.append(max(float(np.abs(vj).max()),
-                        float(np.abs(table.step_derivative(j, fine)).max())))
-    table.values = values
-    table.sup_norms = np.asarray(sups)
+    table.values = [table.step(grid)] + [table.step_derivative(j, grid)
+                                         for j in range(1, max_order + 1)]
+    table.sup_norms = np.asarray(
+        [1.0] + [table.sup_step_derivative(j) for j in range(1, max_order + 1)])
     _TABLE_CACHE[key] = table
     return table

@@ -9,11 +9,15 @@ piece are stored as the spline constructors give them, never re-derived
 from the breakpoints: a zone centre recomputed from its end points is off
 by a rounding error of the window, which is large in units of a narrow
 zone.
-Integrals and antiderivatives are exact coefficient operations; the sup
-norm is grids.sup_norm seeded with Chebyshev points of every piece.
+Integrals, antiderivatives and derivatives are exact coefficient
+operations.  The jet (values, first and second derivatives) comes from the
+differentiated series of each piece, so the sup norm, grids.sup_norm seeded
+with Chebyshev points of every piece, is polished by Newton steps.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -54,18 +58,44 @@ class PiecewiseCheb:
         lo = self.breakpoints[0]
         return lo + np.mod(x - lo, TWO_PI)
 
+    def _locate(self, x: np.ndarray):
+        """Wrapped points and the index of the piece holding each."""
+        xs = self._wrap(np.atleast_1d(x))
+        idx = np.searchsorted(self.breakpoints, xs, side="right") - 1
+        return xs, np.clip(idx, 0, len(self.coefficients) - 1)
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
-        xs = self._wrap(np.atleast_1d(x))
-        idx = np.searchsorted(self.breakpoints, xs, side="right") - 1
-        idx = np.clip(idx, 0, len(self.coefficients) - 1)
+        xs, idx = self._locate(x)
         out = np.empty_like(xs)
         for i, coef in enumerate(self.coefficients):
             mask = idx == i
             if mask.any():
                 out[mask] = _cheb.chebval((xs[mask] - self.centres[i]) / self.halves[i], coef)
         return float(out[0]) if scalar else out
+
+    @cached_property
+    def _jet_series(self) -> list:
+        """Per piece, the series of f, f' and f'' in its coordinate u."""
+        return [(coef, _cheb.chebder(coef, 1, scl=1.0 / half),
+                 _cheb.chebder(coef, 2, scl=1.0 / half))
+                for coef, half in zip(self.coefficients, self.halves)]
+
+    def jet(self, x) -> np.ndarray:
+        """Rows f, f' and f'' at the points x, piece by piece.
+
+        At a breakpoint the piece to its right is used, as in evaluation.
+        """
+        xs, idx = self._locate(np.asarray(x, dtype=float))
+        out = np.empty((3, xs.size))
+        for i, series in enumerate(self._jet_series):
+            mask = idx == i
+            if mask.any():
+                u = (xs[mask] - self.centres[i]) / self.halves[i]
+                for row, coef in enumerate(series):
+                    out[row, mask] = _cheb.chebval(u, coef)
+        return out
 
     def _with(self, coefficients) -> "PiecewiseCheb":
         return PiecewiseCheb(self.breakpoints, self.centres, self.halves,
@@ -101,7 +131,7 @@ class PiecewiseCheb:
         return self.plus_constant(-self.integral() / self.window.width)
 
     def sup_norm(self) -> float:
-        """Refined max of |f| over the window."""
+        """Refined max of |f| over the window, Newton-polished by the jet."""
         bp = self.breakpoints
         seeds = [chebyshev_points(Interval(lo, hi), max(192, 4 * coef.size))
                  for lo, hi, coef in zip(bp[:-1], bp[1:], self.coefficients)]

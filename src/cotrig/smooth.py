@@ -46,6 +46,10 @@ class SmoothSpline:
     def __call__(self, x):
         return self.levels[self.r](x)
 
+    def jet(self, x):
+        """Rows f, f' and f'' of the spline at the points x."""
+        return self.levels[self.r].jet(x)
+
     def _wrap(self, x):
         return -self.d + np.mod(np.asarray(x, dtype=float) + self.d, TWO_PI)
 
@@ -76,9 +80,7 @@ class SmoothSpline:
         if j <= self.r:
             return self.levels[self.r - j].sup_norm()
         k = j - self.r
-        inner = sup_norm(lambda u: self.table.step_derivative(k, u),
-                         Interval(-1.0, 1.0), floor=8193)
-        return inner / self.lam ** k
+        return self.table.sup_step_derivative(k) / self.lam ** k
 
     def seed_points(self, per_zone: int = 65) -> np.ndarray:
         seeds = [self.levels[-1].breakpoints]
@@ -128,6 +130,13 @@ def build_smooth_spline(r: int, d: float, lam: float,
 
 
 def spline_distance(f, g, window: Interval, seeds=None, floor: int = 4096) -> float:
-    """Refined sup of |f - g| over the window, seeding kink and zone points."""
+    """Refined sup of |f - g| over the window, seeding kink and zone points.
+
+    When both f and g have a jet, so does the difference, and the maxima
+    are Newton-polished.
+    """
+    jet = None
+    if hasattr(f, "jet") and hasattr(g, "jet"):
+        jet = lambda x: f.jet(x) - g.jet(x)
     return sup_norm(lambda x: np.asarray(f(x)) - np.asarray(g(x)), window,
-                    seeds=seeds, floor=floor)
+                    seeds=seeds, floor=floor, jet=jet)

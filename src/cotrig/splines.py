@@ -58,6 +58,10 @@ class IdealSpline:
     def __call__(self, x):
         return self.levels[self.r](x)
 
+    def jet(self, x):
+        """Rows f, f' and f'' of the spline at the points x."""
+        return self.levels[self.r].jet(x)
+
     def derivative_values(self, j: int, x):
         """Values of the j-th derivative, 0 <= j <= r."""
         if not 0 <= j <= self.r:

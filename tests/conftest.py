@@ -1,5 +1,6 @@
-"""Shared fixtures: the mollifier table, two small constants ledgers, and
-a continuity probe for piecewise Chebyshev series.
+"""Shared fixtures: the mollifier table, two small constants ledgers, a
+continuity probe for piecewise Chebyshev series, and a hypothesis draw of
+random ones.
 
 The toy ledger uses round numbers so recursion-plan arithmetic can be
 checked against hand-computed exact values; the table ledger carries the
@@ -10,10 +11,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
 
 from cotrig.ledger import make_empirical_ledger
 from cotrig.mollifier import build_mollifier_table
+from cotrig.piecewise import PiecewiseCheb
 
 
 @pytest.fixture(scope="session")
@@ -60,3 +63,21 @@ def _join_defects(f):
 @pytest.fixture(scope="session")
 def join_defects():
     return _join_defects
+
+
+def _draw_piecewise(data):
+    """A PiecewiseCheb of 1-4 pieces, each 0.25-1 wide, starting at -1,
+    with degrees 0-8 and coefficients in [-1, 1]; its pieces do not join,
+    so its antiderivative has a kink at every breakpoint."""
+    widths = data.draw(st.lists(st.floats(0.25, 1.0), min_size=1, max_size=4))
+    bp = -1.0 + np.concatenate([[0.0], np.cumsum(widths)])
+    coeff = st.floats(-1.0, 1.0, allow_subnormal=False)
+    coefficients = [data.draw(st.lists(coeff, min_size=1, max_size=9))
+                    for _ in widths]
+    return PiecewiseCheb(bp, centres=0.5 * (bp[:-1] + bp[1:]),
+                         halves=0.5 * np.diff(bp), coefficients=coefficients)
+
+
+@pytest.fixture(scope="session")
+def draw_piecewise():
+    return _draw_piecewise

@@ -61,6 +61,36 @@ def test_build_spline_round_trip(tmp_path, table, argv, direct):
     assert np.array_equal(reloaded(xs), direct(table)(xs))
 
 
+def test_build_smooth_pins_sup_norms(tmp_path):
+    argv = ["build", "smooth", "--r", "2", "--d", "1", "--lam", "1/12",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    artifact = json.loads((tmp_path / "artifacts" / "smooth.json").read_text())
+    summary = artifact["summary"]
+    sups = [0.809537205693963, 0.825050387489827, 1.6816901138230191,
+            19.885652156858526, 517.907592751308]
+    assert summary["derivative_sups"] == {
+        str(j): pytest.approx(v, rel=1e-13) for j, v in enumerate(sups)}
+    assert summary["distance_to_ideal"] == pytest.approx(0.13624873757144162,
+                                                         rel=1e-13)
+
+
+def test_build_fnb_pins_sup_norms(tmp_path, table_ledger):
+    # the top derivative is 1 up to the rounding of the table's step norms
+    ledger_path = tmp_path / "table.json"
+    write_json(ledger_path, table_ledger.to_dict())
+    argv = ["build", "fnb", "--ledger", str(ledger_path), "--n", "16",
+            "--b", "1/4", "--d", "1", "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == cli.EXIT_OK
+    artifact = json.loads((tmp_path / "run" / "artifacts" / "fnb.json")
+                          .read_text())
+    summary = artifact["summary"]
+    assert summary["sup_top_derivative"] == pytest.approx(1.0000000000000235,
+                                                          rel=1e-13)
+    assert summary["sup_value"] == pytest.approx(2.3878092198962182e-14,
+                                                 rel=1e-13)
+
+
 def test_solve_f1_at_degree_24(tmp_path):
     # a full-period kink at degree 24: the exchange LPs grow to ~50 rows
     out = tmp_path / "run"

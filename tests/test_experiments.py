@@ -20,8 +20,9 @@ def test_bernstein_pinned_ratio():
 
 
 def test_lemma_3111_pinned_ratio():
-    # hinge sums are plain callables, so their sup norms stay on the
-    # golden-section path and the constant is pinned exactly
+    # the hinge sums' maxima sit on sampled points, so Newton polish by
+    # their jets keeps the constant exact, and the flipped ratio, polished
+    # by golden-section search, must agree with it
     report = exp_lemma_3111(3, 0.5, trials=40, seed=1)
     assert [a.passed for a in report.assertions] == [True] * 4
     assert report.constants[0].name == "c2"

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotrig import grids
+from cotrig.experiments import _halfconvex_family
 from cotrig.grids import (FULL_PERIOD, GridSpec, Interval, chebyshev_points,
                           golden_refine_max, sup_norm)
+from cotrig.piecewise import PiecewiseCheb
 from cotrig.smooth import build_smooth_spline
 from cotrig.trigpoly import TrigPoly
 
@@ -116,6 +118,21 @@ def test_sup_norm_seeds_are_clipped():
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
+def test_sup_norm_looks_left_of_a_flat_piece():
+    # the sampled maximum is the breakpoint at 1.25, where the jet reads
+    # f' = f'' = 0 from the flat piece on its right; the cubic piece on its
+    # left peaks just before it
+    p = PiecewiseCheb([-1.0, 1.0, 1.25, 2.25], centres=[0.0, 1.125, 1.75],
+                      halves=[1.0, 0.125, 0.5],
+                      coefficients=[[0.0], [0.25, 0.25, 0.0, -0.625], [0.0]])
+    f = p.antiderivative()
+    assert f(1.25) == 0.0625
+    newton = sup_norm(f, f.window, seeds=f.breakpoints)
+    golden = sup_norm(lambda x: f(x), f.window, seeds=f.breakpoints)
+    assert newton == pytest.approx(golden, rel=1e-13)
+    assert newton == pytest.approx(0.06268579509458588, rel=1e-13)
+
+
 @pytest.mark.parametrize("j, value, most", [
     # 2 endpoints and 16 last-digit ripples of the zone pieces next to
     # the plateaus
@@ -125,17 +142,23 @@ def test_sup_norm_seeds_are_clipped():
 def test_sup_norm_polishes_a_flat_run_at_its_ends(monkeypatch, j, value,
                                                    most):
     # derivatives of a smooth spline have plateaus; each is one maximum,
-    # not one golden-section bracket per sample
+    # not one bracket per sample, whichever polish takes the bracket
     spline = build_smooth_spline(2, 1.0, Fraction(1, 12))
-    brackets = []
+    brackets = set()
+    newton = grids._newton_refine_max
 
-    def counting(f, lo, hi, rounds):
-        brackets.append(len(lo))
+    def counting_newton(jet, x0, lo, hi):
+        brackets.update(zip(lo, hi))
+        return newton(jet, x0, lo, hi)
+
+    def counting_golden(f, lo, hi, rounds):
+        brackets.update(zip(lo, hi))
         return golden_refine_max(f, lo, hi, rounds)
 
-    monkeypatch.setattr(grids, "golden_refine_max", counting)
+    monkeypatch.setattr(grids, "_newton_refine_max", counting_newton)
+    monkeypatch.setattr(grids, "golden_refine_max", counting_golden)
     assert spline.sup_derivative(j) == value
-    assert 0 < sum(brackets) <= most
+    assert 0 < len(brackets) <= most
 
 
 def _draw_trig(data, degree, kind):
@@ -155,6 +178,17 @@ def _draw_trig(data, degree, kind):
     return TrigPoly(a0, draw(), draw())
 
 
+def _assert_polish_paths_agree(f, jet, iv, **kwargs):
+    """The jet path (f's own jet when jet is None) agrees with golden-section
+    search and never reads below a dense sample."""
+    newton = sup_norm(f, iv, jet=jet, **kwargs)
+    # a plain callable takes the golden-section path on the same brackets
+    golden = sup_norm(lambda x: f(x), iv, **kwargs)
+    assert abs(newton - golden) <= max(1e-13 * golden, 1e-15)
+    dense = np.abs(f(np.linspace(iv.lo, iv.hi, 5001))).max()
+    assert newton >= dense * (1.0 - 1e-13) - 1e-15
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), degree=st.integers(0, 32),
        kind=st.sampled_from(["odd", "even", "general", "zero"]),
@@ -162,9 +196,39 @@ def _draw_trig(data, degree, kind):
 def test_trigpoly_sup_norm_matches_golden_section(data, degree, kind, half):
     tp = _draw_trig(data, degree, kind)
     iv = FULL_PERIOD if half is None else Interval(-half, half)
-    newton = sup_norm(tp, iv, degree_hint=degree)
-    # a plain callable takes the golden-section path on the same brackets
-    golden = sup_norm(lambda x: tp(x), iv, degree_hint=degree)
-    assert abs(newton - golden) <= max(1e-13 * golden, 1e-15)
-    dense = np.abs(tp(np.linspace(iv.lo, iv.hi, 5001))).max()
-    assert newton >= dense * (1.0 - 1e-13) - 1e-15
+    _assert_polish_paths_agree(tp, None, iv, degree_hint=degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_piecewise_sup_norm_matches_golden_section(data, draw_piecewise):
+    # mixed degrees, a kink at every breakpoint, and flat pieces where the
+    # drawn series is zero; seeded per piece as PiecewiseCheb.sup_norm is
+    f = draw_piecewise(data).antiderivative()
+    bp = f.breakpoints
+    seeds = np.concatenate([chebyshev_points(Interval(lo, hi), 192)
+                            for lo, hi in zip(bp[:-1], bp[1:])])
+    _assert_polish_paths_agree(f, None, f.window, seeds=seeds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(3, 5), b=st.floats(0.1, 1.5),
+       weights=st.lists(st.floats(-1.0, 1.0, allow_subnormal=False),
+                        min_size=14, max_size=14))
+def test_hinge_sup_norm_matches_golden_section(q, b, weights):
+    knots = np.linspace(0.0, 2 * b, 14, endpoint=False)
+    f, fq2, f_jet, fq2_jet = _halfconvex_family(q, b, weights, knots)
+    _assert_polish_paths_agree(f, f_jet, Interval(-2 * b, 2 * b), floor=1024)
+    _assert_polish_paths_agree(fq2, fq2_jet, Interval(-b, b), floor=1024)
+    # away from the knots, central differences of each row give the next
+    xs = np.linspace(-2 * b, 2 * b, 41)
+    xs = xs[np.abs(np.abs(xs)[:, None] - knots).min(axis=1) > 1e-3 * b]
+    h = 1e-6 * b
+    for fn, jet in ((f, f_jet), (fq2, fq2_jet)):
+        rows = jet(xs)
+        np.testing.assert_array_equal(rows[0], fn(xs))
+        fd = (jet(xs + h) - jet(xs - h)) / (2 * h)
+        for row in range(2):
+            scale = max(np.abs(rows[row + 1]).max(), 1.0)
+            np.testing.assert_allclose(fd[row], rows[row + 1], rtol=1e-5,
+                                       atol=1e-5 * scale)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cotrig.grids import Interval, sup_norm
 from cotrig.mollifier import (build_mollifier_table, bump, bump_derivative,
                               bump_mass)
 
@@ -99,6 +100,18 @@ def test_s_norms(table):
         assert table.s_norm(j + 1) > 0.0
     # higher derivatives of the bump family grow rapidly
     assert table.s_norm(2) > table.s_norm(1)
+
+
+def test_s_norms_are_polished_maxima(table):
+    us = np.linspace(-1.0, 1.0, 20001)
+    for j in range(1, table.max_order + 1):
+        dense = np.abs(table.step_derivative(j, us)).max()
+        assert table.s_norm(j) >= dense
+        golden = sup_norm(lambda u: table.step_derivative(j, u),
+                          Interval(-1.0, 1.0), floor=8193)
+        # the closed form of S^(j) rounds at about 1e-13 relative near its
+        # peak for j >= 6, and the two paths read it at different points
+        assert table.s_norm(j) == pytest.approx(golden, rel=1e-12)
 
 
 def test_table_cache_returns_same_object(table):

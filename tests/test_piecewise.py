@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotrig.piecewise import PiecewiseCheb, zero_mean_levels
 
@@ -136,6 +138,43 @@ def test_sup_norm():
                       [[1.0], [1.5, 0.1, -1.0]])
     u = 0.1 / 4.0  # where 1.5 + 0.1 u - (2u^2 - 1) peaks
     assert h.sup_norm() == pytest.approx(2.5 + 0.1 * u - 2 * u * u, abs=1e-12)
+
+
+def test_jet():
+    f = two_piece()
+    xs = np.array([-0.75, -0.25, 0.0, 0.5, 1.5])
+    # x on [-1, 0], x^2 on [0, 2]; a breakpoint takes the piece to its right
+    np.testing.assert_allclose(f.jet(xs), [xs * np.where(xs < 0, 1.0, xs),
+                                           np.where(xs < 0, 1.0, 2 * xs),
+                                           np.where(xs < 0, 0.0, 2.0)],
+                               atol=1e-14)
+    # periodic wrap, as in evaluation; constant pieces have zero slope
+    np.testing.assert_array_equal(square_wave().jet([np.pi + 0.5]),
+                                  [[-1.0], [0.0], [0.0]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_jet_rows_are_derivatives(data, draw_piecewise):
+    p = draw_piecewise(data)
+    bp = p.breakpoints
+    u = np.linspace(-0.9, 0.9, 9)
+    xs = np.concatenate([0.5 * (lo + hi) + 0.5 * (hi - lo) * u
+                         for lo, hi in zip(bp[:-1], bp[1:])])
+    jet = p.jet(xs)
+    np.testing.assert_array_equal(jet[0], p(xs))
+    h = 1e-6
+    fd = (p.jet(xs + h) - p.jet(xs - h)) / (2 * h)
+    lifted = p.antiderivative().jet(xs)
+    for row in range(2):
+        # the antiderivative's jet is the jet of p, shifted by one row
+        scale = max(np.abs(jet[row]).max(), 1.0)
+        np.testing.assert_allclose(lifted[row + 1], jet[row], rtol=1e-12,
+                                   atol=1e-12 * scale)
+        # central differences of each row give the next one
+        scale = max(np.abs(jet[row + 1]).max(), 1.0)
+        np.testing.assert_allclose(fd[row], jet[row + 1], rtol=1e-5,
+                                   atol=1e-5 * scale)
 
 
 def test_global_piece_coefficients():
