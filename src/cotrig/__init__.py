@@ -10,7 +10,7 @@ from .counterexample import (PartialSum, RealizabilityError, RecursionPlan,
                              Summand, build_partial_sum, build_summand,
                              canonical_sign_set, plan_recursion,
                              transition_width)
-from .grids import FULL_PERIOD, GridSpec, Interval, sup_norm
+from .grids import FULL_PERIOD, Interval, sup_norm
 from .ledger import (ConstantsLedger, EpsGrowthError, make_empirical_ledger,
                      make_proven_ledger, parse_eps_rule)
 from .minimax import (ApproxResult, best_approx, best_co_q_monotone,
@@ -25,15 +25,14 @@ from .simplex import (LPError, LPInfeasibleError, LPSolution,
                       LPUnboundedError, solve_lp)
 from .smooth import SmoothSpline, build_smooth_spline, spline_distance
 from .splines import IdealSpline, abs_power, build_ideal_spline, step_offset
-from .trigpoly import TrigPoly, random_trig, trig_basis
+from .trigpoly import TrigPoly, trig_basis
 from .experiments import calibrate_constants, run_experiment
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ApproxResult", "Assertion", "ConstantReading", "ConstantsLedger",
-    "EpsGrowthError", "ExperimentReport", "FULL_PERIOD", "GridSpec",
-    "IdealSpline", "Interval", "LPError", "LPInfeasibleError", "LPSolution",
+    "EpsGrowthError", "ExperimentReport", "FULL_PERIOD", "IdealSpline", "Interval", "LPError", "LPInfeasibleError", "LPSolution",
     "LPUnboundedError", "MollifierTable", "PartialSum", "PiecewiseCheb",
     "RealizabilityError", "RecursionPlan", "SignChangeSet", "SmoothSpline",
     "Summand", "TrigPoly", "abs_power", "best_approx", "best_co_q_monotone",
@@ -41,8 +40,7 @@ __all__ = [
     "build_smooth_spline", "build_summand", "calibrate_constants",
     "canonical_sign_set", "delta_q_membership",
     "delta_q_membership_by_convexity", "make_empirical_ledger",
-    "make_proven_ledger", "parse_eps_rule", "plan_recursion", "random_trig",
-    "run_experiment", "solve_grid_minimax", "solve_lp", "spline_distance",
+    "make_proven_ledger", "parse_eps_rule", "plan_recursion", "run_experiment", "solve_grid_minimax", "solve_lp", "spline_distance",
     "step_offset", "sup_norm", "transition_width", "trig_basis",
     "write_report_files",
 ]

@@ -20,7 +20,6 @@ validation error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import re
@@ -35,7 +34,7 @@ from .counterexample import (RealizabilityError, build_partial_sum,
                              build_summand, canonical_sign_set,
                              plan_recursion, rows_satisfied)
 from .experiments import EXPERIMENT_NAMES, run_experiment
-from .grids import Interval, SOLVER_GRID
+from .grids import Interval
 from .ledger import DEFAULT_MAX_BITS, ConstantsLedger, EpsGrowthError
 from .minimax import best_approx, best_co_q_monotone
 from .mollifier import build_mollifier_table
@@ -63,8 +62,7 @@ _STRING = {"type": "string", "minLength": 1}
 
 
 def _schema(required, extra=None, **props):
-    props.update({"out": _STRING, "seed": {"type": "integer", "minimum": 0},
-                  "jobs": _POS_INT})
+    props.update({"out": _STRING, "seed": {"type": "integer", "minimum": 0}})
     doc = {"type": "object", "properties": props, "required": list(required),
            "additionalProperties": False}
     if extra:
@@ -87,7 +85,7 @@ SCHEMAS = {
         target=_STRING, degree=_POS_INT,
         domain={"type": "array", "items": {"type": "number"},
                 "minItems": 2, "maxItems": 2},
-        q=_Q_INT, y_points=_NUM_LIST, points_per_degree=_POS_INT),
+        q=_Q_INT, y_points=_NUM_LIST),
     ("experiment", "bernstein"): _schema(["b", "n_list"], b=_NUMBER,
                                          n_list=_INT_LIST, trials=_POS_INT),
     ("experiment", "lemma-mod"): _schema(["b_list", "n_list"],
@@ -301,61 +299,55 @@ def _function_from_artifact(path: str):
     kind = art.get("kind")
     params = art.get("params", {})
     if kind == "ideal":
-        return build_ideal_spline(params["r"], float(params["b"])), None
+        return build_ideal_spline(params["r"], float(params["b"]))
     if kind == "smooth":
         return build_smooth_spline(params["r"], float(params["d"]),
-                                   float(params["lam"])), None
+                                   float(params["lam"]))
     if kind == "fnb":
         ledger = ConstantsLedger.from_dict(art["ledger"])
         return build_summand(ledger, params["n"], Fraction(params["b"]),
-                             Fraction(params["d"])), None
+                             Fraction(params["d"]))
     if kind == "partial-sum":
         ledger = ConstantsLedger.from_dict(art["ledger"])
         plan = plan_recursion(ledger, Fraction(params["d"]),
                               params["K"] + 1,
                               eps_rule=params.get("eps_rule", "log"),
                               max_bits=params.get("max_bits", DEFAULT_MAX_BITS))
-        return build_partial_sum(plan, params["K"]), None
+        return build_partial_sum(plan, params["K"])
     raise ValueError(f"artifact {path} has unknown kind {kind!r}")
 
 
 def _resolve_target(spec: str):
-    """Named builtin or artifact path -> (callable, description, domain)."""
+    """Named builtin or artifact path -> (callable, description)."""
     if spec == "cos":
-        return np.cos, "cos", None
+        return np.cos, "cos"
     match = re.fullmatch(r"F(\d+)", spec)
     if match:
         r = int(match.group(1))
         if r < 1:
             raise ValueError("F targets need a positive order")
-        return (lambda x: abs_power(r, x)), spec, None
+        return (lambda x: abs_power(r, x)), spec
     match = re.fullmatch(r"ideal:(\d+):([0-9.eE+-]+)", spec)
     if match:
         r, b = int(match.group(1)), float(match.group(2))
-        return build_ideal_spline(r, b), spec, None
+        return build_ideal_spline(r, b), spec
     if Path(spec).is_file():
-        fn, domain = _function_from_artifact(spec)
-        return fn, spec, domain
+        return _function_from_artifact(spec), spec
     raise ValueError(
         f"unknown target {spec!r}; use cos, F<r>, ideal:<r>:<b>, or the "
         f"path of a build artifact")
 
 
 def cmd_solve(cfg: dict, out_dir: Path) -> int:
-    target, desc, _ = _resolve_target(cfg["target"])
+    target, desc = _resolve_target(cfg["target"])
     degree = cfg["degree"]
-    grid = None
-    if "points_per_degree" in cfg:
-        grid = dataclasses.replace(SOLVER_GRID,
-                                   points_per_degree=cfg["points_per_degree"])
     if "y_points" in cfg:
         ys = SignChangeSet(tuple(sorted(float(v) for v in cfg["y_points"])))
-        result = best_co_q_monotone(target, degree, cfg["q"], ys,
-                                    objective_grid=grid)
+        result = best_co_q_monotone(target, degree, cfg["q"], ys)
         mode = f"co-{cfg['q']}-monotone"
     else:
         domain = Interval(*cfg["domain"]) if "domain" in cfg else None
-        result = best_approx(target, degree, domain=domain, grid=grid)
+        result = best_approx(target, degree, domain=domain)
         mode = "unconstrained"
     solution = {
         "target": desc, "degree": degree, "mode": mode,
@@ -437,8 +429,6 @@ _FLAGS = {
                          "help": "sign-change points (even count)"}),
     "trials": ("--trials", {"type": int, "help": "random draws per cell"}),
     "knots": ("--knots", {"type": int, "help": "hinge knots per side"}),
-    "points_per_degree": ("--points-per-degree",
-                          {"type": int, "help": "objective grid density"}),
 }
 
 
@@ -446,9 +436,8 @@ def _add_flags(parser, schema_key) -> None:
     parser.add_argument("--config", help="JSON config file; flags win")
     parser.add_argument("--out", help="output directory for this run")
     parser.add_argument("--seed", type=int, help="base random seed")
-    parser.add_argument("--jobs", type=int, help="worker cap for grid cells")
     for key in SCHEMAS[schema_key]["properties"]:
-        if key in ("out", "seed", "jobs"):
+        if key in ("out", "seed"):
             continue
         flag, kwargs = _FLAGS[key]
         parser.add_argument(flag, dest=key, **kwargs)

@@ -53,21 +53,9 @@ def transition_width(ledger: ConstantsLedger, n: int, b) -> Fraction:
     return ledger["c6"] * Fraction(b) ** ledger.r / n
 
 
-def canonical_sign_set(d: float, s: int = 1) -> SignChangeSet:
-    """Sign changes with the two distinguished points at -d and 0.
-
-    For s > 1 the remaining 2s - 2 points are spread over [d, 2pi - 2d]
-    with equal spacing, keeping d the minimal gap.
-    """
-    if s < 1:
-        raise ValueError("s must be a positive integer")
-    pts = [-d, 0.0]
-    if s > 1:
-        extra = np.linspace(d, 2 * np.pi - 2 * d, 2 * s - 2)
-        if np.diff(extra).size and np.diff(extra)[0] < d:
-            raise ValueError("gap d too large for this many sign changes")
-        pts.extend(float(t) for t in extra)
-    return SignChangeSet(tuple(sorted(pts)))
+def canonical_sign_set(d: float) -> SignChangeSet:
+    """The two sign changes -d and 0: the minimal gap d sits below zero."""
+    return SignChangeSet((-d, 0.0))
 
 
 @dataclass
@@ -331,8 +319,7 @@ class PartialSum:
         zone_seeds = self.seed_points()
         return delta_q_membership(
             lambda x: self.derivative_values(q, x), self.sign_set,
-            points_per_gap=512, extra_points=zone_seeds,
-            return_margin=True)
+            extra_points=zone_seeds, return_margin=True)
 
     def window_polynomial_residual(self) -> float:
         """Max deviation of the sum without its last level from a degree-r

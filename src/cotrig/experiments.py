@@ -53,27 +53,16 @@ def _finish(report: ExperimentReport, t0: float) -> ExperimentReport:
     return report
 
 
-def _map(fn, items, jobs: int = 1) -> list:
-    """Apply fn to each item, optionally on a thread pool.
+def hill_climb(score, x0):
+    """Coordinate-wise maximizer with geometric step decay.
 
-    Results come back in input order and each item is scored
-    independently, so the outcome does not depend on scheduling.
+    At most 200 sweeps; the relative step starts at 0.5, halves after a
+    sweep without improvement, and the climb stops below 1e-4.
     """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-        return list(pool.map(fn, items))
-
-
-def hill_climb(score, x0, sweeps: int = 200, step0: float = 0.5,
-               step_min: float = 1e-4):
-    """Coordinate-wise maximizer with geometric step decay."""
     x = np.array(x0, dtype=float)
     best = score(x)
-    step = step0
-    for _ in range(sweeps):
+    step = 0.5
+    for _ in range(200):
         improved = False
         for i in range(x.size):
             base = abs(x[i]) + 1.0
@@ -86,7 +75,7 @@ def hill_climb(score, x0, sweeps: int = 200, step0: float = 0.5,
                     improved = True
         if not improved:
             step *= 0.5
-            if step < step_min:
+            if step < 1e-4:
                 break
     return x, best
 
@@ -107,7 +96,7 @@ def _bernstein_ratio(sin_coeffs, b: float, floor: int = 512) -> float:
 
 
 def exp_bernstein_interval(b: float, n_list, trials: int = 60,
-                           seed: int = 0, jobs: int = 1) -> ExperimentReport:
+                           seed: int = 0) -> ExperimentReport:
     """Largest observed b sup|T'|_[-b/2,b/2] / (n sup|T|_[-b,b]) over odd T."""
     t0 = time.perf_counter()
     if not 0 < b < np.pi:
@@ -117,8 +106,7 @@ def exp_bernstein_interval(b: float, n_list, trials: int = 60,
     plans = [(n, [rng.standard_normal(n) for _ in range(trials)])
              for n in ns]
 
-    def _cell(plan):
-        n, cands = plan
+    def _cell(n, cands):
         ratios = [_bernstein_ratio(c, b, floor=256) for c in cands]
         start = cands[int(np.argmax(ratios))]
         _, climbed = hill_climb(lambda c: _bernstein_ratio(c, b, floor=512),
@@ -127,7 +115,7 @@ def exp_bernstein_interval(b: float, n_list, trials: int = 60,
                 "rho_random_best": float(max(ratios)),
                 "rho": float(climbed)}
 
-    grid = _map(_cell, plans, jobs)
+    grid = [_cell(n, cands) for n, cands in plans]
     overall = max(row["rho"] for row in grid)
     assertions = [
         Assertion("ratio_below_ten", overall < 10.0,
@@ -150,8 +138,7 @@ def exp_bernstein_interval(b: float, n_list, trials: int = 60,
 # kink approximation rate on an interval
 
 
-def exp_lemma_mod(b_list, n_list, seed: int = 0,
-                  jobs: int = 1) -> ExperimentReport:
+def exp_lemma_mod(b_list, n_list, seed: int = 0) -> ExperimentReport:
     """n E_n(F_1, [-b,b]) / b stays positive and stable; adding a linear
     term barely moves the error when b < pi."""
     t0 = time.perf_counter()
@@ -160,8 +147,7 @@ def exp_lemma_mod(b_list, n_list, seed: int = 0,
     if any(not 0 < b <= np.pi for b in bs):
         raise ValueError("need every b in (0, pi]")
 
-    def _cell(cell):
-        b, n = cell
+    def _cell(b, n):
         res = best_approx(lambda x: np.abs(x), n, domain=Interval(-b, b))
         kappa = n * res.post_check_error / b
         return {"b": b, "n": n, "error": res.error,
@@ -169,7 +155,7 @@ def exp_lemma_mod(b_list, n_list, seed: int = 0,
                 "kappa": float(kappa),
                 "alternations": res.alternation_count}
 
-    grid = _map(_cell, [(b, n) for b in bs for n in ns], jobs)
+    grid = [_cell(b, n) for b in bs for n in ns]
     kappas = [row["kappa"] for row in grid]
     kappa_min, kappa_max = float(min(kappas)), float(max(kappas))
 
@@ -260,7 +246,7 @@ def _domination_ratio(q: int, b: float, f, fq2, jets=(None, None)) -> float:
 
 
 def exp_lemma_3111(q: int, b: float, trials: int = 40,
-                   seed: int = 0, jobs: int = 1) -> ExperimentReport:
+                   seed: int = 0) -> ExperimentReport:
     """Max of b^{q-2} sup|f^{(q-2)}|_[-b,b] / sup|f|_[-2b,2b] over the
     half-convex family."""
     t0 = time.perf_counter()
@@ -272,13 +258,12 @@ def exp_lemma_3111(q: int, b: float, trials: int = 40,
     knots = np.linspace(0.0, 2 * b, 14, endpoint=False)
     draws = [np.abs(rng.standard_normal(knots.size)) for _ in range(trials)]
 
-    def _cell(item):
-        trial, w = item
+    def _cell(trial, w):
         f, fq2, *jets = _halfconvex_family(q, b, w, knots)
         return {"trial": trial,
                 "ratio": float(_domination_ratio(q, b, f, fq2, jets))}
 
-    grid = _map(_cell, list(enumerate(draws)), jobs)
+    grid = [_cell(trial, w) for trial, w in enumerate(draws)]
     best = max(row["ratio"] for row in grid)
 
     w7 = np.abs(rng.standard_normal(knots.size))
@@ -360,15 +345,13 @@ def _lemma22_minimum(q: int, knots: int) -> float:
     return float(np.abs(resid).max())
 
 
-def exp_lemma_22(q: int, knots: int = 16, seed: int = 0,
-                 jobs: int = 1) -> ExperimentReport:
+def exp_lemma_22(q: int, knots: int = 16, seed: int = 0) -> ExperimentReport:
     """Minimal distance from F_{q-2} to the convex-right/concave-left class
     on [-1,1], estimated by an LP over integrated hinge splines."""
     t0 = time.perf_counter()
     if q < 3:
         raise ValueError("need q >= 3")
-    coarse, fine = _map(lambda k: _lemma22_minimum(q, k),
-                        [knots, 2 * knots], jobs)
+    coarse, fine = _lemma22_minimum(q, knots), _lemma22_minimum(q, 2 * knots)
     change = abs(fine - coarse) / max(fine, 1e-300)
     assertions = [
         Assertion("floor_positive", fine > 0, f"minimum {fine:.6g} > 0"),
@@ -391,7 +374,7 @@ def exp_lemma_22(q: int, knots: int = 16, seed: int = 0,
 # constrained stagnation vs unconstrained decay
 
 
-def _contrast_cells(f, q: int, ys: SignChangeSet, ns, jobs: int = 1):
+def _contrast_cells(f, q: int, ys: SignChangeSet, ns):
     """Constrained and unconstrained solves per degree; returns the grid
     rows and the constrained results for reuse."""
     def _cell(n):
@@ -406,7 +389,7 @@ def _contrast_cells(f, q: int, ys: SignChangeSet, ns, jobs: int = 1):
                "alternations_unconstrained": unc.alternation_count}
         return row, con
 
-    pairs = _map(_cell, ns, jobs)
+    pairs = [_cell(n) for n in ns]
     return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
@@ -416,8 +399,8 @@ def _prepare_sign_set(y_points):
     return canonical, shift, canonical.min_gap()
 
 
-def exp_theorem_12(q: int, y_points, n_list, seed: int = 0,
-                   jobs: int = 1) -> ExperimentReport:
+def exp_theorem_12(q: int, y_points, n_list,
+                   seed: int = 0) -> ExperimentReport:
     """Ideal spline of degree q-2: constrained errors refuse to decay."""
     t0 = time.perf_counter()
     if q < 3:
@@ -426,7 +409,7 @@ def exp_theorem_12(q: int, y_points, n_list, seed: int = 0,
     canonical, shift, b = _prepare_sign_set(y_points)
     r = q - 2
     f = build_ideal_spline(r, b)
-    cells, _ = _contrast_cells(f, q, canonical, ns, jobs)
+    cells, _ = _contrast_cells(f, q, canonical, ns)
 
     con = [c["constrained"] for c in cells]
     unc = [c["unconstrained"] for c in cells]
@@ -458,8 +441,8 @@ def exp_theorem_12(q: int, y_points, n_list, seed: int = 0,
     return _finish(report, t0)
 
 
-def exp_theorem_13(q: int, y_points, n_list, seed: int = 0,
-                   jobs: int = 1) -> ExperimentReport:
+def exp_theorem_13(q: int, y_points, n_list,
+                   seed: int = 0) -> ExperimentReport:
     """Ideal spline of degree q-1: n times the constrained error stays flat."""
     t0 = time.perf_counter()
     if q < 3:
@@ -468,7 +451,7 @@ def exp_theorem_13(q: int, y_points, n_list, seed: int = 0,
     canonical, shift, b = _prepare_sign_set(y_points)
     r = q - 1
     f = build_ideal_spline(r, b)
-    cells, cons = _contrast_cells(f, q, canonical, ns, jobs)
+    cells, cons = _contrast_cells(f, q, canonical, ns)
 
     products = [c["n_constrained"] for c in cells]
     unc = [c["unconstrained"] for c in cells]
@@ -555,7 +538,7 @@ def window_floor_solve(target, n: int, q: int, b: float, poly_degree: int,
 
 
 def exp_lemma_aux(n_list, b, q: int, p: int, ledger: ConstantsLedger,
-                  d=None, seed: int = 0, jobs: int = 1,
+                  d=None, seed: int = 0,
                   table: MollifierTable | None = None) -> ExperimentReport:
     """Scaled-summand floor: n^{m+1} sup|f_{n,b} + P_r - T_n| on [-b,b]
     stays above a fixed share of the calibrated chain constant."""
@@ -586,7 +569,7 @@ def exp_lemma_aux(n_list, b, q: int, p: int, ledger: ConstantsLedger,
                 "error_with_poly": err_p, "post_with_poly": post_p,
                 "error_no_poly": err_np, "ratio": ratio}
 
-    grid = _map(_cell, ns, jobs)
+    grid = [_cell(n) for n in ns]
     ratios = [row["ratio"] for row in grid]
     slack_ok = all(row["error_with_poly"] <= row["error_no_poly"] * (1 + 1e-9)
                    for row in grid)
@@ -629,7 +612,7 @@ def measure_window_rate_constant(r: int, b_list, n_list) -> tuple:
     return float(worst), cells
 
 
-def calibrate_constants(q: int, p: int, d, seed: int = 0, jobs: int = 1,
+def calibrate_constants(q: int, p: int, d, seed: int = 0,
                         table: MollifierTable | None = None):
     """Measure the base constants and assemble the empirical ledger.
 
@@ -647,13 +630,11 @@ def calibrate_constants(q: int, p: int, d, seed: int = 0, jobs: int = 1,
     table = table or build_mollifier_table(max_order=max(8, p + 2))
 
     bern = exp_bernstein_interval(b=min(d, 0.9 * np.pi), n_list=(4, 8, 16),
-                                  trials=40, seed=seed + 1, jobs=jobs)
+                                  trials=40, seed=seed + 1)
     c0 = max(bern.constants[0].value, 1.0 + 1e-9)
-    mod = exp_lemma_mod(b_list=(d,), n_list=(8, 16, 32), seed=seed + 2,
-                        jobs=jobs)
+    mod = exp_lemma_mod(b_list=(d,), n_list=(8, 16, 32), seed=seed + 2)
     c1 = mod.constants[0].value
-    dom = exp_lemma_3111(q=max(q, 3), b=d / 2, trials=40, seed=seed + 3,
-                         jobs=jobs)
+    dom = exp_lemma_3111(q=max(q, 3), b=d / 2, trials=40, seed=seed + 3)
     c2 = dom.constants[0].value
     c3, c3_cells = measure_window_rate_constant(r, (d / 4, d / 8), (8, 16))
 

@@ -29,6 +29,16 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
+# Samples per unit of the degree hint: a trig polynomial of degree n has
+# at most 2n extrema a period, so 20 samples a degree put several samples
+# on every lobe and each maximum inside the bracket of its sample.
+SUP_POINTS_PER_DEGREE = 20
+# Golden-section rounds per bracket: each shrinks it by 0.618, so 60
+# rounds take any bracket below 1e-12 of its width.  They are the whole
+# polish for a callable without a jet and the budget for every bracket
+# Newton steps leave unresolved.
+GOLDEN_ROUNDS = 60
+
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _EPS = np.finfo(float).eps
 # Newton steps per bracket before it falls back to golden-section search
@@ -58,50 +68,11 @@ class Interval:
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, x, slack: float = 0.0):
-        return (self.lo - slack <= x) & (x <= self.hi + slack)
-
     def clip(self, x):
         return np.clip(x, self.lo, self.hi)
 
 
 FULL_PERIOD = Interval(-np.pi, np.pi)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Sampling density and refinement policy for norm and solver grids.
-
-    points_per_degree scales the sample count with the trig degree involved.
-    refinement_tolerance is the relative gap between a minimax grid's error
-    and its post-check at which regridding stops; sup norms do not read it.
-    max_refinements caps the regrid rounds of a minimax solve, and in a sup
-    norm the golden-section steps per bracket: those of a callable without
-    a jet, and those Newton polishing leaves unresolved.  The defaults are
-    the sup-norm settings.
-    """
-
-    points_per_degree: int = 20
-    refinement_tolerance: float = 1e-10
-    max_refinements: int = 60
-
-    def __post_init__(self):
-        if self.points_per_degree < 4:
-            raise ValueError("points_per_degree must be at least 4")
-        if not self.refinement_tolerance > 0:
-            raise ValueError("refinement_tolerance must be positive")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be a positive integer")
-
-    def sample_count(self, degree: int | None, floor: int = 256) -> int:
-        if degree is None:
-            return floor
-        return max(floor, self.points_per_degree * max(int(degree), 1))
-
-
-# Default for minimax objective/constraint grids: denser sampling, a few
-# regrid rounds, relative stopping gap.
-SOLVER_GRID = GridSpec(points_per_degree=40, refinement_tolerance=1e-7, max_refinements=4)
 
 
 def chebyshev_points(interval: Interval, count: int, open_ends: bool = False) -> np.ndarray:
@@ -199,6 +170,8 @@ def sup_norm(f, interval: Interval, degree_hint: int | None = None,
              seeds=None, floor: int = 256, jet=None) -> float:
     """Sup norm of f on the interval, Chebyshev sampling plus refinement.
 
+    The sample holds max(floor, SUP_POINTS_PER_DEGREE * degree_hint)
+    Chebyshev points, or floor points without a hint.
     seeds: optional extra sample abscissae (breakpoints, zone grids) merged
     into the Chebyshev sample before the local maxima are located.
     jet: optional callable returning the rows f, f' and f'' at an array of
@@ -208,8 +181,8 @@ def sup_norm(f, interval: Interval, degree_hint: int | None = None,
     """
     if jet is None:
         jet = getattr(f, "jet", None)
-    g = GridSpec()
-    count = g.sample_count(degree_hint, floor=floor)
+    count = floor if degree_hint is None \
+        else max(floor, SUP_POINTS_PER_DEGREE * max(int(degree_hint), 1))
     xs = chebyshev_points(interval, count)
     if seeds is not None and len(seeds) > 0:
         seeds = interval.clip(np.asarray(seeds, dtype=float))
@@ -234,6 +207,6 @@ def sup_norm(f, interval: Interval, degree_hint: int | None = None,
         best = max(best, polished)
         keep &= unresolved
     if keep.any():
-        refined = golden_refine_max(f, lo[keep], hi[keep], g.max_refinements)
+        refined = golden_refine_max(f, lo[keep], hi[keep], GOLDEN_ROUNDS)
         best = max(best, float(refined.max()))
     return best

@@ -85,9 +85,6 @@ class EpsRule:
 
     name = "abstract"
 
-    def value(self, n: int) -> float:
-        raise NotImplementedError
-
     def min_degree(self, threshold: Fraction, max_bits: int = DEFAULT_MAX_BITS) -> int:
         """Smallest n >= 1 with eps_n >= threshold.
 
@@ -113,9 +110,6 @@ class LogEps(EpsRule):
     # no computation; treat it as unrepresentable rather than grind out
     # million-digit exponentials (plans and their verification alike)
     _THRESHOLD_CAP = 700
-
-    def value(self, n: int) -> float:
-        return math.log(n + 2)
 
     def _lower(self, n: int) -> Fraction:
         """Certified rational lower bound on ln(n + 2), monotone in n."""
@@ -155,9 +149,6 @@ class PowerEps(EpsRule):
         self.a = a
         self.name = "linear" if a == 1 else f"power:{a}"
 
-    def value(self, n: int) -> float:
-        return float(n ** self.a)
-
     def min_degree(self, threshold: Fraction, max_bits: int = DEFAULT_MAX_BITS) -> int:
         n = max(1, iroot_ceil(max(ceil_fraction(threshold), 1), self.a))
         return self._budget(n, max_bits)
@@ -172,9 +163,6 @@ class GeometricEps(EpsRule):
         self.base = base
         self.name = f"geometric:{base}"
 
-    def value(self, n: int) -> float:
-        return float(self.base) ** n
-
     def min_degree(self, threshold: Fraction, max_bits: int = DEFAULT_MAX_BITS) -> int:
         return self._budget(max(1, ilog_threshold(self.base, threshold)), max_bits)
 
@@ -188,12 +176,6 @@ class TowerEps(EpsRule):
         self.base = base
         self.expo = expo
         self.name = f"tower:{base}:{expo}"
-
-    def value(self, n: int) -> float:
-        try:
-            return float(self.base) ** float(n ** self.expo)
-        except OverflowError:
-            return math.inf
 
     def min_degree(self, threshold: Fraction, max_bits: int = DEFAULT_MAX_BITS) -> int:
         e_min = ilog_threshold(self.base, threshold)
@@ -282,9 +264,6 @@ class ConstantsLedger:
 
     def __getitem__(self, key: str) -> Fraction:
         return self.constants[key]
-
-    def as_float(self, key: str) -> float:
-        return float(self.constants[key])
 
     def _check_proven(self):
         c = self.constants

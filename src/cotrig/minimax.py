@@ -17,10 +17,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import FULL_PERIOD, SOLVER_GRID, GridSpec, Interval, chebyshev_points
+from .grids import FULL_PERIOD, Interval, chebyshev_points
 from .signsets import SignChangeSet
-from .simplex import solve_lp
+from .simplex import LPNumericalError, solve_lp
 from .trigpoly import TrigPoly, coeffs_from_vector, trig_basis, trig_derivative_basis
+
+# Objective and constraint samples per unit of degree (at least 512),
+# twice the sup-norm density because the LP sees only the grid points.
+POINTS_PER_DEGREE = 40
+# Regridding stops once the post-check error on a grid four times finer
+# exceeds the grid error by less than this share of it.
+REFINEMENT_TOLERANCE = 1e-7
+# Regrid rounds after the first solve.
+MAX_REFINEMENTS = 4
+# Exchange rounds allowed in one grid solve; running out raises instead of
+# returning a fit that still violates the grid.
+EXCHANGE_ROUNDS = 60
 
 
 @dataclass
@@ -96,7 +108,7 @@ def _spread(total, count):
 
 
 def solve_grid_minimax(values, columns, cons_matrix=None, nonneg=None,
-                       max_iterations: int = 20000, start=None):
+                       start=None):
     """Best linear minimax fit on a fixed grid, solved by exchange.
 
     Minimises max_i |values_i - (columns theta)_i| over theta, subject to
@@ -113,7 +125,9 @@ def solve_grid_minimax(values, columns, cons_matrix=None, nonneg=None,
 
     The LP is solved on a working subset of grid points and constraint
     rows; the worst violated points and rows join it, and the solve
-    repeats until nothing on the whole grid violates.  ``start`` =
+    repeats until nothing on the whole grid violates.  LPNumericalError is
+    raised when violations remain but no new point or row can join, or
+    after EXCHANGE_ROUNDS solves.  ``start`` =
     (point indices, constraint indices) seeds the working set, and
     ``info["working_rows"]`` returns the final one in the same form.
     Coefficients whose largest contribution on the grid is below 1e-12
@@ -154,18 +168,17 @@ def solve_grid_minimax(values, columns, cons_matrix=None, nonneg=None,
     cap = k + 5
 
     total_iters = 0
-    rounds = 0
-    while rounds < 60:
-        rounds += 1
+    for rounds in range(1, EXCHANGE_ROUNDS + 1):
         A, rhs, cost = _minimax_lp(U[work_pts], C[work_cons], vals[work_pts])
-        sol = solve_lp(A, rhs, cost, max_iterations=max_iterations)
+        sol = solve_lp(A, rhs, cost)
         total_iters += sol.iterations
         phi = sol.duals[:k]
         t = -sol.objective
         over = np.abs(vals - U @ phi) - t
         under = -(C @ phi)
         tol = max(1e-9, 50.0 * sol.duality_gap)
-        if over.max(initial=0.0) <= tol and under.max(initial=0.0) <= tol:
+        worst = max(over.max(initial=0.0), under.max(initial=0.0))
+        if worst <= tol:
             break
         add_p = _violation_peaks(over, tol, cap)
         add_c = _violation_peaks(under, tol, cap)
@@ -176,8 +189,15 @@ def solve_grid_minimax(values, columns, cons_matrix=None, nonneg=None,
         new_pts = np.union1d(work_pts, add_p)
         new_cons = np.union1d(work_cons, add_c)
         if new_pts.size == work_pts.size and new_cons.size == work_cons.size:
-            break
+            raise LPNumericalError(
+                f"exchange stalled in round {rounds}: a violation of "
+                f"{worst:.3e} (tolerance {tol:.3e}) remains on rows already "
+                f"in the working set")
         work_pts, work_cons = new_pts, new_cons
+    else:
+        raise LPNumericalError(
+            f"exchange did not converge in {EXCHANGE_ROUNDS} rounds: a "
+            f"violation of {worst:.3e} (tolerance {tol:.3e}) remains")
 
     theta = to_theta @ phi * vscale
     reach = np.abs(theta) * np.abs(columns).max(axis=0, initial=0.0)
@@ -195,15 +215,15 @@ def solve_grid_minimax(values, columns, cons_matrix=None, nonneg=None,
     return theta, float(error), info
 
 
-def count_alternations(xs, residuals, level: float, rel_drop: float = 1e-6) -> int:
-    """Number of alternating near-extreme residual points at the given level."""
+def count_alternations(xs, residuals, level: float) -> int:
+    """Number of alternating residual points within 1e-6 of the level."""
     if level <= 0:
         return 0
     xs = np.asarray(xs)
     res = np.asarray(residuals)
     order = np.argsort(xs)
     res = res[order]
-    big = np.abs(res) >= (1.0 - rel_drop) * level
+    big = np.abs(res) >= (1.0 - 1e-6) * level
     signs = np.sign(res[big])
     signs = signs[signs != 0]
     if signs.size == 0:
@@ -261,7 +281,7 @@ def _nearest(grid, xs):
     return order[j]
 
 
-def _refinement_loop(target, degree: int, subintervals, grid: GridSpec,
+def _refinement_loop(target, degree: int, subintervals,
                      cons_builder=None, cons_check=None):
     """Shared solve-refine loop.
 
@@ -271,7 +291,7 @@ def _refinement_loop(target, degree: int, subintervals, grid: GridSpec,
     its points map exactly; constraint points map to their nearest
     neighbour on a densified constraint grid.
     """
-    total = max(grid.points_per_degree * max(degree, 1), 512)
+    total = max(POINTS_PER_DEGREE * max(degree, 1), 512)
     points = _split_points(subintervals, total)
     fine = _split_points(subintervals, 4 * total)
     scale = float(np.abs(np.asarray(target(fine))).max())
@@ -280,7 +300,7 @@ def _refinement_loop(target, degree: int, subintervals, grid: GridSpec,
     rounds = []
     best = None
     carried = None
-    for round_idx in range(max(grid.max_refinements, 1) + 1):
+    for round_idx in range(MAX_REFINEMENTS + 1):
         values = np.asarray(target(points), dtype=float)
         columns = trig_basis(points, degree)
         cons_pts, cons_matrix = cons_builder() if cons_builder is not None \
@@ -305,7 +325,7 @@ def _refinement_loop(target, degree: int, subintervals, grid: GridSpec,
                        "post_check_error": post,
                        "constraint_violation": violation})
         best = (tp, error, post, info, residual, fine_all, violation)
-        gap_ok = (post - error) <= grid.refinement_tolerance * max(error, floor) \
+        gap_ok = (post - error) <= REFINEMENT_TOLERANCE * max(error, floor) \
             or post <= floor
         if gap_ok and cons_ok:
             break
@@ -324,17 +344,14 @@ def _refinement_loop(target, degree: int, subintervals, grid: GridSpec,
                         alternation_count=alternations, rounds=rounds)
 
 
-def best_approx(target, degree: int, domain: Interval | None = None,
-                grid: GridSpec | None = None) -> ApproxResult:
+def best_approx(target, degree: int,
+                domain: Interval | None = None) -> ApproxResult:
     """Best unconstrained trig approximation on the domain (default: period)."""
-    g = grid or SOLVER_GRID
-    iv = domain or FULL_PERIOD
-    return _refinement_loop(target, degree, [iv], g)
+    return _refinement_loop(target, degree, [domain or FULL_PERIOD])
 
 
-def best_co_q_monotone(target, degree: int, q: int, ys: SignChangeSet,
-                       objective_grid: GridSpec | None = None,
-                       constraint_grid: GridSpec | None = None) -> ApproxResult:
+def best_co_q_monotone(target, degree: int, q: int,
+                       ys: SignChangeSet) -> ApproxResult:
     """Best approximation whose q-th derivative obeys the sign pattern of ys.
 
     Both grids refine independently: the objective grid at residual maxima,
@@ -343,10 +360,7 @@ def best_co_q_monotone(target, degree: int, q: int, ys: SignChangeSet,
     """
     if q < 1:
         raise ValueError("q must be a positive integer")
-    og = objective_grid or SOLVER_GRID
-    cg = constraint_grid or SOLVER_GRID
-    per_gap = max(cg.points_per_degree * max(degree, 1), 512)
-    lo = ys.points[0]
+    per_gap = max(POINTS_PER_DEGREE * max(degree, 1), 512)
     subintervals = [Interval(a, b) for a, b, _ in ys.intervals()]
 
     state = {"per_gap": per_gap, "densify": 0}
@@ -365,5 +379,5 @@ def best_co_q_monotone(target, degree: int, q: int, ys: SignChangeSet,
             return max(0.0, -worst), False
         return max(0.0, -worst), True
 
-    return _refinement_loop(target, degree, subintervals, og,
+    return _refinement_loop(target, degree, subintervals,
                             cons_builder=cons_builder, cons_check=cons_check)

@@ -26,6 +26,9 @@ _EDGE = 2e-3
 
 _MAX_DERIVATIVE = 12
 
+# degree of the Chebyshev interpolant of S
+_CHEB_DEGREE = 96
+
 
 def _prefactor_polys(count: int):
     """P_k for psi^(k) = P_k / (1-t^2)^(2k) * psi, exact small-int recursion.
@@ -86,21 +89,18 @@ def bump_mass() -> float:
 
 @dataclass
 class MollifierTable:
-    """Cached values and norms of the smooth step S and its derivatives.
+    """The smooth step S, its derivatives and their sup norms.
 
-    grid is a fine uniform partition of [-1, 1]; values[j] holds S^(j) on it
-    (j = 0 is S itself).  sup_norms[j] is the sup of |S^(j)| from
-    sup_step_derivative (exactly 1 for j = 0).  cheb_coeffs is a Chebyshev
-    interpolant of S on [-1, 1] used when transition zones are integrated
-    exactly.
+    S itself is the Chebyshev interpolant cheb_coeffs (degree cheb_degree)
+    on [-1, 1], which transition zones integrate exactly; S^(j) for j >= 1
+    is the closed-form scaled bump derivative.  mass is the bump mass Z.
+    sup_norms[j] is the sup of |S^(j)| from sup_step_derivative (exactly 1
+    for j = 0), for j up to max_order.
     """
 
-    grid_size: int
     max_order: int
     cheb_degree: int
     mass: float
-    grid: np.ndarray = field(repr=False)
-    values: list = field(repr=False)
     sup_norms: np.ndarray = field(repr=False)
     cheb_coeffs: np.ndarray = field(repr=False)
 
@@ -139,7 +139,6 @@ class MollifierTable:
     def to_dict(self) -> dict:
         return {
             "kind": "mollifier_table",
-            "grid_size": self.grid_size,
             "max_order": self.max_order,
             "cheb_degree": self.cheb_degree,
             "mass": self.mass,
@@ -169,37 +168,30 @@ def _cumulative_bump(us: np.ndarray, mass: float) -> np.ndarray:
 _TABLE_CACHE: dict = {}
 
 
-def build_mollifier_table(grid_size: int = 2049, max_order: int = 8,
-                          cheb_degree: int = 96) -> MollifierTable:
+def build_mollifier_table(max_order: int = 8) -> MollifierTable:
     """Build (or fetch from cache) the step table.
 
-    The Chebyshev interpolant is fitted to S at first-kind nodes; since S is
-    C^infinity its coefficients decay fast enough for zone construction, and
-    the accuracy is asserted against direct quadrature in the test suite.
+    The Chebyshev interpolant of degree _CHEB_DEGREE is fitted to S at
+    first-kind nodes; since S is C^infinity its coefficients decay fast
+    enough for zone construction, and the accuracy is asserted against
+    direct quadrature in the test suite.
     """
-    key = (grid_size, max_order, cheb_degree)
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
-    if grid_size < 257:
-        raise ValueError("grid_size too small for the sampled table")
+    if max_order in _TABLE_CACHE:
+        return _TABLE_CACHE[max_order]
     if max_order > _MAX_DERIVATIVE:
         raise ValueError(f"max_order capped at {_MAX_DERIVATIVE}")
     mass = bump_mass()
-    grid = np.linspace(-1.0, 1.0, grid_size)
 
     # interpolation at first-kind nodes: chebfit with full degree is exact there
-    nodes = np.cos(np.pi * (2.0 * np.arange(cheb_degree + 1) + 1.0) / (2.0 * (cheb_degree + 1)))
+    k = np.arange(_CHEB_DEGREE + 1)
+    nodes = np.cos(np.pi * (2.0 * k + 1.0) / (2.0 * (_CHEB_DEGREE + 1)))
     s_nodes = -1.0 + 2.0 / mass * _cumulative_bump(nodes, mass)
-    cheb_coeffs = _cheb.chebfit(nodes, s_nodes, cheb_degree)
+    cheb_coeffs = _cheb.chebfit(nodes, s_nodes, _CHEB_DEGREE)
 
-    table = MollifierTable(grid_size=grid_size, max_order=max_order,
-                           cheb_degree=cheb_degree, mass=mass, grid=grid,
-                           values=[], sup_norms=np.zeros(max_order + 1),
+    table = MollifierTable(max_order=max_order, cheb_degree=_CHEB_DEGREE,
+                           mass=mass, sup_norms=np.zeros(max_order + 1),
                            cheb_coeffs=cheb_coeffs)
-
-    table.values = [table.step(grid)] + [table.step_derivative(j, grid)
-                                         for j in range(1, max_order + 1)]
     table.sup_norms = np.asarray(
         [1.0] + [table.sup_step_derivative(j) for j in range(1, max_order + 1)])
-    _TABLE_CACHE[key] = table
+    _TABLE_CACHE[max_order] = table
     return table

@@ -82,11 +82,6 @@ class SignChangeSet:
         cyclic = pts[l:] + [p + TWO_PI for p in pts[:l]]
         return SignChangeSet([p + shift for p in cyclic]), shift
 
-    def shifted(self, theta: float) -> "SignChangeSet":
-        """Translate every point by theta (the wrap order is preserved)."""
-        pts = sorted(p + theta for p in self.points)
-        return SignChangeSet(pts)
-
     def product(self, t):
         """prod_i (t - y_i) for t in the one-period window above the lowest point."""
         t = np.asarray(t, dtype=float)
@@ -101,14 +96,13 @@ class SignChangeSet:
 
 def delta_q_membership_by_convexity(fq2, ys: SignChangeSet,
                                     tol: float | None = None,
-                                    points_per_gap: int = 256,
-                                    h_rel: float = 1e-3,
                                     return_margin: bool = False):
     """Membership check through the defining convexity pattern.
 
     fq2 evaluates the (q-2)-nd derivative.  On each gap, sign * fq2 must be
     convex: its symmetric second differences, taken strictly inside the
-    open gap, must be nonnegative up to tol.  This form also covers
+    open gap, must be nonnegative up to tol.  They are taken at 256
+    points a gap with step 1e-3 of its width.  This form also covers
     splines whose q-th derivative only exists piecewise, since the
     definition constrains each open gap separately.
     """
@@ -116,8 +110,8 @@ def delta_q_membership_by_convexity(fq2, ys: SignChangeSet,
     scale = 1.0
     for glo, ghi, sign in ys.intervals():
         width = ghi - glo
-        h = h_rel * width
-        xs = np.linspace(glo + 1.5 * h, ghi - 1.5 * h, points_per_gap)
+        h = 1e-3 * width
+        xs = np.linspace(glo + 1.5 * h, ghi - 1.5 * h, 256)
         lo_v = np.asarray(fq2(xs - h), dtype=float)
         mid_v = np.asarray(fq2(xs), dtype=float)
         hi_v = np.asarray(fq2(xs + h), dtype=float)
@@ -132,21 +126,22 @@ def delta_q_membership_by_convexity(fq2, ys: SignChangeSet,
     return ok
 
 
-def delta_q_membership(dq, ys: SignChangeSet, tol: float | None = None,
-                       points_per_gap: int = 512, extra_points=None,
+def delta_q_membership(dq, ys: SignChangeSet, extra_points=None,
                        return_margin: bool = False):
     """Grid check of the sign pattern dq(t) * prod(t - y_i) >= -tol.
 
     dq evaluates the q-th derivative of the candidate function on arrays.
     The grid covers one period from the lowest sign-change point, densely
-    inside every gap and excluding the sign-change points themselves.
+    inside every gap (512 Chebyshev points each) and excluding the
+    sign-change points themselves.
     extra_points lets callers add abscissae (e.g. mollification zones whose
-    width is far below the default grid resolution).
+    width is far below the default grid resolution).  tol is 1e-9 of
+    max(1, max|dq|) over the samples.
     """
     lo = ys.points[0]
     samples = []
     for glo, ghi, _ in ys.intervals():
-        samples.append(chebyshev_points(Interval(glo, ghi), points_per_gap, open_ends=True))
+        samples.append(chebyshev_points(Interval(glo, ghi), 512, open_ends=True))
     if extra_points is not None and len(extra_points):
         pts = np.asarray(extra_points, dtype=float)
         pts = lo + np.mod(pts - lo, TWO_PI)
@@ -155,9 +150,8 @@ def delta_q_membership(dq, ys: SignChangeSet, tol: float | None = None,
     vals = np.asarray(dq(ts), dtype=float)
     prods = ys.product(ts)
     signed = vals * prods
-    if tol is None:
-        scale = float(np.abs(vals).max()) if vals.size else 0.0
-        tol = 1e-9 * max(scale, 1.0)
+    scale = float(np.abs(vals).max()) if vals.size else 0.0
+    tol = 1e-9 * max(scale, 1.0)
     margin = float(signed.min()) if signed.size else 0.0
     ok = margin >= -tol
     if return_margin:

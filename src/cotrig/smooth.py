@@ -82,10 +82,11 @@ class SmoothSpline:
         k = j - self.r
         return self.table.sup_step_derivative(k) / self.lam ** k
 
-    def seed_points(self, per_zone: int = 65) -> np.ndarray:
+    def seed_points(self) -> np.ndarray:
+        """Top-level breakpoints and 65 Chebyshev points in every zone."""
         seeds = [self.levels[-1].breakpoints]
         for lo, hi in self.zones():
-            seeds.append(chebyshev_points(Interval(lo, hi), per_zone))
+            seeds.append(chebyshev_points(Interval(lo, hi), 65))
         return np.unique(np.concatenate(seeds))
 
     def to_dict(self) -> dict:
@@ -129,7 +130,7 @@ def build_smooth_spline(r: int, d: float, lam: float,
                         levels=zero_mean_levels(base, r))
 
 
-def spline_distance(f, g, window: Interval, seeds=None, floor: int = 4096) -> float:
+def spline_distance(f, g, window: Interval, seeds=None) -> float:
     """Refined sup of |f - g| over the window, seeding kink and zone points.
 
     When both f and g have a jet, so does the difference, and the maxima
@@ -139,4 +140,4 @@ def spline_distance(f, g, window: Interval, seeds=None, floor: int = 4096) -> fl
     if hasattr(f, "jet") and hasattr(g, "jet"):
         jet = lambda x: f.jet(x) - g.jet(x)
     return sup_norm(lambda x: np.asarray(f(x)) - np.asarray(g(x)), window,
-                    seeds=seeds, floor=floor, jet=jet)
+                    seeds=seeds, floor=4096, jet=jet)

@@ -71,16 +71,6 @@ class TrigPoly:
             a0 = 0.0
         return TrigPoly(a0, ac, bs)
 
-    def shifted(self, theta: float) -> "TrigPoly":
-        """Return the polynomial t -> self(t - theta)."""
-        n = self.degree
-        k = np.arange(1, n + 1, dtype=float)
-        c, s = np.cos(k * theta), np.sin(k * theta)
-        # cos(k(t-theta)) = cos kt cos ktheta + sin kt sin ktheta, etc.
-        ac = self.cos_coeffs * c - self.sin_coeffs * s
-        bs = self.cos_coeffs * s + self.sin_coeffs * c
-        return TrigPoly(self.a0, ac, bs)
-
     def __add__(self, other):
         if isinstance(other, TrigPoly):
             n = max(self.degree, other.degree)
@@ -154,16 +144,3 @@ def coeffs_from_vector(theta: np.ndarray, degree: int) -> TrigPoly:
     """Build a TrigPoly from a stacked coefficient vector [a0, cos..., sin...]."""
     theta = np.asarray(theta, dtype=float)
     return TrigPoly(theta[0], theta[1 : degree + 1], theta[degree + 1 : 2 * degree + 1])
-
-
-def random_trig(rng: np.random.Generator, degree: int, odd: bool = False,
-                decay: float = 0.0) -> TrigPoly:
-    """Random polynomial with N(0,1) coefficients, optionally odd or decayed."""
-    k = np.arange(1, degree + 1, dtype=float)
-    damp = np.exp(-decay * k)
-    bs = rng.standard_normal(degree) * damp
-    if odd:
-        return TrigPoly(0.0, np.zeros(degree), bs)
-    ac = rng.standard_normal(degree) * damp
-    a0 = float(rng.standard_normal())
-    return TrigPoly(a0, ac, bs)

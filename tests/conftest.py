@@ -1,6 +1,6 @@
 """Shared fixtures: the mollifier table, two small constants ledgers, a
-continuity probe for piecewise Chebyshev series, and a hypothesis draw of
-random ones.
+continuity probe for piecewise Chebyshev series, a hypothesis draw of
+random ones, and random trigonometric polynomials.
 
 The toy ledger uses round numbers so recursion-plan arithmetic can be
 checked against hand-computed exact values; the table ledger carries the
@@ -17,6 +17,7 @@ from numpy.polynomial.chebyshev import chebval
 from cotrig.ledger import make_empirical_ledger
 from cotrig.mollifier import build_mollifier_table
 from cotrig.piecewise import PiecewiseCheb
+from cotrig.trigpoly import TrigPoly
 
 
 @pytest.fixture(scope="session")
@@ -81,3 +82,21 @@ def _draw_piecewise(data):
 @pytest.fixture(scope="session")
 def draw_piecewise():
     return _draw_piecewise
+
+
+def _random_trig(rng, degree, odd=False, decay=0.0):
+    """Random TrigPoly with N(0,1) coefficients damped by exp(-decay k),
+    odd (sine terms only) on request."""
+    k = np.arange(1, degree + 1, dtype=float)
+    damp = np.exp(-decay * k)
+    bs = rng.standard_normal(degree) * damp
+    if odd:
+        return TrigPoly(0.0, np.zeros(degree), bs)
+    ac = rng.standard_normal(degree) * damp
+    a0 = float(rng.standard_normal())
+    return TrigPoly(a0, ac, bs)
+
+
+@pytest.fixture(scope="session")
+def random_trig():
+    return _random_trig

@@ -40,7 +40,7 @@ def test_build_partial_sum_round_trip(tmp_path, toy_ledger, table,
     plan = plan_recursion(ledger, Fraction(d), K + 1, eps_rule=rule,
                           max_bits=max_bits or DEFAULT_MAX_BITS)
     built = build_partial_sum(plan, K, table=table)
-    reloaded, _, _ = cli._resolve_target(str(artifact_path))
+    reloaded, _ = cli._resolve_target(str(artifact_path))
     xs = np.linspace(-np.pi, np.pi, 64)
     assert np.array_equal(reloaded(xs), built(xs))
 
@@ -56,7 +56,7 @@ def test_build_spline_round_trip(tmp_path, table, argv, direct):
     out = tmp_path / "run"
     assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
     artifact_path = out / "artifacts" / f"{argv[1]}.json"
-    reloaded, _, _ = cli._resolve_target(str(artifact_path))
+    reloaded, _ = cli._resolve_target(str(artifact_path))
     xs = np.linspace(-np.pi, np.pi, 64)
     assert np.array_equal(reloaded(xs), direct(table)(xs))
 
@@ -98,3 +98,27 @@ def test_solve_f1_at_degree_24(tmp_path):
     assert cli.main(argv) == cli.EXIT_OK
     solution = json.loads((out / "artifacts" / "solution.json").read_text())
     assert solution["post_check_error"] >= solution["error"] > 0
+
+
+def _exit_code(argv) -> int:
+    """cli.main's return code, or the code of the SystemExit argparse raises."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("extra, config", [
+    (["--jobs", "2"], None),
+    (["--points-per-degree", "8"], None),
+    ([], {"jobs": 2}),
+], ids=["jobs-flag", "points-per-degree-flag", "jobs-config-key"])
+def test_retired_options_are_usage_errors(tmp_path, extra, config):
+    # the solver and sampling policy is fixed: no thread pool, no density
+    argv = ["solve", "--target", "cos", "--degree", "2",
+            "--out", str(tmp_path / "run")] + extra
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert _exit_code(argv) == cli.EXIT_USAGE

@@ -27,14 +27,7 @@ def test_transition_width_exact(toy_ledger):
 def test_canonical_sign_set():
     ys = canonical_sign_set(1.0)
     assert ys.points == (-1.0, 0.0)
-    ys2 = canonical_sign_set(0.5, s=2)
-    assert len(ys2.points) == 4
-    assert ys2.points[:2] == (-0.5, 0.0)
-    assert ys2.min_gap() == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        canonical_sign_set(2.0, s=3)
-    with pytest.raises(ValueError):
-        canonical_sign_set(1.0, s=0)
+    assert ys.min_gap() == pytest.approx(1.0)
 
 
 def test_summand_validation(toy_ledger):

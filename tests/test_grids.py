@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cotrig import grids
 from cotrig.experiments import _halfconvex_family
-from cotrig.grids import (FULL_PERIOD, GridSpec, Interval, chebyshev_points,
+from cotrig.grids import (FULL_PERIOD, Interval, chebyshev_points,
                           golden_refine_max, sup_norm)
 from cotrig.piecewise import PiecewiseCheb
 from cotrig.smooth import build_smooth_spline
@@ -20,9 +20,6 @@ def test_interval_basic_properties():
     iv = Interval(-1.0, 3.0)
     assert iv.width == 4.0
     assert iv.midpoint == 1.0
-    assert iv.contains(0.0)
-    assert not iv.contains(3.5)
-    assert iv.contains(3.5, slack=1.0)
     assert iv.clip(5.0) == 3.0
     assert iv.clip(-5.0) == -1.0
 
@@ -43,22 +40,20 @@ def test_full_period_width():
     assert FULL_PERIOD.hi == np.pi
 
 
-def test_gridspec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(points_per_degree=3)
-    with pytest.raises(ValueError):
-        GridSpec(refinement_tolerance=0.0)
-    with pytest.raises(ValueError):
-        GridSpec(max_refinements=0)
+def test_sup_norm_sample_count():
+    # the first call to f evaluates the Chebyshev sample: 20 points a
+    # degree, never fewer than floor, and floor without a degree hint
+    for degree_hint, floor, count in [(None, 256, 256), (None, 100, 100),
+                                      (50, 256, 1000), (5, 256, 256),
+                                      (0, 256, 256)]:
+        calls = []
 
+        def f(x):
+            calls.append(np.size(x))
+            return np.cos(x)
 
-def test_gridspec_sample_count():
-    g = GridSpec(points_per_degree=10)
-    assert g.sample_count(None) == 256
-    assert g.sample_count(None, floor=100) == 100
-    assert g.sample_count(50) == 500
-    assert g.sample_count(5) == 256
-    assert g.sample_count(0) == 256
+        sup_norm(f, Interval(-1.0, 1.0), degree_hint=degree_hint, floor=floor)
+        assert calls[0] == count
 
 
 def test_chebyshev_points_closed_hits_endpoints():

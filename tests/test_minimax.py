@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from cotrig.grids import Interval
+from cotrig import minimax
 from cotrig.minimax import (best_approx, best_co_q_monotone,
                             count_alternations, solve_grid_minimax)
 from cotrig.signsets import SignChangeSet
+from cotrig.simplex import LPNumericalError
 from cotrig.splines import build_ideal_spline
-from cotrig.trigpoly import random_trig
+from cotrig.trigpoly import trig_basis
 
 
 def test_constant_fit():
@@ -66,6 +68,18 @@ def test_zero_values_are_fit_exactly():
     assert theta[0] == pytest.approx(0.0, abs=1e-14)
 
 
+def test_exchange_round_cap_raises(monkeypatch):
+    # |x| at degree 4 on 2001 points: the 33-point starting working set
+    # misses the kink, so the exchange needs a second round
+    xs = np.linspace(-np.pi, np.pi, 2001)
+    values, columns = np.abs(xs), trig_basis(xs, 4)
+    _, _, info = solve_grid_minimax(values, columns)
+    assert info["outer_rounds"] >= 2
+    monkeypatch.setattr(minimax, "EXCHANGE_ROUNDS", 1)
+    with pytest.raises(LPNumericalError, match="did not converge in 1 round"):
+        solve_grid_minimax(values, columns)
+
+
 def test_count_alternations_of_pure_harmonic():
     xs = np.linspace(-np.pi, np.pi, 4001)
     assert count_alternations(xs, np.cos(4 * xs), 1.0) == 9
@@ -81,7 +95,7 @@ def test_best_approx_reproduces_representable_target():
     assert res.approximant.sin_coeffs[0] == pytest.approx(1.0, abs=1e-8)
 
 
-def test_best_approx_alternation_and_post_check():
+def test_best_approx_alternation_and_post_check(random_trig):
     target = random_trig(np.random.default_rng(1), 7, decay=0.25)
     res = best_approx(target, 3)
     assert res.error > 0
@@ -98,7 +112,7 @@ def test_best_approx_on_subinterval():
     assert res_local.error < res_global.error
 
 
-def test_degree_monotonicity():
+def test_degree_monotonicity(random_trig):
     target = random_trig(np.random.default_rng(2), 8, decay=0.3)
     errors = [best_approx(target, n).post_check_error for n in (2, 4, 6)]
     assert errors[1] <= errors[0] * (1 + 1e-6) + 1e-12
@@ -115,7 +129,7 @@ def test_constrained_solve_on_feasible_target():
     assert res.approximant.sin_coeffs[0] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_constrained_never_beats_unconstrained():
+def test_constrained_never_beats_unconstrained(random_trig):
     ys = SignChangeSet([-np.pi / 2, 0.0])
     rng = np.random.default_rng(9)
     for _ in range(6):

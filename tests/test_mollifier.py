@@ -120,8 +120,6 @@ def test_table_cache_returns_same_object(table):
 
 def test_table_validation():
     with pytest.raises(ValueError):
-        build_mollifier_table(grid_size=100)
-    with pytest.raises(ValueError):
         build_mollifier_table(max_order=13)
 
 

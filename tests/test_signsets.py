@@ -69,11 +69,6 @@ def test_shift_to_canonical_wrap_gap():
     assert canon.min_gap() == pytest.approx(ys.min_gap())
 
 
-def test_shifted_preserves_structure():
-    ys = SignChangeSet([-1.0, 0.5]).shifted(0.25)
-    assert ys.points == (-0.75, 0.75)
-
-
 def test_product():
     ys = SignChangeSet([-1.0, 1.0])
     ts = np.array([0.0, 2.0])

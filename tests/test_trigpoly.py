@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from cotrig.trigpoly import (TrigPoly, coeffs_from_vector, random_trig,
-                             trig_basis, trig_derivative_basis)
+from cotrig.trigpoly import (TrigPoly, coeffs_from_vector, trig_basis,
+                             trig_derivative_basis)
 
 
 def test_evaluation_matches_closed_forms():
@@ -21,7 +21,7 @@ def test_scalar_call_returns_float():
     assert out == pytest.approx(1.0 + 2.0 * np.cos(0.3) + 0.5 * np.sin(0.3))
 
 
-def test_periodicity():
+def test_periodicity(random_trig):
     rng = np.random.default_rng(3)
     p = random_trig(rng, 5)
     ts = np.linspace(0, 1, 7)
@@ -51,7 +51,7 @@ def test_fourth_derivative_is_identity_at_degree_one():
     assert np.allclose(d4.sin_coeffs, p.sin_coeffs)
 
 
-def test_jet_matches_derivative_evaluations():
+def test_jet_matches_derivative_evaluations(random_trig):
     p = random_trig(np.random.default_rng(3), 7)
     t = np.linspace(-3.0, 3.0, 41)
     jet = p.jet(t)
@@ -68,14 +68,6 @@ def test_derivative_order_validation():
         TrigPoly(0.0, [1.0]).derivative(-1)
     q = TrigPoly(2.0, [1.0]).derivative(0)
     assert q.a0 == 2.0
-
-
-def test_shifted_translates_argument():
-    rng = np.random.default_rng(11)
-    p = random_trig(rng, 4)
-    q = p.shifted(0.9)
-    ts = np.linspace(-3, 3, 25)
-    assert np.allclose(q(ts), p(ts - 0.9), atol=1e-12)
 
 
 def test_arithmetic():
@@ -118,7 +110,7 @@ def test_coeffs_from_vector_layout():
     assert p.sin_coeffs.tolist() == [4.0, 5.0]
 
 
-def test_random_trig_odd_and_deterministic():
+def test_random_trig_odd_and_deterministic(random_trig):
     p = random_trig(np.random.default_rng(5), 6, odd=True)
     q = random_trig(np.random.default_rng(5), 6, odd=True)
     assert p.a0 == 0.0
@@ -128,7 +120,7 @@ def test_random_trig_odd_and_deterministic():
     assert np.allclose(p(-ts), -p(ts))
 
 
-def test_random_trig_decay_shrinks_high_modes():
+def test_random_trig_decay_shrinks_high_modes(random_trig):
     p = random_trig(np.random.default_rng(0), 40, decay=0.5)
     assert np.abs(p.sin_coeffs[-5:]).max() < 1e-6
 
