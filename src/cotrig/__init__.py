@@ -21,7 +21,7 @@ from .reports import (Assertion, ConstantReading, ExperimentReport,
                       write_report_files)
 from .signsets import (SignChangeSet, delta_q_membership,
                        delta_q_membership_by_convexity)
-from .simplex import (LPError, LPInfeasibleError, LPSolution,
+from .simplex import (LinearProgram, LPError, LPInfeasibleError, LPSolution,
                       LPUnboundedError, solve_lp)
 from .smooth import SmoothSpline, build_smooth_spline, spline_distance
 from .splines import IdealSpline, abs_power, build_ideal_spline, step_offset
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproxResult", "Assertion", "ConstantReading", "ConstantsLedger",
-    "EpsGrowthError", "ExperimentReport", "FULL_PERIOD", "IdealSpline", "Interval", "LPError", "LPInfeasibleError", "LPSolution",
+    "EpsGrowthError", "ExperimentReport", "FULL_PERIOD", "IdealSpline", "Interval", "LinearProgram", "LPError", "LPInfeasibleError", "LPSolution",
     "LPUnboundedError", "MollifierTable", "PartialSum", "PiecewiseCheb",
     "RealizabilityError", "RecursionPlan", "SignChangeSet", "SmoothSpline",
     "Summand", "TrigPoly", "abs_power", "best_approx", "best_co_q_monotone",

@@ -358,6 +358,7 @@ def cmd_solve(cfg: dict, out_dir: Path) -> int:
         "alternation_count": result.alternation_count,
         "iterations": result.iterations,
         "duality_gap": result.duality_gap,
+        "rounds": result.rounds,
     }
     write_json(out_dir / "artifacts" / "solution.json", solution)
     lines = [

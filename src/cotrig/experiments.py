@@ -41,8 +41,8 @@ def _check_degrees(n_list, large: bool = False):
     if any(n < 1 for n in ns):
         raise ValueError("degrees must be positive")
     if max(ns) > cap:
-        hint = "" if large else (f"; only lemma-aux takes degrees up to "
-                                 f"{DEGREE_CAP_LARGE}")
+        hint = "" if large else (f"; only lemma-aux, thm-12 and thm-13 take "
+                                 f"degrees up to {DEGREE_CAP_LARGE}")
         raise ValueError(f"degree {max(ns)} exceeds this experiment's cap "
                          f"{cap}{hint}")
     return ns
@@ -405,7 +405,7 @@ def exp_theorem_12(q: int, y_points, n_list,
     t0 = time.perf_counter()
     if q < 3:
         raise ValueError("need q >= 3")
-    ns = _check_degrees(n_list)
+    ns = _check_degrees(n_list, large=True)
     canonical, shift, b = _prepare_sign_set(y_points)
     r = q - 2
     f = build_ideal_spline(r, b)
@@ -447,7 +447,7 @@ def exp_theorem_13(q: int, y_points, n_list,
     t0 = time.perf_counter()
     if q < 3:
         raise ValueError("need q >= 3")
-    ns = _check_degrees(n_list)
+    ns = _check_degrees(n_list, large=True)
     canonical, shift, b = _prepare_sign_set(y_points)
     r = q - 1
     f = build_ideal_spline(r, b)

@@ -3,9 +3,13 @@
 The continuous problem min_T max_t |g(t) - T(t)|, optionally subject to the
 sign pattern sigma_l * T^(q) >= 0 on prescribed gaps, is sampled on
 Chebyshev-clustered grids and solved as a linear program by HiGHS.  The LP
-is posed in an orthonormal basis of the sampled columns, in dual standard
-form over an exchanged working set of grid points and sign constraints;
-the coefficients are the LP's row duals.  Grids are then refined at the
+is posed in an orthonormal basis phi of the sampled columns and the level
+t: min t subject to |v_i - u_i.phi| <= t at the grid points of a working
+set and c_l.phi >= 0 at its sign constraints.  An exchange adds the worst
+violated points and constraints to the working set until nothing on the
+grid violates.  Each grid solve keeps one growing HiGHS model: new rows
+are appended to it and it is re-solved from its last optimal basis, so a
+round costs a few dual simplex pivots.  Grids are then refined at the
 residual maxima (and, for constrained problems, densified where the sign
 pattern fails) until the discrete error and a finer post-check agree, and
 each round's exchange starts from the working set the last one ended on.
@@ -19,7 +23,7 @@ import numpy as np
 
 from .grids import FULL_PERIOD, Interval, chebyshev_points
 from .signsets import SignChangeSet
-from .simplex import LPNumericalError, solve_lp
+from .simplex import LinearProgram, LPNumericalError, solve_lp
 from .trigpoly import TrigPoly, coeffs_from_vector, trig_basis, trig_derivative_basis
 
 # Objective and constraint samples per unit of degree (at least 512),
@@ -57,27 +61,6 @@ class ApproxResult:
             "alternation_count": self.alternation_count,
             "rounds": self.rounds,
         }
-
-
-def _minimax_lp(Uw, Cw, vw):
-    """Dual standard form of min t, |vw - Uw phi| <= t, Cw phi >= 0.
-
-    The multipliers of the two residual sides and of the constraint rows
-    are the LP's variables; its row duals are (phi, t) and its optimum is
-    -t.  The basis dimension is the number of coefficients plus one,
-    whatever the size of the working set.
-    """
-    mw, k = Uw.shape
-    lw = Cw.shape[0]
-    A = np.zeros((k + 1, 2 * mw + lw))
-    A[:k, :mw] = Uw.T
-    A[:k, mw:2 * mw] = -Uw.T
-    A[:k, 2 * mw:] = -Cw.T
-    A[k, :2 * mw] = -1.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = -1.0
-    cost = np.concatenate([vw, -vw, np.zeros(lw)])
-    return A, rhs, cost
 
 
 def _violation_peaks(scores, tol, cap):
@@ -124,8 +107,11 @@ def solve_grid_minimax(values, columns, cons_matrix=None, nonneg=None,
     through the same transform and scaled to unit length.
 
     The LP is solved on a working subset of grid points and constraint
-    rows; the worst violated points and rows join it, and the solve
-    repeats until nothing on the whole grid violates.  LPNumericalError is
+    rows, held in one LinearProgram for the whole call: the worst
+    violated points and rows are appended to it and it is re-solved from
+    its last basis, until nothing on the whole grid violates.  When the
+    optimum does not beat the zero fit beyond the exchange tolerance,
+    theta = 0 is returned exactly.  LPNumericalError is
     raised when violations remain but no new point or row can join, or
     after EXCHANGE_ROUNDS solves.  ``start`` =
     (point indices, constraint indices) seeds the working set, and
@@ -167,13 +153,33 @@ def solve_grid_minimax(values, columns, cons_matrix=None, nonneg=None,
     work_cons = np.union1d(work_cons, np.arange(L, C.shape[0]))
     cap = k + 5
 
+    # min t over (phi, t): u_i.phi - t <= v_i, u_i.phi + t >= v_i and
+    # c_l.phi >= 0.  An optimum on the whole grid has t <= 1 (phi = 0
+    # fits with error max|vals| <= 1), so |U phi| <= 2 on the grid, where
+    # U is orthonormal: |phi_j| <= |phi| = |U phi| <= 2 sqrt(M).  So the
+    # box changes no whole-grid optimum, and it leaves HiGHS no free
+    # column: with free phi, the warm re-solves on the first grid of
+    # constrained ideal:2 at n = 64 stopped 2.3e-6 (relative) above that
+    # grid's optimum.
+    box = 2.0 * np.sqrt(max(M, 1))
+    lp = LinearProgram(np.r_[np.zeros(k), 1.0],
+                       col_lower=np.r_[np.full(k, -box), 0.0],
+                       col_upper=np.r_[np.full(k, box), np.inf])
+
+    def add_rows(pts, cons):
+        Up, m, lc = U[pts], pts.size, cons.size
+        lp.add_rows(np.block([[Up, -np.ones((m, 1))], [Up, np.ones((m, 1))],
+                              [C[cons], np.zeros((lc, 1))]]),
+                    lower=np.r_[np.full(m, -np.inf), vals[pts], np.zeros(lc)],
+                    upper=np.r_[vals[pts], np.full(m + lc, np.inf)])
+
+    add_rows(work_pts, work_cons)
     total_iters = 0
     for rounds in range(1, EXCHANGE_ROUNDS + 1):
-        A, rhs, cost = _minimax_lp(U[work_pts], C[work_cons], vals[work_pts])
-        sol = solve_lp(A, rhs, cost)
+        sol = solve_lp(lp)
         total_iters += sol.iterations
-        phi = sol.duals[:k]
-        t = -sol.objective
+        phi = sol.x[:k]
+        t = sol.objective
         over = np.abs(vals - U @ phi) - t
         under = -(C @ phi)
         tol = max(1e-9, 50.0 * sol.duality_gap)
@@ -186,19 +192,27 @@ def solve_grid_minimax(values, columns, cons_matrix=None, nonneg=None,
             add_p = np.union1d(add_p, [int(np.argmax(over))])
         if under.max(initial=0.0) > tol:
             add_c = np.union1d(add_c, [int(np.argmax(under))])
-        new_pts = np.union1d(work_pts, add_p)
-        new_cons = np.union1d(work_cons, add_c)
-        if new_pts.size == work_pts.size and new_cons.size == work_cons.size:
+        add_p = np.setdiff1d(add_p, work_pts)
+        add_c = np.setdiff1d(add_c, work_cons)
+        if add_p.size == 0 and add_c.size == 0:
             raise LPNumericalError(
                 f"exchange stalled in round {rounds}: a violation of "
                 f"{worst:.3e} (tolerance {tol:.3e}) remains on rows already "
                 f"in the working set")
-        work_pts, work_cons = new_pts, new_cons
+        add_rows(add_p, add_c)
+        work_pts = np.union1d(work_pts, add_p)
+        work_cons = np.union1d(work_cons, add_c)
     else:
         raise LPNumericalError(
             f"exchange did not converge in {EXCHANGE_ROUNDS} rounds: a "
             f"violation of {worst:.3e} (tolerance {tol:.3e}) remains")
 
+    # phi = 0 fits with error max|vals| and meets every constraint row;
+    # when the optimum does not beat it beyond the exchange tolerance,
+    # return it exactly instead of the pivots' rounding noise around it
+    top = float(np.abs(vals).max(initial=0.0))
+    if t >= top - tol:
+        phi, t = np.zeros(k), top
     theta = to_theta @ phi * vscale
     reach = np.abs(theta) * np.abs(columns).max(axis=0, initial=0.0)
     theta[reach < 1e-12 * vscale] = 0.0
@@ -323,7 +337,11 @@ def _refinement_loop(target, degree: int, subintervals,
             violation, cons_ok = cons_check(tp, round_idx)
         rounds.append({"grid_points": int(points.size), "error": error,
                        "post_check_error": post,
-                       "constraint_violation": violation})
+                       "constraint_violation": violation,
+                       "exchange_rounds": info["outer_rounds"],
+                       "working_points": info["working_points"],
+                       "working_constraints": int(work_cons.size),
+                       "lp_iterations": info["iterations"]})
         best = (tp, error, post, info, residual, fine_all, violation)
         gap_ok = (post - error) <= REFINEMENT_TOLERANCE * max(error, floor) \
             or post <= floor

@@ -1,11 +1,22 @@
-"""Standard-form linear programs solved by HiGHS.
+"""Linear programs that grow by rows, solved and re-solved by HiGHS.
 
-Solves min c.x subject to A x = b, x >= 0 with scipy's HiGHS interface
-(the dual revised simplex of Huangfu & Hall, Math. Prog. Comp. 2018),
-presolve on.  The feasibility tolerances are tightened from HiGHS's 1e-7
-to 1e-10: the minimax LPs normalise their values to 1, and a 1e-7 slack
-shows up in their optima.  HiGHS's status codes become typed errors, so
-a solve that gives up never returns a number.
+A ``LinearProgram`` is min c.x subject to lower <= A x <= upper and
+bounds on x, held in one HiGHS model (the dual revised simplex of Huangfu
+& Hall, Math. Prog. Comp. 2018, through the bindings scipy's ``linprog``
+drives).  ``add_rows`` appends constraints to the live model.  HiGHS keeps
+the optimal basis of the last solve and gives each new row a basic slack,
+so the basis stays dual feasible and the next ``solve_lp`` resumes from it
+with a few dual simplex pivots instead of solving the enlarged LP from
+scratch.  The first solve of a model presolves; warm re-solves do not.
+
+The feasibility tolerances are tightened from HiGHS's 1e-7 to 1e-10: the
+minimax LPs normalise their values to 1, and a 1e-7 slack shows up in
+their optima.  HiGHS's own scaling is off, because the minimax rows come
+scaled (an orthonormal basis, unit-length constraint rows, values at most
+1) and with it on, warm re-solves lost accuracy: on the first grid of
+constrained ideal:2 at n = 64 the last one left a dual residual of 2e-6
+and a duality gap of 2e-7.  HiGHS's statuses become typed errors, so a
+solve that gives up never returns a number.
 """
 
 from __future__ import annotations
@@ -13,7 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+
+try:
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+except ImportError as exc:
+    import scipy
+
+    raise ImportError(
+        "cotrig needs the HiGHS bindings scipy.optimize._highspy._core "
+        f"(scipy >= 1.17); the installed scipy {scipy.__version__} does not "
+        "provide them") from exc
 
 FEASIBILITY_TOL = 1e-10
 
@@ -47,30 +67,95 @@ class LPSolution:
     duality_gap: float
 
 
-_STATUS_ERRORS = {1: LPIterationLimitError, 2: LPInfeasibleError,
-                  3: LPUnboundedError}
+_STATUS_ERRORS = {HighsModelStatus.kIterationLimit: LPIterationLimitError,
+                  HighsModelStatus.kInfeasible: LPInfeasibleError,
+                  HighsModelStatus.kUnbounded: LPUnboundedError}
 
 
-def solve_lp(A, b, c, max_iterations: int = 20000) -> LPSolution:
-    """Optimal solution of min c.x, A x = b, x >= 0.
+class LinearProgram:
+    """min cost.x, lower <= A x <= upper, col_lower <= x <= col_upper.
+
+    Starts with no rows; ``add_rows`` appends them.  Each instance owns
+    its HiGHS model, so nothing carries over between programs.
+    """
+
+    def __init__(self, cost, col_lower=0.0, col_upper=np.inf):
+        cost = np.asarray(cost, dtype=float)
+        if cost.ndim != 1:
+            raise ValueError("cost must be a vector")
+        n = cost.size
+        self.num_cols = n
+        self.col_lower = np.broadcast_to(np.asarray(col_lower, float), n)
+        self.col_upper = np.broadcast_to(np.asarray(col_upper, float), n)
+        self.row_lower = np.zeros(0)
+        self.row_upper = np.zeros(0)
+        self._highs = _Highs()
+        for name, value in (("output_flag", False),
+                            ("simplex_scale_strategy", 0),
+                            ("primal_feasibility_tolerance", FEASIBILITY_TOL),
+                            ("dual_feasibility_tolerance", FEASIBILITY_TOL)):
+            self._highs.setOptionValue(name, value)
+        self._highs.addVars(n, self.col_lower, self.col_upper)
+        self._highs.changeColsCost(n, np.arange(n, dtype=np.int32), cost)
+
+    def add_rows(self, rows, lower, upper) -> None:
+        """Append the dense rows with lower <= rows x <= upper."""
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != self.num_cols:
+            raise ValueError("rows must have one entry per column")
+        m = rows.shape[0]
+        lower = np.asarray(lower, dtype=float)
+        upper = np.asarray(upper, dtype=float)
+        if lower.shape != (m,) or upper.shape != (m,):
+            raise ValueError("need one lower and one upper bound per row")
+        if m == 0:
+            return
+        nz_rows, nz_cols = np.nonzero(rows)
+        starts = np.searchsorted(nz_rows, np.arange(m)).astype(np.int32)
+        self._highs.addRows(m, lower, upper, nz_rows.size, starts,
+                            nz_cols.astype(np.int32), rows[nz_rows, nz_cols])
+        self.row_lower = np.concatenate([self.row_lower, lower])
+        self.row_upper = np.concatenate([self.row_upper, upper])
+
+
+def _priced_bounds(dual, lower, upper) -> float:
+    """Sum of dual * bound over the bound each dual prices.
+
+    A positive dual prices the lower bound and a negative one the upper;
+    a one-sided range is priced at its finite side and a free one at 0.
+    """
+    lo_ok = np.isfinite(lower)
+    hi_ok = np.isfinite(upper)
+    use_lo = lo_ok & ((dual >= 0.0) | ~hi_ok)
+    bound = np.where(use_lo, lower, np.where(hi_ok, upper, 0.0))
+    return float(dual @ bound)
+
+
+def solve_lp(lp: LinearProgram, max_iterations: int = 20000) -> LPSolution:
+    """Optimal solution of lp, resumed from the basis of its last solve.
 
     Raises LPInfeasibleError, LPUnboundedError, LPIterationLimitError, or
-    LPNumericalError for any other HiGHS failure.  The duals y refer to
-    the rows of A as passed in (A'y <= c, and b.y equals the optimum).
+    LPNumericalError for any other HiGHS failure.  ``duals`` are the row
+    duals (cost - A'duals are the reduced costs), ``iterations`` counts
+    the simplex pivots of this call alone, and ``duality_gap`` is
+    |objective - dual objective| with the dual objective priced from the
+    returned row duals and reduced costs.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if A.ndim != 2 or A.shape[0] != b.size or A.shape[1] != c.size:
-        raise ValueError("inconsistent LP dimensions")
-    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs",
-                  options={"maxiter": max_iterations,
-                           "primal_feasibility_tolerance": FEASIBILITY_TOL,
-                           "dual_feasibility_tolerance": FEASIBILITY_TOL})
-    if res.status != 0:
-        raise _STATUS_ERRORS.get(res.status, LPNumericalError)(res.message)
-    duals = np.asarray(res.eqlin.marginals, dtype=float)
-    objective = float(res.fun)
-    return LPSolution(x=np.asarray(res.x, dtype=float), duals=duals,
-                      objective=objective, iterations=int(res.nit),
-                      duality_gap=abs(objective - float(duals @ b)))
+    highs = lp._highs
+    highs.setOptionValue("simplex_iteration_limit", int(max_iterations))
+    highs.run()
+    status = highs.getModelStatus()
+    if status != HighsModelStatus.kOptimal:
+        raise _STATUS_ERRORS.get(status, LPNumericalError)(
+            f"HiGHS model status: {highs.modelStatusToString(status)}")
+    info = highs.getInfo()
+    sol = highs.getSolution()
+    x = np.asarray(sol.col_value, dtype=float)
+    duals = np.asarray(sol.row_dual, dtype=float)
+    reduced = np.asarray(sol.col_dual, dtype=float)
+    objective = float(info.objective_function_value)
+    dual_objective = (_priced_bounds(duals, lp.row_lower, lp.row_upper)
+                      + _priced_bounds(reduced, lp.col_lower, lp.col_upper))
+    return LPSolution(x=x, duals=duals, objective=objective,
+                      iterations=int(info.simplex_iteration_count),
+                      duality_gap=abs(objective - dual_objective))

@@ -98,6 +98,14 @@ def test_solve_f1_at_degree_24(tmp_path):
     assert cli.main(argv) == cli.EXIT_OK
     solution = json.loads((out / "artifacts" / "solution.json").read_text())
     assert solution["post_check_error"] >= solution["error"] > 0
+    # each regrid round says how its grid solve went
+    rounds = solution["rounds"]
+    assert rounds and rounds[-1]["error"] == solution["error"]
+    assert rounds[-1]["lp_iterations"] == solution["iterations"]
+    for row in rounds:
+        assert row["exchange_rounds"] >= 1
+        assert row["working_points"] > 2 * 24 + 1
+        assert row["working_constraints"] == 0
 
 
 def _exit_code(argv) -> int:

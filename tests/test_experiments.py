@@ -6,7 +6,8 @@ import pytest
 
 from cotrig import cli
 from cotrig.experiments import (DEGREE_CAP, DEGREE_CAP_LARGE, _check_degrees,
-                                exp_bernstein_interval, exp_lemma_3111)
+                                exp_bernstein_interval, exp_lemma_3111,
+                                exp_theorem_12, exp_theorem_13)
 
 BERNSTEIN_RHO = 1.1013516933585912
 LEMMA_3111_C2 = 0.43697937807154774
@@ -43,7 +44,8 @@ def test_growth_experiments_through_cli(tmp_path, argv, value):
 
 
 def test_degree_cap_message_names_lemma_aux(tmp_path, capsys):
-    hint = f"only lemma-aux takes degrees up to {DEGREE_CAP_LARGE}"
+    hint = (f"only lemma-aux, thm-12 and thm-13 take degrees up to "
+            f"{DEGREE_CAP_LARGE}")
     with pytest.raises(ValueError, match=hint):
         _check_degrees([4, DEGREE_CAP + 1])
     with pytest.raises(ValueError) as exc:
@@ -54,3 +56,10 @@ def test_degree_cap_message_names_lemma_aux(tmp_path, capsys):
             "--out", str(tmp_path)]
     assert cli.main(argv) == cli.EXIT_USAGE
     assert hint in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("run", [exp_theorem_12, exp_theorem_13])
+def test_theorem_experiments_take_the_large_cap(run):
+    # degrees are validated before any solve, so this costs nothing
+    with pytest.raises(ValueError, match=f"cap {DEGREE_CAP_LARGE}$"):
+        run(3, [-0.6, 0.6], [DEGREE_CAP_LARGE + 1])

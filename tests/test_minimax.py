@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from cotrig.grids import Interval
 from cotrig import minimax
@@ -181,3 +182,43 @@ def test_constrained_zero_optimum_is_exact(n):
     tp = res.approximant
     assert tp.a0 == 0.0
     assert not np.any(tp.cos_coeffs) and not np.any(tp.sin_coeffs)
+
+
+def _constrained_grid_problem():
+    # degree 4 with the co-3-monotone rows of (-pi/2, pi/2): the sign
+    # pattern binds at six rows and costs the fit 0.2 -> 0.29
+    xs = np.linspace(-np.pi, np.pi, 401)
+    values = np.sin(xs) + 0.5 * np.sin(2 * xs) ** 2 + 0.2 * np.abs(xs - 1)
+    ys = SignChangeSet([-np.pi / 2, np.pi / 2])
+    _, _, rows = minimax._constraint_rows(ys, 4, 3, 200)
+    return values, trig_basis(xs, 4), rows
+
+
+def test_exchange_matches_one_lp_over_the_whole_grid():
+    values, columns, rows = _constrained_grid_problem()
+    theta, error, info = solve_grid_minimax(values, columns, rows)
+    assert info["outer_rounds"] >= 2
+    assert np.count_nonzero(np.abs(rows @ theta) < 1e-9) >= 1
+    # reference: min t over (theta, t) with every grid row at once
+    p = columns.shape[1]
+    ones = np.ones((values.size, 1))
+    A = np.vstack([np.hstack([columns, -ones]), np.hstack([-columns, -ones]),
+                   np.hstack([-rows, np.zeros((rows.shape[0], 1))])])
+    rhs = np.concatenate([values, -values, np.zeros(rows.shape[0])])
+    cost = np.zeros(p + 1)
+    cost[-1] = 1.0
+    tols = {"primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10}
+    ref = linprog(cost, A_ub=A, b_ub=rhs, bounds=[(None, None)] * (p + 1),
+                  method="highs", options=tols)
+    assert ref.status == 0
+    assert error == pytest.approx(ref.fun, abs=1e-10)
+    assert np.allclose(theta, ref.x[:p], rtol=0, atol=1e-10)
+
+
+def test_grid_solves_share_no_solver_state():
+    values, columns, rows = _constrained_grid_problem()
+    first, _, _ = solve_grid_minimax(values, columns, rows)
+    solve_grid_minimax(np.abs(np.sin(3 * values)), columns, rows)
+    again, _, _ = solve_grid_minimax(values, columns, rows)
+    assert np.array_equal(first, again)
