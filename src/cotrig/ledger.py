@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
-
 CONSTANT_KEYS = ("c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8", "c9",
                  "c10", "c_star")
 
@@ -113,6 +111,8 @@ class LogEps(EpsRule):
 
     def _lower(self, n: int) -> Fraction:
         """Certified rational lower bound on ln(n + 2), monotone in n."""
+        import mpmath
+
         with mpmath.workdps(80):
             v = mpmath.log(mpmath.mpf(n) + 2)
             s = mpmath.nstr(v, 45)

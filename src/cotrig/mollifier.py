@@ -7,6 +7,10 @@ increasing, equals sign(x) for |x| >= 1, and all its derivatives vanish at
 joins.  Derivatives of any order are evaluated from the closed form
 psi^(k) = P_k(t) / (1 - t^2)^(2k) * psi(t), with P_k given by a polynomial
 recursion.
+
+Z and the interpolated values of S come from ``scipy.integrate.quad``,
+which is imported with the first table build rather than with this
+module.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
-from scipy.integrate import quad
 
 from .grids import Interval, sup_norm
 
@@ -83,6 +86,8 @@ def _bump_scalar(u: float) -> float:
 
 def bump_mass() -> float:
     """Z = int_{-1}^{1} psi, via adaptive quadrature."""
+    from scipy.integrate import quad
+
     val, _ = quad(_bump_scalar, -1.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
     return val
 
@@ -148,6 +153,8 @@ class MollifierTable:
 
 def _cumulative_bump(us: np.ndarray, mass: float) -> np.ndarray:
     """int_{-1}^{u} psi for each u, adaptive quadrature between sorted nodes."""
+    from scipy.integrate import quad
+
     order = np.argsort(us)
     sorted_u = us[order]
     vals = np.empty_like(sorted_u)

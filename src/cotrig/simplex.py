@@ -17,23 +17,18 @@ scaled (an orthonormal basis, unit-length constraint rows, values at most
 constrained ideal:2 at n = 64 the last one left a dual residual of 2e-6
 and a duality gap of 2e-7.  HiGHS's statuses become typed errors, so a
 solve that gives up never returns a number.
+
+The bindings are imported with the first ``LinearProgram``, not with this
+module: they pull in ``scipy.optimize``, which commands that solve no LP
+never need.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-try:
-    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
-except ImportError as exc:
-    import scipy
-
-    raise ImportError(
-        "cotrig needs the HiGHS bindings scipy.optimize._highspy._core "
-        f"(scipy >= 1.17); the installed scipy {scipy.__version__} does not "
-        "provide them") from exc
 
 FEASIBILITY_TOL = 1e-10
 
@@ -67,9 +62,25 @@ class LPSolution:
     duality_gap: float
 
 
-_STATUS_ERRORS = {HighsModelStatus.kIterationLimit: LPIterationLimitError,
-                  HighsModelStatus.kInfeasible: LPInfeasibleError,
-                  HighsModelStatus.kUnbounded: LPUnboundedError}
+# keyed by HighsModelStatus member names
+_STATUS_ERRORS = {"kIterationLimit": LPIterationLimitError,
+                  "kInfeasible": LPInfeasibleError,
+                  "kUnbounded": LPUnboundedError}
+
+
+@functools.cache
+def _highs_bindings():
+    """scipy's HiGHS bindings module, imported once."""
+    try:
+        import scipy.optimize._highspy._core as core
+    except ImportError as exc:
+        import scipy
+
+        raise ImportError(
+            "cotrig needs the HiGHS bindings scipy.optimize._highspy._core "
+            f"(scipy >= 1.17); the installed scipy {scipy.__version__} does "
+            "not provide them") from exc
+    return core
 
 
 class LinearProgram:
@@ -89,7 +100,7 @@ class LinearProgram:
         self.col_upper = np.broadcast_to(np.asarray(col_upper, float), n)
         self.row_lower = np.zeros(0)
         self.row_upper = np.zeros(0)
-        self._highs = _Highs()
+        self._highs = _highs_bindings()._Highs()
         for name, value in (("output_flag", False),
                             ("simplex_scale_strategy", 0),
                             ("primal_feasibility_tolerance", FEASIBILITY_TOL),
@@ -145,8 +156,8 @@ def solve_lp(lp: LinearProgram, max_iterations: int = 20000) -> LPSolution:
     highs.setOptionValue("simplex_iteration_limit", int(max_iterations))
     highs.run()
     status = highs.getModelStatus()
-    if status != HighsModelStatus.kOptimal:
-        raise _STATUS_ERRORS.get(status, LPNumericalError)(
+    if status.name != "kOptimal":
+        raise _STATUS_ERRORS.get(status.name, LPNumericalError)(
             f"HiGHS model status: {highs.modelStatusToString(status)}")
     info = highs.getInfo()
     sol = highs.getSolution()

@@ -9,10 +9,10 @@ mean over the period.  On [-b, 2pi - b] it differs from the power kink
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import factorial
 
 from .grids import TWO_PI, Interval
 from .piecewise import PiecewiseCheb, zero_mean_levels
@@ -23,7 +23,7 @@ def abs_power(r: int, x):
     if r < 1:
         raise ValueError("r must be a positive integer")
     x = np.asarray(x, dtype=float)
-    return np.abs(x) * x ** (r - 1) / float(factorial(r, exact=True))
+    return np.abs(x) * x ** (r - 1) / float(math.factorial(r))
 
 
 def step_offset(b: float) -> float:
@@ -79,7 +79,7 @@ class IdealSpline:
         coefficient vector and the cross-piece defect (max abs coefficient
         difference), which is a construction self-check.
         """
-        rfact = float(factorial(self.r, exact=True))
+        rfact = float(math.factorial(self.r))
         plus = self.levels[self.r].global_piece_coefficients(1)
         minus = self.levels[self.r].global_piece_coefficients(0)
         p_plus = plus.copy()

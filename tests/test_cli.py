@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from jsonschema.validators import validator_for
 
 from cotrig import cli
 from cotrig.counterexample import build_partial_sum, plan_recursion
@@ -130,3 +131,55 @@ def test_retired_options_are_usage_errors(tmp_path, extra, config):
         path.write_text(json.dumps(config))
         argv += ["--config", str(path)]
     assert _exit_code(argv) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("flags, missing, given", [
+    (["--q", "3"], "y_points", "q"),
+    (["--Y", "-1", "0"], "q", "y_points"),
+], ids=["q-without-Y", "Y-without-q"])
+def test_solve_needs_q_and_Y_together(tmp_path, capsys, flags, missing, given):
+    argv = ["solve", "--target", "F1", "--degree", "4",
+            "--out", str(tmp_path / "run")] + flags
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"'{missing}' is a dependency of '{given}'" in err
+    assert not (tmp_path / "run").exists()
+
+
+# subschema-valued keywords, and keywords that only annotate
+_SCHEMA_MAPS = ("properties", "patternProperties", "$defs", "dependentSchemas")
+_SCHEMA_LISTS = ("allOf", "anyOf", "oneOf", "prefixItems")
+_SCHEMA_ONE = ("items", "additionalProperties", "contains", "not",
+               "propertyNames", "if", "then", "else", "unevaluatedItems",
+               "unevaluatedProperties")
+_ANNOTATIONS = {"$schema", "$id", "$comment", "title", "description",
+                "default", "examples", "deprecated", "readOnly", "writeOnly"}
+
+
+def _subschemas(schema):
+    """schema and every schema nested in it."""
+    yield schema
+    for key, value in schema.items():
+        if key in _SCHEMA_MAPS:
+            children = value.values()
+        elif key in _SCHEMA_LISTS:
+            children = value
+        elif key in _SCHEMA_ONE:
+            children = [value]
+        else:
+            continue
+        for child in children:
+            if isinstance(child, dict):
+                yield from _subschemas(child)
+
+
+@pytest.mark.parametrize("key", list(cli.SCHEMAS), ids=str)
+def test_config_schemas_are_valid_and_enforced(key):
+    # main() does not check the schemas against their metaschema; and a
+    # keyword the schema's draft does not enforce would be silently ignored
+    schema = cli.SCHEMAS[key]
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    known = set(cls.VALIDATORS) | _ANNOTATIONS
+    unknown = {k for sub in _subschemas(schema) for k in sub} - known
+    assert unknown == set()

@@ -1,13 +1,19 @@
 """Tests that the package's public names and the benchmark's span table
-resolve against the code."""
+resolve against the code, and that scipy and mpmath load only where they
+are used."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cotrig
 
-LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS_PY = ROOT / "perfbench" / "layers.py"
 
 
 def _defined(target: str) -> bool:
@@ -38,3 +44,47 @@ def test_benchmark_spans_resolve():
     targets = [t for defs in layers.SPANS.values() for t in defs]
     assert len(targets) >= len(layers.SPANS)
     assert [t for t in targets if not _defined(t)] == []
+
+
+# run in a fresh interpreter: prints the heavy modules loaded after the
+# import, after an experiment that needs neither, and whether a
+# constrained solve brought in the HiGHS bindings
+_STARTUP_PROBE = """
+import json, sys
+import cotrig, cotrig.cli
+
+def loaded(*names):
+    return sorted(m for m in sys.modules if m.split(".")[0] in names)
+
+out = sys.argv[1]
+seen = {"import": loaded("scipy", "mpmath")}
+code = cotrig.cli.main(["experiment", "lemma-3111", "--q", "3", "--b", "0.5",
+                        "--trials", "4", "--out", out + "/lemma"])
+seen["lemma-3111"] = [code, loaded("scipy")]
+code = cotrig.cli.main(["solve", "--target", "ideal:1:1.2", "--degree", "4",
+                        "--q", "3", "--Y", "-1.2", "0", "--out", out + "/solve"])
+seen["solve"] = [code, "scipy.optimize._highspy._core" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def _fresh_python(args, cwd):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_startup_loads_scipy_and_mpmath_only_when_used(tmp_path):
+    run = _fresh_python(["-c", _STARTUP_PROBE, str(tmp_path)], tmp_path)
+    assert run.returncode == 0, run.stderr
+    seen = json.loads(run.stdout.splitlines()[-1])
+    assert seen == {"import": [], "lemma-3111": [0, []], "solve": [0, True]}
+
+
+def test_python_m_cotrig_runs_a_command(tmp_path):
+    out = tmp_path / "run"
+    run = _fresh_python(["-m", "cotrig", "build", "ideal", "--r", "2",
+                         "--b", "1.2", "--out", str(out)], tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert (out / "artifacts" / "ideal.json").is_file()

@@ -1,6 +1,5 @@
 """Tests for the HiGHS adapter behind LinearProgram and solve_lp."""
 
-import importlib.util
 import sys
 
 import numpy as np
@@ -167,10 +166,14 @@ def test_added_rows_resolve_from_the_last_basis():
 
 
 def test_missing_highs_bindings_are_named(monkeypatch):
+    # the bindings load with the first LinearProgram, not with the module
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
-    spec = importlib.util.spec_from_file_location("simplex_without_highs",
-                                                  cotrig.simplex.__file__)
-    with pytest.raises(ImportError) as exc:
-        spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    cotrig.simplex._highs_bindings.cache_clear()
+    try:
+        with pytest.raises(ImportError) as exc:
+            LinearProgram([1.0])
+    finally:
+        monkeypatch.undo()
+        cotrig.simplex._highs_bindings.cache_clear()
     assert "scipy.optimize._highspy._core" in str(exc.value)
     assert scipy.__version__ in str(exc.value)
