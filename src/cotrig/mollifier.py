@@ -8,9 +8,8 @@ joins.  Derivatives of any order are evaluated from the closed form
 psi^(k) = P_k(t) / (1 - t^2)^(2k) * psi(t), with P_k given by a polynomial
 recursion.
 
-Z and the interpolated values of S come from ``scipy.integrate.quad``,
-which is imported with the first table build rather than with this
-module.
+Z and the values of S at the interpolation nodes come from one fixed
+Gauss-Legendre rule on the panels between those nodes, in numpy alone.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
+from numpy.polynomial import legendre as _leg
 from numpy.polynomial import polynomial as _poly
 
 from .grids import Interval, sup_norm
@@ -31,6 +31,10 @@ _MAX_DERIVATIVE = 12
 
 # degree of the Chebyshev interpolant of S
 _CHEB_DEGREE = 96
+
+# Gauss-Legendre points on each panel between interpolation nodes; 8
+# already give the same sums to the last bit
+_PANEL_POINTS = 16
 
 
 def _prefactor_polys(count: int):
@@ -75,21 +79,6 @@ def bump_derivative(k: int, t):
     di = d[inside]
     out[inside] = (_poly.polyval(ti, _PREFACTORS[k]) / di ** (2 * k)) * np.exp(-1.0 / di)
     return out
-
-
-def _bump_scalar(u: float) -> float:
-    d = 1.0 - u * u
-    if d <= _EDGE:
-        return 0.0
-    return float(np.exp(-1.0 / d))
-
-
-def bump_mass() -> float:
-    """Z = int_{-1}^{1} psi, via adaptive quadrature."""
-    from scipy.integrate import quad
-
-    val, _ = quad(_bump_scalar, -1.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
-    return val
 
 
 @dataclass
@@ -151,25 +140,24 @@ class MollifierTable:
         }
 
 
-def _cumulative_bump(us: np.ndarray, mass: float) -> np.ndarray:
-    """int_{-1}^{u} psi for each u, adaptive quadrature between sorted nodes."""
-    from scipy.integrate import quad
+def _cumulative_bump(nodes: np.ndarray) -> tuple[np.ndarray, float]:
+    """int_{-1}^{u} psi at each ascending node u in (-1, 1), and the mass Z.
 
-    order = np.argsort(us)
-    sorted_u = us[order]
-    vals = np.empty_like(sorted_u)
-    acc = 0.0
-    prev = -1.0
-    for i, u in enumerate(sorted_u):
-        uc = min(max(u, -1.0), 1.0)
-        if uc > prev:
-            inc, _ = quad(_bump_scalar, prev, uc, epsabs=1e-14, epsrel=1e-13, limit=200)
-            acc += inc
-            prev = uc
-        vals[i] = acc if u <= 1.0 else mass
-    out = np.empty_like(vals)
-    out[order] = vals
-    return out
+    The nodes cut [-1, 1] into panels, each integrated by a fixed
+    _PANEL_POINTS-point Gauss-Legendre rule, and the running sum of the
+    panels gives the node values; its last entry, through u = 1, is Z.
+    psi is analytic inside (-1, 1) and flat to all orders at +-1, so the
+    rule is exact to rounding on every panel: at first-kind Chebyshev
+    nodes the panels shrink like (1 - u^2)^(1/2) toward +-1, where the
+    derivatives of psi grow.
+    """
+    edges = np.concatenate(([-1.0], nodes, [1.0]))
+    x, w = _leg.leggauss(_PANEL_POINTS)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    panels = half * (bump(mid[:, None] + half[:, None] * x) @ w)
+    cumulative = np.cumsum(panels)
+    return cumulative[:-1], float(cumulative[-1])
 
 
 _TABLE_CACHE: dict = {}
@@ -179,20 +167,22 @@ def build_mollifier_table(max_order: int = 8) -> MollifierTable:
     """Build (or fetch from cache) the step table.
 
     The Chebyshev interpolant of degree _CHEB_DEGREE is fitted to S at
-    first-kind nodes; since S is C^infinity its coefficients decay fast
-    enough for zone construction, and the accuracy is asserted against
-    direct quadrature in the test suite.
+    its first-kind nodes; since S is C^infinity its coefficients decay
+    fast enough for zone construction.  Z and the node values of S come
+    from one running sum over Gauss-Legendre panels between those nodes
+    (see _cumulative_bump), so the node values climb to exactly 1 at
+    u = 1 with no second quadrature for Z to disagree with; the test
+    suite checks both against adaptive quadrature.
     """
     if max_order in _TABLE_CACHE:
         return _TABLE_CACHE[max_order]
     if max_order > _MAX_DERIVATIVE:
         raise ValueError(f"max_order capped at {_MAX_DERIVATIVE}")
-    mass = bump_mass()
 
     # interpolation at first-kind nodes: chebfit with full degree is exact there
-    k = np.arange(_CHEB_DEGREE + 1)
-    nodes = np.cos(np.pi * (2.0 * k + 1.0) / (2.0 * (_CHEB_DEGREE + 1)))
-    s_nodes = -1.0 + 2.0 / mass * _cumulative_bump(nodes, mass)
+    nodes = _cheb.chebpts1(_CHEB_DEGREE + 1)
+    below, mass = _cumulative_bump(nodes)
+    s_nodes = -1.0 + 2.0 / mass * below
     cheb_coeffs = _cheb.chebfit(nodes, s_nodes, _CHEB_DEGREE)
 
     table = MollifierTable(max_order=max_order, cheb_degree=_CHEB_DEGREE,

@@ -131,8 +131,8 @@ def test_sup_norm_looks_left_of_a_flat_piece():
 @pytest.mark.parametrize("j, value, most", [
     # 2 endpoints and 16 last-digit ripples of the zone pieces next to
     # the plateaus
-    (2, 1.6816901138230191, 20),
-    (3, 19.885652156858526, 5),
+    (2, 1.6816901138230258, 20),
+    (3, 19.885652156858534, 5),
 ])
 def test_sup_norm_polishes_a_flat_run_at_its_ends(monkeypatch, j, value,
                                                    most):

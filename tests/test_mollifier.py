@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebpts1
 from scipy.integrate import quad
 
 from cotrig.grids import Interval, sup_norm
-from cotrig.mollifier import (build_mollifier_table, bump, bump_derivative,
-                              bump_mass)
+from cotrig.mollifier import (_CHEB_DEGREE, _cumulative_bump,
+                              build_mollifier_table, bump, bump_derivative)
 
 
 def test_bump_values_and_support():
@@ -48,11 +49,30 @@ def test_bump_derivative_zero_order_and_bounds():
         bump_derivative(-1, ts)
 
 
-def test_bump_mass_against_dense_trapezoid():
+def test_bump_mass_against_dense_trapezoid(table):
     ts = np.linspace(-1.0, 1.0, 200001)
     approx = np.trapezoid(bump(ts), ts)
-    assert bump_mass() == pytest.approx(approx, abs=1e-9)
-    assert 0.44 < bump_mass() < 0.45
+    assert table.mass == pytest.approx(approx, abs=1e-9)
+    assert 0.44 < table.mass < 0.45
+
+
+def _quad_bump(lo, hi):
+    integral, _ = quad(lambda t: bump(t)[0], lo, hi,
+                       epsabs=1e-14, epsrel=1e-13, limit=200)
+    return integral
+
+
+def test_panel_rule_matches_adaptive_quadrature(table):
+    # the fixed Gauss-Legendre panels against adaptive quadrature at the
+    # interpolation nodes, accumulated node to node
+    nodes = chebpts1(_CHEB_DEGREE + 1)
+    below, mass = _cumulative_bump(nodes)
+    assert mass == table.mass
+    assert table.mass == pytest.approx(_quad_bump(-1.0, 1.0), rel=1e-15)
+    edges = np.concatenate(([-1.0], nodes))
+    reference = np.cumsum([_quad_bump(lo, hi)
+                           for lo, hi in zip(edges[:-1], edges[1:])])
+    assert np.abs(below - reference).max() <= 1e-15
 
 
 def test_step_shape(table):

@@ -1,7 +1,8 @@
 """Tests that the package's public names and the benchmark's span table
 resolve against the code, and that scipy and mpmath load only where they
-are used."""
+are used: scipy only through the HiGHS loader in simplex.py."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -47,8 +48,8 @@ def test_benchmark_spans_resolve():
 
 
 # run in a fresh interpreter: prints the heavy modules loaded after the
-# import, after an experiment that needs neither, and whether a
-# constrained solve brought in the HiGHS bindings
+# import, after an experiment and a smooth-spline build that need
+# neither, and whether a constrained solve brought in the HiGHS bindings
 _STARTUP_PROBE = """
 import json, sys
 import cotrig, cotrig.cli
@@ -61,6 +62,9 @@ seen = {"import": loaded("scipy", "mpmath")}
 code = cotrig.cli.main(["experiment", "lemma-3111", "--q", "3", "--b", "0.5",
                         "--trials", "4", "--out", out + "/lemma"])
 seen["lemma-3111"] = [code, loaded("scipy")]
+code = cotrig.cli.main(["build", "smooth", "--r", "2", "--d", "1", "--lam", "1/12",
+                        "--out", out + "/smooth"])
+seen["build smooth"] = [code, loaded("scipy")]
 code = cotrig.cli.main(["solve", "--target", "ideal:1:1.2", "--degree", "4",
                         "--q", "3", "--Y", "-1.2", "0", "--out", out + "/solve"])
 seen["solve"] = [code, "scipy.optimize._highspy._core" in sys.modules]
@@ -79,7 +83,25 @@ def test_startup_loads_scipy_and_mpmath_only_when_used(tmp_path):
     run = _fresh_python(["-c", _STARTUP_PROBE, str(tmp_path)], tmp_path)
     assert run.returncode == 0, run.stderr
     seen = json.loads(run.stdout.splitlines()[-1])
-    assert seen == {"import": [], "lemma-3111": [0, []], "solve": [0, True]}
+    assert seen == {"import": [], "lemma-3111": [0, []],
+                    "build smooth": [0, []], "solve": [0, True]}
+
+
+def _imported_roots(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_only_simplex_imports_scipy():
+    # the HiGHS loader is the one place scipy may enter, at module level or
+    # inside a function
+    importers = sorted(
+        path.name for path in (ROOT / "src" / "cotrig").glob("*.py")
+        if "scipy" in _imported_roots(ast.parse(path.read_text())))
+    assert importers == ["simplex.py"]
 
 
 def test_python_m_cotrig_runs_a_command(tmp_path):
