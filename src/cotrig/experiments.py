@@ -198,36 +198,36 @@ def exp_lemma_mod(b_list, n_list, seed: int = 0) -> ExperimentReport:
 
 def _halfconvex_family(q: int, b: float, weights, knots):
     """f with f^(q-2) piecewise linear, convex right of 0, concave left,
-    built from odd hinges; returns the closed-form callables f and fq2 and
-    their jets (rows of values, first and second derivatives)."""
+    built from odd hinges at knots >= 0; returns the closed-form callables
+    f and fq2 and their jets (rows of values, first and second derivatives)."""
     w = np.asarray(weights, dtype=float)
     t = np.asarray(knots, dtype=float)
     fact = float(math.factorial(q - 1))
     sigma = (-1.0) ** q
 
-    def fq2(x):
-        x = np.asarray(x, dtype=float)[..., None]
-        return ((np.maximum(x - t, 0.0) - np.maximum(-x - t, 0.0)) @ w)
-
-    def f(x):
-        x = np.asarray(x, dtype=float)[..., None]
-        pos = np.maximum(x - t, 0.0) ** (q - 1)
-        neg = np.maximum(-x - t, 0.0) ** (q - 1)
-        return ((pos - sigma * neg) @ w) / fact
-
     def hinges(x, e, sign, order):
         # order-th derivative of sum_k w_k [(x-t_k)_+^e - sign (-x-t_k)_+^e],
-        # from d/dx (x - t)_+^e = e (x - t)_+^(e-1) and (x - t)_+^0 = [x > t]
-        x = np.asarray(x, dtype=float)[..., None]
+        # from d/dx (x - t)_+^e = e (x - t)_+^(e-1) and (x - t)_+^0 = [x > t];
+        # the knots are >= 0, so x meets only the hinges on its own side, all
+        # at |x|, and n points take one (n, knots) array, built in place
+        x = np.asarray(x, dtype=float)
         k = e - order
         if k < 0:
-            return np.zeros(x.shape[:-1])
+            return np.zeros(x.shape)
+        u = np.abs(x)[..., None] - t
         if k == 0:
-            pos, neg = (x > t) * 1.0, (-x > t) * 1.0
+            np.heaviside(u, 0.0, out=u)
         else:
-            pos = np.maximum(x - t, 0.0) ** k
-            neg = np.maximum(-x - t, 0.0) ** k
-        return math.perm(e, order) * ((pos - sign * (-1.0) ** order * neg) @ w)
+            np.maximum(u, 0.0, out=u)
+            u **= k
+        side = np.where(x < 0, -sign * (-1.0) ** order, 1.0)
+        return math.perm(e, order) * side * (u @ w)
+
+    def f(x):
+        return hinges(x, q - 1, sigma, 0) / fact
+
+    def fq2(x):
+        return hinges(x, 1, 1.0, 0)
 
     def f_jet(x):
         return np.array([hinges(x, q - 1, sigma, i) for i in range(3)]) / fact
@@ -238,7 +238,23 @@ def _halfconvex_family(q: int, b: float, weights, knots):
     return f, fq2, f_jet, fq2_jet
 
 
-def _domination_ratio(q: int, b: float, f, fq2, jets=(None, None)) -> float:
+def _mirrored(jet):
+    """The jet of x -> f(-x) from that of f: rows f(-x), -f'(-x), f''(-x)."""
+    return lambda x: jet(-np.asarray(x, dtype=float)) * np.array([[1.0], [-1.0], [1.0]])
+
+
+def _power_jet(r: int, scale: float):
+    """The jet of F_r(x / scale), F_r = abs_power(r, .), by F_r' = F_{r-1},
+    F_0 = sign and F_0' = 0 off the kink."""
+    def jet(x):
+        u = np.asarray(x, dtype=float) / scale
+        rows = [abs_power(k, u) if k > 0 else np.sign(u) if k == 0 else 0.0 * u
+                for k in (r, r - 1, r - 2)]
+        return np.array(rows) / scale ** np.arange(3.0)[:, None]
+    return jet
+
+
+def _domination_ratio(q: int, b: float, f, fq2, jets) -> float:
     f_jet, fq2_jet = jets
     num = b ** (q - 2) * sup_norm(fq2, Interval(-b, b), floor=1024, jet=fq2_jet)
     den = sup_norm(f, Interval(-2 * b, 2 * b), floor=1024, jet=f_jet)
@@ -271,14 +287,15 @@ def exp_lemma_3111(q: int, b: float, trials: int = 40,
     r_base = _domination_ratio(q, b, f7, fq27, jets7)
     f7s, fq27s, *jets7s = _halfconvex_family(q, b, 7.0 * w7, knots)
     r_scaled = _domination_ratio(q, b, f7s, fq27s, jets7s)
-    # the flipped and reference ratios take golden-section search, so the
-    # flip check also compares the two polish paths
+    # the flipped ratio reads the hinge sums mirrored, by mirrored jets
     r_flipped = _domination_ratio(q, b, lambda x: f7(-np.asarray(x)),
-                                  lambda x: fq27(-np.asarray(x)))
+                                  lambda x: fq27(-np.asarray(x)),
+                                  [_mirrored(jet) for jet in jets7])
 
     smooth_ref = _domination_ratio(
         q, b, lambda x: abs_power(q - 1, np.asarray(x) / (2 * b)),
-        lambda x: np.abs(np.asarray(x) / (2 * b)))
+        lambda x: np.abs(np.asarray(x) / (2 * b)),
+        (_power_jet(q - 1, 2 * b), _power_jet(1, 2 * b)))
 
     assertions = [
         Assertion("ratio_positive", best > 0, f"max ratio {best:.6g} > 0"),

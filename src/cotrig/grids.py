@@ -8,17 +8,17 @@ points), and polishes every local maximum of the samples and both
 endpoints inside the bracket of their neighbouring samples.  A flat run of
 equal samples counts as one maximum, polished at its two ends.
 
-The polish depends on what is known about f.  Where its first two
-derivatives are known in closed form, a jet (f, f', f'' at given points)
-drives safeguarded Newton steps on f' = 0 (Boyd, "Computing the zeros,
-maxima and inflection points of Chebyshev, Legendre and Fourier series",
-J. Eng. Math. 56, 2006): trigonometric polynomials, piecewise Chebyshev
-series and the splines built from them, closed-form step derivatives and
-hinge sums.  A bracket Newton cannot settle in a few steps, such as one
-holding a jump of f' at a breakpoint or knot, falls back to golden-section
-search, and so does every bracket of a callable without a jet.  The
-result is the largest |f| seen, so polishing never lowers the sampled
-maximum.
+Every caller knows the first two derivatives of f in closed form, and
+passes them as a jet (f, f', f'' at given points): trigonometric
+polynomials, piecewise Chebyshev series and the splines built from them,
+the step derivatives of the mollifier and hinge sums.  The jet drives
+safeguarded Newton steps on f' = 0 (Boyd, "Computing the zeros, maxima and
+inflection points of Chebyshev, Legendre and Fourier series", J. Eng.
+Math. 56, 2006), with bisection wherever a Newton step leaves its
+sub-bracket, so a jump of f' at a breakpoint or knot is bisected down to
+a few ulps.  The result is the largest |f| seen, so polishing never
+lowers the sampled maximum.  golden_refine_max, golden-section search on
+the same brackets, is kept as an independent reference for the tests.
 """
 
 from __future__ import annotations
@@ -33,16 +33,12 @@ TWO_PI = 2.0 * np.pi
 # at most 2n extrema a period, so 20 samples a degree put several samples
 # on every lobe and each maximum inside the bracket of its sample.
 SUP_POINTS_PER_DEGREE = 20
-# Golden-section rounds per bracket: each shrinks it by 0.618, so 60
-# rounds take any bracket below 1e-12 of its width.  They are the whole
-# polish for a callable without a jet and the budget for every bracket
-# Newton steps leave unresolved.
-GOLDEN_ROUNDS = 60
 
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _EPS = np.finfo(float).eps
-# Newton steps per bracket before it falls back to golden-section search
-_NEWTON_ITERATIONS = 10
+# Newton steps per bracket: bisection alone takes a bracket 2 pi wide
+# below 4 ulps of 1 in 53 steps
+_MAX_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -118,23 +114,20 @@ def golden_refine_max(f, lo: np.ndarray, hi: np.ndarray, rounds: int) -> np.ndar
     return np.maximum(f1, f2)
 
 
-def _newton_refine_max(jet, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+def _newton_refine_max(jet, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
     """Safeguarded Newton maximisation of |f| on bracket arrays.
 
     jet(x) returns the rows f, f' and f'' at the points x, shape (3, m).
     Each bracket [lo, hi] holds a sampled maximum x0 of |f|, and s f with
     s = sign f(x0) is maximised there: Newton on (s f)' = 0 from x0, inside
-    a sub-bracket on which (s f)' falls from positive to negative, with a
-    bisection step wherever the Newton step leaves it or (s f)'' >= 0.
-    A bracket without such a sub-bracket keeps its samples when x0 is one
-    of its ends (s f rises to that end or falls away from it) or (s f)'
-    vanishes there, and is unresolved otherwise.  Only a step below 4 ulps
-    ends the steps: (s f)' = 0 alone does not, since at a breakpoint the
-    jet is that of the piece to the right, which may be flat while the
-    maximum lies to the left.  A jump of f' inside the sub-bracket never
-    lets the steps settle, so such a bracket ends unresolved too.  Returns
-    the largest |f| at any iterate and the mask of brackets still
-    unresolved after _NEWTON_ITERATIONS steps.
+    a sub-bracket [a, c] with (s f)' > 0 at a and <= 0 at c, with a
+    bisection step wherever the Newton step leaves it or (s f)'' >= 0.  A
+    bracket whose ends and x0 show no such sign change keeps its samples.
+    A bracket closes when the Newton step or its sub-bracket is at most 4
+    ulps; (s f)' = 0 alone moves c, since at a breakpoint the jet is that
+    of the piece to the right, which may be flat while the maximum lies to
+    the left.  Only open brackets are evaluated, at most _MAX_STEPS times.
+    Returns the largest |f| at any iterate.
     """
     m = x0.size
     t, d1, d2 = jet(np.concatenate([x0, lo, hi])).reshape(3, 3, m)
@@ -142,45 +135,57 @@ def _newton_refine_max(jet, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     s = np.sign(t[0])
     g, h = s * d1[0], s * d2[0]
     up = g > 0
-    # sub-bracket [a, c] on which (s f)' falls from positive to negative
-    has_root = np.where(up, s * d1[2] < 0, s * d1[1] > 0)
-    a = np.where(up, x0, lo)
-    c = np.where(up, hi, x0)
-    unresolved = (g != 0) & ~has_root & (x0 > lo) & (x0 < hi)
-    todo = has_root
-    x = x0
-    for _ in range(_NEWTON_ITERATIONS):
+    open_ = np.where(up, s * d1[2] < 0, s * d1[1] > 0)
+    a = np.where(up, x0, lo)[open_]
+    c = np.where(up, hi, x0)[open_]
+    s, g, h, x = s[open_], g[open_], h[open_], x0[open_]
+    for _ in range(_MAX_STEPS):
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(h < 0, g / h, np.nan)
-        todo &= ~(np.abs(step) <= 4.0 * _EPS * np.maximum(np.abs(x), 1.0))
-        if not todo.any():
+        ulps = 4.0 * _EPS * np.maximum(np.abs(x), 1.0)
+        open_ = ~(np.abs(step) <= ulps) & (c - a > ulps)
+        if not open_.any():
             break
+        s, a, c, x, step = s[open_], a[open_], c[open_], x[open_], step[open_]
         newton = x - step
-        inside = (newton > a) & (newton < c)
-        x = np.where(todo, np.where(inside, newton, 0.5 * (a + c)), x)
+        x = np.where((newton > a) & (newton < c), newton, 0.5 * (a + c))
         t, d1, d2 = jet(x)
         best = max(best, float(np.abs(t).max()))
         g, h = s * d1, s * d2
-        a = np.where(todo & (g > 0), x, a)
-        c = np.where(todo & (g < 0), x, c)
-    return best, unresolved | todo
+        a = np.where(g > 0, x, a)
+        c = np.where(g > 0, c, x)
+    return best
 
 
 def sup_norm(f, interval: Interval, degree_hint: int | None = None,
              seeds=None, floor: int = 256, jet=None) -> float:
-    """Sup norm of f on the interval, Chebyshev sampling plus refinement.
+    """Sup norm of f on the interval, Chebyshev sampling plus Newton polish.
 
     The sample holds max(floor, SUP_POINTS_PER_DEGREE * degree_hint)
     Chebyshev points, or floor points without a hint.
     seeds: optional extra sample abscissae (breakpoints, zone grids) merged
     into the Chebyshev sample before the local maxima are located.
-    jet: optional callable returning the rows f, f' and f'' at an array of
-    points, shape (3, m); it defaults to f.jet when f has one.  With a jet
-    the maxima are polished by Newton steps, without one by golden-section
-    search.
+    jet: callable returning the rows f, f' and f'' at an array of points,
+    shape (3, m); it defaults to f.jet, and a TypeError is raised when f
+    has none.
     """
     if jet is None:
         jet = getattr(f, "jet", None)
+    if jet is None:
+        raise TypeError("sup_norm needs a jet of f (rows f, f', f''): "
+                        "pass jet= or an f with a jet method")
+    best, x0, lo, hi = _sampled_maxima(f, interval, degree_hint, seeds, floor)
+    return max(best, _newton_refine_max(jet, x0, lo, hi))
+
+
+def _sampled_maxima(f, interval: Interval, degree_hint: int | None, seeds,
+                    floor: int):
+    """The sample of sup_norm and the brackets it polishes.
+
+    Returns the largest sampled |f| and, for every local maximum of the
+    samples and both endpoints, the point x0 and its bracket [lo, hi]
+    between the neighbouring samples.
+    """
     count = floor if degree_hint is None \
         else max(floor, SUP_POINTS_PER_DEGREE * max(int(degree_hint), 1))
     xs = chebyshev_points(interval, count)
@@ -188,8 +193,6 @@ def sup_norm(f, interval: Interval, degree_hint: int | None = None,
         seeds = interval.clip(np.asarray(seeds, dtype=float))
         xs = np.unique(np.concatenate([xs, seeds]))
     ys = np.abs(np.asarray(f(xs), dtype=float))
-    if ys.size < 3:
-        return float(ys.max())
 
     mid = ys[1:-1]
     inner = (mid >= ys[:-2]) & (mid >= ys[2:])
@@ -200,13 +203,4 @@ def sup_norm(f, interval: Interval, degree_hint: int | None = None,
     idx = np.unique(np.concatenate([[0, ys.size - 1], idx]))
     lo = xs[np.maximum(idx - 1, 0)]
     hi = xs[np.minimum(idx + 1, ys.size - 1)]
-    keep = hi > lo
-    best = float(ys.max())
-    if jet is not None:
-        polished, unresolved = _newton_refine_max(jet, xs[idx], lo, hi)
-        best = max(best, polished)
-        keep &= unresolved
-    if keep.any():
-        refined = golden_refine_max(f, lo[keep], hi[keep], GOLDEN_ROUNDS)
-        best = max(best, float(refined.max()))
-    return best
+    return float(ys.max()), xs[idx], lo, hi

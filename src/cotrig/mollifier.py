@@ -4,9 +4,9 @@ The step S is built from the standard bump psi(t) = exp(-1/(1 - t^2)):
 S(x) = -1 + 2/Z * int_{-1}^{x} psi, with Z the total bump mass.  S is odd,
 increasing, equals sign(x) for |x| >= 1, and all its derivatives vanish at
 +-1, so pieces of S can be welded onto constant plateaus with C^infinity
-joins.  Derivatives of any order are evaluated from the closed form
-psi^(k) = P_k(t) / (1 - t^2)^(2k) * psi(t), with P_k given by a polynomial
-recursion.
+joins.  The derivatives psi, psi', ..., psi^(k) come together from one
+Leibniz recursion on psi = exp(g), whose exponent g = -1/(1 - t^2) splits
+into two simple poles with closed-form derivatives of every order.
 
 Z and the values of S at the interpolation nodes come from one fixed
 Gauss-Legendre rule on the panels between those nodes, in numpy alone.
@@ -14,20 +14,23 @@ Gauss-Legendre rule on the panels between those nodes, in numpy alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import legendre as _leg
-from numpy.polynomial import polynomial as _poly
 
 from .grids import Interval, sup_norm
 
 # below 1 - t^2 = 2e-3 the bump is ~ exp(-500) ~ 1e-218: call it zero and
-# keep the rational prefactor from overflowing
+# keep the powers of 1/(1 -+ t) from overflowing
 _EDGE = 2e-3
 
-_MAX_DERIVATIVE = 12
+# highest order of the table; the jet of S^(j) reaches S^(j+2), a bump
+# derivative of order j + 1
+_MAX_ORDER = 12
+_MAX_BUMP_ORDER = _MAX_ORDER + 1
 
 # degree of the Chebyshev interpolant of S
 _CHEB_DEGREE = 96
@@ -37,48 +40,40 @@ _CHEB_DEGREE = 96
 _PANEL_POINTS = 16
 
 
-def _prefactor_polys(count: int):
-    """P_k for psi^(k) = P_k / (1-t^2)^(2k) * psi, exact small-int recursion.
+def bump_derivatives(k: int, t) -> np.ndarray:
+    """Rows psi, psi', ..., psi^(k) of the bump at the points t.
 
-    Differentiating P_k / D^(2k) * psi with D = 1 - t^2 and D' = -2t gives
-    P_{k+1} = (P_k' D + 4 k t P_k) D - 2 t P_k.
+    psi = exp(g) with g = -1/(1-t^2) = -(1/(1-t) + 1/(1+t))/2, so
+    g^(i) = -i!/2 [(1-t)^-(i+1) + (-1)^i (1+t)^-(i+1)], and the Leibniz
+    rule on psi' = g' psi gives psi^(m+1) = sum_{i<=m} C(m,i) g^(i+1)
+    psi^(m-i).  Row 0 is bump(t); every row is zero outside the support.
     """
-    D = np.array([1.0, 0.0, -1.0])
-    t = np.array([0.0, 1.0])
-    polys = [np.array([1.0])]
-    for k in range(count):
-        P = polys[-1]
-        inner = _poly.polyadd(_poly.polymul(_poly.polyder(P), D),
-                              4.0 * k * _poly.polymul(t, P))
-        polys.append(_poly.polysub(_poly.polymul(inner, D), 2.0 * _poly.polymul(t, P)))
-    return polys
-
-
-_PREFACTORS = _prefactor_polys(_MAX_DERIVATIVE)
+    if not 0 <= k <= _MAX_BUMP_ORDER:
+        raise ValueError(f"bump derivatives supported up to order {_MAX_BUMP_ORDER}")
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    inside = 1.0 - t * t > _EDGE
+    # rows are built at every point, with the outside ones moved to 0 and
+    # zeroed at the end, so no row is copied out of a compressed array
+    t = np.where(inside, t, 0.0)
+    left, right = 1.0 / (1.0 - t), 1.0 / (1.0 + t)
+    g = [-0.5 * math.factorial(i) * (left ** (i + 1) + (-1) ** i * right ** (i + 1))
+         for i in range(1, k + 1)]
+    out = np.empty((k + 1,) + t.shape)
+    out[0] = np.exp(-1.0 / (1.0 - t * t))
+    for m in range(k):
+        out[m + 1] = sum(math.comb(m, i) * g[i] * out[m - i] for i in range(m + 1))
+    out[:, ~inside] = 0.0
+    return out
 
 
 def bump(t):
     """exp(-1/(1-t^2)) inside (-1, 1), zero outside."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros_like(t)
-    d = 1.0 - t * t
-    inside = d > _EDGE
-    out[inside] = np.exp(-1.0 / d[inside])
-    return out
+    return bump_derivatives(0, t)[0]
 
 
 def bump_derivative(k: int, t):
-    """k-th derivative of the bump, exact rational-prefactor closed form."""
-    if not 0 <= k <= _MAX_DERIVATIVE:
-        raise ValueError(f"bump derivatives supported up to order {_MAX_DERIVATIVE}")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros_like(t)
-    d = 1.0 - t * t
-    inside = d > _EDGE
-    ti = t[inside]
-    di = d[inside]
-    out[inside] = (_poly.polyval(ti, _PREFACTORS[k]) / di ** (2 * k)) * np.exp(-1.0 / di)
-    return out
+    """k-th derivative of the bump, row k of bump_derivatives."""
+    return bump_derivatives(k, t)[k]
 
 
 @dataclass
@@ -87,7 +82,7 @@ class MollifierTable:
 
     S itself is the Chebyshev interpolant cheb_coeffs (degree cheb_degree)
     on [-1, 1], which transition zones integrate exactly; S^(j) for j >= 1
-    is the closed-form scaled bump derivative.  mass is the bump mass Z.
+    is 2/Z psi^(j-1), a row of bump_derivatives.  mass is the bump mass Z.
     sup_norms[j] is the sup of |S^(j)| from sup_step_derivative (exactly 1
     for j = 0), for j up to max_order.
     """
@@ -114,16 +109,9 @@ class MollifierTable:
         return 2.0 / self.mass * bump_derivative(j - 1, u)
 
     def sup_step_derivative(self, j: int) -> float:
-        """Sup of |S^(j)| on [-1, 1] for j >= 1.
-
-        Newton-polished by the closed-form rows S^(j), S^(j+1) and S^(j+2)
-        where the bump derivatives they need exist, golden-section search
-        at the top orders.
-        """
-        jet = None
-        if j < _MAX_DERIVATIVE:
-            jet = lambda u: np.array([self.step_derivative(j + i, u)
-                                      for i in range(3)])
+        """Sup of |S^(j)| on [-1, 1] for j >= 1, Newton-polished by the
+        rows S^(j), S^(j+1) and S^(j+2) of one bump_derivatives call."""
+        jet = lambda u: 2.0 / self.mass * bump_derivatives(j + 1, u)[j - 1:]
         return sup_norm(lambda u: self.step_derivative(j, u),
                         Interval(-1.0, 1.0), floor=8193, jet=jet)
 
@@ -176,8 +164,8 @@ def build_mollifier_table(max_order: int = 8) -> MollifierTable:
     """
     if max_order in _TABLE_CACHE:
         return _TABLE_CACHE[max_order]
-    if max_order > _MAX_DERIVATIVE:
-        raise ValueError(f"max_order capped at {_MAX_DERIVATIVE}")
+    if max_order > _MAX_ORDER:
+        raise ValueError(f"max_order capped at {_MAX_ORDER}")
 
     # interpolation at first-kind nodes: chebfit with full degree is exact there
     nodes = _cheb.chebpts1(_CHEB_DEGREE + 1)

@@ -131,13 +131,7 @@ def build_smooth_spline(r: int, d: float, lam: float,
 
 
 def spline_distance(f, g, window: Interval, seeds=None) -> float:
-    """Refined sup of |f - g| over the window, seeding kink and zone points.
-
-    When both f and g have a jet, so does the difference, and the maxima
-    are Newton-polished.
-    """
-    jet = None
-    if hasattr(f, "jet") and hasattr(g, "jet"):
-        jet = lambda x: f.jet(x) - g.jet(x)
+    """Refined sup of |f - g| over the window, seeding kink and zone points
+    and Newton-polished by the difference of the two jets."""
     return sup_norm(lambda x: np.asarray(f(x)) - np.asarray(g(x)), window,
-                    seeds=seeds, floor=4096, jet=jet)
+                    seeds=seeds, floor=4096, jet=lambda x: f.jet(x) - g.jet(x))

@@ -1,13 +1,17 @@
-"""Pinned values of the growth experiments and the degree-cap message."""
+"""Pinned values of the growth experiments, the jets of lemma-3111's flipped
+and reference ratios, and the degree-cap message."""
 
 import json
 
+import numpy as np
 import pytest
 
 from cotrig import cli
 from cotrig.experiments import (DEGREE_CAP, DEGREE_CAP_LARGE, _check_degrees,
+                                _halfconvex_family, _mirrored, _power_jet,
                                 exp_bernstein_interval, exp_lemma_3111,
                                 exp_theorem_12, exp_theorem_13)
+from cotrig.splines import abs_power
 
 BERNSTEIN_RHO = 1.1013516933585912
 LEMMA_3111_C2 = 0.43697937807154774
@@ -23,11 +27,30 @@ def test_bernstein_pinned_ratio():
 def test_lemma_3111_pinned_ratio():
     # the hinge sums' maxima sit on sampled points, so Newton polish by
     # their jets keeps the constant exact, and the flipped ratio, polished
-    # by golden-section search, must agree with it
+    # by the mirrored jets, must agree with it
     report = exp_lemma_3111(3, 0.5, trials=40, seed=1)
     assert [a.passed for a in report.assertions] == [True] * 4
     assert report.constants[0].name == "c2"
     assert report.constants[0].value == LEMMA_3111_C2
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_lemma_3111_flipped_and_reference_jets(q):
+    # the jets of the flipped hinge sum and of the reference F_{q-1}(x/2b):
+    # row 0 is the function itself and, away from the kinks, central
+    # differences of each row give the next
+    b, knots = 0.5, np.linspace(0.0, 1.0, 14, endpoint=False)
+    f, _, f_jet, _ = _halfconvex_family(q, b, np.linspace(0.2, 1.0, 14), knots)
+    cases = [(lambda x: f(-x), _mirrored(f_jet)),
+             (lambda x: abs_power(q - 1, x / (2 * b)), _power_jet(q - 1, 2 * b))]
+    xs = np.linspace(-2 * b, 2 * b, 41)
+    xs = xs[np.abs(np.abs(xs)[:, None] - knots).min(axis=1) > 1e-3]
+    h = 1e-6
+    for fn, jet in cases:
+        rows = jet(xs)
+        np.testing.assert_array_equal(rows[0], fn(xs))
+        fd = (jet(xs + h) - jet(xs - h)) / (2 * h)
+        np.testing.assert_allclose(fd[:2], rows[1:], rtol=1e-5, atol=1e-5)
 
 
 @pytest.mark.parametrize("argv, value", [

@@ -40,6 +40,21 @@ def test_full_period_width():
     assert FULL_PERIOD.hi == np.pi
 
 
+def _golden_sup(f, iv, degree_hint=None, seeds=None, floor=256):
+    """Reference sup norm: the sample and brackets of sup_norm, each bracket
+    polished by 60 rounds of golden-section search instead of Newton."""
+    sampled, _, lo, hi = grids._sampled_maxima(f, iv, degree_hint, seeds, floor)
+    return max(sampled, float(golden_refine_max(f, lo, hi, 60).max()))
+
+
+def _cos_jet(x):
+    return np.array([np.cos(x), -np.sin(x), -np.cos(x)])
+
+
+def _sin_jet(x):
+    return np.array([np.sin(x), np.cos(x), -np.sin(x)])
+
+
 def test_sup_norm_sample_count():
     # the first call to f evaluates the Chebyshev sample: 20 points a
     # degree, never fewer than floor, and floor without a degree hint
@@ -52,8 +67,14 @@ def test_sup_norm_sample_count():
             calls.append(np.size(x))
             return np.cos(x)
 
-        sup_norm(f, Interval(-1.0, 1.0), degree_hint=degree_hint, floor=floor)
+        sup_norm(f, Interval(-1.0, 1.0), degree_hint=degree_hint, floor=floor,
+                 jet=_cos_jet)
         assert calls[0] == count
+
+
+def test_sup_norm_needs_a_jet():
+    with pytest.raises(TypeError, match="needs a jet"):
+        sup_norm(np.sin, FULL_PERIOD)
 
 
 def test_chebyshev_points_closed_hits_endpoints():
@@ -89,27 +110,36 @@ def test_golden_refine_max_finds_parabola_peak():
 
 
 def test_sup_norm_sine_is_one():
-    assert sup_norm(np.sin, FULL_PERIOD) == pytest.approx(1.0, abs=1e-12)
+    assert sup_norm(np.sin, FULL_PERIOD, jet=_sin_jet) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sup_norm_endpoint_maximum():
     iv = Interval(-1.0, 2.0)
-    assert sup_norm(lambda x: x * x, iv) == pytest.approx(4.0, abs=1e-12)
+    jet = lambda x: np.array([x * x, 2.0 * x, np.full_like(x, 2.0)])
+    assert sup_norm(lambda x: x * x, iv, jet=jet) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_sup_norm_narrow_spike_needs_seed():
     # a bump of width ~2e-4 hiding between Chebyshev nodes near the centre
-    spike = lambda x: np.exp(-((x - 0.1234) / 1e-4) ** 2)
+    w = 1e-4
+    spike = lambda x: np.exp(-((x - 0.1234) / w) ** 2)
+
+    def jet(x):
+        u = x - 0.1234
+        return spike(x) * np.array([np.ones_like(x), -2.0 * u / w ** 2,
+                                    4.0 * u * u / w ** 4 - 2.0 / w ** 2])
+
     iv = Interval(-np.pi, np.pi)
-    coarse = sup_norm(spike, iv, floor=64)
-    seeded = sup_norm(spike, iv, floor=64, seeds=[0.1234])
+    coarse = sup_norm(spike, iv, floor=64, jet=jet)
+    seeded = sup_norm(spike, iv, floor=64, seeds=[0.1234], jet=jet)
     assert seeded == pytest.approx(1.0, abs=1e-10)
     assert seeded >= coarse
 
 
 def test_sup_norm_seeds_are_clipped():
     iv = Interval(0.0, 1.0)
-    val = sup_norm(lambda x: x, iv, seeds=[-50.0, 50.0])
+    jet = lambda x: np.array([x, np.ones_like(x), np.zeros_like(x)])
+    val = sup_norm(lambda x: x, iv, seeds=[-50.0, 50.0], jet=jet)
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -123,7 +153,7 @@ def test_sup_norm_looks_left_of_a_flat_piece():
     f = p.antiderivative()
     assert f(1.25) == 0.0625
     newton = sup_norm(f, f.window, seeds=f.breakpoints)
-    golden = sup_norm(lambda x: f(x), f.window, seeds=f.breakpoints)
+    golden = _golden_sup(f, f.window, seeds=f.breakpoints)
     assert newton == pytest.approx(golden, rel=1e-13)
     assert newton == pytest.approx(0.06268579509458588, rel=1e-13)
 
@@ -137,7 +167,7 @@ def test_sup_norm_looks_left_of_a_flat_piece():
 def test_sup_norm_polishes_a_flat_run_at_its_ends(monkeypatch, j, value,
                                                    most):
     # derivatives of a smooth spline have plateaus; each is one maximum,
-    # not one bracket per sample, whichever polish takes the bracket
+    # not one bracket per sample, and Newton steps polish every bracket
     spline = build_smooth_spline(2, 1.0, Fraction(1, 12))
     brackets = set()
     newton = grids._newton_refine_max
@@ -146,12 +176,11 @@ def test_sup_norm_polishes_a_flat_run_at_its_ends(monkeypatch, j, value,
         brackets.update(zip(lo, hi))
         return newton(jet, x0, lo, hi)
 
-    def counting_golden(f, lo, hi, rounds):
-        brackets.update(zip(lo, hi))
-        return golden_refine_max(f, lo, hi, rounds)
+    def no_golden(f, lo, hi, rounds):
+        raise AssertionError("sup_norm called golden_refine_max")
 
     monkeypatch.setattr(grids, "_newton_refine_max", counting_newton)
-    monkeypatch.setattr(grids, "golden_refine_max", counting_golden)
+    monkeypatch.setattr(grids, "golden_refine_max", no_golden)
     assert spline.sup_derivative(j) == value
     assert 0 < len(brackets) <= most
 
@@ -174,11 +203,11 @@ def _draw_trig(data, degree, kind):
 
 
 def _assert_polish_paths_agree(f, jet, iv, **kwargs):
-    """The jet path (f's own jet when jet is None) agrees with golden-section
-    search and never reads below a dense sample."""
+    """Newton polish by the jet (f's own jet when jet is None) agrees with
+    golden-section search on the same brackets and never reads below a
+    dense sample."""
     newton = sup_norm(f, iv, jet=jet, **kwargs)
-    # a plain callable takes the golden-section path on the same brackets
-    golden = sup_norm(lambda x: f(x), iv, **kwargs)
+    golden = _golden_sup(f, iv, **kwargs)
     assert abs(newton - golden) <= max(1e-13 * golden, 1e-15)
     dense = np.abs(f(np.linspace(iv.lo, iv.hi, 5001))).max()
     assert newton >= dense * (1.0 - 1e-13) - 1e-15

@@ -5,9 +5,18 @@ import pytest
 from numpy.polynomial.chebyshev import chebpts1
 from scipy.integrate import quad
 
-from cotrig.grids import Interval, sup_norm
 from cotrig.mollifier import (_CHEB_DEGREE, _cumulative_bump,
-                              build_mollifier_table, bump, bump_derivative)
+                              build_mollifier_table, bump, bump_derivative,
+                              bump_derivatives)
+
+# sup |S^(j)| for j = 1..12 in 60 digits (mpmath: psi^(j-1) from the exact
+# P_k of psi^(k) = P_k / (1-t^2)^(2k) psi, the mass Z by mp.quad, and the
+# extremum by bisection on psi^(j)), rounded to double
+S_NORMS_60_DIGITS = [
+    1.6571376797382103, 3.5965805052174147, 34.909067016196447,
+    839.65097950041839, 37459.486002154149, 2686333.7141678241,
+    367008505.81148518, 65533598488.584171, 14869131271274.864,
+    4185519617824251.8, 1.4326342015707238e18, 6.3316224937237634e20]
 
 
 def test_bump_values_and_support():
@@ -21,8 +30,8 @@ def test_bump_values_and_support():
 
 
 def test_bump_derivative_matches_central_differences():
-    # each closed-form order against a difference quotient of the one below:
-    # a wrong prefactor recursion cannot survive this cascade
+    # each order against a difference quotient of the one below: a wrong
+    # Leibniz recursion cannot survive this cascade
     ts = np.linspace(-0.85, 0.85, 19)
     h = 1e-6
     for k in range(1, 7):
@@ -44,9 +53,21 @@ def test_bump_derivative_zero_order_and_bounds():
     ts = np.linspace(-0.9, 0.9, 11)
     assert np.allclose(bump_derivative(0, ts), bump(ts))
     with pytest.raises(ValueError):
-        bump_derivative(13, ts)
+        bump_derivative(14, ts)
     with pytest.raises(ValueError):
         bump_derivative(-1, ts)
+
+
+def test_bump_derivatives_share_one_recursion():
+    # row 0 is the bump itself, bit for bit, and row k of a longer jet is
+    # bump_derivative(k); everything vanishes outside the support
+    ts = np.linspace(-1.2, 1.2, 97)
+    rows = bump_derivatives(13, ts)
+    assert rows.shape == (14, 97)
+    np.testing.assert_array_equal(rows[0], bump(ts))
+    for k in range(14):
+        np.testing.assert_array_equal(rows[k], bump_derivative(k, ts))
+    assert not rows[:, np.abs(ts) >= 1.0].any()
 
 
 def test_bump_mass_against_dense_trapezoid(table):
@@ -122,16 +143,14 @@ def test_s_norms(table):
     assert table.s_norm(2) > table.s_norm(1)
 
 
-def test_s_norms_are_polished_maxima(table):
+def test_s_norms_are_polished_maxima():
+    table = build_mollifier_table(max_order=12)
     us = np.linspace(-1.0, 1.0, 20001)
     for j in range(1, table.max_order + 1):
         dense = np.abs(table.step_derivative(j, us)).max()
         assert table.s_norm(j) >= dense
-        golden = sup_norm(lambda u: table.step_derivative(j, u),
-                          Interval(-1.0, 1.0), floor=8193)
-        # the closed form of S^(j) rounds at about 1e-13 relative near its
-        # peak for j >= 6, and the two paths read it at different points
-        assert table.s_norm(j) == pytest.approx(golden, rel=1e-12)
+        assert table.s_norm(j) == pytest.approx(S_NORMS_60_DIGITS[j - 1],
+                                                rel=1e-13)
 
 
 def test_table_cache_returns_same_object(table):

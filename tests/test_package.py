@@ -104,6 +104,18 @@ def test_only_simplex_imports_scipy():
     assert importers == ["simplex.py"]
 
 
+def test_no_module_calls_golden_section_search():
+    # every sup norm is polished by Newton steps on a jet; golden-section
+    # search stays in grids only as the tests' reference
+    callers = sorted(
+        path.name for path in (ROOT / "src" / "cotrig").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "golden_refine_max" in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None)))
+    assert callers == []
+
+
 def test_python_m_cotrig_runs_a_command(tmp_path):
     out = tmp_path / "run"
     run = _fresh_python(["-m", "cotrig", "build", "ideal", "--r", "2",
