@@ -35,6 +35,10 @@ _MAX_BUMP_ORDER = _MAX_ORDER + 1
 # degree of the Chebyshev interpolant of S
 _CHEB_DEGREE = 96
 
+# most points one bump_derivatives recursion holds its k + 1 rows and k
+# pole terms for; longer inputs are split into equal blocks
+_BLOCK = 1024
+
 # Gauss-Legendre points on each panel between interpolation nodes; 8
 # already give the same sums to the last bit
 _PANEL_POINTS = 16
@@ -48,9 +52,42 @@ def bump_derivatives(k: int, t) -> np.ndarray:
     rule on psi' = g' psi gives psi^(m+1) = sum_{i<=m} C(m,i) g^(i+1)
     psi^(m-i).  Row 0 is bump(t); every row is zero outside the support.
     """
+    return _blockwise(k, t, slice(None))
+
+
+def bump(t):
+    """exp(-1/(1-t^2)) inside (-1, 1), zero outside."""
+    return _blockwise(0, t, 0)
+
+
+def bump_derivative(k: int, t):
+    """k-th derivative of the bump, row k of bump_derivatives."""
+    return _blockwise(k, t, k)
+
+
+def _blockwise(k: int, t, rows):
+    """The given rows of bump_derivatives, shaped like t.
+
+    The recursion runs on at most _BLOCK points at a time, so only the
+    requested rows are ever held for every point; each row is elementwise
+    in t, so the blocks change no value.
+    """
     if not 0 <= k <= _MAX_BUMP_ORDER:
         raise ValueError(f"bump derivatives supported up to order {_MAX_BUMP_ORDER}")
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    flat = t.ravel()
+    out, start = None, 0
+    for block in np.array_split(flat, max(1, -(-flat.size // _BLOCK))):
+        part = _leibniz_rows(k, block)[rows]
+        if out is None:
+            out = np.empty(part.shape[:-1] + flat.shape)
+        out[..., start:start + block.size] = part
+        start += block.size
+    return out.reshape(out.shape[:-1] + t.shape)
+
+
+def _leibniz_rows(k: int, t: np.ndarray) -> np.ndarray:
+    """Rows psi, ..., psi^(k) at the flat points t (see bump_derivatives)."""
     inside = 1.0 - t * t > _EDGE
     # rows are built at every point, with the outside ones moved to 0 and
     # zeroed at the end, so no row is copied out of a compressed array
@@ -64,16 +101,6 @@ def bump_derivatives(k: int, t) -> np.ndarray:
         out[m + 1] = sum(math.comb(m, i) * g[i] * out[m - i] for i in range(m + 1))
     out[:, ~inside] = 0.0
     return out
-
-
-def bump(t):
-    """exp(-1/(1-t^2)) inside (-1, 1), zero outside."""
-    return bump_derivatives(0, t)[0]
-
-
-def bump_derivative(k: int, t):
-    """k-th derivative of the bump, row k of bump_derivatives."""
-    return bump_derivatives(k, t)[k]
 
 
 @dataclass

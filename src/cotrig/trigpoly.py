@@ -5,6 +5,15 @@ cosine and sine coefficient arrays.  Differentiation acts exactly on the
 coefficients (each derivative multiplies the k-th pair by k and rotates it a
 quarter turn), so derivatives of any order carry no numerical error beyond
 the final evaluation.
+
+Evaluation writes T(t) = a0 + Re sum_k c_k z^k with c_k = a_k - i b_k and
+z = e^{it}, and sums the power series by Horner's rule in z: n complex
+multiply-adds over the points, O(M) memory for M points, and a rounding
+error of O(n eps sum_k |c_k|) (Higham, Accuracy and Stability of Numerical
+Algorithms, 5.1).  The jet runs the same loop over the three rows
+c_k (ik)^j, j = 0, 1, 2, whose real parts are T, T' and T''.  The basis
+matrices that feed the minimax LP keep their cos/sin table: the LP needs
+every column, not their sum.
 """
 
 from __future__ import annotations
@@ -33,28 +42,36 @@ class TrigPoly:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tt = np.atleast_1d(t)
-        n = self.degree
-        out = np.full(tt.shape, self.a0)
-        if n:
-            kt = np.outer(tt, np.arange(1, n + 1))
-            out = out + np.cos(kt) @ self.cos_coeffs + np.sin(kt) @ self.sin_coeffs
-        return float(out[0]) if scalar else out
+        out = self._horner(t.ravel(), 1)[0].reshape(t.shape)
+        return float(out) if t.ndim == 0 else out
 
     def jet(self, t) -> np.ndarray:
-        """Rows T, T' and T'' at the points t, from one cos/sin table."""
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros((3, tt.size))
-        out[0] = self.a0
-        if self.degree:
-            k = np.arange(1, self.degree + 1, dtype=float)
-            kt = np.outer(tt, k)
-            c, s = np.cos(kt), np.sin(kt)
-            a, b = self.cos_coeffs, self.sin_coeffs
-            out[0] += c @ a + s @ b
-            out[1] = c @ (k * b) - s @ (k * a)
-            out[2] = -(c @ (k * k * a) + s @ (k * k * b))
+        """Rows T, T' and T'' at the points t, shape (3, t.size)."""
+        return self._horner(np.asarray(t, dtype=float).ravel(), 3)
+
+    def _horner(self, t: np.ndarray, rows: int) -> np.ndarray:
+        """Rows T, ..., T^(rows-1) at the flat points t, by Horner in e^{it}.
+
+        Row j sums Re c_k (ik)^j z^k; its coefficients are built by j
+        multiplications by ik, the same products derivative(j) forms.
+        """
+        n = self.degree
+        if not n:
+            out = np.zeros((rows, t.size))
+            out[0] = self.a0
+            return out
+        coeffs = np.empty((rows, n), dtype=complex)
+        coeffs[0] = self.cos_coeffs - 1j * self.sin_coeffs
+        ik = 1j * np.arange(1, n + 1)
+        for j in range(1, rows):
+            np.multiply(coeffs[j - 1], ik, out=coeffs[j])
+        z = np.exp(1j * t)
+        acc = coeffs[:, -1:] * z
+        for k in range(n - 2, -1, -1):
+            acc += coeffs[:, k:k + 1]
+            acc *= z
+        out = acc.real.copy()
+        out[0] += self.a0
         return out
 
     def derivative(self, order: int = 1) -> "TrigPoly":

@@ -1,11 +1,13 @@
 """Tests for the bump calculus and the smooth step table."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebpts1
 from scipy.integrate import quad
 
-from cotrig.mollifier import (_CHEB_DEGREE, _cumulative_bump,
+from cotrig.mollifier import (_BLOCK, _CHEB_DEGREE, _cumulative_bump,
                               build_mollifier_table, bump, bump_derivative,
                               bump_derivatives)
 
@@ -68,6 +70,35 @@ def test_bump_derivatives_share_one_recursion():
     for k in range(14):
         np.testing.assert_array_equal(rows[k], bump_derivative(k, ts))
     assert not rows[:, np.abs(ts) >= 1.0].any()
+
+
+def test_bump_rows_do_not_depend_on_the_blocks():
+    # a sample longer than one block gives, bit for bit, the rows of its
+    # points taken a few at a time, in the shape of its input
+    ts = np.linspace(-1.0, 1.0, 4 * _BLOCK + 3)
+    rows = bump_derivatives(13, ts)
+    pieces = np.concatenate([bump_derivatives(13, ts[i:i + 7])
+                             for i in range(0, ts.size, 7)], axis=1)
+    np.testing.assert_array_equal(rows, pieces)
+    np.testing.assert_array_equal(bump_derivative(9, ts), rows[9])
+    grid = ts[:-3].reshape(4, _BLOCK)
+    np.testing.assert_array_equal(bump_derivatives(2, grid),
+                                  rows[:3, :-3].reshape(3, 4, _BLOCK))
+    assert bump_derivative(5, []).shape == (0,)
+
+
+def test_one_bump_row_holds_one_row_of_memory():
+    # on the 8193-point step-norm sample the 13 rows and 12 pole terms of
+    # the whole recursion take about 2 MB at once; a block's take 0.2 MB
+    ts = np.linspace(-1.0, 1.0, 8193)
+    bump_derivative(12, ts[:5])
+    tracemalloc.start()
+    try:
+        bump_derivative(12, ts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 19
 
 
 def test_bump_mass_against_dense_trapezoid(table):

@@ -1,5 +1,8 @@
 """Tests for the trigonometric polynomial coefficient calculus."""
 
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -56,11 +59,86 @@ def test_jet_matches_derivative_evaluations(random_trig):
     t = np.linspace(-3.0, 3.0, 41)
     jet = p.jet(t)
     assert jet.shape == (3, 41)
+    # the jet's rows c_k (ik)^j are the coefficients derivative(j) forms,
+    # summed by the same loop, so the values agree to the last bit
     for order in range(3):
-        assert np.allclose(jet[order], p.derivative(order)(t), atol=1e-12)
+        assert np.array_equal(jet[order], p.derivative(order)(t))
     assert p.jet(0.5).shape == (3, 1)
     assert TrigPoly(2.5).jet(t).tolist() == [[2.5] * 41, [0.0] * 41,
                                              [0.0] * 41]
+
+
+def _mp_values(p, ts):
+    """p at the float points ts, summed in 30-digit mpmath."""
+    with mpmath.workdps(30):
+        out = []
+        for t in ts:
+            t = mpmath.mpf(float(t))
+            out.append(float(p.a0 + mpmath.fsum(
+                a * mpmath.cos(k * t) + b * mpmath.sin(k * t)
+                for k, (a, b) in enumerate(zip(p.cos_coeffs, p.sin_coeffs),
+                                           start=1))))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("degree", [1, 8, 128])
+def test_evaluation_error_within_horner_bound(random_trig, degree):
+    # Horner in z = e^{it} is backward stable: |error| <= O(n eps sum|c_k|),
+    # also far from the origin, where a table of cos(kt) rounds kt itself
+    rng = np.random.default_rng(degree)
+    p = random_trig(rng, degree)
+    ts = np.concatenate([rng.uniform(-4.0, 4.0, 12),
+                         rng.uniform(-1e3, 1e3, 12), [-1e3, 0.0, 1e3]])
+    eps = np.finfo(float).eps
+    jet = p.jet(ts)
+    for order in range(3):
+        d = p.derivative(order)
+        bound = 8 * degree * eps * (abs(d.a0) + np.abs(d.cos_coeffs).sum()
+                                    + np.abs(d.sin_coeffs).sum())
+        ref = _mp_values(d, ts)
+        assert np.abs(d(ts) - ref).max() <= bound
+        assert np.abs(jet[order] - ref).max() <= bound
+
+
+def test_call_keeps_the_shape_of_t():
+    p = TrigPoly(1.0, [1.0, 2.0], [0.5])
+    grid = np.linspace(-2.0, 2.0, 6).reshape(2, 3)
+    out = p(grid)
+    assert out.shape == (2, 3)
+    assert np.array_equal(out, p(grid.ravel()).reshape(2, 3))
+    assert p(np.zeros((2, 3))).tolist() == [[4.0] * 3] * 2
+    assert p.jet(grid).shape == (3, 6)
+    assert TrigPoly(2.0)(grid).tolist() == [[2.0] * 3] * 2
+
+
+def test_scalar_empty_and_constant_inputs():
+    p = TrigPoly(1.0, [2.0], [0.5])
+    assert isinstance(p(np.float64(0.3)), float)
+    assert isinstance(p(np.array(0.3)), float)
+    assert p(np.array(0.3)) == p(0.3) == p([0.3])[0]
+    assert p(np.array([])).shape == (0,)
+    assert p.jet(np.array([])).shape == (3, 0)
+    c = TrigPoly(-1.5)
+    assert c.degree == 0
+    assert c(0.2) == -1.5
+    assert c(np.array([])).shape == (0,)
+    assert c.jet([0.0, 1.0]).tolist() == [[-1.5] * 2, [0.0] * 2, [0.0] * 2]
+
+
+@pytest.mark.parametrize("method", ["__call__", "jet"])
+def test_evaluation_memory_is_linear_in_points(random_trig, method):
+    # cos/sin tables of 20 000 x 128 points take 40 MB (values), 60 MB (jet)
+    p = random_trig(np.random.default_rng(2), 128)
+    t = np.linspace(-np.pi, np.pi, 20_000)
+    evaluate = getattr(p, method)
+    evaluate(t[:10])
+    tracemalloc.start()
+    try:
+        evaluate(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_derivative_order_validation():
