@@ -1,5 +1,5 @@
-"""Pinned values of the growth experiments, the jets of lemma-3111's flipped
-and reference ratios, and the degree-cap message."""
+"""Pinned values of the growth experiments and lemma-22, the jets of
+lemma-3111's flipped and reference ratios, and the degree-cap message."""
 
 import json
 
@@ -9,8 +9,8 @@ import pytest
 from cotrig import cli
 from cotrig.experiments import (DEGREE_CAP, DEGREE_CAP_LARGE, _check_degrees,
                                 _halfconvex_family, _mirrored, _power_jet,
-                                exp_bernstein_interval, exp_lemma_3111,
-                                exp_theorem_12, exp_theorem_13)
+                                exp_bernstein_interval, exp_lemma_22,
+                                exp_lemma_3111, exp_theorem_12, exp_theorem_13)
 from cotrig.splines import abs_power
 
 BERNSTEIN_RHO = 1.1013516933585912
@@ -51,6 +51,19 @@ def test_lemma_3111_flipped_and_reference_jets(q):
         np.testing.assert_array_equal(rows[0], fn(xs))
         fd = (jet(xs + h) - jet(xs - h)) / (2 * h)
         np.testing.assert_allclose(fd[:2], rows[1:], rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("q, minima", [
+    (3, (0.12500037969457517, 0.12500037969447014)),
+    (4, (0.013817402324684296, 0.013817557238126967)),
+])
+def test_lemma_22_pinned_minima(q, minima):
+    # the hinge weights of both knot counts are sign-constrained
+    report = exp_lemma_22(q)
+    assert report.passed
+    assert [row["knots"] for row in report.grid] == [16, 32]
+    assert [row["minimum"] for row in report.grid] == pytest.approx(minima,
+                                                                    rel=1e-12)
 
 
 @pytest.mark.parametrize("argv, value", [

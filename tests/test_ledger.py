@@ -224,5 +224,12 @@ def test_ledger_round_trip_and_hash(toy_ledger):
     assert d["constants"]["c9"] == "1/256"
 
 
+def test_ledger_hashes_are_pinned(toy_ledger):
+    # every derived constant, provenance entry and s_norm feeds the hash
+    proven = make_proven_ledger(3, 4, s_norms=(1, 2, 4))
+    assert proven.content_hash() == "c76b5625b8431917"
+    assert toy_ledger.content_hash() == "5af09a6848b183b2"
+
+
 def test_getitem_and_as_float(toy_ledger):
     assert toy_ledger["c6"] == Fraction(1)
