@@ -21,13 +21,14 @@ import numpy as np
 from .counterexample import build_summand
 from .grids import Interval, chebyshev_points, sup_norm
 from .ledger import ConstantsLedger, make_empirical_ledger
-from .minimax import best_approx, best_co_q_monotone, solve_grid_minimax
+from .minimax import (_constraint_rows, best_approx, best_co_q_monotone,
+                      solve_grid_minimax)
 from .mollifier import MollifierTable, build_mollifier_table
 from .reports import Assertion, ConstantReading, ExperimentReport
 from .signsets import SignChangeSet, delta_q_membership_by_convexity
 from .smooth import build_smooth_spline, spline_distance
 from .splines import abs_power, build_ideal_spline
-from .trigpoly import TrigPoly, trig_basis, trig_derivative_basis
+from .trigpoly import TrigPoly, trig_basis
 
 DEGREE_CAP = 32
 DEGREE_CAP_LARGE = 128
@@ -323,43 +324,40 @@ def exp_lemma_3111(q: int, b: float, trials: int = 40,
 # distance floor for half-convex smooth competitors
 
 
+def _fit_and_post_check(target, columns, cons_rows, points, fine):
+    """Minimax fit of target by columns(x) theta on the points, subject to
+    cons_rows theta >= 0; returns the grid error and the residual's max
+    on the finer post-check grid."""
+    theta, error, _ = solve_grid_minimax(
+        np.asarray(target(points), dtype=float), columns(points),
+        cons_matrix=cons_rows)
+    resid = np.asarray(target(fine)) - columns(fine) @ theta
+    return error, float(np.abs(resid).max())
+
+
 def _lemma22_columns(q: int, xs: np.ndarray, knots: np.ndarray):
-    """Columns spanning g with g^{(q-2)} piecewise linear and the hinge
-    weights sign-constrained; returns (columns, nonneg mask)."""
-    cols = []
-    nonneg = []
-    for j in range(max(q - 3, 0) + 1):
-        cols.append(xs ** j)
-        nonneg.append(False)
-    cols.append(xs ** (q - 2) / math.factorial(q - 2))
-    nonneg.append(False)
-    cols.append(xs ** (q - 1) / math.factorial(q - 1))
-    nonneg.append(False)
+    """Columns spanning g with g^{(q-2)} piecewise linear: q monomial
+    columns, then one hinge a knot, negated left of 0."""
     fact = math.factorial(q - 1)
+    cols = [xs ** j for j in range(q - 2)]
+    cols += [xs ** (q - 2) / math.factorial(q - 2), xs ** (q - 1) / fact]
     for t in knots:
         hinge = np.maximum(xs - t, 0.0) ** (q - 1) / fact
-        if t > 1e-12:
-            cols.append(hinge)
-            nonneg.append(True)
-        elif t < -1e-12:
-            cols.append(-hinge)
-            nonneg.append(True)
-        else:
-            cols.append(hinge)
-            nonneg.append(False)
-    return np.column_stack(cols), np.asarray(nonneg, dtype=bool)
+        cols.append(-hinge if t < -1e-12 else hinge)
+    return np.column_stack(cols)
 
 
 def _lemma22_minimum(q: int, knots: int) -> float:
-    xs = chebyshev_points(Interval(-1.0, 1.0), 1025)
     ts = np.linspace(-1.0, 1.0, knots + 2)[1:-1]
-    target = abs_power(q - 2, xs)
-    columns, nonneg = _lemma22_columns(q, xs, ts)
-    theta, _, _ = solve_grid_minimax(target, columns, nonneg=nonneg)
-    fine = chebyshev_points(Interval(-1.0, 1.0), 8193)
-    cols_fine, _ = _lemma22_columns(q, fine, ts)
-    resid = abs_power(q - 2, fine) - cols_fine @ theta
-    return float(np.abs(resid).max())
+    # g is convex right of 0 and concave left: the weights of the hinges
+    # off 0 are nonnegative
+    signed = np.r_[np.zeros(q, dtype=bool), np.abs(ts) > 1e-12]
+    _, post = _fit_and_post_check(
+        lambda x: abs_power(q - 2, x), lambda x: _lemma22_columns(q, x, ts),
+        np.eye(signed.size)[signed],
+        chebyshev_points(Interval(-1.0, 1.0), 1025),
+        chebyshev_points(Interval(-1.0, 1.0), 8193))
+    return post
 
 
 def exp_lemma_22(q: int, knots: int = 16, seed: int = 0) -> ExperimentReport:
@@ -527,31 +525,21 @@ def window_floor_solve(target, n: int, q: int, b: float, poly_degree: int,
     """Minimize sup|target + P - T| on [-b,b] over trig T (degree n, with
     t T^{(q)}(t) >= 0 on the window) and free algebraic P (degree <=
     poly_degree).  Returns (grid error, post error)."""
-    pts = chebyshev_points(Interval(-b, b), max(24 * (n + 1), 1025))
-    values = np.asarray(target(pts), dtype=float)
-    blocks = [trig_basis(pts, n)]
-    if with_poly:
-        blocks.append(-np.column_stack([pts ** j
-                                        for j in range(poly_degree + 1)]))
-    columns = np.hstack(blocks)
+    free = poly_degree + 1 if with_poly else 0
 
-    side = max(12 * n, 256)
-    cons_pts = np.concatenate([
-        chebyshev_points(Interval(-b, 0.0), side, open_ends=True),
-        chebyshev_points(Interval(0.0, b), side, open_ends=True)])
-    signs = np.sign(cons_pts)
-    cons = trig_derivative_basis(cons_pts, n, q) * signs[:, None]
-    if with_poly:
-        cons = np.hstack([cons, np.zeros((cons.shape[0], poly_degree + 1))])
+    def columns(x):
+        blocks = [trig_basis(x, n)]
+        if with_poly:
+            blocks.append(-np.column_stack([x ** j for j in range(free)]))
+        return np.hstack(blocks)
 
-    theta, error, _ = solve_grid_minimax(values, columns, cons_matrix=cons)
-    fine = chebyshev_points(Interval(-b, b), 4 * max(24 * (n + 1), 1025))
-    blocks_f = [trig_basis(fine, n)]
-    if with_poly:
-        blocks_f.append(-np.column_stack([fine ** j
-                                          for j in range(poly_degree + 1)]))
-    resid = np.asarray(target(fine)) - np.hstack(blocks_f) @ theta
-    return error, float(np.abs(resid).max())
+    _, rows = _constraint_rows([(-b, 0.0, -1), (0.0, b, 1)], n, q,
+                               max(12 * n, 256))
+    count = max(24 * (n + 1), 1025)
+    return _fit_and_post_check(
+        target, columns, np.hstack([rows, np.zeros((rows.shape[0], free))]),
+        chebyshev_points(Interval(-b, b), count),
+        chebyshev_points(Interval(-b, b), 4 * count))
 
 
 def exp_lemma_aux(n_list, b, q: int, p: int, ledger: ConstantsLedger,

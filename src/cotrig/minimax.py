@@ -90,21 +90,19 @@ def _spread(total, count):
                      .round().astype(int))
 
 
-def solve_grid_minimax(values, columns, cons_matrix=None, nonneg=None,
-                       start=None):
+def solve_grid_minimax(values, columns, cons_matrix=None, start=None):
     """Best linear minimax fit on a fixed grid, solved by exchange.
 
     Minimises max_i |values_i - (columns theta)_i| over theta, subject to
-    (cons_matrix theta)_l >= 0 and theta_j >= 0 for flagged j.  Returns
-    (theta, error, info).
+    (cons_matrix theta)_l >= 0.  Returns (theta, error, info).
 
     The LP runs in an orthonormal basis: with the truncated SVD
     columns = U_k S_k V_k' (singular values above 1e-12 of the largest),
     theta = V_k S_k^-1 phi, so the objective rows are the orthonormal U_k
     and values are scaled to unit maximum.  On narrow windows the trig and
     monomial columns are nearly dependent, and this is what keeps the LP
-    well posed there.  Constraint rows and the nonneg flags are mapped
-    through the same transform and scaled to unit length.
+    well posed there.  Constraint rows are mapped through the same
+    transform and scaled to unit length.
 
     The LP is solved on a working subset of grid points and constraint
     rows, held in one LinearProgram for the whole call: the worst
@@ -125,8 +123,6 @@ def solve_grid_minimax(values, columns, cons_matrix=None, nonneg=None,
     cons = np.zeros((0, p)) if cons_matrix is None \
         else np.asarray(cons_matrix, dtype=float)
     L = cons.shape[0]
-    if nonneg is not None:
-        cons = np.vstack([cons, np.eye(p)[np.asarray(nonneg, dtype=bool)]])
 
     # scale-free tolerances: the scaled summands of the nested
     # construction have sups around 1e-13
@@ -149,8 +145,6 @@ def solve_grid_minimax(values, columns, cons_matrix=None, nonneg=None,
     else:
         work_pts, work_cons = (np.unique(np.asarray(w, dtype=int))
                                for w in start)
-    # the nonneg rows are few: all of them stay in the working set
-    work_cons = np.union1d(work_cons, np.arange(L, C.shape[0]))
     cap = k + 5
 
     # min t over (phi, t): u_i.phi - t <= v_i, u_i.phi + t >= v_i and
@@ -224,7 +218,7 @@ def solve_grid_minimax(values, columns, cons_matrix=None, nonneg=None,
         "duality_gap": sol.duality_gap,
         "outer_rounds": rounds,
         "working_points": int(work_pts.size),
-        "working_rows": (work_pts, work_cons[work_cons < L]),
+        "working_rows": (work_pts, work_cons),
     }
     return theta, float(error), info
 
@@ -260,30 +254,27 @@ def _local_maxima(xs, vals):
     return xs[keep]
 
 
-def _constraint_rows(ys: SignChangeSet, degree: int, q: int, per_gap: int):
-    pts = []
-    signs = []
-    for lo, hi, sigma in ys.intervals():
-        gap_pts = chebyshev_points(Interval(lo, hi), per_gap, open_ends=True)
-        pts.append(gap_pts)
-        signs.append(np.full(gap_pts.size, sigma, dtype=float))
-    pts = np.concatenate(pts)
-    signs = np.concatenate(signs)
-    rows = trig_derivative_basis(pts, degree, q) * signs[:, None]
-    return pts, signs, rows
+def _gap_points(gaps, per_gap: int):
+    """per_gap open Chebyshev points on each (lo, hi, sigma) gap, and the
+    sign sigma at each of them."""
+    pts = [chebyshev_points(Interval(lo, hi), per_gap, open_ends=True)
+           for lo, hi, _ in gaps]
+    signs = np.repeat([float(sigma) for _, _, sigma in gaps], per_gap)
+    return np.concatenate(pts or [np.zeros(0)]), signs
 
 
-def _signed_min(tp: TrigPoly, ys: SignChangeSet, q: int, per_gap: int):
-    """Worst signed value of sigma * T^(q) over a dense constraint grid."""
-    dq = tp.derivative(q)
-    worst = np.inf
-    top = 0.0
-    for lo, hi, sigma in ys.intervals():
-        pts = chebyshev_points(Interval(lo, hi), per_gap, open_ends=True)
-        vals = sigma * dq(pts)
-        worst = min(worst, float(vals.min()))
-        top = max(top, float(np.abs(vals).max()))
-    return worst, top
+def _constraint_rows(gaps, degree: int, q: int, per_gap: int):
+    """Gap points and their rows of sigma T^(q) >= 0 in the trig basis."""
+    pts, signs = _gap_points(gaps, per_gap)
+    return pts, trig_derivative_basis(pts, degree, q) * signs[:, None]
+
+
+def _signed_min(tp: TrigPoly, gaps, q: int, per_gap: int):
+    """Worst signed value of sigma * T^(q) over a dense constraint grid,
+    and the largest |T^(q)| there."""
+    pts, signs = _gap_points(gaps, per_gap)
+    vals = signs * tp.derivative(q)(pts)
+    return float(vals.min()), float(np.abs(vals).max())
 
 
 def _nearest(grid, xs):
@@ -295,15 +286,18 @@ def _nearest(grid, xs):
     return order[j]
 
 
-def _refinement_loop(target, degree: int, subintervals,
-                     cons_builder=None, cons_check=None):
+def _refinement_loop(target, degree: int, subintervals, q: int, gaps):
     """Shared solve-refine loop.
 
-    cons_builder() -> (constraint abscissae, rows matrix).  Each round
-    starts its exchange from the previous round's working set, carried
-    over by abscissa: the refined objective grid contains the old one, so
-    its points map exactly; constraint points map to their nearest
-    neighbour on a densified constraint grid.
+    gaps are the (lo, hi, sigma) triples on which sigma T^(q) >= 0 is
+    imposed, on a constraint grid of per_gap points a gap; an
+    unconstrained fit has none.  The objective grid refines at the
+    residual maxima, and the constraint grid doubles wherever the sign
+    check on ten times its density fails (up to three doublings).  Each
+    round starts its exchange from the previous round's working set,
+    carried over by abscissa: the refined objective grid contains the old
+    one, so its points map exactly; constraint points map to their
+    nearest neighbour on a densified constraint grid.
     """
     total = max(POINTS_PER_DEGREE * max(degree, 1), 512)
     points = _split_points(subintervals, total)
@@ -311,19 +305,21 @@ def _refinement_loop(target, degree: int, subintervals,
     scale = float(np.abs(np.asarray(target(fine))).max())
     floor = 1e-12 * max(1.0, scale)
 
+    per_gap, doublings, cons = total, 0, None
     rounds = []
     best = None
     carried = None
-    for round_idx in range(MAX_REFINEMENTS + 1):
+    for _ in range(MAX_REFINEMENTS + 1):
+        if cons is None:
+            cons = _constraint_rows(gaps, degree, q, per_gap)
+        cons_pts, cons_rows = cons
         values = np.asarray(target(points), dtype=float)
         columns = trig_basis(points, degree)
-        cons_pts, cons_matrix = cons_builder() if cons_builder is not None \
-            else (np.zeros(0), None)
         start = None
         if carried is not None:
             start = (_nearest(points, carried[0]),
                      _nearest(cons_pts, carried[1]))
-        theta, error, info = solve_grid_minimax(values, columns, cons_matrix,
+        theta, error, info = solve_grid_minimax(values, columns, cons_rows,
                                                 start=start)
         work_pts, work_cons = info["working_rows"]
         carried = (points[work_pts], cons_pts[work_cons])
@@ -333,8 +329,12 @@ def _refinement_loop(target, degree: int, subintervals,
         residual = np.asarray(target(fine_all)) - tp(fine_all)
         post = float(np.abs(residual).max())
         cons_ok, violation = True, None
-        if cons_check is not None:
-            violation, cons_ok = cons_check(tp, round_idx)
+        if gaps:
+            worst, top = _signed_min(tp, gaps, q, 10 * per_gap)
+            violation = max(0.0, -worst)
+            if worst < -1e-8 * max(top, 1.0) and doublings < 3:
+                per_gap, doublings, cons = 2 * per_gap, doublings + 1, None
+                cons_ok = False
         rounds.append({"grid_points": int(points.size), "error": error,
                        "post_check_error": post,
                        "constraint_violation": violation,
@@ -365,37 +365,14 @@ def _refinement_loop(target, degree: int, subintervals,
 def best_approx(target, degree: int,
                 domain: Interval | None = None) -> ApproxResult:
     """Best unconstrained trig approximation on the domain (default: period)."""
-    return _refinement_loop(target, degree, [domain or FULL_PERIOD])
+    return _refinement_loop(target, degree, [domain or FULL_PERIOD], 0, ())
 
 
 def best_co_q_monotone(target, degree: int, q: int,
                        ys: SignChangeSet) -> ApproxResult:
-    """Best approximation whose q-th derivative obeys the sign pattern of ys.
-
-    Both grids refine independently: the objective grid at residual maxima,
-    the constraint grid by doubling wherever the continuous sign check
-    fails between grid points (up to three doublings).
-    """
+    """Best approximation whose q-th derivative obeys the sign pattern of ys."""
     if q < 1:
         raise ValueError("q must be a positive integer")
-    per_gap = max(POINTS_PER_DEGREE * max(degree, 1), 512)
-    subintervals = [Interval(a, b) for a, b, _ in ys.intervals()]
-
-    state = {"per_gap": per_gap, "densify": 0}
-
-    def cons_builder():
-        pts, _, rows = _constraint_rows(ys, degree, q, state["per_gap"])
-        return pts, rows
-
-    def cons_check(tp: TrigPoly, round_idx: int):
-        worst, top = _signed_min(tp, ys, q, 10 * state["per_gap"])
-        tol = 1e-8 * max(top, 1.0)
-        ok = worst >= -tol
-        if not ok and state["densify"] < 3:
-            state["per_gap"] *= 2
-            state["densify"] += 1
-            return max(0.0, -worst), False
-        return max(0.0, -worst), True
-
-    return _refinement_loop(target, degree, subintervals,
-                            cons_builder=cons_builder, cons_check=cons_check)
+    gaps = ys.intervals()
+    return _refinement_loop(target, degree,
+                            [Interval(lo, hi) for lo, hi, _ in gaps], q, gaps)

@@ -33,10 +33,11 @@ def test_line_fit_equioscillates():
     assert theta[1] == pytest.approx(0.5, abs=1e-9)
 
 
-def test_nonneg_flag_pins_coefficient():
+def test_identity_row_pins_coefficient():
     values = np.array([-2.0, -1.0])
     columns = np.ones((2, 1))
-    theta, error, _ = solve_grid_minimax(values, columns, nonneg=[True])
+    theta, error, _ = solve_grid_minimax(values, columns,
+                                         cons_matrix=np.eye(1))
     assert theta[0] == pytest.approx(0.0, abs=1e-10)
     assert error == pytest.approx(2.0, abs=1e-10)
 
@@ -190,7 +191,7 @@ def _constrained_grid_problem():
     xs = np.linspace(-np.pi, np.pi, 401)
     values = np.sin(xs) + 0.5 * np.sin(2 * xs) ** 2 + 0.2 * np.abs(xs - 1)
     ys = SignChangeSet([-np.pi / 2, np.pi / 2])
-    _, _, rows = minimax._constraint_rows(ys, 4, 3, 200)
+    _, rows = minimax._constraint_rows(ys.intervals(), 4, 3, 200)
     return values, trig_basis(xs, 4), rows
 
 
