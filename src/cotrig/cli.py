@@ -116,15 +116,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _fraction(value) -> Fraction:
-    """Exact rational from a JSON number or a string like "1/4"."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        return Fraction(value)
-    return Fraction(value)
-
-
 def _load_ledger(path: str) -> ConstantsLedger:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -179,7 +170,7 @@ def cmd_build_ideal(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_build_smooth(cfg: dict, out_dir: Path) -> int:
-    r, d, lam = cfg["r"], float(cfg["d"]), float(_fraction(cfg["lam"]))
+    r, d, lam = cfg["r"], float(cfg["d"]), float(Fraction(cfg["lam"]))
     table = build_mollifier_table()
     spline = build_smooth_spline(r, d, lam, table=table)
     ideal = build_ideal_spline(r, d)
@@ -209,8 +200,8 @@ def cmd_build_smooth(cfg: dict, out_dir: Path) -> int:
 def cmd_build_fnb(cfg: dict, out_dir: Path) -> int:
     ledger = _load_ledger(cfg["ledger"])
     n = cfg["n"]
-    b = _fraction(cfg["b"])
-    d = _fraction(cfg["d"]) if "d" in cfg else \
+    b = Fraction(cfg["b"])
+    d = Fraction(cfg["d"]) if "d" in cfg else \
         Fraction(ledger.provenance.get("gap", "0"))
     if d <= 0:
         raise ValueError("no gap in the ledger provenance; pass d")
@@ -245,7 +236,7 @@ def cmd_build_fnb(cfg: dict, out_dir: Path) -> int:
 def cmd_build_partial_sum(cfg: dict, out_dir: Path) -> int:
     ledger = _load_ledger(cfg["ledger"])
     K = cfg["K"]
-    d = _fraction(cfg["d"]) if "d" in cfg else \
+    d = Fraction(cfg["d"]) if "d" in cfg else \
         Fraction(ledger.provenance.get("gap", "0"))
     if d <= 0:
         raise ValueError("no gap in the ledger provenance; pass d")

@@ -202,18 +202,6 @@ def parse_eps_rule(spec: str) -> EpsRule:
     raise ValueError(f"unknown growth rule {spec!r}")
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot convert {type(x)} to Fraction")
-
-
 @dataclass(frozen=True)
 class ConstantsLedger:
     """Chained constants of the nested construction, all exact rationals.
@@ -237,8 +225,8 @@ class ConstantsLedger:
         if self.mode not in ("proven", "empirical"):
             raise ValueError("mode must be 'proven' or 'empirical'")
         object.__setattr__(self, "constants",
-                           {k: _frac(v) for k, v in self.constants.items()})
-        object.__setattr__(self, "s_norms", tuple(_frac(v) for v in self.s_norms))
+                           {k: Fraction(v) for k, v in self.constants.items()})
+        object.__setattr__(self, "s_norms", tuple(Fraction(v) for v in self.s_norms))
         missing = [k for k in CONSTANT_KEYS if k not in self.constants]
         if missing:
             raise ValueError(f"ledger misses constants: {missing}")
@@ -320,6 +308,18 @@ class ConstantsLedger:
 _PI_UPPER = Fraction(355, 113)
 
 
+def _derive_chain(c: dict, s, r: int, m: int, ref: Fraction) -> dict:
+    """c with c_star and c6..c10 derived exactly from c0, c3, c4 and c5,
+    the step norms s and the reference cut ref of c8 and c9."""
+    c6 = c["c3"] / (2 * c["c5"])
+    c7 = c6 ** m / s[m]
+    return {**c, "c_star": 1 / (40 * c["c0"]), "c6": c6, "c7": c7,
+            "c8": max(c6 ** (m - j) * ref ** (r * (m - j)) * s[j] / s[m]
+                      for j in range(m + 1)),
+            "c9": c7 * ref ** (r * m) * c["c4"],
+            "c10": c7 * c["c3"] / 2}
+
+
 def make_proven_ledger(q: int, p: int, s_norms, c2=Fraction(10), c4=Fraction(4),
                        gap=Fraction(31, 10)) -> ConstantsLedger:
     """Conservative ledger carried by the proofs.
@@ -329,27 +329,17 @@ def make_proven_ledger(q: int, p: int, s_norms, c2=Fraction(10), c4=Fraction(4),
     defaults are taken and recorded; gap is the reference sign-change gap
     used to freeze the b-dependent constants c8 and c9.
     """
-    s = [
-        _frac(v) for v in s_norms]
+    s = [Fraction(v) for v in s_norms]
     r, m = q - 1, p - q + 1
     if len(s) <= m:
         raise ValueError("s_norms too short for the smoothness margin m")
     c0 = Fraction(10)
     c1 = 1 / (80 * c0)
-    c_star = 1 / (40 * c0)
-    c2 = _frac(c2)
-    c4 = _frac(c4)
-    gap = _frac(gap)
-    c3 = Fraction(1, 2 ** r) * c1 / c2
-    c5 = 8 * _PI_UPPER ** (r - 1)
-    c6 = c3 / (2 * c5)
-    c7 = c6 ** m / s[m]
-    c8 = max(c6 ** (m - j) * gap ** (r * (m - j)) * s[j] / s[m] for j in range(m + 1))
-    c9 = c7 * gap ** (r * m) * c4
-    c10 = c7 * c3 / 2
-    constants = {"c0": c0, "c1": c1, "c2": c2, "c3": c3, "c4": c4, "c5": c5,
-                 "c6": c6, "c7": c7, "c8": c8, "c9": c9, "c10": c10,
-                 "c_star": c_star}
+    c2 = Fraction(c2)
+    gap = Fraction(gap)
+    base = {"c0": c0, "c1": c1, "c2": c2, "c3": Fraction(1, 2 ** r) * c1 / c2,
+            "c4": Fraction(c4), "c5": 8 * _PI_UPPER ** (r - 1)}
+    constants = _derive_chain(base, s, r, m, gap)
     prov = {
         "c2": "assumed conservative bound (no pinned value available)",
         "c4": "assumed conservative bound on low-order derivative sups",
@@ -369,23 +359,17 @@ def make_empirical_ledger(q: int, p: int, s_norms, measured: dict,
     structural identity holds by construction.  reference_b is the largest
     cut parameter the b-dependent constants c8, c9 are calibrated for.
     """
-    s = [_frac(v) for v in s_norms]
+    s = [Fraction(v) for v in s_norms]
     r, m = q - 1, p - q + 1
     if len(s) <= m:
         raise ValueError("s_norms too short for the smoothness margin m")
-    c = {k: _frac(v) for k, v in measured.items()}
+    c = {k: Fraction(v) for k, v in measured.items()}
     for key in ("c0", "c1", "c2", "c3", "c4", "c5"):
         if key not in c:
             raise ValueError(f"measured constants must include {key}")
-    gap = _frac(gap)
-    reference_b = _frac(reference_b)
-    c["c_star"] = 1 / (40 * c["c0"])
-    c["c6"] = c["c3"] / (2 * c["c5"])
-    c["c7"] = c["c6"] ** m / s[m]
-    c["c8"] = max(c["c6"] ** (m - j) * reference_b ** (r * (m - j)) * s[j] / s[m]
-                  for j in range(m + 1))
-    c["c9"] = c["c7"] * reference_b ** (r * m) * c["c4"]
-    c["c10"] = c["c7"] * c["c3"] / 2
+    gap = Fraction(gap)
+    reference_b = Fraction(reference_b)
+    c = _derive_chain(c, s, r, m, reference_b)
     prov = dict(provenance)
     prov.setdefault("reference_b", str(reference_b))
     prov.setdefault("gap", str(gap))
