@@ -45,7 +45,7 @@ from .signsets import (SignChangeSet, delta_q_membership,
                        delta_q_membership_by_convexity)
 from .simplex import LPError
 from .smooth import build_smooth_spline, spline_distance
-from .splines import IdealSpline, abs_power, build_ideal_spline, step_offset
+from .splines import IdealSpline, PowerKink, build_ideal_spline, step_offset
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -319,7 +319,7 @@ def _resolve_target(spec: str):
         r = int(match.group(1))
         if r < 1:
             raise ValueError("F targets need a positive order")
-        return (lambda x: abs_power(r, x)), spec
+        return PowerKink(r), spec
     match = re.fullmatch(r"ideal:(\d+):([0-9.eE+-]+)", spec)
     if match:
         r, b = int(match.group(1)), float(match.group(2))

@@ -27,7 +27,7 @@ from .mollifier import MollifierTable, build_mollifier_table
 from .reports import Assertion, ConstantReading, ExperimentReport
 from .signsets import SignChangeSet, delta_q_membership_by_convexity
 from .smooth import build_smooth_spline, spline_distance
-from .splines import abs_power, build_ideal_spline
+from .splines import PowerKink, build_ideal_spline
 from .trigpoly import TrigPoly, trig_basis
 
 DEGREE_CAP = 32
@@ -148,8 +148,10 @@ def exp_lemma_mod(b_list, n_list, seed: int = 0) -> ExperimentReport:
     if any(not 0 < b <= np.pi for b in bs):
         raise ValueError("need every b in (0, pi]")
 
+    kink = PowerKink(1)
+
     def _cell(b, n):
-        res = best_approx(lambda x: np.abs(x), n, domain=Interval(-b, b))
+        res = best_approx(kink, n, domain=Interval(-b, b))
         kappa = n * res.post_check_error / b
         return {"b": b, "n": n, "error": res.error,
                 "post_check_error": res.post_check_error,
@@ -164,9 +166,13 @@ def exp_lemma_mod(b_list, n_list, seed: int = 0) -> ExperimentReport:
     b_inv = min(inner) if inner else min(bs)
     n_inv = max(ns)
     slope = 0.1 if inner else 0.0
-    base = best_approx(lambda x: np.abs(x), n_inv, domain=Interval(-b_inv, b_inv))
-    moved = best_approx(lambda x: np.abs(x) + slope * x + 0.05, n_inv,
-                        domain=Interval(-b_inv, b_inv))
+
+    def moved_kink(x):
+        return kink(x) + slope * x + 0.05
+
+    moved_kink.breakpoints = kink.breakpoints
+    base = best_approx(kink, n_inv, domain=Interval(-b_inv, b_inv))
+    moved = best_approx(moved_kink, n_inv, domain=Interval(-b_inv, b_inv))
     drift = abs(moved.post_check_error - base.post_check_error)
 
     assertions = [
@@ -244,17 +250,6 @@ def _mirrored(jet):
     return lambda x: jet(-np.asarray(x, dtype=float)) * np.array([[1.0], [-1.0], [1.0]])
 
 
-def _power_jet(r: int, scale: float):
-    """The jet of F_r(x / scale), F_r = abs_power(r, .), by F_r' = F_{r-1},
-    F_0 = sign and F_0' = 0 off the kink."""
-    def jet(x):
-        u = np.asarray(x, dtype=float) / scale
-        rows = [abs_power(k, u) if k > 0 else np.sign(u) if k == 0 else 0.0 * u
-                for k in (r, r - 1, r - 2)]
-        return np.array(rows) / scale ** np.arange(3.0)[:, None]
-    return jet
-
-
 def _domination_ratio(q: int, b: float, f, fq2, jets) -> float:
     f_jet, fq2_jet = jets
     num = b ** (q - 2) * sup_norm(fq2, Interval(-b, b), floor=1024, jet=fq2_jet)
@@ -293,10 +288,8 @@ def exp_lemma_3111(q: int, b: float, trials: int = 40,
                                   lambda x: fq27(-np.asarray(x)),
                                   [_mirrored(jet) for jet in jets7])
 
-    smooth_ref = _domination_ratio(
-        q, b, lambda x: abs_power(q - 1, np.asarray(x) / (2 * b)),
-        lambda x: np.abs(np.asarray(x) / (2 * b)),
-        (_power_jet(q - 1, 2 * b), _power_jet(1, 2 * b)))
+    ref, ref_q2 = PowerKink(q - 1, 2 * b), PowerKink(1, 2 * b)
+    smooth_ref = _domination_ratio(q, b, ref, ref_q2, (ref.jet, ref_q2.jet))
 
     assertions = [
         Assertion("ratio_positive", best > 0, f"max ratio {best:.6g} > 0"),
@@ -353,7 +346,7 @@ def _lemma22_minimum(q: int, knots: int) -> float:
     # off 0 are nonnegative
     signed = np.r_[np.zeros(q, dtype=bool), np.abs(ts) > 1e-12]
     _, post = _fit_and_post_check(
-        lambda x: abs_power(q - 2, x), lambda x: _lemma22_columns(q, x, ts),
+        PowerKink(q - 2), lambda x: _lemma22_columns(q, x, ts),
         np.eye(signed.size)[signed],
         chebyshev_points(Interval(-1.0, 1.0), 1025),
         chebyshev_points(Interval(-1.0, 1.0), 8193))
@@ -609,8 +602,8 @@ def measure_window_rate_constant(r: int, b_list, n_list) -> tuple:
     worst = np.inf
     for b in b_list:
         for n in n_list:
-            _, post = window_floor_solve(lambda x: abs_power(r, x), n, r + 1,
-                                         float(b), r, with_poly=True)
+            _, post = window_floor_solve(PowerKink(r), n, r + 1, float(b), r,
+                                         with_poly=True)
             val = n * post / float(b) ** r
             cells.append({"b": float(b), "n": n, "rate_constant": float(val)})
             worst = min(worst, val)

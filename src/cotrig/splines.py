@@ -26,6 +26,26 @@ def abs_power(r: int, x):
     return np.abs(x) * x ** (r - 1) / float(math.factorial(r))
 
 
+@dataclass(frozen=True)
+class PowerKink:
+    """F_r(x / scale), F_r = abs_power(r, .), whose r-th derivative jumps at 0."""
+
+    r: int
+    scale: float = 1.0
+    breakpoints = (0.0,)
+
+    def __call__(self, x):
+        return abs_power(self.r, np.asarray(x, dtype=float) / self.scale)
+
+    def jet(self, x):
+        """Rows f, f' and f'' at the points x, by F_r' = F_{r-1}, F_0 = sign
+        and F_0' = 0 off the kink."""
+        u = np.asarray(x, dtype=float) / self.scale
+        rows = [abs_power(k, u) if k > 0 else np.sign(u) if k == 0 else 0.0 * u
+                for k in (self.r, self.r - 1, self.r - 2)]
+        return np.array(rows) / self.scale ** np.arange(3.0)[:, None]
+
+
 def step_offset(b: float) -> float:
     """Constant making the cut step sign(x) - offset mean-zero on the period.
 

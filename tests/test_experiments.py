@@ -8,10 +8,10 @@ import pytest
 
 from cotrig import cli
 from cotrig.experiments import (DEGREE_CAP, DEGREE_CAP_LARGE, _check_degrees,
-                                _halfconvex_family, _mirrored, _power_jet,
+                                _halfconvex_family, _mirrored,
                                 exp_bernstein_interval, exp_lemma_22,
                                 exp_lemma_3111, exp_theorem_12, exp_theorem_13)
-from cotrig.splines import abs_power
+from cotrig.splines import PowerKink
 
 BERNSTEIN_RHO = 1.1013516933585912
 LEMMA_3111_C2 = 0.43697937807154774
@@ -41,8 +41,8 @@ def test_lemma_3111_flipped_and_reference_jets(q):
     # differences of each row give the next
     b, knots = 0.5, np.linspace(0.0, 1.0, 14, endpoint=False)
     f, _, f_jet, _ = _halfconvex_family(q, b, np.linspace(0.2, 1.0, 14), knots)
-    cases = [(lambda x: f(-x), _mirrored(f_jet)),
-             (lambda x: abs_power(q - 1, x / (2 * b)), _power_jet(q - 1, 2 * b))]
+    ref = PowerKink(q - 1, 2 * b)
+    cases = [(lambda x: f(-x), _mirrored(f_jet)), (ref, ref.jet)]
     xs = np.linspace(-2 * b, 2 * b, 41)
     xs = xs[np.abs(np.abs(xs)[:, None] - knots).min(axis=1) > 1e-3]
     h = 1e-6

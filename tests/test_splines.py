@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cotrig.signsets import SignChangeSet, delta_q_membership_by_convexity
-from cotrig.splines import abs_power, build_ideal_spline, step_offset
+from cotrig.splines import PowerKink, abs_power, build_ideal_spline, step_offset
 
 
 def test_abs_power_closed_forms():
@@ -14,6 +14,21 @@ def test_abs_power_closed_forms():
     assert np.allclose(abs_power(3, xs), np.abs(xs) * xs ** 2 / 6.0)
     with pytest.raises(ValueError):
         abs_power(0, xs)
+
+
+@pytest.mark.parametrize("r, scale", [(1, 1.0), (2, 1.0), (3, 0.5)])
+def test_power_kink_values_jet_and_kink(r, scale):
+    kink = PowerKink(r, scale)
+    xs = np.linspace(-1.5, 1.5, 31)
+    np.testing.assert_array_equal(kink(xs), abs_power(r, xs / scale))
+    rows = kink.jet(xs)
+    np.testing.assert_array_equal(rows[0], kink(xs))
+    # away from the kink, central differences of each row give the next
+    xs = xs[np.abs(xs) > 1e-3]
+    h = 1e-6
+    fd = (kink.jet(xs + h) - kink.jet(xs - h)) / (2 * h)
+    np.testing.assert_allclose(fd[:2], kink.jet(xs)[1:], rtol=1e-6, atol=1e-6)
+    assert kink.breakpoints == (0.0,)
 
 
 def test_step_offset_values():
