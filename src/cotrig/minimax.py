@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import FULL_PERIOD, Interval, chebyshev_points
+from .grids import FULL_PERIOD, TWO_PI, Interval, chebyshev_points
 from .signsets import SignChangeSet
 from .simplex import LinearProgram, LPNumericalError, solve_lp
 from .trigpoly import TrigPoly, coeffs_from_vector, trig_basis, trig_derivative_basis
@@ -247,6 +247,19 @@ def _split_points(subintervals, total: int, minimum: int = 33):
     return np.unique(np.concatenate(pts))
 
 
+def _cut_at_breakpoints(subintervals, breakpoints):
+    """The subintervals cut at the breakpoints, those outside the domain
+    wrapped into it by whole periods."""
+    lo = subintervals[0].lo
+    x = np.asarray(breakpoints, dtype=float)
+    x = np.where((x >= lo) & (x < lo + TWO_PI), x, lo + np.mod(x - lo, TWO_PI))
+    out = []
+    for iv in subintervals:
+        ends = [iv.lo, *np.unique(x[(x > iv.lo) & (x < iv.hi)]), iv.hi]
+        out += [Interval(a, b) for a, b in zip(ends, ends[1:])]
+    return out
+
+
 def _local_maxima(xs, vals):
     keep = np.zeros(xs.size, dtype=bool)
     keep[0] = keep[-1] = True
@@ -298,7 +311,13 @@ def _refinement_loop(target, degree: int, subintervals, q: int, gaps):
     carried over by abscissa: the refined objective grid contains the old
     one, so its points map exactly; constraint points map to their
     nearest neighbour on a densified constraint grid.
+
+    A target's ``breakpoints``, where a derivative jumps, cut the
+    subintervals, so that both the objective grid and the post-check grid
+    hold every kink; a target without them is kink-free.
     """
+    subintervals = _cut_at_breakpoints(subintervals,
+                                       getattr(target, "breakpoints", ()))
     total = max(POINTS_PER_DEGREE * max(degree, 1), 512)
     points = _split_points(subintervals, total)
     fine = _split_points(subintervals, 4 * total)

@@ -75,6 +75,11 @@ class IdealSpline:
     def window(self) -> Interval:
         return self.levels[self.r].window
 
+    @property
+    def breakpoints(self) -> tuple:
+        """The kinks -b and 0, where the r-th derivative jumps."""
+        return (-self.b, 0.0)
+
     def __call__(self, x):
         return self.levels[self.r](x)
 

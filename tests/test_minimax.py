@@ -155,12 +155,15 @@ def test_result_serialization():
 
 
 # thm-12/13 targets with sign changes at -0.6 and 0.6 (minimal gap b = 1.2),
-# solved with the canonical sign set (-b, 0)
+# solved with the canonical sign set (-b, 0).  The unconstrained grids
+# hold the kinks -b and 0; a dense LP (256 points a degree, kinks on the
+# grid) puts the unconstrained optimum at 2.2175704e-3, and the sampled
+# post-check reads 2.2e-5 (relative) below it
 @pytest.mark.parametrize("r, n, constrained, error", [
     (1, 8, True, 0.9708168819476706),
     (1, 16, True, 0.9708168819476706),
     (2, 8, True, 0.4725602969561449),
-    (2, 8, False, 0.0022175557012119144),
+    (2, 8, False, 0.002217522516365311),
 ])
 def test_pinned_theorem_errors(r, n, constrained, error):
     b = 1.2
