@@ -21,8 +21,8 @@ import numpy as np
 from .counterexample import build_summand
 from .grids import Interval, chebyshev_points, sup_norm
 from .ledger import ConstantsLedger, make_empirical_ledger
-from .minimax import (_constraint_rows, best_approx, best_co_q_monotone,
-                      solve_grid_minimax)
+from .minimax import (_constraint_rows, _split_points, best_approx,
+                      best_co_q_monotone, solve_grid_minimax)
 from .mollifier import MollifierTable, build_mollifier_table
 from .reports import Assertion, ConstantReading, ExperimentReport
 from .signsets import SignChangeSet, delta_q_membership_by_convexity
@@ -526,13 +526,14 @@ def window_floor_solve(target, n: int, q: int, b: float, poly_degree: int,
             blocks.append(-np.column_stack([x ** j for j in range(free)]))
         return np.hstack(blocks)
 
-    _, rows = _constraint_rows([(-b, 0.0, -1), (0.0, b, 1)], n, q,
-                               max(12 * n, 256))
+    # both grids hold x = 0, where the sign pattern and F_r's kink sit
+    gaps = [(-b, 0.0, -1), (0.0, b, 1)]
+    halves = [Interval(lo, hi) for lo, hi, _ in gaps]
+    _, rows = _constraint_rows(gaps, n, q, max(12 * n, 256))
     count = max(24 * (n + 1), 1025)
     return _fit_and_post_check(
         target, columns, np.hstack([rows, np.zeros((rows.shape[0], free))]),
-        chebyshev_points(Interval(-b, b), count),
-        chebyshev_points(Interval(-b, b), 4 * count))
+        _split_points(halves, count), _split_points(halves, 4 * count))
 
 
 def exp_lemma_aux(n_list, b, q: int, p: int, ledger: ConstantsLedger,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from cotrig import experiments, minimax
 from cotrig.experiments import window_floor_solve
 from cotrig.grids import Interval, chebyshev_points
 from cotrig.splines import abs_power
@@ -63,3 +64,30 @@ def test_window_floor_matches_dense_reference(q, b, n):
     ref = _reference_floor(n, q, b, r)
     assert post == pytest.approx(ref, rel=1e-3)
     assert error <= post * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("n", [8, 48])
+def test_window_floor_theta_contract(monkeypatch, n):
+    # the benchmark captures theta by patching experiments.solve_grid_minimax
+    # and checks it as trig coefficients, then the negated monomials
+    captured = []
+
+    def capture(*args, **kwargs):
+        result = minimax.solve_grid_minimax(*args, **kwargs)
+        captured.append((args, result[0]))
+        return result
+
+    monkeypatch.setattr(experiments, "solve_grid_minimax", capture)
+    q, b = 3, 0.25
+    r = q - 1
+    _, post = window_floor_solve(lambda x: abs_power(r, x), n, q, b, r)
+    (values, columns), theta = captured[-1][0][:2], captured[-1][1]
+    assert theta.size == 2 * n + 1 + r + 1
+    # the solve grid holds the kink: its -x column has a zero
+    assert 0.0 in columns[:, 2 * n + 2]
+    halves = [Interval(-b, 0.0), Interval(0.0, b)]
+    fine = minimax._split_points(halves, 4 * max(24 * (n + 1), 1025))
+    fit = np.hstack([trig_basis(fine, n),
+                     -np.vander(fine, r + 1, increasing=True)]) @ theta
+    assert np.abs(abs_power(r, fine) - fit).max() == pytest.approx(post,
+                                                                   rel=1e-12)
