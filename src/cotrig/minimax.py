@@ -1,8 +1,9 @@
 """Discretised Chebyshev (minimax) approximation by trigonometric polynomials.
 
 The continuous problem min_T max_t |g(t) - T(t)|, optionally subject to the
-sign pattern sigma_l * T^(q) >= 0 on prescribed gaps, is sampled on
-Chebyshev-clustered grids and solved as a linear program by HiGHS.  The LP
+sign pattern sigma_l * T^(q) >= 0 on prescribed (lo, hi, sigma) gaps, is
+sampled on Chebyshev-clustered grids, cut at the gaps' ends and at the
+target's kinks, and solved as a linear program by HiGHS.  The LP
 is posed in an orthonormal basis phi of the sampled columns and the level
 t: min t subject to |v_i - u_i.phi| <= t at the grid points of a working
 set and c_l.phi >= 0 at its sign constraints.  An exchange adds the worst
@@ -305,7 +306,7 @@ def _refinement_loop(target, degree: int, subintervals, q: int, gaps):
     gaps are the (lo, hi, sigma) triples on which sigma T^(q) >= 0 is
     imposed, on a constraint grid of per_gap points a gap; an
     unconstrained fit has none.  The objective grid refines at the
-    residual maxima, and the constraint grid doubles wherever the sign
+    residual maxima, and the constraint grid doubles whenever the sign
     check on ten times its density fails (up to three doublings).  Each
     round starts its exchange from the previous round's working set,
     carried over by abscissa: the refined objective grid contains the old
