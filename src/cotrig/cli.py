@@ -20,6 +20,7 @@ validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -349,6 +350,7 @@ def cmd_solve(cfg: dict, out_dir: Path) -> int:
         "post_check_error": result.post_check_error,
         "constraint_violation": result.constraint_violation,
         "alternation_count": result.alternation_count,
+        "converged": result.converged,
         "iterations": result.iterations,
         "duality_gap": result.duality_gap,
         "rounds": result.rounds,
@@ -364,6 +366,9 @@ def cmd_solve(cfg: dict, out_dir: Path) -> int:
         lines.insert(3,
                      f"  constraint violation = "
                      f"{result.constraint_violation:.3e}")
+    if not result.converged:
+        lines.append("  not converged: the last regrid round failed its "
+                     "checks")
     _print(lines)
     return EXIT_OK
 
@@ -437,7 +442,10 @@ def _add_flags(parser, schema_key) -> None:
         parser.add_argument(flag, dest=key, **kwargs)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser tree, built once a process: parse_args keeps no state
+    between calls, and building 15 subcommands costs a few ms."""
     parser = _Parser(prog="cotrig",
                      description="co-q-monotone approximation workbench")
     sub = parser.add_subparsers(dest="command", required=True)

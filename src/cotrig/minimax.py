@@ -12,8 +12,18 @@ grid violates.  Each grid solve keeps one growing HiGHS model: new rows
 are appended to it and it is re-solved from its last optimal basis, so a
 round costs a few dual simplex pivots.  Grids are then refined at the
 residual maxima (and, for constrained problems, densified where the sign
-pattern fails) until the discrete error and a finer post-check agree, and
-each round's exchange starts from the working set the last one ended on.
+pattern fails) until the discrete error and a finer post-check agree.
+
+Only a fit's first grid solves cold.  Every later round starts from the
+working set and the optimal simplex basis the last round ended on.  Each
+grid keeps its own SVD, so the carried rows are the same points in a new
+orthonormal basis, and the carried basis is optimal for them before any
+pivot.  The refined objective grid contains the old one.  A densified
+constraint grid is new Chebyshev points plus the constraint points the
+last LP was working with, signs included.  So every carried row is on
+the new grid exactly, the LP's constraint set only grows, and a round's
+LP optimum cannot fall below the last one's: each round's LP is still a
+relaxation of the continuous problem.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ class ApproxResult:
     iterations: int
     duality_gap: float
     alternation_count: int
+    converged: bool
     rounds: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -60,6 +71,7 @@ class ApproxResult:
             "iterations": self.iterations,
             "duality_gap": self.duality_gap,
             "alternation_count": self.alternation_count,
+            "converged": self.converged,
             "rounds": self.rounds,
         }
 
@@ -112,9 +124,14 @@ def solve_grid_minimax(values, columns, cons_matrix=None, start=None):
     optimum does not beat the zero fit beyond the exchange tolerance,
     theta = 0 is returned exactly.  LPNumericalError is
     raised when violations remain but no new point or row can join, or
-    after EXCHANGE_ROUNDS solves.  ``start`` =
-    (point indices, constraint indices) seeds the working set, and
-    ``info["working_rows"]`` returns the final one in the same form.
+    after EXCHANGE_ROUNDS solves.
+
+    ``info["working_rows"]`` = (point indices, constraint indices) is the
+    final working set, ascending, and ``info["basis"]`` the optimal basis
+    over it, its rows laid out as the points' lower sides, their upper
+    sides, then the constraints.  ``start`` = (point indices, constraint
+    indices, basis or None) seeds the working set and, when the basis has
+    as many columns as this grid's SVD keeps, the first solve.
     Coefficients whose largest contribution on the grid is below 1e-12
     of max|values| come back as exact zeros.
     """
@@ -143,9 +160,11 @@ def solve_grid_minimax(values, columns, cons_matrix=None, start=None):
     if start is None:
         work_pts = _spread(M, max(2 * k + 5, 33))
         work_cons = _spread(L, max(k + 5, 17))
+        basis = None
     else:
+        work_pts, work_cons, basis = start
         work_pts, work_cons = (np.unique(np.asarray(w, dtype=int))
-                               for w in start)
+                               for w in (work_pts, work_cons))
     cap = k + 5
 
     # min t over (phi, t): u_i.phi - t <= v_i, u_i.phi + t >= v_i and
@@ -160,6 +179,10 @@ def solve_grid_minimax(values, columns, cons_matrix=None, start=None):
     lp = LinearProgram(np.r_[np.zeros(k), 1.0],
                        col_lower=np.r_[np.full(k, -box), 0.0],
                        col_upper=np.r_[np.full(k, box), np.inf])
+    # the key of each LP row: i, M + i and 2M + l for the lower and upper
+    # sides of point i and for constraint l, so sorting the keys gives
+    # the row layout of info["basis"]
+    row_keys = []
 
     def add_rows(pts, cons):
         Up, m, lc = U[pts], pts.size, cons.size
@@ -167,8 +190,11 @@ def solve_grid_minimax(values, columns, cons_matrix=None, start=None):
                               [C[cons], np.zeros((lc, 1))]]),
                     lower=np.r_[np.full(m, -np.inf), vals[pts], np.zeros(lc)],
                     upper=np.r_[vals[pts], np.full(m + lc, np.inf)])
+        row_keys.append(np.r_[pts, M + pts, 2 * M + cons])
 
     add_rows(work_pts, work_cons)
+    if basis is not None:
+        lp.set_basis(*basis)
     total_iters = 0
     for rounds in range(1, EXCHANGE_ROUNDS + 1):
         sol = solve_lp(lp)
@@ -214,12 +240,15 @@ def solve_grid_minimax(values, columns, cons_matrix=None, start=None):
     # certify against the whole grid, not just the final working set
     residual = values - columns @ theta
     error = max(t * vscale, float(np.abs(residual).max(initial=0.0)))
+    col_status, row_status = lp.basis()
     info = {
         "iterations": total_iters,
         "duality_gap": sol.duality_gap,
         "outer_rounds": rounds,
         "working_points": int(work_pts.size),
         "working_rows": (work_pts, work_cons),
+        "basis": (col_status,
+                  row_status[np.argsort(np.concatenate(row_keys))]),
     }
     return theta, float(error), info
 
@@ -270,7 +299,7 @@ def _local_maxima(xs, vals):
 
 def _gap_points(gaps, per_gap: int):
     """per_gap open Chebyshev points on each (lo, hi, sigma) gap, and the
-    sign sigma at each of them."""
+    sign sigma at each of them; ascending, as the gaps are."""
     pts = [chebyshev_points(Interval(lo, hi), per_gap, open_ends=True)
            for lo, hi, _ in gaps]
     signs = np.repeat([float(sigma) for _, _, sigma in gaps], per_gap)
@@ -291,15 +320,6 @@ def _signed_min(tp: TrigPoly, gaps, q: int, per_gap: int):
     return float(vals.min()), float(np.abs(vals).max())
 
 
-def _nearest(grid, xs):
-    """Index of the grid point nearest to each of xs."""
-    order = np.argsort(grid)
-    srt = grid[order]
-    j = np.clip(np.searchsorted(srt, xs), 1, srt.size - 1)
-    j -= xs - srt[j - 1] < srt[j] - xs
-    return order[j]
-
-
 def _refinement_loop(target, degree: int, subintervals, q: int, gaps):
     """Shared solve-refine loop.
 
@@ -307,11 +327,11 @@ def _refinement_loop(target, degree: int, subintervals, q: int, gaps):
     imposed, on a constraint grid of per_gap points a gap; an
     unconstrained fit has none.  The objective grid refines at the
     residual maxima, and the constraint grid doubles whenever the sign
-    check on ten times its density fails (up to three doublings).  Each
-    round starts its exchange from the previous round's working set,
-    carried over by abscissa: the refined objective grid contains the old
-    one, so its points map exactly; constraint points map to their
-    nearest neighbour on a densified constraint grid.
+    check on ten times its density fails (up to three doublings), keeping
+    the constraint points the last LP was working with.  Each round after
+    the first starts from the last one's working set and basis (module
+    docstring).  The fit is ``converged`` when its last round passed both
+    the gap test and the sign check.
 
     A target's ``breakpoints``, where a derivative jumps, cut the
     subintervals, so that both the objective grid and the post-check grid
@@ -325,36 +345,30 @@ def _refinement_loop(target, degree: int, subintervals, q: int, gaps):
     scale = float(np.abs(np.asarray(target(fine))).max())
     floor = 1e-12 * max(1.0, scale)
 
-    per_gap, doublings, cons = total, 0, None
+    per_gap, doublings = total, 0
+    cons_pts, cons_signs = _gap_points(gaps, per_gap)
+    cons_rows = None
     rounds = []
-    best = None
-    carried = None
+    start = None
     for _ in range(MAX_REFINEMENTS + 1):
-        if cons is None:
-            cons = _constraint_rows(gaps, degree, q, per_gap)
-        cons_pts, cons_rows = cons
+        if cons_rows is None:
+            cons_rows = trig_derivative_basis(cons_pts, degree, q) \
+                * cons_signs[:, None]
         values = np.asarray(target(points), dtype=float)
         columns = trig_basis(points, degree)
-        start = None
-        if carried is not None:
-            start = (_nearest(points, carried[0]),
-                     _nearest(cons_pts, carried[1]))
         theta, error, info = solve_grid_minimax(values, columns, cons_rows,
                                                 start=start)
         work_pts, work_cons = info["working_rows"]
-        carried = (points[work_pts], cons_pts[work_cons])
         tp = coeffs_from_vector(theta, degree)
 
         fine_all = np.unique(np.concatenate([fine, points]))
         residual = np.asarray(target(fine_all)) - tp(fine_all)
         post = float(np.abs(residual).max())
-        cons_ok, violation = True, None
+        signs_ok, violation = True, None
         if gaps:
             worst, top = _signed_min(tp, gaps, q, 10 * per_gap)
             violation = max(0.0, -worst)
-            if worst < -1e-8 * max(top, 1.0) and doublings < 3:
-                per_gap, doublings, cons = 2 * per_gap, doublings + 1, None
-                cons_ok = False
+            signs_ok = worst >= -1e-8 * max(top, 1.0)
         rounds.append({"grid_points": int(points.size), "error": error,
                        "post_check_error": post,
                        "constraint_violation": violation,
@@ -362,15 +376,27 @@ def _refinement_loop(target, degree: int, subintervals, q: int, gaps):
                        "working_points": info["working_points"],
                        "working_constraints": int(work_cons.size),
                        "lp_iterations": info["iterations"]})
-        best = (tp, error, post, info, residual, fine_all, violation)
         gap_ok = (post - error) <= REFINEMENT_TOLERANCE * max(error, floor) \
             or post <= floor
-        if gap_ok and cons_ok:
+        converged = gap_ok and signs_ok
+        double = not signs_ok and doublings < 3
+        if gap_ok and not double:
             break
+        kept_pts, kept_cons = points[work_pts], cons_pts[work_cons]
+        if double:
+            per_gap, doublings = 2 * per_gap, doublings + 1
+            new_pts, new_signs = _gap_points(gaps, per_gap)
+            cons_pts, first = np.unique(np.r_[new_pts, kept_cons],
+                                        return_index=True)
+            cons_signs = np.r_[new_signs, cons_signs[work_cons]][first]
+            cons_rows = None
         if not gap_ok:
             add = _local_maxima(fine_all, np.abs(residual))
             points = np.unique(np.concatenate([points, add]))
-    tp, error, post, info, residual, fine_all, violation = best
+        # both grids are ascending, so the carried rows keep their order
+        # and the basis its layout
+        start = (np.searchsorted(points, kept_pts),
+                 np.searchsorted(cons_pts, kept_cons), info["basis"])
     # post is a sup estimate and error a grid max: clamp 1-ulp inversions
     post = max(post, error)
     level = max(error, post)
@@ -379,7 +405,8 @@ def _refinement_loop(target, degree: int, subintervals, q: int, gaps):
                         constraint_violation=violation,
                         iterations=info["iterations"],
                         duality_gap=info["duality_gap"],
-                        alternation_count=alternations, rounds=rounds)
+                        alternation_count=alternations, converged=converged,
+                        rounds=rounds)
 
 
 def best_approx(target, degree: int,

@@ -7,7 +7,12 @@ drives).  ``add_rows`` appends constraints to the live model.  HiGHS keeps
 the optimal basis of the last solve and gives each new row a basic slack,
 so the basis stays dual feasible and the next ``solve_lp`` resumes from it
 with a few dual simplex pivots instead of solving the enlarged LP from
-scratch.  The first solve of a model presolves; warm re-solves do not.
+scratch.  ``basis`` and ``set_basis`` read and install a basis as arrays
+of HiGHS basis statuses, so a new model over the rows of an old one can
+start from the old optimum.  Presolve is off: the models are small and
+dense and presolve removes nothing from them.  On the first working sets
+of random exchange LPs it cost time: the median cold solve of 17 columns
+took 1.8 ms with it and 1.0 ms without, and of 65 columns 23 and 16 ms.
 
 The feasibility tolerances are tightened from HiGHS's 1e-7 to 1e-10: the
 minimax LPs normalise their values to 1, and a 1e-7 slack shows up in
@@ -102,6 +107,7 @@ class LinearProgram:
         self.row_upper = np.zeros(0)
         self._highs = _highs_bindings()._Highs()
         for name, value in (("output_flag", False),
+                            ("presolve", "off"),
                             ("simplex_scale_strategy", 0),
                             ("primal_feasibility_tolerance", FEASIBILITY_TOL),
                             ("dual_feasibility_tolerance", FEASIBILITY_TOL)):
@@ -127,6 +133,28 @@ class LinearProgram:
                             nz_cols.astype(np.int32), rows[nz_rows, nz_cols])
         self.row_lower = np.concatenate([self.row_lower, lower])
         self.row_upper = np.concatenate([self.row_upper, upper])
+
+    def basis(self):
+        """(column statuses, row statuses) of the last solve, as int8
+        arrays of HighsBasisStatus values."""
+        basis = self._highs.getBasis()
+        return tuple(np.fromiter(map(int, status), dtype=np.int8)
+                     for status in (basis.col_status, basis.row_status))
+
+    def set_basis(self, col_status, row_status) -> None:
+        """Start the next solve from this basis.  A basis with another
+        number of columns or rows than the model, or one HiGHS rejects,
+        leaves the model as it was: a new model then solves cold."""
+        if len(col_status) != self.num_cols \
+                or len(row_status) != self.row_lower.size:
+            return
+        core = _highs_bindings()
+        members = {int(m): m
+                   for m in core.HighsBasisStatus.__members__.values()}
+        basis = core.HighsBasis()
+        basis.col_status = [members[v] for v in col_status]
+        basis.row_status = [members[v] for v in row_status]
+        self._highs.setBasis(basis)
 
 
 def _priced_bounds(dual, lower, upper) -> float:

@@ -152,6 +152,23 @@ def test_result_serialization():
     d = res.to_dict()
     assert d["approximant"]["kind"] == "trigpoly"
     assert "post_check_error" in d and "rounds" in d
+    assert d["converged"] is True
+
+
+@pytest.mark.parametrize("constrained, converged", [(True, False),
+                                                    (False, True)])
+def test_fits_say_whether_their_checks_passed(constrained, converged):
+    # constrained ideal:2:1.2 at n = 8 still dips by about 6e-7 below its
+    # sign pattern after three doublings of the constraint grid, above
+    # the 1e-8 relative tolerance of the sign check
+    b = 1.2
+    target = build_ideal_spline(2, b)
+    if constrained:
+        res = best_co_q_monotone(target, 8, 3, SignChangeSet([-b, 0.0]))
+        assert res.constraint_violation > 1e-7
+    else:
+        res = best_approx(target, 8)
+    assert res.converged is converged
 
 
 # thm-12/13 targets with sign changes at -0.6 and 0.6 (minimal gap b = 1.2),
@@ -226,3 +243,79 @@ def test_grid_solves_share_no_solver_state():
     solve_grid_minimax(np.abs(np.sin(3 * values)), columns, rows)
     again, _, _ = solve_grid_minimax(values, columns, rows)
     assert np.array_equal(first, again)
+
+
+def test_grid_resolves_from_its_own_basis_without_pivots():
+    values, columns, rows = _constrained_grid_problem()
+    theta, error, info = solve_grid_minimax(values, columns, rows)
+    assert info["iterations"] > 0
+    again, error_again, info_again = solve_grid_minimax(
+        values, columns, rows, start=(*info["working_rows"], info["basis"]))
+    assert info_again["iterations"] == 0
+    assert info_again["outer_rounds"] == 1
+    assert np.allclose(again, theta, rtol=0, atol=1e-12)
+    assert error_again == pytest.approx(error, rel=0, abs=1e-12)
+
+
+def test_basis_of_another_rank_starts_cold():
+    # dropping a column changes the SVD's rank, so the basis no longer
+    # fits the LP; the round solves cold from the same working set
+    values, columns, rows = _constrained_grid_problem()
+    _, _, info = solve_grid_minimax(values, columns, rows)
+    start = info["working_rows"]
+    warm = solve_grid_minimax(values, columns[:, :-1], rows[:, :-1],
+                              start=(*start, info["basis"]))
+    cold = solve_grid_minimax(values, columns[:, :-1], rows[:, :-1],
+                              start=(*start, None))
+    assert np.array_equal(warm[0], cold[0])
+    assert warm[1] == cold[1]
+    assert warm[2]["iterations"] == cold[2]["iterations"] > 0
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_rounds_carry_their_rows_onto_the_next_grid(monkeypatch, n):
+    # constrained ideal:2:1.2 runs four rounds, doubling its constraint
+    # grid after each of the first three; every round after the first
+    # starts from the last round's working rows and basis, so its grid
+    # error cannot fall
+    grids, calls = {}, []
+
+    def recording(key, basis):
+        def wrapped(pts, *args):
+            grids[key] = np.array(pts)
+            return basis(pts, *args)
+        return wrapped
+
+    def capture(values, columns, cons_matrix=None, start=None):
+        theta, error, info = solve(values, columns, cons_matrix, start=start)
+        calls.append({"points": grids["points"], "cons": grids["cons"],
+                      "rows": cons_matrix, "start": start,
+                      "working": info["working_rows"]})
+        return theta, error, info
+
+    solve = minimax.solve_grid_minimax
+    monkeypatch.setattr(minimax, "trig_basis",
+                        recording("points", minimax.trig_basis))
+    monkeypatch.setattr(minimax, "trig_derivative_basis",
+                        recording("cons", minimax.trig_derivative_basis))
+    monkeypatch.setattr(minimax, "solve_grid_minimax", capture)
+    b = 1.2
+    res = best_co_q_monotone(build_ideal_spline(2, b), n, 3,
+                             SignChangeSet([-b, 0.0]))
+    # a cold round, then one round for each of three doublings
+    assert len(calls) == len(res.rounds) == 4
+    assert calls[0]["start"] is None
+    for old, new in zip(calls, calls[1:]):
+        pts, cons, basis = new["start"]
+        assert basis is not None
+        work_pts, work_cons = old["working"]
+        assert np.array_equal(new["points"][pts], old["points"][work_pts])
+        assert np.array_equal(new["cons"][cons], old["cons"][work_cons])
+        # signs included
+        assert np.allclose(new["rows"][cons], old["rows"][work_cons],
+                           rtol=1e-12, atol=0)
+    errors = [row["error"] for row in res.rounds]
+    for before, after in zip(errors, errors[1:]):
+        assert after >= before * (1.0 - 1e-12)
+    first = res.rounds[0]["lp_iterations"]
+    assert all(row["lp_iterations"] < first / 4 for row in res.rounds[1:])

@@ -1,6 +1,7 @@
 """Tests that the package's public names and the benchmark's span table
-resolve against the code, and that scipy and mpmath load only where they
-are used: scipy only through the HiGHS loader in simplex.py."""
+resolve against the code, that scipy and mpmath load only where they are
+used (scipy only through the HiGHS loader in simplex.py), and that the
+CLI runs the same in one process as in fresh ones."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 import cotrig
+from cotrig import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS_PY = ROOT / "perfbench" / "layers.py"
@@ -122,3 +124,32 @@ def test_python_m_cotrig_runs_a_command(tmp_path):
                          "--b", "1.2", "--out", str(out)], tmp_path)
     assert run.returncode == 0, run.stderr
     assert (out / "artifacts" / "ideal.json").is_file()
+
+
+def test_one_process_runs_commands_as_fresh_processes_do(tmp_path):
+    # the parser tree is built once a process; a usage error, a solve and
+    # a build through it must exit and write as they do in fresh processes
+    commands = [
+        ["solve", "--target", "cos", "--degree", "2", "--jobs", "2"],
+        ["solve", "--target", "ideal:1:1.2", "--degree", "4", "--q", "3",
+         "--Y", "-1.2", "0"],
+        ["build", "ideal", "--r", "2", "--b", "1.2"],
+    ]
+    codes = []
+    for i, argv in enumerate(commands):
+        here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+        try:
+            code = cli.main(argv + ["--out", str(here)])
+        except SystemExit as exc:
+            code = exc.code
+        run = _fresh_python(["-m", "cotrig", *argv, "--out", str(fresh)],
+                            tmp_path)
+        assert code == run.returncode, run.stderr
+        codes.append(code)
+        files = sorted(p.name for p in (here / "artifacts").glob("*.json"))
+        assert files == sorted(
+            p.name for p in (fresh / "artifacts").glob("*.json"))
+        for name in files:
+            assert ((here / "artifacts" / name).read_bytes()
+                    == (fresh / "artifacts" / name).read_bytes())
+    assert codes == [cli.EXIT_USAGE, cli.EXIT_OK, cli.EXIT_OK]
