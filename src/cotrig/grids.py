@@ -114,12 +114,14 @@ def golden_refine_max(f, lo: np.ndarray, hi: np.ndarray, rounds: int) -> np.ndar
     return np.maximum(f1, f2)
 
 
-def _newton_refine_max(jet, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Safeguarded Newton maximisation of |f| on bracket arrays.
+def _newton_refine_max(jet, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                       s: np.ndarray | None = None):
+    """Safeguarded Newton maximisation of s f on bracket arrays.
 
     jet(x) returns the rows f, f' and f'' at the points x, shape (3, m).
-    Each bracket [lo, hi] holds a sampled maximum x0 of |f|, and s f with
-    s = sign f(x0) is maximised there: Newton on (s f)' = 0 from x0, inside
+    Each bracket [lo, hi] holds a sampled maximum x0 of s f, where s is
+    sign f(x0) (so s f = |f|) unless the signs s are given, and s f is
+    maximised there: Newton on (s f)' = 0 from x0, inside
     a sub-bracket [a, c] with (s f)' > 0 at a and <= 0 at c, with a
     bisection step wherever the Newton step leaves it or (s f)'' >= 0.  A
     bracket whose ends and x0 show no such sign change keeps its samples.
@@ -127,18 +129,20 @@ def _newton_refine_max(jet, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> f
     ulps; (s f)' = 0 alone moves c, since at a breakpoint the jet is that
     of the piece to the right, which may be flat while the maximum lies to
     the left.  Only open brackets are evaluated, at most _MAX_STEPS times.
-    Returns the largest |f| at any iterate.
+    Returns the largest |f| at any iterate, and each bracket's last
+    iterate: its polished maximiser of s f, or x0 where it never opened.
     """
     m = x0.size
     t, d1, d2 = jet(np.concatenate([x0, lo, hi])).reshape(3, 3, m)
     best = float(np.abs(t).max())
-    s = np.sign(t[0])
+    s = np.sign(t[0]) if s is None else s
     g, h = s * d1[0], s * d2[0]
     up = g > 0
     open_ = np.where(up, s * d1[2] < 0, s * d1[1] > 0)
     a = np.where(up, x0, lo)[open_]
     c = np.where(up, hi, x0)[open_]
     s, g, h, x = s[open_], g[open_], h[open_], x0[open_]
+    last, idx = x0.copy(), np.flatnonzero(open_)
     for _ in range(_MAX_STEPS):
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(h < 0, g / h, np.nan)
@@ -147,14 +151,16 @@ def _newton_refine_max(jet, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> f
         if not open_.any():
             break
         s, a, c, x, step = s[open_], a[open_], c[open_], x[open_], step[open_]
+        idx = idx[open_]
         newton = x - step
         x = np.where((newton > a) & (newton < c), newton, 0.5 * (a + c))
+        last[idx] = x
         t, d1, d2 = jet(x)
         best = max(best, float(np.abs(t).max()))
         g, h = s * d1, s * d2
         a = np.where(g > 0, x, a)
         c = np.where(g > 0, c, x)
-    return best
+    return best, last
 
 
 def sup_norm(f, interval: Interval, degree_hint: int | None = None,
@@ -175,7 +181,7 @@ def sup_norm(f, interval: Interval, degree_hint: int | None = None,
         raise TypeError("sup_norm needs a jet of f (rows f, f', f''): "
                         "pass jet= or an f with a jet method")
     best, x0, lo, hi = _sampled_maxima(f, interval, degree_hint, seeds, floor)
-    return max(best, _newton_refine_max(jet, x0, lo, hi))
+    return max(best, _newton_refine_max(jet, x0, lo, hi)[0])
 
 
 def _sampled_maxima(f, interval: Interval, degree_hint: int | None, seeds,

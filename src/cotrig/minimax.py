@@ -11,19 +11,32 @@ violated points and constraints to the working set until nothing on the
 grid violates.  Each grid solve keeps one growing HiGHS model: new rows
 are appended to it and it is re-solved from its last optimal basis, so a
 round costs a few dual simplex pivots.  Grids are then refined at the
-residual maxima (and, for constrained problems, densified where the sign
-pattern fails) until the discrete error and a finer post-check agree.
+residual maxima (and, for constrained problems, where the sign pattern
+fails) until the discrete error and a finer post-check agree.
+
+The constraint grid holds both ends of every gap.  At a sign change y the
+rows of the two gaps that meet there have opposite signs, so together
+they force T^(q)(y) = 0, which continuity implies anyway.  The sign check
+samples sigma T^(q) on a fixed grid ten times denser than the first
+constraint grid and polishes its local minima by Newton steps.  Where a
+minimum fails the check, the violation sits at one point: a gap end or an
+interior point where T^(q) touches zero.  Doubling the whole grid would
+only divide that dip by 4.  Instead the minimum joins the constraint grid
+with 8 points that fill the bracket of its neighbouring grid points, and
+its row joins the next working set, together with every grid row that
+fails the check's tolerance: with long rows the exchange's own tolerance
+lets such rows pass.
 
 Only a fit's first grid solves cold.  Every later round starts from the
 working set and the optimal simplex basis the last round ended on.  Each
 grid keeps its own SVD, so the carried rows are the same points in a new
 orthonormal basis, and the carried basis is optimal for them before any
-pivot.  The refined objective grid contains the old one.  A densified
-constraint grid is new Chebyshev points plus the constraint points the
-last LP was working with, signs included.  So every carried row is on
-the new grid exactly, the LP's constraint set only grows, and a round's
-LP optimum cannot fall below the last one's: each round's LP is still a
-relaxation of the continuous problem.
+pivot.  The refined objective grid contains the old one, and a refined
+constraint grid is the old one with points inserted, in the same order,
+so the carried rows are mapped by position and keep the basis's layout.
+Every carried row is on the new grid exactly, the LP's constraint set
+only grows, and a round's LP optimum cannot fall below the last one's:
+each round's LP is still a relaxation of the continuous problem.
 """
 
 from __future__ import annotations
@@ -32,7 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import FULL_PERIOD, TWO_PI, Interval, chebyshev_points
+from .grids import (FULL_PERIOD, TWO_PI, Interval, _newton_refine_max,
+                    chebyshev_points)
 from .signsets import SignChangeSet
 from .simplex import LinearProgram, LPNumericalError, solve_lp
 from .trigpoly import TrigPoly, coeffs_from_vector, trig_basis, trig_derivative_basis
@@ -45,6 +59,9 @@ POINTS_PER_DEGREE = 40
 REFINEMENT_TOLERANCE = 1e-7
 # Regrid rounds after the first solve.
 MAX_REFINEMENTS = 4
+# The sign check fails where sigma T^(q) dips below -SIGN_TOLERANCE times
+# max(max|T^(q)|, 1) on the check grid.
+SIGN_TOLERANCE = 1e-8
 # Exchange rounds allowed in one grid solve; running out raises instead of
 # returning a fit that still violates the grid.
 EXCHANGE_ROUNDS = 60
@@ -103,7 +120,8 @@ def _spread(total, count):
                      .round().astype(int))
 
 
-def solve_grid_minimax(values, columns, cons_matrix=None, start=None):
+def solve_grid_minimax(values, columns, cons_matrix=None, start=None,
+                       add_cons=()):
     """Best linear minimax fit on a fixed grid, solved by exchange.
 
     Minimises max_i |values_i - (columns theta)_i| over theta, subject to
@@ -131,7 +149,10 @@ def solve_grid_minimax(values, columns, cons_matrix=None, start=None):
     over it, its rows laid out as the points' lower sides, their upper
     sides, then the constraints.  ``start`` = (point indices, constraint
     indices, basis or None) seeds the working set and, when the basis has
-    as many columns as this grid's SVD keeps, the first solve.
+    as many columns as this grid's SVD keeps, the first solve.  The
+    constraint indices ``add_cons`` join the working set after that basis
+    is installed, their rows basic: rows the caller knows to be violated,
+    which the first solve then holds to the LP's feasibility tolerance.
     Coefficients whose largest contribution on the grid is below 1e-12
     of max|values| come back as exact zeros.
     """
@@ -195,6 +216,9 @@ def solve_grid_minimax(values, columns, cons_matrix=None, start=None):
     add_rows(work_pts, work_cons)
     if basis is not None:
         lp.set_basis(*basis)
+    add_c = np.setdiff1d(np.asarray(add_cons, dtype=int), work_cons)
+    add_rows(np.zeros(0, dtype=int), add_c)
+    work_cons = np.union1d(work_cons, add_c)
     total_iters = 0
     for rounds in range(1, EXCHANGE_ROUNDS + 1):
         sol = solve_lp(lp)
@@ -297,41 +321,100 @@ def _local_maxima(xs, vals):
     return xs[keep]
 
 
-def _gap_points(gaps, per_gap: int):
-    """per_gap open Chebyshev points on each (lo, hi, sigma) gap, and the
-    sign sigma at each of them; ascending, as the gaps are."""
-    pts = [chebyshev_points(Interval(lo, hi), per_gap, open_ends=True)
-           for lo, hi, _ in gaps]
-    signs = np.repeat([float(sigma) for _, _, sigma in gaps], per_gap)
-    return np.concatenate(pts or [np.zeros(0)]), signs
+def _gap_points(gaps, per_gap: int, ends: bool = True):
+    """per_gap open Chebyshev points on each (lo, hi, sigma) gap, led and
+    closed by the gap's ends unless ``ends`` is False, and the index of the
+    gap of each point.  The points run gap by gap, ascending, so an end
+    two gaps share appears twice, once in each gap."""
+    pts = []
+    for lo, hi, _ in gaps:
+        inner = chebyshev_points(Interval(lo, hi), per_gap, open_ends=True)
+        pts.append(np.r_[lo, inner, hi] if ends else inner)
+    owner = np.repeat(np.arange(len(gaps)), per_gap + 2 if ends else per_gap)
+    return np.concatenate(pts or [np.zeros(0)]), owner
+
+
+def _signs(gaps, owner):
+    """The sign sigma of each point's gap."""
+    return np.array([float(sigma) for *_, sigma in gaps])[owner]
 
 
 def _constraint_rows(gaps, degree: int, q: int, per_gap: int):
-    """Gap points and their rows of sigma T^(q) >= 0 in the trig basis."""
-    pts, signs = _gap_points(gaps, per_gap)
-    return pts, trig_derivative_basis(pts, degree, q) * signs[:, None]
+    """Open gap points and their rows of sigma T^(q) >= 0 in the trig basis."""
+    pts, owner = _gap_points(gaps, per_gap, ends=False)
+    return pts, trig_derivative_basis(pts, degree, q) \
+        * _signs(gaps, owner)[:, None]
 
 
-def _signed_min(tp: TrigPoly, gaps, q: int, per_gap: int):
-    """Worst signed value of sigma * T^(q) over a dense constraint grid,
-    and the largest |T^(q)| there."""
-    pts, signs = _gap_points(gaps, per_gap)
-    vals = signs * tp.derivative(q)(pts)
-    return float(vals.min()), float(np.abs(vals).max())
+def _sign_check(tp: TrigPoly, q: int, pts, signs, gap_count: int):
+    """One pass of the sign check over its dense grid of gap points.
+
+    Every local minimum of sigma T^(q) in a gap is polished by Newton steps
+    on the jet of T^(q) between its neighbouring samples, since a narrow
+    dip can fall below zero between two positive samples.  Returns the
+    worst value of sigma T^(q), sampled or polished, the largest sampled
+    |T^(q)|, and the polished minima that fail the check, as (abscissae,
+    gap indices).
+    """
+    dq = tp.derivative(q)
+    vals = signs * dq(pts)
+    top = float(np.abs(vals).max())
+    per_gap = vals.reshape(gap_count, -1)
+    count = per_gap.shape[1]
+    side = np.pad(per_gap, ((0, 0), (1, 1)), constant_values=np.inf)
+    left, right = side[:, :-2], side[:, 2:]
+    # a flat run (T^(q) = 0 on a whole gap) is polished at its two ends
+    idx = np.flatnonzero((per_gap <= left) & (per_gap <= right)
+                         & ((per_gap != left) | (per_gap != right)))
+    col = idx % count
+    _, minima = _newton_refine_max(dq.jet, pts[idx], pts[idx - (col > 0)],
+                                   pts[idx + (col < count - 1)], -signs[idx])
+    polished = signs[idx] * dq(minima)
+    worst = float(min(vals.min(), polished.min()))
+    fail = polished < -SIGN_TOLERANCE * max(top, 1.0)
+    return worst, top, (minima[fail], idx[fail] // count)
+
+
+def _refine_at_minima(pts, owner, minima):
+    """The constraint grid with each minimum and 8 points that fill the
+    bracket of its neighbouring grid points in its gap added.
+
+    Returns the new grid's points and gap indices, in the old grid's
+    order (gap by gap, ascending), the new index of each old point, and
+    the indices of the minima on the new grid.
+    """
+    add_pts, add_owner = [pts], [owner]
+    xs, gap_of = minima
+    for g in np.unique(gap_of):
+        own = pts[owner == g]
+        x = xs[gap_of == g]
+        j = np.clip(np.searchsorted(own, x), 1, own.size - 1)
+        fill = np.linspace(own[j - 1], own[j], 10)[1:-1]
+        new = np.setdiff1d(np.r_[x, fill.ravel()], own)
+        add_pts.append(new)
+        add_owner.append(np.full(new.size, g))
+    pts, owner = np.concatenate(add_pts), np.concatenate(add_owner)
+    order = np.lexsort((pts, owner))
+    moved = np.empty_like(order)
+    moved[order] = np.arange(order.size)
+    pts = pts[order]
+    return pts, owner[order], moved, np.flatnonzero(np.isin(pts, xs))
 
 
 def _refinement_loop(target, degree: int, subintervals, q: int, gaps):
     """Shared solve-refine loop.
 
     gaps are the (lo, hi, sigma) triples on which sigma T^(q) >= 0 is
-    imposed, on a constraint grid of per_gap points a gap; an
-    unconstrained fit has none.  The objective grid refines at the
-    residual maxima, and the constraint grid doubles whenever the sign
-    check on ten times its density fails (up to three doublings), keeping
-    the constraint points the last LP was working with.  Each round after
-    the first starts from the last one's working set and basis (module
-    docstring).  The fit is ``converged`` when its last round passed both
-    the gap test and the sign check.
+    imposed; an unconstrained fit has none.  The constraint grid holds
+    both ends of every gap and, inside it, as many open Chebyshev points
+    as the first objective grid has in all.  The objective grid refines at the residual maxima.  When the sign
+    check fails, the constraint grid is refined at the check's failing
+    minima, up to three times, and those rows and every grid row below
+    the check's tolerance join the next working set (module docstring).
+    Each round after the first starts from the last one's working set
+    and basis, its constraint rows carried by position.  The fit is
+    ``converged`` when its last round passed both the gap test and the
+    sign check.
 
     A target's ``breakpoints``, where a derivative jumps, cut the
     subintervals, so that both the objective grid and the post-check grid
@@ -345,33 +428,40 @@ def _refinement_loop(target, degree: int, subintervals, q: int, gaps):
     scale = float(np.abs(np.asarray(target(fine))).max())
     floor = 1e-12 * max(1.0, scale)
 
-    per_gap, doublings = total, 0
-    cons_pts, cons_signs = _gap_points(gaps, per_gap)
+    cons_pts, cons_owner = _gap_points(gaps, total)
+    check_pts, check_owner = _gap_points(gaps, 10 * total)
+    check_signs = _signs(gaps, check_owner)
     cons_rows = None
     rounds = []
-    start = None
+    start, failing = None, ()
+    sign_refinements = 0
     for _ in range(MAX_REFINEMENTS + 1):
         if cons_rows is None:
             cons_rows = trig_derivative_basis(cons_pts, degree, q) \
-                * cons_signs[:, None]
+                * _signs(gaps, cons_owner)[:, None]
         values = np.asarray(target(points), dtype=float)
         columns = trig_basis(points, degree)
         theta, error, info = solve_grid_minimax(values, columns, cons_rows,
-                                                start=start)
+                                                start=start, add_cons=failing)
         work_pts, work_cons = info["working_rows"]
         tp = coeffs_from_vector(theta, degree)
 
         fine_all = np.unique(np.concatenate([fine, points]))
         residual = np.asarray(target(fine_all)) - tp(fine_all)
         post = float(np.abs(residual).max())
-        signs_ok, violation = True, None
+        signs_ok, violation, relative = True, None, None
         if gaps:
-            worst, top = _signed_min(tp, gaps, q, 10 * per_gap)
+            worst, top, minima = _sign_check(tp, q, check_pts, check_signs,
+                                             len(gaps))
+            check_scale = max(top, 1.0)
             violation = max(0.0, -worst)
-            signs_ok = worst >= -1e-8 * max(top, 1.0)
+            relative = violation / check_scale
+            signs_ok = relative <= SIGN_TOLERANCE
         rounds.append({"grid_points": int(points.size), "error": error,
                        "post_check_error": post,
+                       "constraint_points": int(cons_pts.size),
                        "constraint_violation": violation,
+                       "constraint_violation_relative": relative,
                        "exchange_rounds": info["outer_rounds"],
                        "working_points": info["working_points"],
                        "working_constraints": int(work_cons.size),
@@ -379,24 +469,26 @@ def _refinement_loop(target, degree: int, subintervals, q: int, gaps):
         gap_ok = (post - error) <= REFINEMENT_TOLERANCE * max(error, floor) \
             or post <= floor
         converged = gap_ok and signs_ok
-        double = not signs_ok and doublings < 3
-        if gap_ok and not double:
+        refine = not signs_ok and sign_refinements < 3
+        if gap_ok and not refine:
             break
-        kept_pts, kept_cons = points[work_pts], cons_pts[work_cons]
-        if double:
-            per_gap, doublings = 2 * per_gap, doublings + 1
-            new_pts, new_signs = _gap_points(gaps, per_gap)
-            cons_pts, first = np.unique(np.r_[new_pts, kept_cons],
-                                        return_index=True)
-            cons_signs = np.r_[new_signs, cons_signs[work_cons]][first]
+        kept_pts, failing = points[work_pts], ()
+        if refine:
+            sign_refinements += 1
+            # rows below the check's tolerance that the exchange let pass
+            low = np.flatnonzero(cons_rows @ theta
+                                 < -SIGN_TOLERANCE * check_scale)
+            cons_pts, cons_owner, moved, at_minima = _refine_at_minima(
+                cons_pts, cons_owner, minima)
+            work_cons = moved[work_cons]
+            failing = np.union1d(at_minima, moved[low])
             cons_rows = None
         if not gap_ok:
             add = _local_maxima(fine_all, np.abs(residual))
             points = np.unique(np.concatenate([points, add]))
-        # both grids are ascending, so the carried rows keep their order
-        # and the basis its layout
-        start = (np.searchsorted(points, kept_pts),
-                 np.searchsorted(cons_pts, kept_cons), info["basis"])
+        # both grids keep the carried rows in their order, so the basis
+        # keeps its layout
+        start = (np.searchsorted(points, kept_pts), work_cons, info["basis"])
     # post is a sup estimate and error a grid max: clamp 1-ulp inversions
     post = max(post, error)
     level = max(error, post)

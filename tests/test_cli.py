@@ -107,6 +107,31 @@ def test_solve_f1_at_degree_24(tmp_path):
         assert row["exchange_rounds"] >= 1
         assert row["working_points"] > 2 * 24 + 1
         assert row["working_constraints"] == 0
+        assert row["constraint_points"] == 0
+        assert row["constraint_violation_relative"] is None
+
+
+def test_constrained_solve_records_its_constraint_grids(tmp_path):
+    out = tmp_path / "run"
+    argv = ["solve", "--target", "ideal:2:1.2", "--degree", "8", "--q", "3",
+            "--Y", "-1.2", "0", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    solution = json.loads((out / "artifacts" / "solution.json").read_text())
+    assert solution["converged"] is True
+    rounds = solution["rounds"]
+    sizes = [row["constraint_points"] for row in rounds]
+    # both ends and 512 inner points on each of the two gaps, then rows
+    # added at the sign check's minima
+    assert sizes[0] == 2 * 514
+    assert all(a < b for a, b in zip(sizes, sizes[1:]))
+    # the relative violation is over max|T^(3)|, about 3.3 here
+    for row in rounds:
+        assert 0 < row["constraint_violation_relative"] \
+            < row["constraint_violation"]
+    assert rounds[0]["constraint_violation_relative"] > 1e-8
+    assert rounds[-1]["constraint_violation_relative"] <= 1e-8
+    assert solution["constraint_violation"] == rounds[-1][
+        "constraint_violation"]
 
 
 def _exit_code(argv) -> int:

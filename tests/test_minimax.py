@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from cotrig.grids import Interval
+from cotrig.grids import FULL_PERIOD, Interval
 from cotrig import minimax
 from cotrig.minimax import (best_approx, best_co_q_monotone,
                             count_alternations, solve_grid_minimax)
 from cotrig.signsets import SignChangeSet
-from cotrig.simplex import LPNumericalError
+from cotrig.simplex import LinearProgram, LPNumericalError, solve_lp
 from cotrig.splines import build_ideal_spline
-from cotrig.trigpoly import trig_basis
+from cotrig.trigpoly import trig_basis, trig_derivative_basis
 
 
 def test_constant_fit():
@@ -158,17 +158,56 @@ def test_result_serialization():
 @pytest.mark.parametrize("constrained, converged", [(True, False),
                                                     (False, True)])
 def test_fits_say_whether_their_checks_passed(constrained, converged):
-    # constrained ideal:2:1.2 at n = 8 still dips by about 6e-7 below its
-    # sign pattern after three doublings of the constraint grid, above
-    # the 1e-8 relative tolerance of the sign check
+    # constrained ideal:2:1.2 at q = 5, n = 16 still dips below its sign
+    # pattern after three refinements of the constraint grid, above the
+    # 1e-8 relative tolerance of the sign check
     b = 1.2
     target = build_ideal_spline(2, b)
     if constrained:
-        res = best_co_q_monotone(target, 8, 3, SignChangeSet([-b, 0.0]))
-        assert res.constraint_violation > 1e-7
+        res = best_co_q_monotone(target, 16, 5, SignChangeSet([-b, 0.0]))
+        assert res.rounds[-1]["constraint_violation_relative"] > 1e-7
     else:
         res = best_approx(target, 8)
     assert res.converged is converged
+
+
+def test_constrained_fit_meets_its_sign_pattern_and_a_dense_lp():
+    # constrained ideal:2:1.2, q = 3, n = 8: refining the constraint grid
+    # at the sign check's minima leaves a fit that meets its sign pattern
+    # on a grid four times denser than the check's (10 * 512 points a
+    # gap), from few added rows
+    b, n, q = 1.2, 8, 3
+    target = build_ideal_spline(2, b)
+    ys = SignChangeSet([-b, 0.0])
+    res = best_co_q_monotone(target, n, q, ys)
+    assert res.converged is True
+    gaps = ys.intervals()
+    per_gap = 4 * 10 * 512
+    ts = np.concatenate([np.linspace(lo, hi, per_gap) for lo, hi, _ in gaps])
+    sigma = np.repeat([float(s) for *_, s in gaps], per_gap)
+    signed = sigma * res.approximant.derivative(q)(ts)
+    assert signed.min() >= -1e-8 * np.abs(signed).max()
+    assert res.rounds[-1]["constraint_points"] \
+        < 2 * res.rounds[0]["constraint_points"]
+    # reference: one LP with the rows of 20 000 gap points and every gap
+    # end at once, on the objective points of the fit's first post-check
+    # (a denser objective grid finds lobe peaks that post-check misses)
+    cut = minimax._cut_at_breakpoints([FULL_PERIOD], target.breakpoints)
+    xs = np.union1d(minimax._split_points(cut, 512),
+                    minimax._split_points(cut, 4 * 512))
+    cons = np.concatenate([np.linspace(lo, hi, 10002) for lo, hi, _ in gaps])
+    sigma = np.repeat([float(s) for *_, s in gaps], 10002)
+    C = trig_derivative_basis(cons, n, q) * sigma[:, None]
+    C /= np.linalg.norm(C, axis=1)[:, None]
+    A, v = trig_basis(xs, n), target(xs)
+    p, m, ones = A.shape[1], xs.size, np.ones((xs.size, 1))
+    lp = LinearProgram(np.r_[np.zeros(p), 1.0],
+                       col_lower=np.r_[np.full(p, -np.inf), 0.0])
+    lp.add_rows(np.block([[A, -ones], [A, ones],
+                          [C, np.zeros((C.shape[0], 1))]]),
+                lower=np.r_[np.full(m, -np.inf), v, np.zeros(C.shape[0])],
+                upper=np.r_[v, np.full(m + C.shape[0], np.inf)])
+    assert res.error == pytest.approx(solve_lp(lp).objective, rel=1e-7)
 
 
 # thm-12/13 targets with sign changes at -0.6 and 0.6 (minimal gap b = 1.2),
@@ -274,10 +313,10 @@ def test_basis_of_another_rank_starts_cold():
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_rounds_carry_their_rows_onto_the_next_grid(monkeypatch, n):
-    # constrained ideal:2:1.2 runs four rounds, doubling its constraint
-    # grid after each of the first three; every round after the first
-    # starts from the last round's working rows and basis, so its grid
-    # error cannot fall
+    # constrained ideal:2:1.2 runs four rounds, refining its constraint
+    # grid at the sign check's minima after each of the first three; every
+    # round after the first starts from the last round's working rows and
+    # basis, so its grid error cannot fall
     grids, calls = {}, []
 
     def recording(key, basis):
@@ -286,10 +325,11 @@ def test_rounds_carry_their_rows_onto_the_next_grid(monkeypatch, n):
             return basis(pts, *args)
         return wrapped
 
-    def capture(values, columns, cons_matrix=None, start=None):
-        theta, error, info = solve(values, columns, cons_matrix, start=start)
+    def capture(values, columns, cons_matrix=None, start=None, add_cons=()):
+        theta, error, info = solve(values, columns, cons_matrix, start=start,
+                                   add_cons=add_cons)
         calls.append({"points": grids["points"], "cons": grids["cons"],
-                      "rows": cons_matrix, "start": start,
+                      "rows": cons_matrix, "start": start, "add": add_cons,
                       "working": info["working_rows"]})
         return theta, error, info
 
@@ -302,7 +342,7 @@ def test_rounds_carry_their_rows_onto_the_next_grid(monkeypatch, n):
     b = 1.2
     res = best_co_q_monotone(build_ideal_spline(2, b), n, 3,
                              SignChangeSet([-b, 0.0]))
-    # a cold round, then one round for each of three doublings
+    # a cold round, then one round for each of three refinements
     assert len(calls) == len(res.rounds) == 4
     assert calls[0]["start"] is None
     for old, new in zip(calls, calls[1:]):
@@ -314,6 +354,10 @@ def test_rounds_carry_their_rows_onto_the_next_grid(monkeypatch, n):
         # signs included
         assert np.allclose(new["rows"][cons], old["rows"][work_cons],
                            rtol=1e-12, atol=0)
+        # the rows at the minima that failed the sign check join the
+        # working set
+        assert len(new["add"]) > 0
+        assert np.isin(new["add"], new["working"][1]).all()
     errors = [row["error"] for row in res.rounds]
     for before, after in zip(errors, errors[1:]):
         assert after >= before * (1.0 - 1e-12)
