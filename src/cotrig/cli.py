@@ -349,7 +349,6 @@ def cmd_solve(cfg: dict, out_dir: Path) -> int:
         "error": result.error,
         "post_check_error": result.post_check_error,
         "constraint_violation": result.constraint_violation,
-        "alternation_count": result.alternation_count,
         "converged": result.converged,
         "iterations": result.iterations,
         "duality_gap": result.duality_gap,
@@ -360,7 +359,6 @@ def cmd_solve(cfg: dict, out_dir: Path) -> int:
         f"{mode} approximation of {desc} at degree {degree}",
         f"  grid error       = {result.error:.12e}",
         f"  post-check error = {result.post_check_error:.12e}",
-        f"  alternations = {result.alternation_count}",
     ]
     if result.constraint_violation is not None:
         lines.insert(3,

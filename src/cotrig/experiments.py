@@ -21,8 +21,8 @@ import numpy as np
 from .counterexample import build_summand
 from .grids import Interval, chebyshev_points, sup_norm
 from .ledger import ConstantsLedger, make_empirical_ledger
-from .minimax import (_constraint_rows, _split_points, best_approx,
-                      best_co_q_monotone, solve_grid_minimax)
+from .minimax import (_constraint_rows, _gap_points, _split_points,
+                      best_approx, best_co_q_monotone, solve_grid_minimax)
 from .mollifier import MollifierTable, build_mollifier_table
 from .reports import Assertion, ConstantReading, ExperimentReport
 from .signsets import SignChangeSet, delta_q_membership_by_convexity
@@ -155,8 +155,7 @@ def exp_lemma_mod(b_list, n_list, seed: int = 0) -> ExperimentReport:
         kappa = n * res.post_check_error / b
         return {"b": b, "n": n, "error": res.error,
                 "post_check_error": res.post_check_error,
-                "kappa": float(kappa),
-                "alternations": res.alternation_count}
+                "kappa": float(kappa)}
 
     grid = [_cell(b, n) for b in bs for n in ns]
     kappas = [row["kappa"] for row in grid]
@@ -393,8 +392,7 @@ def _contrast_cells(f, q: int, ys: SignChangeSet, ns):
                "constrained_grid": con.error,
                "constraint_violation": con.constraint_violation,
                "unconstrained": unc.post_check_error,
-               "n_constrained": n * con.post_check_error,
-               "alternations_unconstrained": unc.alternation_count}
+               "n_constrained": n * con.post_check_error}
         return row, con
 
     pairs = [_cell(n) for n in ns]
@@ -529,7 +527,8 @@ def window_floor_solve(target, n: int, q: int, b: float, poly_degree: int,
     # both grids hold x = 0, where the sign pattern and F_r's kink sit
     gaps = [(-b, 0.0, -1), (0.0, b, 1)]
     halves = [Interval(lo, hi) for lo, hi, _ in gaps]
-    _, rows = _constraint_rows(gaps, n, q, max(12 * n, 256))
+    pts, owner = _gap_points(gaps, max(12 * n, 256), ends=False)
+    rows = _constraint_rows(gaps, pts, owner, n, q)
     count = max(24 * (n + 1), 1025)
     return _fit_and_post_check(
         target, columns, np.hstack([rows, np.zeros((rows.shape[0], free))]),

@@ -8,35 +8,35 @@ is posed in an orthonormal basis phi of the sampled columns and the level
 t: min t subject to |v_i - u_i.phi| <= t at the grid points of a working
 set and c_l.phi >= 0 at its sign constraints.  An exchange adds the worst
 violated points and constraints to the working set until nothing on the
-grid violates.  Each grid solve keeps one growing HiGHS model: new rows
-are appended to it and it is re-solved from its last optimal basis, so a
-round costs a few dual simplex pivots.  Grids are then refined at the
-residual maxima (and, for constrained problems, where the sign pattern
-fails) until the discrete error and a finer post-check agree.
+grid violates.  The working set lives in one growing HiGHS model: new
+rows are appended to it and it is re-solved from its last optimal basis,
+so an exchange round costs a few dual simplex pivots.  Grids are then
+refined at the residual maxima (and, for constrained problems, where the
+sign pattern fails) until the discrete error and a finer post-check
+agree.
 
 The constraint grid holds both ends of every gap.  At a sign change y the
 rows of the two gaps that meet there have opposite signs, so together
 they force T^(q)(y) = 0, which continuity implies anyway.  The sign check
-samples sigma T^(q) on a fixed grid ten times denser than the first
-constraint grid and polishes its local minima by Newton steps.  Where a
-minimum fails the check, the violation sits at one point: a gap end or an
-interior point where T^(q) touches zero.  Doubling the whole grid would
-only divide that dip by 4.  Instead the minimum joins the constraint grid
-with 8 points that fill the bracket of its neighbouring grid points, and
-its row joins the next working set, together with every grid row that
-fails the check's tolerance: with long rows the exchange's own tolerance
-lets such rows pass.
+reads sigma T^(q) on the constraint grid itself, as the constraint rows
+times the coefficients, and polishes its local minima in each gap by
+Newton steps.  Where a minimum fails the check, the violation sits at
+one point: a gap end or an interior point where T^(q) touches zero.
+Doubling the whole grid would only divide that dip by 4.  Instead the
+minimum joins the constraint grid with 8 points that fill the bracket of
+its neighbouring grid points, and its row joins the next working set,
+together with every grid row that fails the check's tolerance: with long
+rows the exchange's own tolerance lets such rows pass.
 
-Only a fit's first grid solves cold.  Every later round starts from the
-working set and the optimal simplex basis the last round ended on.  Each
-grid keeps its own SVD, so the carried rows are the same points in a new
-orthonormal basis, and the carried basis is optimal for them before any
-pivot.  The refined objective grid contains the old one, and a refined
-constraint grid is the old one with points inserted, in the same order,
-so the carried rows are mapped by position and keep the basis's layout.
-Every carried row is on the new grid exactly, the LP's constraint set
-only grows, and a round's LP optimum cannot fall below the last one's:
-each round's LP is still a relaxation of the continuous problem.
+A fit has one LP.  Its first grid's SVD fixes the orthonormal basis phi
+and the value scale, and every later round appends the new points and
+constraint rows of its grown grids to the same HiGHS model, which
+resumes from its own optimal basis.  The refined objective grid contains
+the old one and a refined constraint grid is the old one with points
+inserted, so every row the LP holds is on the new grid exactly, the LP's
+constraint set only grows, and a round's LP optimum cannot fall below
+the last one's: each round's LP is still a relaxation of the continuous
+problem.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ class ApproxResult:
     constraint_violation: float | None
     iterations: int
     duality_gap: float
-    alternation_count: int
     converged: bool
     rounds: list = field(default_factory=list)
 
@@ -87,7 +86,6 @@ class ApproxResult:
             "constraint_violation": self.constraint_violation,
             "iterations": self.iterations,
             "duality_gap": self.duality_gap,
-            "alternation_count": self.alternation_count,
             "converged": self.converged,
             "rounds": self.rounds,
         }
@@ -120,7 +118,22 @@ def _spread(total, count):
                      .round().astype(int))
 
 
-def solve_grid_minimax(values, columns, cons_matrix=None, start=None,
+@dataclass
+class GridModel:
+    """The LP of a grid solve and the transform it is posed in.
+
+    ``to_theta`` maps phi to the coefficients theta, ``vscale`` is the
+    value scale, and ``root_m`` the square root of the first grid's size;
+    all three are fixed by the first grid and kept on every grid the
+    model is resumed on.
+    """
+    lp: LinearProgram
+    to_theta: np.ndarray
+    vscale: float
+    root_m: float
+
+
+def solve_grid_minimax(values, columns, cons_matrix=None, model=None,
                        add_cons=()):
     """Best linear minimax fit on a fixed grid, solved by exchange.
 
@@ -129,32 +142,32 @@ def solve_grid_minimax(values, columns, cons_matrix=None, start=None,
 
     The LP runs in an orthonormal basis: with the truncated SVD
     columns = U_k S_k V_k' (singular values above 1e-12 of the largest),
-    theta = V_k S_k^-1 phi, so the objective rows are the orthonormal U_k
-    and values are scaled to unit maximum.  On narrow windows the trig and
-    monomial columns are nearly dependent, and this is what keeps the LP
-    well posed there.  Constraint rows are mapped through the same
-    transform and scaled to unit length.
+    theta = V_k S_k^-1 phi, so the objective rows columns V_k S_k^-1 are
+    the orthonormal U_k up to rounding, and values are scaled to unit
+    maximum.  On narrow windows the trig and monomial columns are nearly
+    dependent, and this is what keeps the LP well posed there.
+    Constraint rows are mapped through the same transform and scaled to
+    unit length.
 
     The LP is solved on a working subset of grid points and constraint
-    rows, held in one LinearProgram for the whole call: the worst
-    violated points and rows are appended to it and it is re-solved from
-    its last basis, until nothing on the whole grid violates.  When the
-    optimum does not beat the zero fit beyond the exchange tolerance,
-    theta = 0 is returned exactly.  LPNumericalError is
-    raised when violations remain but no new point or row can join, or
-    after EXCHANGE_ROUNDS solves.
+    rows, held in one LinearProgram: the worst violated points and rows
+    are appended to it and it is re-solved from its last basis, until
+    nothing on the whole grid violates.  When the optimum does not beat
+    the zero fit beyond the exchange tolerance, theta = 0 is returned
+    exactly.  LPNumericalError is raised when violations remain but no
+    new point or row can join, or after EXCHANGE_ROUNDS solves.
 
-    ``info["working_rows"]`` = (point indices, constraint indices) is the
-    final working set, ascending, and ``info["basis"]`` the optimal basis
-    over it, its rows laid out as the points' lower sides, their upper
-    sides, then the constraints.  ``start`` = (point indices, constraint
-    indices, basis or None) seeds the working set and, when the basis has
-    as many columns as this grid's SVD keeps, the first solve.  The
-    constraint indices ``add_cons`` join the working set after that basis
-    is installed, their rows basic: rows the caller knows to be violated,
-    which the first solve then holds to the LP's feasibility tolerance.
-    Coefficients whose largest contribution on the grid is below 1e-12
-    of max|values| come back as exact zeros.
+    ``info["model"]`` is the call's GridModel and ``info["working_rows"]``
+    = (point indices, constraint indices) the working set its LP holds,
+    ascending.  ``model`` = (an earlier call's GridModel, point indices,
+    constraint indices) resumes that LP on a grid that holds the earlier
+    one's points and constraint rows: the indices are where the rows the
+    LP holds sit on this grid.  The grid's rows are then mapped by the
+    model's transform, its SVD is not taken, and the first solve starts
+    from the LP's last basis.  The constraint indices ``add_cons`` join
+    the working set before the first solve: rows the caller knows to be
+    violated.  Coefficients whose largest contribution on the grid is
+    below 1e-12 of max|values| come back as exact zeros.
     """
     values = np.asarray(values, dtype=float)
     columns = np.asarray(columns, dtype=float)
@@ -163,47 +176,54 @@ def solve_grid_minimax(values, columns, cons_matrix=None, start=None,
         else np.asarray(cons_matrix, dtype=float)
     L = cons.shape[0]
 
-    # scale-free tolerances: the scaled summands of the nested
-    # construction have sups around 1e-13
-    vscale = float(np.abs(values).max()) if M else 1.0
-    if not vscale > 0.0:
-        vscale = 1.0
-    vals = values / vscale
-    U, s, Vt = np.linalg.svd(columns, full_matrices=False)
-    keep = s > 1e-12 * s[0]
-    U = U[:, keep]
-    to_theta = Vt[keep].T / s[keep]
-    k = U.shape[1]
-    C = cons @ to_theta
-    norms = np.linalg.norm(C, axis=1)
-    C /= np.where(norms > 0, norms, 1.0)[:, None]
-
-    if start is None:
-        work_pts = _spread(M, max(2 * k + 5, 33))
-        work_cons = _spread(L, max(k + 5, 17))
-        basis = None
+    if model is None:
+        # scale-free tolerances: the scaled summands of the nested
+        # construction have sups around 1e-13
+        vscale = float(np.abs(values).max()) if M else 1.0
+        if not vscale > 0.0:
+            vscale = 1.0
+        _, s, Vt = np.linalg.svd(columns, full_matrices=False)
+        keep = s > 1e-12 * s[0]
+        to_theta = Vt[keep].T / s[keep]
+        k = to_theta.shape[1]
+        grid = GridModel(LinearProgram(np.r_[np.zeros(k), 1.0]), to_theta,
+                         vscale, float(np.sqrt(max(M, 1))))
+        work_pts = work_cons = np.zeros(0, dtype=int)
+        add_p = _spread(M, max(2 * k + 5, 33))
+        add_c = _spread(L, max(k + 5, 17))
     else:
-        work_pts, work_cons, basis = start
+        grid, work_pts, work_cons = model
         work_pts, work_cons = (np.unique(np.asarray(w, dtype=int))
                                for w in (work_pts, work_cons))
+        add_p = add_c = np.zeros(0, dtype=int)
+    lp, k = grid.lp, grid.to_theta.shape[1]
+    vals = values / grid.vscale
+    # every row, held or new, from the one formula columns @ to_theta:
+    # a held row recomputed another way differs from the LP's copy by
+    # rounding, which on narrow windows the exchange reads as a violation
+    # it cannot add
+    U = columns @ grid.to_theta
+    C = cons @ grid.to_theta
+    norms = np.linalg.norm(C, axis=1)
+    C /= np.where(norms > 0, norms, 1.0)[:, None]
     cap = k + 5
 
     # min t over (phi, t): u_i.phi - t <= v_i, u_i.phi + t >= v_i and
-    # c_l.phi >= 0.  An optimum on the whole grid has t <= 1 (phi = 0
-    # fits with error max|vals| <= 1), so |U phi| <= 2 on the grid, where
-    # U is orthonormal: |phi_j| <= |phi| = |U phi| <= 2 sqrt(M).  So the
-    # box changes no whole-grid optimum, and it leaves HiGHS no free
-    # column: with free phi, the warm re-solves on the first grid of
+    # c_l.phi >= 0.  phi = 0 fits with error top = max|vals|, so an
+    # optimum on the whole grid has t <= top, and |u_i.phi| <= 1 + top on
+    # the first grid's M points, where |v_i| <= 1 and the rows are
+    # orthonormal: |phi_j| <= |phi| = |U phi| <= sqrt(M) (1 + top).  A
+    # grown grid holds those points, so the bound holds there too.  top
+    # is 1 on the first grid, and above 1 on a grown one only where a new
+    # point's value exceeds the first grid's largest; the box then widens.
+    # So the box changes no whole-grid optimum, and it leaves HiGHS no
+    # free column: with free phi, the warm re-solves on the first grid of
     # constrained ideal:2 at n = 64 stopped 2.3e-6 (relative) above that
     # grid's optimum.
-    box = 2.0 * np.sqrt(max(M, 1))
-    lp = LinearProgram(np.r_[np.zeros(k), 1.0],
-                       col_lower=np.r_[np.full(k, -box), 0.0],
-                       col_upper=np.r_[np.full(k, box), np.inf])
-    # the key of each LP row: i, M + i and 2M + l for the lower and upper
-    # sides of point i and for constraint l, so sorting the keys gives
-    # the row layout of info["basis"]
-    row_keys = []
+    box = grid.root_m * (1.0 + max(float(np.abs(vals).max(initial=0.0)), 1.0))
+    if box != lp.col_upper[0]:
+        lp.set_col_bounds(np.r_[np.full(k, -box), 0.0],
+                          np.r_[np.full(k, box), np.inf])
 
     def add_rows(pts, cons):
         Up, m, lc = U[pts], pts.size, cons.size
@@ -211,16 +231,14 @@ def solve_grid_minimax(values, columns, cons_matrix=None, start=None,
                               [C[cons], np.zeros((lc, 1))]]),
                     lower=np.r_[np.full(m, -np.inf), vals[pts], np.zeros(lc)],
                     upper=np.r_[vals[pts], np.full(m + lc, np.inf)])
-        row_keys.append(np.r_[pts, M + pts, 2 * M + cons])
 
-    add_rows(work_pts, work_cons)
-    if basis is not None:
-        lp.set_basis(*basis)
-    add_c = np.setdiff1d(np.asarray(add_cons, dtype=int), work_cons)
-    add_rows(np.zeros(0, dtype=int), add_c)
-    work_cons = np.union1d(work_cons, add_c)
+    add_c = np.union1d(add_c, np.asarray(add_cons, dtype=int))
+    add_c = np.setdiff1d(add_c, work_cons)
     total_iters = 0
     for rounds in range(1, EXCHANGE_ROUNDS + 1):
+        add_rows(add_p, add_c)
+        work_pts = np.union1d(work_pts, add_p)
+        work_cons = np.union1d(work_cons, add_c)
         sol = solve_lp(lp)
         total_iters += sol.iterations
         phi = sol.x[:k]
@@ -244,9 +262,6 @@ def solve_grid_minimax(values, columns, cons_matrix=None, start=None,
                 f"exchange stalled in round {rounds}: a violation of "
                 f"{worst:.3e} (tolerance {tol:.3e}) remains on rows already "
                 f"in the working set")
-        add_rows(add_p, add_c)
-        work_pts = np.union1d(work_pts, add_p)
-        work_cons = np.union1d(work_cons, add_c)
     else:
         raise LPNumericalError(
             f"exchange did not converge in {EXCHANGE_ROUNDS} rounds: a "
@@ -258,40 +273,21 @@ def solve_grid_minimax(values, columns, cons_matrix=None, start=None,
     top = float(np.abs(vals).max(initial=0.0))
     if t >= top - tol:
         phi, t = np.zeros(k), top
-    theta = to_theta @ phi * vscale
+    theta = grid.to_theta @ phi * grid.vscale
     reach = np.abs(theta) * np.abs(columns).max(axis=0, initial=0.0)
-    theta[reach < 1e-12 * vscale] = 0.0
+    theta[reach < 1e-12 * grid.vscale] = 0.0
     # certify against the whole grid, not just the final working set
     residual = values - columns @ theta
-    error = max(t * vscale, float(np.abs(residual).max(initial=0.0)))
-    col_status, row_status = lp.basis()
+    error = max(t * grid.vscale, float(np.abs(residual).max(initial=0.0)))
     info = {
         "iterations": total_iters,
         "duality_gap": sol.duality_gap,
         "outer_rounds": rounds,
         "working_points": int(work_pts.size),
         "working_rows": (work_pts, work_cons),
-        "basis": (col_status,
-                  row_status[np.argsort(np.concatenate(row_keys))]),
+        "model": grid,
     }
     return theta, float(error), info
-
-
-def count_alternations(xs, residuals, level: float) -> int:
-    """Number of alternating residual points within 1e-6 of the level."""
-    if level <= 0:
-        return 0
-    xs = np.asarray(xs)
-    res = np.asarray(residuals)
-    order = np.argsort(xs)
-    res = res[order]
-    big = np.abs(res) >= (1.0 - 1e-6) * level
-    signs = np.sign(res[big])
-    signs = signs[signs != 0]
-    if signs.size == 0:
-        return 0
-    flips = int(np.count_nonzero(np.diff(signs)))
-    return flips + 1
 
 
 def _split_points(subintervals, total: int, minimum: int = 33):
@@ -339,40 +335,44 @@ def _signs(gaps, owner):
     return np.array([float(sigma) for *_, sigma in gaps])[owner]
 
 
-def _constraint_rows(gaps, degree: int, q: int, per_gap: int):
-    """Open gap points and their rows of sigma T^(q) >= 0 in the trig basis."""
-    pts, owner = _gap_points(gaps, per_gap, ends=False)
-    return pts, trig_derivative_basis(pts, degree, q) \
+def _constraint_rows(gaps, pts, owner, degree: int, q: int):
+    """Rows of sigma T^(q) >= 0 in the trig basis at the gap points pts,
+    where owner holds the index of each point's gap."""
+    return trig_derivative_basis(pts, degree, q) \
         * _signs(gaps, owner)[:, None]
 
 
-def _sign_check(tp: TrigPoly, q: int, pts, signs, gap_count: int):
-    """One pass of the sign check over its dense grid of gap points.
+def _sign_check(tp: TrigPoly, q: int, gaps, pts, owner, vals):
+    """The sign check over the constraint grid.
 
-    Every local minimum of sigma T^(q) in a gap is polished by Newton steps
-    on the jet of T^(q) between its neighbouring samples, since a narrow
-    dip can fall below zero between two positive samples.  Returns the
-    worst value of sigma T^(q), sampled or polished, the largest sampled
-    |T^(q)|, and the polished minima that fail the check, as (abscissae,
-    gap indices).
+    vals are sigma T^(q) at the grid points pts of the gaps owner, the
+    constraint rows times theta.  Every local minimum of vals within a gap
+    (a gap end has no neighbour beyond it) is polished by Newton steps on
+    the jet of T^(q) between its neighbouring points, since a narrow dip
+    can fall below zero between two positive samples.  Returns the worst
+    value of sigma T^(q), sampled or polished, the largest sampled
+    |T^(q)|, the polished minima that fail the check, as (abscissae, gap
+    indices), and the indices of the grid points that fail it.
     """
     dq = tp.derivative(q)
-    vals = signs * dq(pts)
+    signs = _signs(gaps, owner)
     top = float(np.abs(vals).max())
-    per_gap = vals.reshape(gap_count, -1)
-    count = per_gap.shape[1]
-    side = np.pad(per_gap, ((0, 0), (1, 1)), constant_values=np.inf)
-    left, right = side[:, :-2], side[:, 2:]
+    tol = SIGN_TOLERANCE * max(top, 1.0)
+    inner = owner[1:] == owner[:-1]
+    left = np.r_[np.inf, np.where(inner, vals[:-1], np.inf)]
+    right = np.r_[np.where(inner, vals[1:], np.inf), np.inf]
     # a flat run (T^(q) = 0 on a whole gap) is polished at its two ends
-    idx = np.flatnonzero((per_gap <= left) & (per_gap <= right)
-                         & ((per_gap != left) | (per_gap != right)))
-    col = idx % count
-    _, minima = _newton_refine_max(dq.jet, pts[idx], pts[idx - (col > 0)],
-                                   pts[idx + (col < count - 1)], -signs[idx])
+    idx = np.flatnonzero((vals <= left) & (vals <= right)
+                         & ((vals != left) | (vals != right)))
+    _, minima = _newton_refine_max(dq.jet, pts[idx],
+                                   pts[idx - np.isfinite(left[idx])],
+                                   pts[idx + np.isfinite(right[idx])],
+                                   -signs[idx])
     polished = signs[idx] * dq(minima)
     worst = float(min(vals.min(), polished.min()))
-    fail = polished < -SIGN_TOLERANCE * max(top, 1.0)
-    return worst, top, (minima[fail], idx[fail] // count)
+    fail = polished < -tol
+    return (worst, top, (minima[fail], owner[idx[fail]]),
+            np.flatnonzero(vals < -tol))
 
 
 def _refine_at_minima(pts, owner, minima):
@@ -407,14 +407,13 @@ def _refinement_loop(target, degree: int, subintervals, q: int, gaps):
     gaps are the (lo, hi, sigma) triples on which sigma T^(q) >= 0 is
     imposed; an unconstrained fit has none.  The constraint grid holds
     both ends of every gap and, inside it, as many open Chebyshev points
-    as the first objective grid has in all.  The objective grid refines at the residual maxima.  When the sign
-    check fails, the constraint grid is refined at the check's failing
-    minima, up to three times, and those rows and every grid row below
-    the check's tolerance join the next working set (module docstring).
-    Each round after the first starts from the last one's working set
-    and basis, its constraint rows carried by position.  The fit is
-    ``converged`` when its last round passed both the gap test and the
-    sign check.
+    as the first objective grid has in all.  The objective grid refines
+    at the residual maxima.  When the sign check fails, the constraint
+    grid is refined at the check's failing minima, up to three times, and
+    those rows and every grid row below the check's tolerance join the
+    next working set (module docstring).  Every round resumes the first
+    round's LP on the grown grids.  The fit is ``converged`` when its
+    last round passed both the gap test and the sign check.
 
     A target's ``breakpoints``, where a derivative jumps, cut the
     subintervals, so that both the objective grid and the post-check grid
@@ -429,20 +428,15 @@ def _refinement_loop(target, degree: int, subintervals, q: int, gaps):
     floor = 1e-12 * max(1.0, scale)
 
     cons_pts, cons_owner = _gap_points(gaps, total)
-    check_pts, check_owner = _gap_points(gaps, 10 * total)
-    check_signs = _signs(gaps, check_owner)
-    cons_rows = None
+    cons_rows = _constraint_rows(gaps, cons_pts, cons_owner, degree, q)
     rounds = []
-    start, failing = None, ()
+    model, failing = None, ()
     sign_refinements = 0
     for _ in range(MAX_REFINEMENTS + 1):
-        if cons_rows is None:
-            cons_rows = trig_derivative_basis(cons_pts, degree, q) \
-                * _signs(gaps, cons_owner)[:, None]
         values = np.asarray(target(points), dtype=float)
         columns = trig_basis(points, degree)
         theta, error, info = solve_grid_minimax(values, columns, cons_rows,
-                                                start=start, add_cons=failing)
+                                                model=model, add_cons=failing)
         work_pts, work_cons = info["working_rows"]
         tp = coeffs_from_vector(theta, degree)
 
@@ -451,11 +445,10 @@ def _refinement_loop(target, degree: int, subintervals, q: int, gaps):
         post = float(np.abs(residual).max())
         signs_ok, violation, relative = True, None, None
         if gaps:
-            worst, top, minima = _sign_check(tp, q, check_pts, check_signs,
-                                             len(gaps))
-            check_scale = max(top, 1.0)
+            worst, top, minima, low = _sign_check(
+                tp, q, gaps, cons_pts, cons_owner, cons_rows @ theta)
             violation = max(0.0, -worst)
-            relative = violation / check_scale
+            relative = violation / max(top, 1.0)
             signs_ok = relative <= SIGN_TOLERANCE
         rounds.append({"grid_points": int(points.size), "error": error,
                        "post_check_error": post,
@@ -475,30 +468,24 @@ def _refinement_loop(target, degree: int, subintervals, q: int, gaps):
         kept_pts, failing = points[work_pts], ()
         if refine:
             sign_refinements += 1
-            # rows below the check's tolerance that the exchange let pass
-            low = np.flatnonzero(cons_rows @ theta
-                                 < -SIGN_TOLERANCE * check_scale)
             cons_pts, cons_owner, moved, at_minima = _refine_at_minima(
                 cons_pts, cons_owner, minima)
+            cons_rows = _constraint_rows(gaps, cons_pts, cons_owner,
+                                         degree, q)
             work_cons = moved[work_cons]
             failing = np.union1d(at_minima, moved[low])
-            cons_rows = None
         if not gap_ok:
             add = _local_maxima(fine_all, np.abs(residual))
             points = np.unique(np.concatenate([points, add]))
-        # both grids keep the carried rows in their order, so the basis
-        # keeps its layout
-        start = (np.searchsorted(points, kept_pts), work_cons, info["basis"])
+        model = (info["model"], np.searchsorted(points, kept_pts), work_cons)
     # post is a sup estimate and error a grid max: clamp 1-ulp inversions
     post = max(post, error)
-    level = max(error, post)
-    alternations = count_alternations(fine_all, residual, error if error > 0 else level)
     return ApproxResult(approximant=tp, error=error, post_check_error=post,
                         constraint_violation=violation,
-                        iterations=info["iterations"],
+                        iterations=sum(row["lp_iterations"]
+                                       for row in rounds),
                         duality_gap=info["duality_gap"],
-                        alternation_count=alternations, converged=converged,
-                        rounds=rounds)
+                        converged=converged, rounds=rounds)
 
 
 def best_approx(target, degree: int,

@@ -102,7 +102,8 @@ def test_solve_f1_at_degree_24(tmp_path):
     # each regrid round says how its grid solve went
     rounds = solution["rounds"]
     assert rounds and rounds[-1]["error"] == solution["error"]
-    assert rounds[-1]["lp_iterations"] == solution["iterations"]
+    assert solution["iterations"] == sum(row["lp_iterations"]
+                                         for row in rounds)
     for row in rounds:
         assert row["exchange_rounds"] >= 1
         assert row["working_points"] > 2 * 24 + 1

@@ -176,33 +176,3 @@ def test_missing_highs_bindings_are_named(monkeypatch):
         cotrig.simplex._highs_bindings.cache_clear()
     assert "scipy.optimize._highspy._core" in str(exc.value)
     assert scipy.__version__ in str(exc.value)
-
-
-def test_basis_round_trip_starts_at_the_optimum():
-    # a second model over the same rows, given the first one's optimal
-    # basis, is optimal before any pivot; a basis that does not fit the
-    # model is ignored and the solve starts cold
-    degree = 6
-    rows = _minimax_rows(np.linspace(-1.0, 1.0, 41), degree)
-    first = _minimax_lp(degree)
-    first.add_rows(*rows)
-    cold = solve_lp(first)
-    assert cold.iterations > 0
-    col_status, row_status = first.basis()
-    assert col_status.size == degree + 2 and row_status.size == 82
-
-    warm = _minimax_lp(degree)
-    warm.add_rows(*rows)
-    warm.set_basis(col_status, row_status)
-    resolved = solve_lp(warm)
-    assert resolved.iterations == 0
-    assert resolved.objective == pytest.approx(cold.objective, abs=1e-14)
-
-    for cols, rows_status in ((col_status[:-1], row_status),
-                              (col_status, row_status[:-1])):
-        misfit = _minimax_lp(degree)
-        misfit.add_rows(*rows)
-        misfit.set_basis(cols, rows_status)
-        again = solve_lp(misfit)
-        assert again.iterations == cold.iterations
-        assert again.objective == cold.objective
