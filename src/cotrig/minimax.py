@@ -36,7 +36,15 @@ the old one and a refined constraint grid is the old one with points
 inserted, so every row the LP holds is on the new grid exactly, the LP's
 constraint set only grows, and a round's LP optimum cannot fall below
 the last one's: each round's LP is still a relaxation of the continuous
-problem.
+problem.  A round whose LP gains no row and keeps its box starts its
+exchange from the LP's last solution instead of solving it again.
+
+Values and rows are built once per fit.  The objective grid refines at
+maxima of the residual on the post-check grid, so every refinement point
+is a post-check point: the target is evaluated once, on the post-check
+grid, and each round reads its values from there.  A grown grid copies
+the basis and constraint rows of the points it held and builds only
+those of its new points.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ import numpy as np
 from .grids import (FULL_PERIOD, TWO_PI, Interval, _newton_refine_max,
                     chebyshev_points)
 from .signsets import SignChangeSet
-from .simplex import LinearProgram, LPNumericalError, solve_lp
+from .simplex import LinearProgram, LPNumericalError, LPSolution, solve_lp
 from .trigpoly import TrigPoly, coeffs_from_vector, trig_basis, trig_derivative_basis
 
 # Objective and constraint samples per unit of degree (at least 512),
@@ -111,6 +119,21 @@ def _violation_peaks(scores, tol, cap):
     return idx
 
 
+def _unheld(held, *picks):
+    """The indices in picks that the mask held does not mark, ascending."""
+    join = np.zeros(held.size, dtype=bool)
+    for idx in picks:
+        join[idx] = True
+    return np.flatnonzero(join & ~held)
+
+
+def _joining(held, scores, tol, cap):
+    """The violation peaks of scores and its worst index, if it violates,
+    that the working set held does not hold yet."""
+    worst = [np.argmax(scores)] if scores.max(initial=0.0) > tol else []
+    return _unheld(held, _violation_peaks(scores, tol, cap), worst)
+
+
 def _spread(total, count):
     if total == 0:
         return np.zeros(0, dtype=int)
@@ -125,12 +148,15 @@ class GridModel:
     ``to_theta`` maps phi to the coefficients theta, ``vscale`` is the
     value scale, and ``root_m`` the square root of the first grid's size;
     all three are fixed by the first grid and kept on every grid the
-    model is resumed on.
+    model is resumed on.  ``last`` is the LP's last solution: a resumed
+    solve that changes the LP neither by a row nor by its box starts
+    from it instead of re-solving.
     """
     lp: LinearProgram
     to_theta: np.ndarray
     vscale: float
     root_m: float
+    last: LPSolution | None = None
 
 
 def solve_grid_minimax(values, columns, cons_matrix=None, model=None,
@@ -164,7 +190,9 @@ def solve_grid_minimax(values, columns, cons_matrix=None, model=None,
     one's points and constraint rows: the indices are where the rows the
     LP holds sit on this grid.  The grid's rows are then mapped by the
     model's transform, its SVD is not taken, and the first solve starts
-    from the LP's last basis.  The constraint indices ``add_cons`` join
+    from the LP's last basis; with no row to add and the box kept, the
+    exchange starts from the LP's last solution and does not solve it
+    again.  The constraint indices ``add_cons`` join
     the working set before the first solve: rows the caller knows to be
     violated.  Coefficients whose largest contribution on the grid is
     below 1e-12 of max|values| come back as exact zeros.
@@ -193,9 +221,12 @@ def solve_grid_minimax(values, columns, cons_matrix=None, model=None,
         add_c = _spread(L, max(k + 5, 17))
     else:
         grid, work_pts, work_cons = model
-        work_pts, work_cons = (np.unique(np.asarray(w, dtype=int))
-                               for w in (work_pts, work_cons))
         add_p = add_c = np.zeros(0, dtype=int)
+    # the working set, as masks over the grid's points and rows
+    held_pts = np.zeros(M, dtype=bool)
+    held_cons = np.zeros(L, dtype=bool)
+    held_pts[work_pts] = True
+    held_cons[work_cons] = True
     lp, k = grid.lp, grid.to_theta.shape[1]
     vals = values / grid.vscale
     # every row, held or new, from the one formula columns @ to_theta:
@@ -221,26 +252,34 @@ def solve_grid_minimax(values, columns, cons_matrix=None, model=None,
     # constrained ideal:2 at n = 64 stopped 2.3e-6 (relative) above that
     # grid's optimum.
     box = grid.root_m * (1.0 + max(float(np.abs(vals).max(initial=0.0)), 1.0))
+    stale = grid.last is None
     if box != lp.col_upper[0]:
         lp.set_col_bounds(np.r_[np.full(k, -box), 0.0],
                           np.r_[np.full(k, box), np.inf])
+        stale = True
 
     def add_rows(pts, cons):
-        Up, m, lc = U[pts], pts.size, cons.size
-        lp.add_rows(np.block([[Up, -np.ones((m, 1))], [Up, np.ones((m, 1))],
-                              [C[cons], np.zeros((lc, 1))]]),
+        m, lc = pts.size, cons.size
+        rows = np.zeros((2 * m + lc, k + 1))
+        rows[:m, :k] = rows[m:2 * m, :k] = U[pts]
+        rows[:m, k], rows[m:2 * m, k] = -1.0, 1.0
+        rows[2 * m:, :k] = C[cons]
+        lp.add_rows(rows,
                     lower=np.r_[np.full(m, -np.inf), vals[pts], np.zeros(lc)],
                     upper=np.r_[vals[pts], np.full(m + lc, np.inf)])
+        held_pts[pts] = True
+        held_cons[cons] = True
 
-    add_c = np.union1d(add_c, np.asarray(add_cons, dtype=int))
-    add_c = np.setdiff1d(add_c, work_cons)
+    add_c = _unheld(held_cons, add_c, np.asarray(add_cons, dtype=int))
     total_iters = 0
     for rounds in range(1, EXCHANGE_ROUNDS + 1):
-        add_rows(add_p, add_c)
-        work_pts = np.union1d(work_pts, add_p)
-        work_cons = np.union1d(work_cons, add_c)
-        sol = solve_lp(lp)
-        total_iters += sol.iterations
+        # a resumed LP that gained no row and kept its box is at its
+        # optimum already
+        if stale or add_p.size or add_c.size:
+            add_rows(add_p, add_c)
+            grid.last = solve_lp(lp)
+            total_iters += grid.last.iterations
+        sol = grid.last
         phi = sol.x[:k]
         t = sol.objective
         over = np.abs(vals - U @ phi) - t
@@ -249,14 +288,8 @@ def solve_grid_minimax(values, columns, cons_matrix=None, model=None,
         worst = max(over.max(initial=0.0), under.max(initial=0.0))
         if worst <= tol:
             break
-        add_p = _violation_peaks(over, tol, cap)
-        add_c = _violation_peaks(under, tol, cap)
-        if over.max(initial=0.0) > tol:
-            add_p = np.union1d(add_p, [int(np.argmax(over))])
-        if under.max(initial=0.0) > tol:
-            add_c = np.union1d(add_c, [int(np.argmax(under))])
-        add_p = np.setdiff1d(add_p, work_pts)
-        add_c = np.setdiff1d(add_c, work_cons)
+        add_p = _joining(held_pts, over, tol, cap)
+        add_c = _joining(held_cons, under, tol, cap)
         if add_p.size == 0 and add_c.size == 0:
             raise LPNumericalError(
                 f"exchange stalled in round {rounds}: a violation of "
@@ -283,8 +316,8 @@ def solve_grid_minimax(values, columns, cons_matrix=None, model=None,
         "iterations": total_iters,
         "duality_gap": sol.duality_gap,
         "outer_rounds": rounds,
-        "working_points": int(work_pts.size),
-        "working_rows": (work_pts, work_cons),
+        "working_points": int(np.count_nonzero(held_pts)),
+        "working_rows": (np.flatnonzero(held_pts), np.flatnonzero(held_cons)),
         "model": grid,
     }
     return theta, float(error), info
@@ -310,11 +343,25 @@ def _cut_at_breakpoints(subintervals, breakpoints):
     return out
 
 
-def _local_maxima(xs, vals):
-    keep = np.zeros(xs.size, dtype=bool)
+def _local_maxima(vals):
+    """Indices of the local maxima of vals, both ends included."""
+    keep = np.zeros(vals.size, dtype=bool)
     keep[0] = keep[-1] = True
     keep[1:-1] = (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
-    return xs[keep]
+    return np.flatnonzero(keep)
+
+
+def _grown(rows, moved, size, build):
+    """The rows of a grid of size points that holds the old one's points
+    at the indices moved: the old rows are copied there, and build(idx)
+    gives the rows of the new points idx."""
+    out = np.empty((size, rows.shape[1]))
+    out[moved] = rows
+    new = np.ones(size, dtype=bool)
+    new[moved] = False
+    new = np.flatnonzero(new)
+    out[new] = build(new)
+    return out
 
 
 def _gap_points(gaps, per_gap: int, ends: bool = True):
@@ -393,12 +440,13 @@ def _refine_at_minima(pts, owner, minima):
         new = np.setdiff1d(np.r_[x, fill.ravel()], own)
         add_pts.append(new)
         add_owner.append(np.full(new.size, g))
+    old = pts.size
     pts, owner = np.concatenate(add_pts), np.concatenate(add_owner)
     order = np.lexsort((pts, owner))
     moved = np.empty_like(order)
     moved[order] = np.arange(order.size)
     pts = pts[order]
-    return pts, owner[order], moved, np.flatnonzero(np.isin(pts, xs))
+    return pts, owner[order], moved[:old], np.flatnonzero(np.isin(pts, xs))
 
 
 def _refinement_loop(target, degree: int, subintervals, q: int, gaps):
@@ -424,8 +472,15 @@ def _refinement_loop(target, degree: int, subintervals, q: int, gaps):
     total = max(POINTS_PER_DEGREE * max(degree, 1), 512)
     points = _split_points(subintervals, total)
     fine = _split_points(subintervals, 4 * total)
-    scale = float(np.abs(np.asarray(target(fine))).max())
+    # the post-check grid; every refinement point is taken from it, so
+    # the objective grid stays a subset of it and the target is
+    # evaluated once per fit
+    fine_all = np.unique(np.concatenate([fine, points]))
+    f_all = np.asarray(target(fine_all), dtype=float)
+    scale = float(np.abs(f_all[np.searchsorted(fine_all, fine)]).max())
     floor = 1e-12 * max(1.0, scale)
+    at = np.searchsorted(fine_all, points)
+    columns = trig_basis(points, degree)
 
     cons_pts, cons_owner = _gap_points(gaps, total)
     cons_rows = _constraint_rows(gaps, cons_pts, cons_owner, degree, q)
@@ -433,15 +488,12 @@ def _refinement_loop(target, degree: int, subintervals, q: int, gaps):
     model, failing = None, ()
     sign_refinements = 0
     for _ in range(MAX_REFINEMENTS + 1):
-        values = np.asarray(target(points), dtype=float)
-        columns = trig_basis(points, degree)
-        theta, error, info = solve_grid_minimax(values, columns, cons_rows,
+        theta, error, info = solve_grid_minimax(f_all[at], columns, cons_rows,
                                                 model=model, add_cons=failing)
         work_pts, work_cons = info["working_rows"]
         tp = coeffs_from_vector(theta, degree)
 
-        fine_all = np.unique(np.concatenate([fine, points]))
-        residual = np.asarray(target(fine_all)) - tp(fine_all)
+        residual = f_all - tp(fine_all)
         post = float(np.abs(residual).max())
         signs_ok, violation, relative = True, None, None
         if gaps:
@@ -450,7 +502,7 @@ def _refinement_loop(target, degree: int, subintervals, q: int, gaps):
             violation = max(0.0, -worst)
             relative = violation / max(top, 1.0)
             signs_ok = relative <= SIGN_TOLERANCE
-        rounds.append({"grid_points": int(points.size), "error": error,
+        rounds.append({"grid_points": int(at.size), "error": error,
                        "post_check_error": post,
                        "constraint_points": int(cons_pts.size),
                        "constraint_violation": violation,
@@ -465,19 +517,25 @@ def _refinement_loop(target, degree: int, subintervals, q: int, gaps):
         refine = not signs_ok and sign_refinements < 3
         if gap_ok and not refine:
             break
-        kept_pts, failing = points[work_pts], ()
+        failing = ()
         if refine:
             sign_refinements += 1
             cons_pts, cons_owner, moved, at_minima = _refine_at_minima(
                 cons_pts, cons_owner, minima)
-            cons_rows = _constraint_rows(gaps, cons_pts, cons_owner,
-                                         degree, q)
+            cons_rows = _grown(
+                cons_rows, moved, cons_pts.size,
+                lambda i: _constraint_rows(gaps, cons_pts[i], cons_owner[i],
+                                           degree, q))
             work_cons = moved[work_cons]
             failing = np.union1d(at_minima, moved[low])
         if not gap_ok:
-            add = _local_maxima(fine_all, np.abs(residual))
-            points = np.unique(np.concatenate([points, add]))
-        model = (info["model"], np.searchsorted(points, kept_pts), work_cons)
+            grown = np.union1d(at, _local_maxima(np.abs(residual)))
+            moved = np.searchsorted(grown, at)
+            at = grown
+            columns = _grown(columns, moved, at.size,
+                             lambda i: trig_basis(fine_all[at[i]], degree))
+            work_pts = moved[work_pts]
+        model = (info["model"], work_pts, work_cons)
     # post is a sup estimate and error a grid max: clamp 1-ulp inversions
     post = max(post, error)
     return ApproxResult(approximant=tp, error=error, post_check_error=post,

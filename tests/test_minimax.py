@@ -386,3 +386,80 @@ def test_rounds_carry_their_rows_onto_the_next_grid(monkeypatch, n):
     first = res.rounds[0]["lp_iterations"]
     assert all(row["lp_iterations"] < first / 4 for row in res.rounds[1:])
     assert res.iterations == sum(row["lp_iterations"] for row in res.rounds)
+
+
+def test_each_grid_row_is_built_once_per_fit(monkeypatch):
+    # every refinement point comes from the post-check grid, so one
+    # evaluation of the target serves the whole fit, and a grown grid
+    # copies the basis and constraint rows of the points it already held
+    b = 1.2
+    spline = build_ideal_spline(2, b)
+    seen, built = [], {"columns": 0, "constraints": 0}
+
+    class Recorded:
+        breakpoints = spline.breakpoints
+
+        def __call__(self, ts):
+            seen.append(np.array(ts, dtype=float))
+            return spline(ts)
+
+    basis, rows = minimax.trig_basis, minimax._constraint_rows
+
+    def counted_basis(ts, degree):
+        built["columns"] += len(ts)
+        return basis(ts, degree)
+
+    def counted_rows(gaps, pts, owner, degree, q):
+        built["constraints"] += len(pts)
+        return rows(gaps, pts, owner, degree, q)
+
+    monkeypatch.setattr(minimax, "trig_basis", counted_basis)
+    monkeypatch.setattr(minimax, "_constraint_rows", counted_rows)
+    res = best_co_q_monotone(Recorded(), 8, 3, SignChangeSet([-b, 0.0]))
+    # the objective and the constraint grid both grow in this fit
+    assert res.rounds[-1]["grid_points"] > res.rounds[0]["grid_points"]
+    assert (res.rounds[-1]["constraint_points"]
+            > res.rounds[0]["constraint_points"])
+    abscissae = np.concatenate(seen)
+    assert np.unique(abscissae).size == abscissae.size
+    assert built == {"columns": res.rounds[-1]["grid_points"],
+                     "constraints": res.rounds[-1]["constraint_points"]}
+
+
+@pytest.mark.parametrize("constrained", [True, False])
+def test_no_lp_solve_repeats_an_unchanged_model(monkeypatch, constrained):
+    # a regrid round whose LP gained no row and kept its box starts from
+    # the LP's last solution instead of solving it again
+    events = {}
+
+    class Recorded(minimax.LinearProgram):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            events[self] = []
+
+        def add_rows(self, rows, lower, upper):
+            if len(rows):
+                events[self].append("add_rows")
+            super().add_rows(rows, lower, upper)
+
+        def set_col_bounds(self, lower, upper):
+            events[self].append("set_col_bounds")
+            super().set_col_bounds(lower, upper)
+
+    def recorded_solve(lp, *args, **kwargs):
+        events[lp].append("solve_lp")
+        return solve(lp, *args, **kwargs)
+
+    solve = minimax.solve_lp
+    monkeypatch.setattr(minimax, "LinearProgram", Recorded)
+    monkeypatch.setattr(minimax, "solve_lp", recorded_solve)
+    b = 1.2
+    target = build_ideal_spline(2, b)
+    if constrained:
+        res = best_co_q_monotone(target, 8, 3, SignChangeSet([-b, 0.0]))
+    else:
+        res = best_approx(target, 8)
+    assert len(res.rounds) >= 2
+    (sequence,) = events.values()
+    for before, after in zip(sequence, sequence[1:]):
+        assert not before == after == "solve_lp"

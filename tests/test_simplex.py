@@ -142,26 +142,32 @@ def _minimax_lp(degree):
 
 
 def test_added_rows_resolve_from_the_last_basis():
-    # a Chebyshev fit on 41 points, then 200 more points joining it: the
-    # re-solve must land on the cold optimum of all 241 rows, in fewer
-    # pivots than that cold solve needs
+    # a Chebyshev fit on 41 points, then three batches of 200 more points
+    # joining it: each re-solve (after the first, priced by Devex) must
+    # land on the cold optimum of all the rows so far, in fewer pivots
+    # than that cold solve needs
     degree = 6
-    coarse = np.linspace(-1.0, 1.0, 41)
-    extra = np.sort(np.random.default_rng(5).uniform(-1.0, 1.0, 200))
+    xs = np.linspace(-1.0, 1.0, 41)
+    rng = np.random.default_rng(5)
     warm = _minimax_lp(degree)
-    warm.add_rows(*_minimax_rows(coarse, degree))
-    first = solve_lp(warm)
-    warm.add_rows(*_minimax_rows(extra, degree))
-    resolved = solve_lp(warm)
-    assert resolved.objective >= first.objective - 1e-15
+    warm.add_rows(*_minimax_rows(xs, degree))
+    last = solve_lp(warm)
+    for _ in range(3):
+        extra = np.sort(rng.uniform(-1.0, 1.0, 200))
+        warm.add_rows(*_minimax_rows(extra, degree))
+        resolved = solve_lp(warm)
+        assert resolved.objective >= last.objective - 1e-15
 
-    cold = _minimax_lp(degree)
-    cold.add_rows(*_minimax_rows(np.concatenate([coarse, extra]), degree))
-    reference = solve_lp(cold)
-    assert resolved.objective == pytest.approx(reference.objective, abs=1e-12)
-    assert np.allclose(resolved.x, reference.x, rtol=0, atol=1e-12)
-    assert resolved.iterations < reference.iterations
-    assert resolved.duality_gap <= 1e-12
+        xs = np.concatenate([xs, extra])
+        cold = _minimax_lp(degree)
+        cold.add_rows(*_minimax_rows(xs, degree))
+        reference = solve_lp(cold)
+        assert resolved.objective == pytest.approx(reference.objective,
+                                                   abs=1e-12)
+        assert np.allclose(resolved.x, reference.x, rtol=0, atol=1e-12)
+        assert resolved.iterations < reference.iterations
+        assert resolved.duality_gap <= 1e-12
+        last = resolved
 
 
 def test_missing_highs_bindings_are_named(monkeypatch):
