@@ -10,7 +10,9 @@ experiment  run a named certification experiment and write its report
 Every run writes into one directory: config-echo.json (the exact
 resolved configuration, replayable), artifacts/*.json, report.json,
 tables/*.csv, and plots/*.dat.  Config values come from an optional JSON
-file (--config) overridden by command-line flags.
+file (--config) overridden by command-line flags.  The merged config is
+checked against the command's schema in SCHEMAS by this module's own
+validator, which enforces the JSON-Schema keywords those schemas use.
 
 Exit codes: 0 success, 1 a declared assertion failed, 2 numerical
 failure (solver breakdown, unrepresentable plan level), 64 usage or
@@ -29,9 +31,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from jsonschema import ValidationError
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .counterexample import (RealizabilityError, build_partial_sum,
                              build_summand, canonical_sign_set,
@@ -106,6 +105,57 @@ SCHEMAS = {
     ("experiment", "calibrate"): _schema(["q", "p", "d"], q=_Q_INT, p=_Q_INT,
                                          d=_NUMBER),
 }
+
+
+# the Python classes each JSON type admits; a bool is never one of them
+_TYPES = {"object": (dict,), "array": (list,), "string": (str,),
+          "number": (int, float), "integer": (int,)}
+
+
+def _validate(value, schema: dict, where: str = "config") -> None:
+    """Raise a ValueError that starts with the offending key unless
+    ``value`` meets ``schema``.
+
+    Enforces the keywords SCHEMAS uses, as draft 2020-12 defines them,
+    with one exception: an "integer" must be an int, so 4.0 is refused.
+    """
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and (isinstance(value, bool) or not isinstance(
+            value, sum((_TYPES[t] for t in types), ()))):
+        raise ValueError(f"{where}: {value!r} is not of type "
+                         + " or ".join(map(repr, types)))
+    if "minimum" in schema and value < schema["minimum"]:
+        raise ValueError(f"{where}: {value!r} is less than the minimum of "
+                         f"{schema['minimum']!r}")
+    if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+        raise ValueError(f"{where}: {value!r} is not greater than "
+                         f"{schema['exclusiveMinimum']!r}")
+    if isinstance(value, str) and len(value) < schema.get("minLength", 0):
+        raise ValueError(f"{where}: {value!r} is too short")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise ValueError(f"{where}: {value!r} is too short")
+        if len(value) > schema.get("maxItems", len(value)):
+            raise ValueError(f"{where}: {value!r} is too long")
+        for i, item in enumerate(value):
+            _validate(item, schema.get("items", {}), f"{where}[{i}]")
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key in value:
+            if key not in properties and \
+                    schema.get("additionalProperties") is False:
+                raise ValueError(f"{key}: unknown key")
+        for key in schema.get("required", []):
+            if key not in value:
+                raise ValueError(f"{key}: required")
+        for key, needs in schema.get("dependentRequired", {}).items():
+            for need in needs:
+                if key in value and need not in value:
+                    raise ValueError(f"{need}: required with {key!r}")
+        for key, sub in properties.items():
+            if key in value:
+                _validate(value[key], sub, key)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -513,12 +563,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        # jsonschema.validate without its check_schema step: the schemas
-        # are constant, and the test suite checks them against the metaschema
-        schema = SCHEMAS[args.schema_key]
-        error = best_match(validator_for(schema)(schema).iter_errors(cfg))
-        if error is not None:
-            raise error
+        # before anything is written: a config that fails its schema
+        # exits 64 and creates no run directory
+        _validate(cfg, SCHEMAS[args.schema_key])
         out_dir = _out_dir(args, cfg)
         cfg["out"] = str(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -534,9 +581,6 @@ def main(argv=None) -> int:
             FloatingPointError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValidationError as exc:
-        print(f"invalid configuration: {exc.message}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE

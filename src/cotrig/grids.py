@@ -205,8 +205,9 @@ def _sampled_maxima(f, interval: Interval, degree_hint: int | None, seeds,
     # a flat run is one maximum: only its two end samples are polished
     inner &= (mid != ys[:-2]) | (mid != ys[2:])
     idx = np.flatnonzero(inner) + 1
-    # endpoints always get polished: kinks and window cuts live there
-    idx = np.unique(np.concatenate([[0, ys.size - 1], idx]))
+    # endpoints always get polished: kinks and window cuts live there; idx
+    # is sorted, unique and inside [1, size - 2], so no sort is needed
+    idx = np.concatenate([[0], idx, [ys.size - 1]])
     lo = xs[np.maximum(idx - 1, 0)]
     hi = xs[np.minimum(idx + 1, ys.size - 1)]
     return float(ys.max()), xs[idx], lo, hi

@@ -1,11 +1,11 @@
 """Tests for the command-line entry point: builds and their reloads."""
 
+import importlib.util
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from jsonschema.validators import validator_for
 
 from cotrig import cli
 from cotrig.counterexample import build_partial_sum, plan_recursion
@@ -168,8 +168,105 @@ def test_solve_needs_q_and_Y_together(tmp_path, capsys, flags, missing, given):
             "--out", str(tmp_path / "run")] + flags
     assert cli.main(argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert f"'{missing}' is a dependency of '{given}'" in err
+    assert f"{missing}: required with '{given}'" in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["solve", "--target", "cos"], {"degree": 4.0}),
+    (["experiment", "lemma-3111", "--b", "0.5", "--trials", "4"], {"q": 3.0}),
+    (["experiment", "bernstein", "--b", "0.5", "--n", "4"], {"trials": 40.0}),
+    (["solve", "--target", "cos"], {"degree": True}),
+], ids=["degree-4.0", "q-3.0", "trials-40.0", "degree-true"])
+def test_integer_keys_refuse_floats_and_bools(tmp_path, capsys, argv, config):
+    # JSON Schema counts 4.0 as an integer, but the code slices and
+    # ranges with these keys: a non-int is a usage error, not a traceback
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    code = cli.main(argv + ["--config", str(path), "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    (key,) = config
+    assert f"invalid configuration: {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _valid(schema):
+    """A value that meets a property schema of SCHEMAS."""
+    kind = schema["type"] if isinstance(schema["type"], str) \
+        else schema["type"][0]
+    if kind == "array":
+        return [_valid(schema["items"])] * schema.get("minItems", 1)
+    if kind == "string":
+        return "x"
+    if kind == "integer":
+        return schema.get("minimum", 0) + 1
+    return schema.get("exclusiveMinimum", 0) + 0.5
+
+
+def _mutations(schema, value):
+    """Values that break one keyword of a property schema each, and the
+    name of that keyword."""
+    types = schema["type"] if isinstance(schema["type"], list) \
+        else [schema["type"]]
+    yield "type", {"array": "x", "string": 1}.get(types[0], [1])
+    if "number" in types or "integer" in types:
+        yield "bool", True
+    if "minimum" in schema:
+        yield "minimum", schema["minimum"] - 1
+    if "exclusiveMinimum" in schema:
+        yield "exclusiveMinimum", schema["exclusiveMinimum"]
+    if "minLength" in schema:
+        yield "minLength", ""
+    if "minItems" in schema:
+        yield "minItems", value[:schema["minItems"] - 1]
+    if "maxItems" in schema:
+        yield "maxItems", value * schema["maxItems"]
+    if "items" in schema:
+        for name, item in _mutations(schema["items"], value[0]):
+            yield f"items.{name}", [item] + value[1:]
+    if "integer" in types:
+        yield "integral-float", float(value)
+
+
+def _configs(schema):
+    """(label, config) pairs: valid ones and one mutation per keyword."""
+    full = {key: _valid(sub) for key, sub in schema["properties"].items()}
+    yield "full", full
+    yield "required-only", {key: full[key] for key in schema["required"]}
+    for key in schema["required"]:
+        yield f"missing-{key}", {k: v for k, v in full.items() if k != key}
+    yield "unknown-key", dict(full, bogus=1)
+    for key, needs in schema.get("dependentRequired", {}).items():
+        for need in needs:
+            yield f"{key}-without-{need}", {k: v for k, v in full.items()
+                                            if k != need}
+    for key, sub in schema["properties"].items():
+        for name, value in _mutations(sub, full[key]):
+            yield f"{key}-{name}", dict(full, **{key: value})
+
+
+def _accepts(config, schema) -> bool:
+    try:
+        cli._validate(config, schema)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("key", list(cli.SCHEMAS), ids=str)
+def test_validator_agrees_with_jsonschema(key):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = cli.SCHEMAS[key]
+    reference = jsonschema.Draft202012Validator(schema)
+    for label, config in _configs(schema):
+        if label.endswith("integral-float"):
+            # the one intended difference: 4.0 is no integer here
+            assert reference.is_valid(config), label
+            assert not _accepts(config, schema), label
+        else:
+            assert _accepts(config, schema) == reference.is_valid(config), \
+                label
 
 
 # subschema-valued keywords, and keywords that only annotate
@@ -178,8 +275,10 @@ _SCHEMA_LISTS = ("allOf", "anyOf", "oneOf", "prefixItems")
 _SCHEMA_ONE = ("items", "additionalProperties", "contains", "not",
                "propertyNames", "if", "then", "else", "unevaluatedItems",
                "unevaluatedProperties")
-_ANNOTATIONS = {"$schema", "$id", "$comment", "title", "description",
-                "default", "examples", "deprecated", "readOnly", "writeOnly"}
+# what cli._validate enforces
+_ENFORCED = {"type", "minimum", "exclusiveMinimum", "minLength", "items",
+             "minItems", "maxItems", "required", "properties",
+             "additionalProperties", "dependentRequired"}
 
 
 def _subschemas(schema):
@@ -201,11 +300,16 @@ def _subschemas(schema):
 
 @pytest.mark.parametrize("key", list(cli.SCHEMAS), ids=str)
 def test_config_schemas_are_valid_and_enforced(key):
-    # main() does not check the schemas against their metaschema; and a
-    # keyword the schema's draft does not enforce would be silently ignored
+    # a keyword the validator does not enforce would be silently ignored;
+    # main() never checks the schemas against their metaschema
     schema = cli.SCHEMAS[key]
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    known = set(cls.VALIDATORS) | _ANNOTATIONS
-    unknown = {k for sub in _subschemas(schema) for k in sub} - known
-    assert unknown == set()
+    subs = list(_subschemas(schema))
+    assert {k for sub in subs for k in sub} <= _ENFORCED
+    for sub in subs:
+        types = sub.get("type", [])
+        assert set([types] if isinstance(types, str) else types) \
+            <= set(cli._TYPES)
+        assert sub.get("additionalProperties", False) is False
+    if importlib.util.find_spec("jsonschema") is not None:
+        from jsonschema import Draft202012Validator
+        Draft202012Validator.check_schema(schema)

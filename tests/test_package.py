@@ -1,7 +1,8 @@
 """Tests that the package's public names and the benchmark's span table
 resolve against the code, that scipy and mpmath load only where they are
-used (scipy only through the HiGHS loader in simplex.py), and that the
-CLI runs the same in one process as in fresh ones."""
+used (scipy only through the HiGHS loader in simplex.py), that jsonschema
+never loads, and that the CLI runs the same in one process as in fresh
+ones."""
 
 import ast
 import importlib
@@ -51,7 +52,8 @@ def test_benchmark_spans_resolve():
 
 # run in a fresh interpreter: prints the heavy modules loaded after the
 # import, after an experiment and a smooth-spline build that need
-# neither, and whether a constrained solve brought in the HiGHS bindings
+# neither, and whether a constrained solve brought in the HiGHS bindings;
+# jsonschema is never needed, as cli validates configs itself
 _STARTUP_PROBE = """
 import json, sys
 import cotrig, cotrig.cli
@@ -60,16 +62,17 @@ def loaded(*names):
     return sorted(m for m in sys.modules if m.split(".")[0] in names)
 
 out = sys.argv[1]
-seen = {"import": loaded("scipy", "mpmath")}
+seen = {"import": loaded("scipy", "mpmath", "jsonschema")}
 code = cotrig.cli.main(["experiment", "lemma-3111", "--q", "3", "--b", "0.5",
                         "--trials", "4", "--out", out + "/lemma"])
-seen["lemma-3111"] = [code, loaded("scipy")]
+seen["lemma-3111"] = [code, loaded("scipy", "jsonschema")]
 code = cotrig.cli.main(["build", "smooth", "--r", "2", "--d", "1", "--lam", "1/12",
                         "--out", out + "/smooth"])
-seen["build smooth"] = [code, loaded("scipy")]
+seen["build smooth"] = [code, loaded("scipy", "jsonschema")]
 code = cotrig.cli.main(["solve", "--target", "ideal:1:1.2", "--degree", "4",
                         "--q", "3", "--Y", "-1.2", "0", "--out", out + "/solve"])
-seen["solve"] = [code, "scipy.optimize._highspy._core" in sys.modules]
+seen["solve"] = [code, "scipy.optimize._highspy._core" in sys.modules,
+                 loaded("jsonschema")]
 print(json.dumps(seen))
 """
 
@@ -86,7 +89,7 @@ def test_startup_loads_scipy_and_mpmath_only_when_used(tmp_path):
     assert run.returncode == 0, run.stderr
     seen = json.loads(run.stdout.splitlines()[-1])
     assert seen == {"import": [], "lemma-3111": [0, []],
-                    "build smooth": [0, []], "solve": [0, True]}
+                    "build smooth": [0, []], "solve": [0, True, []]}
 
 
 def _imported_roots(tree):
@@ -97,13 +100,22 @@ def _imported_roots(tree):
             yield node.module.split(".")[0]
 
 
-def test_only_simplex_imports_scipy():
-    # the HiGHS loader is the one place scipy may enter, at module level or
-    # inside a function
-    importers = sorted(
+def _importers(package: str) -> list:
+    """The cotrig modules that import package, at module level or inside
+    a function."""
+    return sorted(
         path.name for path in (ROOT / "src" / "cotrig").glob("*.py")
-        if "scipy" in _imported_roots(ast.parse(path.read_text())))
-    assert importers == ["simplex.py"]
+        if package in _imported_roots(ast.parse(path.read_text())))
+
+
+def test_only_simplex_imports_scipy():
+    # the HiGHS loader is the one place scipy may enter
+    assert _importers("scipy") == ["simplex.py"]
+
+
+def test_no_module_imports_jsonschema():
+    # cli validates configs itself; jsonschema is a test-only dependency
+    assert _importers("jsonschema") == []
 
 
 def test_no_module_calls_golden_section_search():
