@@ -307,8 +307,21 @@ class PartialSum:
         return np.unique(np.concatenate([s.seed_points() for s in self.summands]))
 
     def sup_derivative(self, j: int) -> float:
+        """Sup of |f^(j)|, Newton-polished by the rows f^(j), f^(j+1) and
+        f^(j+2).  Above the spline degree r each summand gives all three
+        from one bump recursion per zone (step_derivative_values)."""
+        r = self.ledger.r
+
         def jet(x):
-            return np.array([self.derivative_values(j + i, x) for i in range(3)])
+            if j <= r:
+                return np.array([self.derivative_values(j + i, x)
+                                 for i in range(3)])
+            x = np.asarray(x, dtype=float)
+            total = np.zeros((3,) + x.shape)
+            for s in self.summands:
+                total = total + float(s.amplitude) * \
+                    s.spline.step_derivative_values(j - r, x, 3)
+            return total
 
         return sup_norm(lambda x: self.derivative_values(j, x), self.window,
                         seeds=self.seed_points(), floor=4096, jet=jet)

@@ -10,14 +10,16 @@ from the breakpoints: a zone centre recomputed from its end points is off
 by a rounding error of the window, which is large in units of a narrow
 zone.
 Integrals, antiderivatives and derivatives are exact coefficient
-operations.  The jet (values, first and second derivatives) comes from the
-differentiated series of each piece, so the sup norm, grids.sup_norm seeded
-with Chebyshev points of every piece, is polished by Newton steps.
+operations.  Values and the jet (values, first and second derivatives)
+come from one Clenshaw pass per distinct series length, over every point
+of the pieces of that length and every row at once; the derivative series
+are zero-padded at the top to that length, and zero padding leaves every
+Clenshaw step's result unchanged, so each row is bit-identical to numpy's
+chebval of its own piece.  The sup norm, grids.sup_norm seeded with
+Chebyshev points of every piece, is polished by Newton steps on the jet.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -47,6 +49,7 @@ class PiecewiseCheb:
             raise ValueError("half-widths must be positive")
         self.coefficients = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coefficients]
         self.periodic = bool(periodic)
+        self._stack_cache = {}
 
     @property
     def window(self) -> Interval:
@@ -64,38 +67,55 @@ class PiecewiseCheb:
         idx = np.searchsorted(self.breakpoints, xs, side="right") - 1
         return xs, np.clip(idx, 0, len(self.coefficients) - 1)
 
+    def _stacks(self, rows: int):
+        """Each piece's series length n (at least 2), and per length the
+        indices of its pieces and their series in u of the first `rows` of
+        f, f', f'', zero-padded at the top to n and stacked (n, rows,
+        pieces).  Built on first use for each row count."""
+        if rows not in self._stack_cache:
+            lengths = np.maximum([c.size for c in self.coefficients], 2)
+            groups = []
+            for n in np.unique(lengths):
+                pieces = np.flatnonzero(lengths == n)
+                stack = np.zeros((n, rows, pieces.size))
+                for slot, i in enumerate(pieces):
+                    for k in range(rows):
+                        der = _cheb.chebder(self.coefficients[i], k,
+                                            scl=1.0 / self.halves[i])
+                        stack[:der.size, k, slot] = der
+                groups.append((pieces, stack))
+            self._stack_cache[rows] = lengths, groups
+        return self._stack_cache[rows]
+
+    def _rows(self, x: np.ndarray, rows: int) -> np.ndarray:
+        """The first `rows` of f, f', f'' at the flat points x, one Clenshaw
+        pass per series length."""
+        xs, idx = self._locate(x)
+        lengths, groups = self._stacks(rows)
+        out = np.empty((rows, xs.size))
+        for pieces, stack in groups:
+            if len(groups) == 1:  # every point is in this group
+                sel, held, slots = slice(None), idx, idx
+            else:
+                sel = np.flatnonzero(lengths[idx] == stack.shape[0])
+                held = idx[sel]
+                slots = np.searchsorted(pieces, held)
+            if held.size:
+                u = (xs[sel] - self.centres[held]) / self.halves[held]
+                out[:, sel] = _clenshaw(stack, slots, u)
+        return out
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xs, idx = self._locate(x)
-        out = np.empty_like(xs)
-        for i, coef in enumerate(self.coefficients):
-            mask = idx == i
-            if mask.any():
-                out[mask] = _cheb.chebval((xs[mask] - self.centres[i]) / self.halves[i], coef)
-        return float(out[0]) if scalar else out
-
-    @cached_property
-    def _jet_series(self) -> list:
-        """Per piece, the series of f, f' and f'' in its coordinate u."""
-        return [(coef, _cheb.chebder(coef, 1, scl=1.0 / half),
-                 _cheb.chebder(coef, 2, scl=1.0 / half))
-                for coef, half in zip(self.coefficients, self.halves)]
+        values = self._rows(x.ravel(), 1)[0]
+        return float(values[0]) if x.ndim == 0 else values.reshape(x.shape)
 
     def jet(self, x) -> np.ndarray:
-        """Rows f, f' and f'' at the points x, piece by piece.
+        """Rows f, f' and f'' at the points x, shape (3, points).
 
         At a breakpoint the piece to its right is used, as in evaluation.
         """
-        xs, idx = self._locate(np.asarray(x, dtype=float))
-        out = np.empty((3, xs.size))
-        for i, series in enumerate(self._jet_series):
-            mask = idx == i
-            if mask.any():
-                u = (xs[mask] - self.centres[i]) / self.halves[i]
-                for row, coef in enumerate(series):
-                    out[row, mask] = _cheb.chebval(u, coef)
-        return out
+        return self._rows(np.asarray(x, dtype=float).ravel(), 3)
 
     def _with(self, coefficients) -> "PiecewiseCheb":
         return PiecewiseCheb(self.breakpoints, self.centres, self.halves,
@@ -152,6 +172,21 @@ class PiecewiseCheb:
             "halves": self.halves.tolist(),
             "coefficients": [c.tolist() for c in self.coefficients],
         }
+
+
+def _clenshaw(stack: np.ndarray, slots: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Clenshaw sums at the points u, each point with its own series.
+
+    stack has shape (n, rows, pieces), n >= 2, and slots[i] is the piece of
+    point i.  The steps are chebval's (Clenshaw, MTAC 9, 1955), in its
+    order; the coefficients of each step are gathered for the points as the
+    step runs, so no (n, rows, points) array is built.
+    """
+    x2 = 2 * u
+    c0, c1 = stack[-2].take(slots, 1), stack[-1].take(slots, 1)
+    for coef in stack[-3::-1]:
+        c0, c1 = coef.take(slots, 1) - c1, c0 + c1 * x2
+    return c0 + c1 * u
 
 
 def zero_mean_levels(base: PiecewiseCheb, r: int) -> list:

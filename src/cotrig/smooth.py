@@ -19,14 +19,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import TWO_PI, Interval, chebyshev_points, sup_norm
-from .mollifier import MollifierTable, build_mollifier_table
+from .mollifier import MollifierTable, build_mollifier_table, bump_derivatives
 from .piecewise import PiecewiseCheb, zero_mean_levels
 from .splines import step_offset
 
 
 @dataclass
 class SmoothSpline:
-    """Mollified degree-r spline on [-d, 2pi-d] with zone half-width lam."""
+    """Mollified degree-r spline on [-d, 2pi-d] with zone half-width lam.
+
+    Derivatives of order j <= r are the stored levels (piecewise Chebyshev
+    series, whose jet is one Clenshaw pass per series length).  Above r
+    they are closed forms on the zones: step_derivative_values gives rows
+    k, ..., k + count - 1 of the step level from one bump_derivatives
+    recursion per zone.
+    """
 
     r: int
     d: float
@@ -53,19 +60,26 @@ class SmoothSpline:
     def _wrap(self, x):
         return -self.d + np.mod(np.asarray(x, dtype=float) + self.d, TWO_PI)
 
-    def step_derivative_values(self, k: int, x):
-        """Closed-form k-th derivative of the smoothed step level (k >= 1)."""
+    def step_derivative_values(self, k: int, x, count: int = 1) -> np.ndarray:
+        """Rows k, ..., k + count - 1 (k >= 1) of the closed-form derivatives
+        of the smoothed step level, shape (count, points).
+
+        In each zone the rows are 2/Z psi^(k-1), ..., psi^(k+count-2) of one
+        bump_derivatives recursion, over lam^k, ..., lam^(k+count-1).
+        """
+        if k < 1:
+            raise ValueError("the step level's derivatives start at order 1")
         xs = self._wrap(np.atleast_1d(np.asarray(x, dtype=float)))
-        out = np.zeros_like(xs)
+        out = np.zeros((count,) + xs.shape)
         lam, d = self.lam, self.d
-        up = (xs - 2.0 * lam) / lam
-        m = np.abs(up) < 1.0
-        if m.any():
-            out[m] = self.table.step_derivative(k, up[m]) / lam ** k
-        dn = (xs + d - 2.0 * lam) / lam
-        m = np.abs(dn) < 1.0
-        if m.any():
-            out[m] = -self.table.step_derivative(k, dn[m]) / lam ** k
+        scale = 2.0 / self.table.mass
+        for sign, u in ((1.0, (xs - 2.0 * lam) / lam),
+                        (-1.0, (xs + d - 2.0 * lam) / lam)):
+            m = np.abs(u) < 1.0
+            if m.any():
+                rows = bump_derivatives(k + count - 2, u[m])[k - 1:]
+                for i, row in enumerate(rows):
+                    out[i, m] = sign * (scale * row) / lam ** (k + i)
         return out
 
     def derivative_values(self, j: int, x):
@@ -74,7 +88,7 @@ class SmoothSpline:
             raise ValueError("derivative order must be nonnegative")
         if j <= self.r:
             return self.levels[self.r - j](x)
-        return self.step_derivative_values(j - self.r, x)
+        return self.step_derivative_values(j - self.r, x)[0]
 
     def sup_derivative(self, j: int) -> float:
         if j <= self.r:

@@ -221,6 +221,37 @@ def test_partial_sum_two_levels(toy_ledger, table):
     assert len(d["summands"]) == 2
 
 
+def test_partial_sum_jet_rows_are_exact(toy_ledger, table, monkeypatch):
+    # above the spline degree the three jet rows of sup_derivative come from
+    # one bump recursion per zone; they must equal the one-row derivatives
+    plan = plan_recursion(toy_ledger, d=1, levels=2, eps_rule="tower:2:3")
+    f = build_partial_sum(plan, 2, table=table)
+    p = toy_ledger.p
+    assert p > toy_ledger.r
+    seen = {}
+
+    def capture(g, window, **kwargs):
+        seen.update(kwargs)
+        return 0.0
+
+    monkeypatch.setattr("cotrig.counterexample.sup_norm", capture)
+    f.sup_derivative(p)
+    plateau = np.linspace(-0.9, 5.0, 17)
+    for xs, zoned in ((f.seed_points(), True), (plateau, False)):
+        rows = seen["jet"](xs)
+        expect = np.array([f.derivative_values(p + i, xs) for i in range(3)])
+        assert np.array_equal(rows, expect)
+        assert rows.any() == zoned
+    k = p - toy_ledger.r
+    xs = np.concatenate([f.seed_points(), plateau])
+    for s in f.summands:
+        rows = s.spline.step_derivative_values(k, xs, 3)
+        assert rows.shape == (3, xs.size)
+        assert np.array_equal(s.spline.step_derivative_values(k, xs)[0],
+                              rows[0])
+        assert np.any(rows != 0.0)
+
+
 def test_partial_sum_seed_points_cover_all_zones(toy_ledger, table):
     plan = plan_recursion(toy_ledger, d=1, levels=2, eps_rule="tower:2:3")
     f = build_partial_sum(plan, 2, table=table)

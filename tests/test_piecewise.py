@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebder, chebval
 
 from cotrig.piecewise import PiecewiseCheb, zero_mean_levels
 
@@ -175,6 +176,38 @@ def test_jet_rows_are_derivatives(data, draw_piecewise):
         scale = max(np.abs(jet[row + 1]).max(), 1.0)
         np.testing.assert_allclose(fd[row], jet[row + 1], rtol=1e-5,
                                    atol=1e-5 * scale)
+
+
+def test_jet_rows_are_exact(table):
+    # a smooth spline's base level (d = 1, lam = 1/12), its three plateaus
+    # given series of lengths 1, 2 and 3 beside the two zones of length 97
+    d, lam = 1.0, 1.0 / 12.0
+    bp = [-d, -d + lam, -d + 3 * lam, lam, 3 * lam, 2 * np.pi - d]
+    centres = [0.5 * (-2 * d + lam), -d + 2 * lam, 0.5 * (-d + 4 * lam),
+               2 * lam, 0.5 * (2 * np.pi - d + 3 * lam)]
+    halves = [0.5 * lam, lam, 0.5 * (d - 2 * lam), lam,
+              0.5 * (2 * np.pi - d - 3 * lam)]
+    coefficients = [[0.7], -table.cheb_coeffs, [0.3, -1.1], table.cheb_coeffs,
+                    [0.2, 0.5, -0.4]]
+    p = PiecewiseCheb(bp, centres, halves, coefficients, periodic=True)
+    assert sorted({c.size for c in p.coefficients}) == [1, 2, 3, 97]
+    rng = np.random.default_rng(5)
+    inside = np.concatenate([lo + (hi - lo) * rng.random(7)
+                             for lo, hi in zip(bp[:-1], bp[1:])])
+    xs = np.concatenate([inside, bp, inside + 2 * np.pi, inside - 6 * np.pi])
+    jet = p.jet(xs)
+    assert np.array_equal(p(xs), jet[0])
+    # reference: chebval of each piece's differentiated series, at the
+    # wrapped points the piece holds (a breakpoint goes to its right)
+    wrapped = bp[0] + np.mod(xs - bp[0], 2 * np.pi)
+    piece = np.clip(np.searchsorted(bp, wrapped, side="right") - 1, 0, 4)
+    for i, coef in enumerate(p.coefficients):
+        mask = piece == i
+        assert mask.any()
+        u = (wrapped[mask] - p.centres[i]) / p.halves[i]
+        for k in range(3):
+            expect = chebval(u, chebder(coef, k, scl=1.0 / p.halves[i]))
+            assert np.array_equal(jet[k, mask], expect)
 
 
 def test_global_piece_coefficients():
