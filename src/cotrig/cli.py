@@ -262,7 +262,7 @@ def cmd_build_fnb(cfg: dict, out_dir: Path) -> int:
     ys = canonical_sign_set(float(d))
     member, margin = delta_q_membership(
         lambda x: summand.derivative_values(ledger.q, x), ys,
-        extra_points=summand.seed_points(), return_margin=True)
+        extra_points=summand.seed_points())
     summary = {
         "n": n, "b": str(b), "d": str(d),
         "width": str(summand.width), "width_float": float(summand.width),
@@ -393,17 +393,8 @@ def cmd_solve(cfg: dict, out_dir: Path) -> int:
         domain = Interval(*cfg["domain"]) if "domain" in cfg else None
         result = best_approx(target, degree, domain=domain)
         mode = "unconstrained"
-    solution = {
-        "target": desc, "degree": degree, "mode": mode,
-        "coefficients": result.approximant.to_dict(),
-        "error": result.error,
-        "post_check_error": result.post_check_error,
-        "constraint_violation": result.constraint_violation,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "duality_gap": result.duality_gap,
-        "rounds": result.rounds,
-    }
+    solution = {"target": desc, "degree": degree, "mode": mode,
+                **result.to_dict()}
     write_json(out_dir / "artifacts" / "solution.json", solution)
     lines = [
         f"{mode} approximation of {desc} at degree {degree}",

@@ -312,19 +312,19 @@ class PartialSum:
         from one bump recursion per zone (step_derivative_values)."""
         r = self.ledger.r
 
-        def jet(x):
+        def jet(x, rows=3):
             if j <= r:
                 return np.array([self.derivative_values(j + i, x)
-                                 for i in range(3)])
+                                 for i in range(rows)])
             x = np.asarray(x, dtype=float)
-            total = np.zeros((3,) + x.shape)
+            total = np.zeros((rows,) + x.shape)
             for s in self.summands:
                 total = total + float(s.amplitude) * \
-                    s.spline.step_derivative_values(j - r, x, 3)
+                    s.spline.step_derivative_values(j - r, x, rows)
             return total
 
-        return sup_norm(lambda x: self.derivative_values(j, x), self.window,
-                        seeds=self.seed_points(), floor=4096, jet=jet)
+        return sup_norm(jet, self.window, seeds=self.seed_points(),
+                        floor=4096)
 
     def membership_margin(self):
         """(is member, worst signed margin) of the q-th derivative test."""
@@ -332,7 +332,7 @@ class PartialSum:
         zone_seeds = self.seed_points()
         return delta_q_membership(
             lambda x: self.derivative_values(q, x), self.sign_set,
-            extra_points=zone_seeds, return_margin=True)
+            extra_points=zone_seeds)
 
     def window_polynomial_residual(self) -> float:
         """Max deviation of the sum without its last level from a degree-r

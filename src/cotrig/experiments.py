@@ -88,10 +88,10 @@ def hill_climb(score, x0):
 def _bernstein_ratio(sin_coeffs, b: float, floor: int = 512) -> float:
     tp = TrigPoly(0.0, None, sin_coeffs)
     n = tp.degree
-    den = sup_norm(tp, Interval(-b, b), degree_hint=n, floor=floor)
+    den = sup_norm(tp.jet, Interval(-b, b), degree_hint=n, floor=floor)
     if den <= 0:
         return 0.0
-    num = sup_norm(tp.derivative(1), Interval(-b / 2, b / 2),
+    num = sup_norm(tp.derivative(1).jet, Interval(-b / 2, b / 2),
                    degree_hint=n, floor=floor)
     return b * num / (n * den)
 
@@ -204,8 +204,8 @@ def exp_lemma_mod(b_list, n_list, seed: int = 0) -> ExperimentReport:
 
 def _halfconvex_family(q: int, b: float, weights, knots):
     """f with f^(q-2) piecewise linear, convex right of 0, concave left,
-    built from odd hinges at knots >= 0; returns the closed-form callables
-    f and fq2 and their jets (rows of values, first and second derivatives)."""
+    built from odd hinges at knots >= 0; returns the jets of f and fq2 =
+    f^(q-2) (their first `rows` of values, first and second derivatives)."""
     w = np.asarray(weights, dtype=float)
     t = np.asarray(knots, dtype=float)
     fact = float(math.factorial(q - 1))
@@ -229,30 +229,26 @@ def _halfconvex_family(q: int, b: float, weights, knots):
         side = np.where(x < 0, -sign * (-1.0) ** order, 1.0)
         return math.perm(e, order) * side * (u @ w)
 
-    def f(x):
-        return hinges(x, q - 1, sigma, 0) / fact
+    def f_jet(x, rows=3):
+        return np.array([hinges(x, q - 1, sigma, i)
+                         for i in range(rows)]) / fact
 
-    def fq2(x):
-        return hinges(x, 1, 1.0, 0)
+    def fq2_jet(x, rows=3):
+        return np.array([hinges(x, 1, 1.0, i) for i in range(rows)])
 
-    def f_jet(x):
-        return np.array([hinges(x, q - 1, sigma, i) for i in range(3)]) / fact
-
-    def fq2_jet(x):
-        return np.array([hinges(x, 1, 1.0, i) for i in range(3)])
-
-    return f, fq2, f_jet, fq2_jet
+    return f_jet, fq2_jet
 
 
 def _mirrored(jet):
     """The jet of x -> f(-x) from that of f: rows f(-x), -f'(-x), f''(-x)."""
-    return lambda x: jet(-np.asarray(x, dtype=float)) * np.array([[1.0], [-1.0], [1.0]])
+    return lambda x, rows=3: (jet(-np.asarray(x, dtype=float), rows)
+                              * np.array([[1.0], [-1.0], [1.0]])[:rows])
 
 
-def _domination_ratio(q: int, b: float, f, fq2, jets) -> float:
+def _domination_ratio(q: int, b: float, jets) -> float:
     f_jet, fq2_jet = jets
-    num = b ** (q - 2) * sup_norm(fq2, Interval(-b, b), floor=1024, jet=fq2_jet)
-    den = sup_norm(f, Interval(-2 * b, 2 * b), floor=1024, jet=f_jet)
+    num = b ** (q - 2) * sup_norm(fq2_jet, Interval(-b, b), floor=1024)
+    den = sup_norm(f_jet, Interval(-2 * b, 2 * b), floor=1024)
     return num / den if den > 0 else 0.0
 
 
@@ -270,25 +266,21 @@ def exp_lemma_3111(q: int, b: float, trials: int = 40,
     draws = [np.abs(rng.standard_normal(knots.size)) for _ in range(trials)]
 
     def _cell(trial, w):
-        f, fq2, *jets = _halfconvex_family(q, b, w, knots)
-        return {"trial": trial,
-                "ratio": float(_domination_ratio(q, b, f, fq2, jets))}
+        ratio = _domination_ratio(q, b, _halfconvex_family(q, b, w, knots))
+        return {"trial": trial, "ratio": float(ratio)}
 
     grid = [_cell(trial, w) for trial, w in enumerate(draws)]
     best = max(row["ratio"] for row in grid)
 
     w7 = np.abs(rng.standard_normal(knots.size))
-    f7, fq27, *jets7 = _halfconvex_family(q, b, w7, knots)
-    r_base = _domination_ratio(q, b, f7, fq27, jets7)
-    f7s, fq27s, *jets7s = _halfconvex_family(q, b, 7.0 * w7, knots)
-    r_scaled = _domination_ratio(q, b, f7s, fq27s, jets7s)
+    jets7 = _halfconvex_family(q, b, w7, knots)
+    r_base = _domination_ratio(q, b, jets7)
+    r_scaled = _domination_ratio(q, b,
+                                 _halfconvex_family(q, b, 7.0 * w7, knots))
     # the flipped ratio reads the hinge sums mirrored, by mirrored jets
-    r_flipped = _domination_ratio(q, b, lambda x: f7(-np.asarray(x)),
-                                  lambda x: fq27(-np.asarray(x)),
-                                  [_mirrored(jet) for jet in jets7])
-
-    ref, ref_q2 = PowerKink(q - 1, 2 * b), PowerKink(1, 2 * b)
-    smooth_ref = _domination_ratio(q, b, ref, ref_q2, (ref.jet, ref_q2.jet))
+    r_flipped = _domination_ratio(q, b, [_mirrored(jet) for jet in jets7])
+    smooth_ref = _domination_ratio(q, b, (PowerKink(q - 1, 2 * b).jet,
+                                          PowerKink(1, 2 * b).jet))
 
     assertions = [
         Assertion("ratio_positive", best > 0, f"max ratio {best:.6g} > 0"),
@@ -468,9 +460,9 @@ def exp_theorem_13(q: int, y_points, n_list,
     window = Interval(-b, b)
     c3_vals = []
     for cell, n, con in zip(cells, ns, cons):
-        resid = sup_norm(lambda x: f(x) - con.approximant(x), window,
-                         degree_hint=n,
-                         jet=lambda x: f.jet(x) - con.approximant.jet(x))
+        resid = sup_norm(
+            lambda x, rows=3: f.jet(x, rows) - con.approximant.jet(x, rows),
+            window, degree_hint=n)
         c3_vals.append(n * resid / b ** r)
         cell["c3_direct"] = float(c3_vals[-1])
     c3 = float(min(c3_vals))

@@ -1,24 +1,27 @@
 """Intervals, Chebyshev sampling grids, and the one sup-norm routine.
 
-Every sup norm in this package goes through sup_norm.  It samples |f| on
-Chebyshev-distributed points of the interval (clustered at the endpoints,
-where the kinks of the target functions sit), merges in any seed points
-the caller knows about (breakpoints, per-piece or per-zone Chebyshev
-points), and polishes every local maximum of the samples and both
-endpoints inside the bracket of their neighbouring samples.  A flat run of
-equal samples counts as one maximum, polished at its two ends.
+Every sup norm in this package goes through sup_norm, and every function
+it measures is given as one callable, its jet: jet(x, rows=3) returns the
+first `rows` of f, f', f'' at the flat points x, shape (rows, x.size).
+Trigonometric polynomials, piecewise Chebyshev series and the splines
+built from them, the step derivatives of the mollifier, partial sums and
+hinge sums all know their first two derivatives in closed form.
 
-Every caller knows the first two derivatives of f in closed form, and
-passes them as a jet (f, f', f'' at given points): trigonometric
-polynomials, piecewise Chebyshev series and the splines built from them,
-the step derivatives of the mollifier and hinge sums.  The jet drives
-safeguarded Newton steps on f' = 0 (Boyd, "Computing the zeros, maxima and
+sup_norm samples |f| (the jet's row 0) on Chebyshev-distributed points of
+the interval (clustered at the endpoints, where the kinks of the target
+functions sit), merges in any seed points the caller knows about
+(breakpoints, per-piece or per-zone Chebyshev points), and polishes every
+local maximum of the samples and both endpoints inside the bracket of
+their neighbouring samples.  A flat run of equal samples counts as one
+maximum, polished at its two ends.  The polish takes safeguarded Newton
+steps on f' = 0 with the full jet (Boyd, "Computing the zeros, maxima and
 inflection points of Chebyshev, Legendre and Fourier series", J. Eng.
 Math. 56, 2006), with bisection wherever a Newton step leaves its
 sub-bracket, so a jump of f' at a breakpoint or knot is bisected down to
 a few ulps.  The result is the largest |f| seen, so polishing never
 lowers the sampled maximum.  golden_refine_max, golden-section search on
-the same brackets, is kept as an independent reference for the tests.
+the same brackets of a plain f, is kept as an independent reference for
+the tests.
 """
 
 from __future__ import annotations
@@ -163,28 +166,23 @@ def _newton_refine_max(jet, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return best, last
 
 
-def sup_norm(f, interval: Interval, degree_hint: int | None = None,
-             seeds=None, floor: int = 256, jet=None) -> float:
+def sup_norm(jet, interval: Interval, degree_hint: int | None = None,
+             seeds=None, floor: int = 256) -> float:
     """Sup norm of f on the interval, Chebyshev sampling plus Newton polish.
 
-    The sample holds max(floor, SUP_POINTS_PER_DEGREE * degree_hint)
-    Chebyshev points, or floor points without a hint.
+    jet(x, rows=3) returns the first `rows` of f, f', f'' at the flat
+    points x, shape (rows, x.size): the sample reads jet(xs, 1)[0], the
+    polish the full jet.  The sample holds max(floor,
+    SUP_POINTS_PER_DEGREE * degree_hint) Chebyshev points, or floor points
+    without a hint.
     seeds: optional extra sample abscissae (breakpoints, zone grids) merged
     into the Chebyshev sample before the local maxima are located.
-    jet: callable returning the rows f, f' and f'' at an array of points,
-    shape (3, m); it defaults to f.jet, and a TypeError is raised when f
-    has none.
     """
-    if jet is None:
-        jet = getattr(f, "jet", None)
-    if jet is None:
-        raise TypeError("sup_norm needs a jet of f (rows f, f', f''): "
-                        "pass jet= or an f with a jet method")
-    best, x0, lo, hi = _sampled_maxima(f, interval, degree_hint, seeds, floor)
+    best, x0, lo, hi = _sampled_maxima(jet, interval, degree_hint, seeds, floor)
     return max(best, _newton_refine_max(jet, x0, lo, hi)[0])
 
 
-def _sampled_maxima(f, interval: Interval, degree_hint: int | None, seeds,
+def _sampled_maxima(jet, interval: Interval, degree_hint: int | None, seeds,
                     floor: int):
     """The sample of sup_norm and the brackets it polishes.
 
@@ -198,7 +196,7 @@ def _sampled_maxima(f, interval: Interval, degree_hint: int | None, seeds,
     if seeds is not None and len(seeds) > 0:
         seeds = interval.clip(np.asarray(seeds, dtype=float))
         xs = np.unique(np.concatenate([xs, seeds]))
-    ys = np.abs(np.asarray(f(xs), dtype=float))
+    ys = np.abs(jet(xs, 1)[0])
 
     mid = ys[1:-1]
     inner = (mid >= ys[:-2]) & (mid >= ys[2:])

@@ -92,7 +92,7 @@ class ApproxResult:
 
     def to_dict(self) -> dict:
         return {
-            "approximant": self.approximant.to_dict(),
+            "coefficients": self.approximant.to_dict(),
             "error": self.error,
             "post_check_error": self.post_check_error,
             "constraint_violation": self.constraint_violation,

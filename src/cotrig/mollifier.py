@@ -60,11 +60,6 @@ def bump(t):
     return _blockwise(0, t, 0)
 
 
-def bump_derivative(k: int, t):
-    """k-th derivative of the bump, row k of bump_derivatives."""
-    return _blockwise(k, t, k)
-
-
 def _blockwise(k: int, t, rows):
     """The given rows of bump_derivatives, shaped like t.
 
@@ -120,27 +115,13 @@ class MollifierTable:
     sup_norms: np.ndarray = field(repr=False)
     cheb_coeffs: np.ndarray = field(repr=False)
 
-    def step(self, u):
-        """S(u): odd, increasing, sign(u) for |u| >= 1."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.sign(u).astype(float)
-        inside = np.abs(u) < 1.0
-        if inside.any():
-            out[inside] = _cheb.chebval(u[inside], self.cheb_coeffs)
-        return out
-
-    def step_derivative(self, j: int, u):
-        """S^(j)(u) for j >= 1: scaled bump derivative, zero outside (-1, 1)."""
-        if j < 1:
-            raise ValueError("use step() for the 0-th derivative")
-        return 2.0 / self.mass * bump_derivative(j - 1, u)
-
     def sup_step_derivative(self, j: int) -> float:
         """Sup of |S^(j)| on [-1, 1] for j >= 1, Newton-polished by the
-        rows S^(j), S^(j+1) and S^(j+2) of one bump_derivatives call."""
-        jet = lambda u: 2.0 / self.mass * bump_derivatives(j + 1, u)[j - 1:]
-        return sup_norm(lambda u: self.step_derivative(j, u),
-                        Interval(-1.0, 1.0), floor=8193, jet=jet)
+        rows S^(j), S^(j+1) and S^(j+2) of one bump recursion."""
+        def jet(u, rows=3):
+            return 2.0 / self.mass * _blockwise(j + rows - 2, u,
+                                                slice(j - 1, None))
+        return sup_norm(jet, Interval(-1.0, 1.0), floor=8193)
 
     def s_norm(self, j: int) -> float:
         return float(self.sup_norms[j])

@@ -10,13 +10,14 @@ from the breakpoints: a zone centre recomputed from its end points is off
 by a rounding error of the window, which is large in units of a narrow
 zone.
 Integrals, antiderivatives and derivatives are exact coefficient
-operations.  Values and the jet (values, first and second derivatives)
-come from one Clenshaw pass per distinct series length, over every point
-of the pieces of that length and every row at once; the derivative series
-are zero-padded at the top to that length, and zero padding leaves every
-Clenshaw step's result unchanged, so each row is bit-identical to numpy's
-chebval of its own piece.  The sup norm, grids.sup_norm seeded with
-Chebyshev points of every piece, is polished by Newton steps on the jet.
+operations.  The jet, the first `rows` of values, first and second
+derivatives, comes from one Clenshaw pass per distinct series length,
+over every point of the pieces of that length and every row at once, and
+evaluation is its row 0; the derivative series are zero-padded at the top
+to that length, and zero padding leaves every Clenshaw step's result
+unchanged, so each row is bit-identical to numpy's chebval of its own
+piece.  The sup norm, grids.sup_norm of the jet seeded with Chebyshev
+points of every piece, is polished by Newton steps on the jet.
 """
 
 from __future__ import annotations
@@ -87,10 +88,18 @@ class PiecewiseCheb:
             self._stack_cache[rows] = lengths, groups
         return self._stack_cache[rows]
 
-    def _rows(self, x: np.ndarray, rows: int) -> np.ndarray:
-        """The first `rows` of f, f', f'' at the flat points x, one Clenshaw
-        pass per series length."""
-        xs, idx = self._locate(x)
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        values = self.jet(x, 1)[0]
+        return float(values[0]) if x.ndim == 0 else values.reshape(x.shape)
+
+    def jet(self, x, rows: int = 3) -> np.ndarray:
+        """The first `rows` of f, f', f'' at the points x, shape (rows,
+        x.size), one Clenshaw pass per series length.
+
+        At a breakpoint the piece to its right is used.
+        """
+        xs, idx = self._locate(np.asarray(x, dtype=float).ravel())
         lengths, groups = self._stacks(rows)
         out = np.empty((rows, xs.size))
         for pieces, stack in groups:
@@ -104,18 +113,6 @@ class PiecewiseCheb:
                 u = (xs[sel] - self.centres[held]) / self.halves[held]
                 out[:, sel] = _clenshaw(stack, slots, u)
         return out
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        values = self._rows(x.ravel(), 1)[0]
-        return float(values[0]) if x.ndim == 0 else values.reshape(x.shape)
-
-    def jet(self, x) -> np.ndarray:
-        """Rows f, f' and f'' at the points x, shape (3, points).
-
-        At a breakpoint the piece to its right is used, as in evaluation.
-        """
-        return self._rows(np.asarray(x, dtype=float).ravel(), 3)
 
     def _with(self, coefficients) -> "PiecewiseCheb":
         return PiecewiseCheb(self.breakpoints, self.centres, self.halves,
@@ -155,7 +152,7 @@ class PiecewiseCheb:
         bp = self.breakpoints
         seeds = [chebyshev_points(Interval(lo, hi), max(192, 4 * coef.size))
                  for lo, hi, coef in zip(bp[:-1], bp[1:], self.coefficients)]
-        return sup_norm(self, self.window, seeds=np.concatenate(seeds))
+        return sup_norm(self.jet, self.window, seeds=np.concatenate(seeds))
 
     def global_piece_coefficients(self, piece: int) -> np.ndarray:
         """Coefficients of one piece in plain powers of x (not recentred)."""

@@ -68,35 +68,29 @@ class ExperimentReport:
     def passed(self) -> bool:
         return all(a.passed for a in self.assertions)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "experiment_report",
+    def _content(self) -> dict:
+        """Everything the report measured: the document its fingerprint
+        hashes, without the wall clock."""
+        return _sanitize({
             "experiment": self.experiment,
             "seed": self.seed,
-            "parameters": _sanitize(self.parameters),
-            "grid": _sanitize(self.grid),
+            "parameters": self.parameters,
+            "grid": self.grid,
             "constants": [c.to_dict() for c in self.constants],
             "assertions": [a.to_dict() for a in self.assertions],
-            "plots": [list(p) for p in self.plots],
-            "extras": _sanitize(self.extras),
+            "extras": self.extras,
             "ledger_hash": self.ledger_hash,
-            "passed": self.passed,
-            "fingerprint": self.fingerprint(),
-            "runtime_s": self.runtime_s,
-        }
+        })
+
+    def to_dict(self) -> dict:
+        doc = self._content()
+        return {**doc, "kind": "experiment_report",
+                "plots": [list(p) for p in self.plots],
+                "passed": self.passed, "fingerprint": _fingerprint(doc),
+                "runtime_s": self.runtime_s}
 
     def fingerprint(self) -> str:
-        doc = {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "parameters": _sanitize(self.parameters),
-            "grid": _sanitize(self.grid),
-            "constants": [c.to_dict() for c in self.constants],
-            "assertions": [a.to_dict() for a in self.assertions],
-            "extras": _sanitize(self.extras),
-            "ledger_hash": self.ledger_hash,
-        }
-        return hashlib.sha256(canonical_json(doc).encode()).hexdigest()[:16]
+        return _fingerprint(self._content())
 
     def summary_lines(self) -> list:
         lines = [f"experiment {self.experiment}: "
@@ -129,6 +123,10 @@ def _sanitize(obj):
     if hasattr(obj, "item"):
         return _sanitize(obj.item())
     return str(obj)
+
+
+def _fingerprint(doc: dict) -> str:
+    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()[:16]
 
 
 def canonical_json(obj) -> str:

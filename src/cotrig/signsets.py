@@ -94,17 +94,16 @@ class SignChangeSet:
         return {"points": list(self.points)}
 
 
-def delta_q_membership_by_convexity(fq2, ys: SignChangeSet,
-                                    tol: float | None = None,
-                                    return_margin: bool = False):
+def delta_q_membership_by_convexity(fq2, ys: SignChangeSet) -> bool:
     """Membership check through the defining convexity pattern.
 
     fq2 evaluates the (q-2)-nd derivative.  On each gap, sign * fq2 must be
     convex: its symmetric second differences, taken strictly inside the
-    open gap, must be nonnegative up to tol.  They are taken at 256
-    points a gap with step 1e-3 of its width.  This form also covers
-    splines whose q-th derivative only exists piecewise, since the
-    definition constrains each open gap separately.
+    open gap, must be nonnegative up to 1e-12 of max(1, max|fq2|) over the
+    samples.  They are taken at 256 points a gap with step 1e-3 of its
+    width.  This form also covers splines whose q-th derivative only
+    exists piecewise, since the definition constrains each open gap
+    separately.
     """
     worst = np.inf
     scale = 1.0
@@ -118,17 +117,12 @@ def delta_q_membership_by_convexity(fq2, ys: SignChangeSet,
         second = lo_v - 2.0 * mid_v + hi_v
         scale = max(scale, float(np.abs(mid_v).max(initial=0.0)))
         worst = min(worst, float((sign * second).min()))
-    if tol is None:
-        tol = 1e-12 * scale
-    ok = worst >= -tol
-    if return_margin:
-        return ok, worst
-    return ok
+    return worst >= -1e-12 * scale
 
 
-def delta_q_membership(dq, ys: SignChangeSet, extra_points=None,
-                       return_margin: bool = False):
-    """Grid check of the sign pattern dq(t) * prod(t - y_i) >= -tol.
+def delta_q_membership(dq, ys: SignChangeSet, extra_points=None):
+    """Grid check of the sign pattern dq(t) * prod(t - y_i) >= -tol;
+    returns (holds, worst signed value).
 
     dq evaluates the q-th derivative of the candidate function on arrays.
     The grid covers one period from the lowest sign-change point, densely
@@ -153,7 +147,4 @@ def delta_q_membership(dq, ys: SignChangeSet, extra_points=None,
     scale = float(np.abs(vals).max()) if vals.size else 0.0
     tol = 1e-9 * max(scale, 1.0)
     margin = float(signed.min()) if signed.size else 0.0
-    ok = margin >= -tol
-    if return_margin:
-        return ok, margin
-    return ok
+    return margin >= -tol, margin

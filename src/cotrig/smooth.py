@@ -53,9 +53,9 @@ class SmoothSpline:
     def __call__(self, x):
         return self.levels[self.r](x)
 
-    def jet(self, x):
-        """Rows f, f' and f'' of the spline at the points x."""
-        return self.levels[self.r].jet(x)
+    def jet(self, x, rows: int = 3):
+        """The first `rows` of f, f', f'' of the spline at the points x."""
+        return self.levels[self.r].jet(x, rows)
 
     def _wrap(self, x):
         return -self.d + np.mod(np.asarray(x, dtype=float) + self.d, TWO_PI)
@@ -147,5 +147,5 @@ def build_smooth_spline(r: int, d: float, lam: float,
 def spline_distance(f, g, window: Interval, seeds=None) -> float:
     """Refined sup of |f - g| over the window, seeding kink and zone points
     and Newton-polished by the difference of the two jets."""
-    return sup_norm(lambda x: np.asarray(f(x)) - np.asarray(g(x)), window,
-                    seeds=seeds, floor=4096, jet=lambda x: f.jet(x) - g.jet(x))
+    return sup_norm(lambda x, rows=3: f.jet(x, rows) - g.jet(x, rows), window,
+                    seeds=seeds, floor=4096)

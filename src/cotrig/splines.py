@@ -37,13 +37,13 @@ class PowerKink:
     def __call__(self, x):
         return abs_power(self.r, np.asarray(x, dtype=float) / self.scale)
 
-    def jet(self, x):
-        """Rows f, f' and f'' at the points x, by F_r' = F_{r-1}, F_0 = sign
-        and F_0' = 0 off the kink."""
+    def jet(self, x, rows: int = 3):
+        """The first `rows` of f, f', f'' at the points x, by F_r' =
+        F_{r-1}, F_0 = sign and F_0' = 0 off the kink."""
         u = np.asarray(x, dtype=float) / self.scale
-        rows = [abs_power(k, u) if k > 0 else np.sign(u) if k == 0 else 0.0 * u
-                for k in (self.r, self.r - 1, self.r - 2)]
-        return np.array(rows) / self.scale ** np.arange(3.0)[:, None]
+        out = [abs_power(k, u) if k > 0 else np.sign(u) if k == 0 else 0.0 * u
+               for k in range(self.r, self.r - rows, -1)]
+        return np.array(out) / self.scale ** np.arange(float(rows))[:, None]
 
 
 def step_offset(b: float) -> float:
@@ -83,9 +83,9 @@ class IdealSpline:
     def __call__(self, x):
         return self.levels[self.r](x)
 
-    def jet(self, x):
-        """Rows f, f' and f'' of the spline at the points x."""
-        return self.levels[self.r].jet(x)
+    def jet(self, x, rows: int = 3):
+        """The first `rows` of f, f', f'' of the spline at the points x."""
+        return self.levels[self.r].jet(x, rows)
 
     def derivative_values(self, j: int, x):
         """Values of the j-th derivative, 0 <= j <= r."""

@@ -10,10 +10,10 @@ Evaluation writes T(t) = a0 + Re sum_k c_k z^k with c_k = a_k - i b_k and
 z = e^{it}, and sums the power series by Horner's rule in z: n complex
 multiply-adds over the points, O(M) memory for M points, and a rounding
 error of O(n eps sum_k |c_k|) (Higham, Accuracy and Stability of Numerical
-Algorithms, 5.1).  The jet runs the same loop over the three rows
-c_k (ik)^j, j = 0, 1, 2, whose real parts are T, T' and T''.  The basis
-matrices that feed the minimax LP keep their cos/sin table: the LP needs
-every column, not their sum.
+Algorithms, 5.1).  The jet runs the same loop over the rows c_k (ik)^j,
+j = 0, 1, 2, whose real parts are T, T' and T''; evaluation is its row 0.
+The basis matrices that feed the minimax LP keep their cos/sin table: the
+LP needs every column, not their sum.
 """
 
 from __future__ import annotations
@@ -42,19 +42,17 @@ class TrigPoly:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        out = self._horner(t.ravel(), 1)[0].reshape(t.shape)
+        out = self.jet(t, 1)[0].reshape(t.shape)
         return float(out) if t.ndim == 0 else out
 
-    def jet(self, t) -> np.ndarray:
-        """Rows T, T' and T'' at the points t, shape (3, t.size)."""
-        return self._horner(np.asarray(t, dtype=float).ravel(), 3)
-
-    def _horner(self, t: np.ndarray, rows: int) -> np.ndarray:
-        """Rows T, ..., T^(rows-1) at the flat points t, by Horner in e^{it}.
+    def jet(self, t, rows: int = 3) -> np.ndarray:
+        """Rows T, ..., T^(rows-1) at the points t, shape (rows, t.size), by
+        Horner in e^{it}.
 
         Row j sums Re c_k (ik)^j z^k; its coefficients are built by j
         multiplications by ik, the same products derivative(j) forms.
         """
+        t = np.asarray(t, dtype=float).ravel()
         n = self.degree
         if not n:
             out = np.zeros((rows, t.size))

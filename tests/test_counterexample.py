@@ -230,8 +230,8 @@ def test_partial_sum_jet_rows_are_exact(toy_ledger, table, monkeypatch):
     assert p > toy_ledger.r
     seen = {}
 
-    def capture(g, window, **kwargs):
-        seen.update(kwargs)
+    def capture(jet, window, **kwargs):
+        seen["jet"] = jet
         return 0.0
 
     monkeypatch.setattr("cotrig.counterexample.sup_norm", capture)

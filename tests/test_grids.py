@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotrig import grids
-from cotrig.experiments import _halfconvex_family
+from cotrig.counterexample import build_partial_sum, plan_recursion
+from cotrig.experiments import _halfconvex_family, _mirrored
 from cotrig.grids import (FULL_PERIOD, Interval, chebyshev_points,
                           golden_refine_max, sup_norm)
+from cotrig.mollifier import bump_derivatives
 from cotrig.piecewise import PiecewiseCheb
 from cotrig.smooth import build_smooth_spline
+from cotrig.splines import PowerKink, build_ideal_spline
 from cotrig.trigpoly import TrigPoly
 
 
@@ -40,41 +43,35 @@ def test_full_period_width():
     assert FULL_PERIOD.hi == np.pi
 
 
-def _golden_sup(f, iv, degree_hint=None, seeds=None, floor=256):
+def _golden_sup(jet, iv, degree_hint=None, seeds=None, floor=256):
     """Reference sup norm: the sample and brackets of sup_norm, each bracket
     polished by 60 rounds of golden-section search instead of Newton."""
-    sampled, _, lo, hi = grids._sampled_maxima(f, iv, degree_hint, seeds, floor)
+    sampled, _, lo, hi = grids._sampled_maxima(jet, iv, degree_hint, seeds,
+                                               floor)
+    f = lambda x: jet(x, 1)[0]
     return max(sampled, float(golden_refine_max(f, lo, hi, 60).max()))
 
 
-def _cos_jet(x):
-    return np.array([np.cos(x), -np.sin(x), -np.cos(x)])
-
-
-def _sin_jet(x):
-    return np.array([np.sin(x), np.cos(x), -np.sin(x)])
+def _sin_jet(x, rows=3):
+    return np.array([np.sin(x), np.cos(x), -np.sin(x)])[:rows]
 
 
 def test_sup_norm_sample_count():
-    # the first call to f evaluates the Chebyshev sample: 20 points a
-    # degree, never fewer than floor, and floor without a degree hint
+    # the first call to the jet evaluates row 0 on the Chebyshev sample: 20
+    # points a degree, never fewer than floor, and floor without a hint
     for degree_hint, floor, count in [(None, 256, 256), (None, 100, 100),
                                       (50, 256, 1000), (5, 256, 256),
                                       (0, 256, 256)]:
         calls = []
 
-        def f(x):
-            calls.append(np.size(x))
-            return np.cos(x)
+        def jet(x, rows=3):
+            calls.append((np.size(x), rows))
+            return np.array([np.cos(x), -np.sin(x), -np.cos(x)])[:rows]
 
-        sup_norm(f, Interval(-1.0, 1.0), degree_hint=degree_hint, floor=floor,
-                 jet=_cos_jet)
-        assert calls[0] == count
-
-
-def test_sup_norm_needs_a_jet():
-    with pytest.raises(TypeError, match="needs a jet"):
-        sup_norm(np.sin, FULL_PERIOD)
+        sup_norm(jet, Interval(-1.0, 1.0), degree_hint=degree_hint,
+                 floor=floor)
+        assert calls[0] == (count, 1)
+        assert {rows for _, rows in calls[1:]} == {3}
 
 
 def test_chebyshev_points_closed_hits_endpoints():
@@ -110,36 +107,38 @@ def test_golden_refine_max_finds_parabola_peak():
 
 
 def test_sup_norm_sine_is_one():
-    assert sup_norm(np.sin, FULL_PERIOD, jet=_sin_jet) == pytest.approx(1.0, abs=1e-12)
+    assert sup_norm(_sin_jet, FULL_PERIOD) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sup_norm_endpoint_maximum():
     iv = Interval(-1.0, 2.0)
-    jet = lambda x: np.array([x * x, 2.0 * x, np.full_like(x, 2.0)])
-    assert sup_norm(lambda x: x * x, iv, jet=jet) == pytest.approx(4.0, abs=1e-12)
+    jet = lambda x, rows=3: np.array([x * x, 2.0 * x,
+                                      np.full_like(x, 2.0)])[:rows]
+    assert sup_norm(jet, iv) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_sup_norm_narrow_spike_needs_seed():
     # a bump of width ~2e-4 hiding between Chebyshev nodes near the centre
     w = 1e-4
-    spike = lambda x: np.exp(-((x - 0.1234) / w) ** 2)
 
-    def jet(x):
+    def jet(x, rows=3):
         u = x - 0.1234
-        return spike(x) * np.array([np.ones_like(x), -2.0 * u / w ** 2,
-                                    4.0 * u * u / w ** 4 - 2.0 / w ** 2])
+        return np.exp(-(u / w) ** 2) * np.array([
+            np.ones_like(x), -2.0 * u / w ** 2,
+            4.0 * u * u / w ** 4 - 2.0 / w ** 2])[:rows]
 
     iv = Interval(-np.pi, np.pi)
-    coarse = sup_norm(spike, iv, floor=64, jet=jet)
-    seeded = sup_norm(spike, iv, floor=64, seeds=[0.1234], jet=jet)
+    coarse = sup_norm(jet, iv, floor=64)
+    seeded = sup_norm(jet, iv, floor=64, seeds=[0.1234])
     assert seeded == pytest.approx(1.0, abs=1e-10)
     assert seeded >= coarse
 
 
 def test_sup_norm_seeds_are_clipped():
     iv = Interval(0.0, 1.0)
-    jet = lambda x: np.array([x, np.ones_like(x), np.zeros_like(x)])
-    val = sup_norm(lambda x: x, iv, seeds=[-50.0, 50.0], jet=jet)
+    jet = lambda x, rows=3: np.array([x, np.ones_like(x),
+                                      np.zeros_like(x)])[:rows]
+    val = sup_norm(jet, iv, seeds=[-50.0, 50.0])
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -152,8 +151,8 @@ def test_sup_norm_looks_left_of_a_flat_piece():
                       coefficients=[[0.0], [0.25, 0.25, 0.0, -0.625], [0.0]])
     f = p.antiderivative()
     assert f(1.25) == 0.0625
-    newton = sup_norm(f, f.window, seeds=f.breakpoints)
-    golden = _golden_sup(f, f.window, seeds=f.breakpoints)
+    newton = sup_norm(f.jet, f.window, seeds=f.breakpoints)
+    golden = _golden_sup(f.jet, f.window, seeds=f.breakpoints)
     assert newton == pytest.approx(golden, rel=1e-13)
     assert newton == pytest.approx(0.06268579509458588, rel=1e-13)
 
@@ -202,14 +201,13 @@ def _draw_trig(data, degree, kind):
     return TrigPoly(a0, draw(), draw())
 
 
-def _assert_polish_paths_agree(f, jet, iv, **kwargs):
-    """Newton polish by the jet (f's own jet when jet is None) agrees with
-    golden-section search on the same brackets and never reads below a
-    dense sample."""
-    newton = sup_norm(f, iv, jet=jet, **kwargs)
-    golden = _golden_sup(f, iv, **kwargs)
+def _assert_polish_paths_agree(jet, iv, **kwargs):
+    """Newton polish by the jet agrees with golden-section search on the
+    same brackets and never reads below a dense sample."""
+    newton = sup_norm(jet, iv, **kwargs)
+    golden = _golden_sup(jet, iv, **kwargs)
     assert abs(newton - golden) <= max(1e-13 * golden, 1e-15)
-    dense = np.abs(f(np.linspace(iv.lo, iv.hi, 5001))).max()
+    dense = np.abs(jet(np.linspace(iv.lo, iv.hi, 5001), 1)[0]).max()
     assert newton >= dense * (1.0 - 1e-13) - 1e-15
 
 
@@ -220,7 +218,7 @@ def _assert_polish_paths_agree(f, jet, iv, **kwargs):
 def test_trigpoly_sup_norm_matches_golden_section(data, degree, kind, half):
     tp = _draw_trig(data, degree, kind)
     iv = FULL_PERIOD if half is None else Interval(-half, half)
-    _assert_polish_paths_agree(tp, None, iv, degree_hint=degree)
+    _assert_polish_paths_agree(tp.jet, iv, degree_hint=degree)
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,7 +230,7 @@ def test_piecewise_sup_norm_matches_golden_section(data, draw_piecewise):
     bp = f.breakpoints
     seeds = np.concatenate([chebyshev_points(Interval(lo, hi), 192)
                             for lo, hi in zip(bp[:-1], bp[1:])])
-    _assert_polish_paths_agree(f, None, f.window, seeds=seeds)
+    _assert_polish_paths_agree(f.jet, f.window, seeds=seeds)
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,18 +239,93 @@ def test_piecewise_sup_norm_matches_golden_section(data, draw_piecewise):
                         min_size=14, max_size=14))
 def test_hinge_sup_norm_matches_golden_section(q, b, weights):
     knots = np.linspace(0.0, 2 * b, 14, endpoint=False)
-    f, fq2, f_jet, fq2_jet = _halfconvex_family(q, b, weights, knots)
-    _assert_polish_paths_agree(f, f_jet, Interval(-2 * b, 2 * b), floor=1024)
-    _assert_polish_paths_agree(fq2, fq2_jet, Interval(-b, b), floor=1024)
+    f_jet, fq2_jet = _halfconvex_family(q, b, weights, knots)
+    _assert_polish_paths_agree(f_jet, Interval(-2 * b, 2 * b), floor=1024)
+    _assert_polish_paths_agree(fq2_jet, Interval(-b, b), floor=1024)
     # away from the knots, central differences of each row give the next
     xs = np.linspace(-2 * b, 2 * b, 41)
     xs = xs[np.abs(np.abs(xs)[:, None] - knots).min(axis=1) > 1e-3 * b]
     h = 1e-6 * b
-    for fn, jet in ((f, f_jet), (fq2, fq2_jet)):
+    for jet in (f_jet, fq2_jet):
         rows = jet(xs)
-        np.testing.assert_array_equal(rows[0], fn(xs))
         fd = (jet(xs + h) - jet(xs - h)) / (2 * h)
         for row in range(2):
             scale = max(np.abs(rows[row + 1]).max(), 1.0)
             np.testing.assert_allclose(fd[row], rows[row + 1], rtol=1e-5,
                                        atol=1e-5 * scale)
+
+
+def _captured_jet(module, call):
+    """The jet that call hands to the sup_norm of cotrig.<module>."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(f"cotrig.{module}.sup_norm",
+                      lambda jet, *args, **kwargs: seen.append(jet) or 0.0)
+        call()
+    return seen[0]
+
+
+def _jet_case(name, request):
+    """A jet of the package, the function (or derivative) whose values its
+    row 0 must repeat (None where there is none), and points to compare
+    at: outside one period too, and every breakpoint or zone seed."""
+    table = request.getfixturevalue("table")
+    xs = np.linspace(-7.0, 7.0, 301)
+    if name == "trigpoly":
+        tp = request.getfixturevalue("random_trig")(np.random.default_rng(3), 9)
+        return tp.jet, tp, xs
+    if name == "piecewise":
+        # series of lengths 1, 2, 3 and 97 on one period
+        bp = np.array([-np.pi, -1.0, 0.5, 1.0, np.pi])
+        p = PiecewiseCheb(bp, centres=0.5 * (bp[:-1] + bp[1:]),
+                          halves=0.5 * np.diff(bp),
+                          coefficients=[[0.7], [0.3, -1.1], [0.2, 0.5, -0.4],
+                                        table.cheb_coeffs], periodic=True)
+        return p.jet, p, np.concatenate([xs, bp])
+    if name == "power-kink":
+        kink = PowerKink(3, 0.5)
+        return kink.jet, kink, xs
+    if name == "ideal-spline":
+        sp = build_ideal_spline(3, 1.0)
+        return sp.jet, sp, np.concatenate([xs, sp.breakpoints])
+    if name == "smooth-spline":
+        sp = build_smooth_spline(2, 1.0, 1.0 / 12.0, table=table)
+        return sp.jet, sp, np.concatenate([xs, sp.seed_points()])
+    if name.startswith("hinge"):
+        knots = np.linspace(0.0, 1.0, 14, endpoint=False)
+        f_jet, fq2_jet = _halfconvex_family(4, 0.5, np.linspace(0.2, 1.0, 14),
+                                            knots)
+        jet = f_jet if "fq2" not in name else fq2_jet
+        jet = _mirrored(jet) if name.endswith("mirrored") else jet
+        return jet, None, np.concatenate([xs, knots, -knots])
+    if name == "step-derivative":
+        j = 5
+        jet = _captured_jet("mollifier", lambda: table.sup_step_derivative(j))
+        step = lambda u: 2.0 / table.mass * bump_derivatives(j - 1, u)[j - 1]
+        return jet, step, np.linspace(-1.0, 1.0, 2049)
+    # PartialSum.sup_derivative(j), below and above the spline degree r
+    toy_ledger = request.getfixturevalue("toy_ledger")
+    plan = plan_recursion(toy_ledger, d=1, levels=2, eps_rule="tower:2:3")
+    f = build_partial_sum(plan, 2, table=table)
+    j = toy_ledger.r if name == "partial-sum-low" else toy_ledger.p
+    jet = _captured_jet("counterexample", lambda: f.sup_derivative(j))
+    return (jet, lambda x: f.derivative_values(j, x),
+            np.concatenate([xs, f.seed_points()]))
+
+
+@pytest.mark.parametrize("name", [
+    "trigpoly", "piecewise", "power-kink", "ideal-spline", "smooth-spline",
+    "hinge-f", "hinge-fq2", "hinge-f-mirrored", "hinge-fq2-mirrored",
+    "step-derivative", "partial-sum-low", "partial-sum-high"])
+def test_jets_give_their_first_rows(name, request):
+    # sup_norm samples row 0 of jet(x, 1) and polishes with jet(x): each
+    # jet's first k rows are those of the full jet, bit for bit, and row 0
+    # is the function's own value wherever the function can be called
+    jet, fn, xs = _jet_case(name, request)
+    rows = jet(xs)
+    assert rows.shape == (3, xs.size)
+    assert np.any(rows[0] != 0.0)
+    for k in (1, 2):
+        assert np.array_equal(jet(xs, k), rows[:k])
+    if fn is not None:
+        assert np.array_equal(fn(xs), rows[0])

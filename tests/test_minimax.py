@@ -145,7 +145,7 @@ def test_constrained_q_validation():
 def test_result_serialization():
     res = best_approx(np.sin, 1)
     d = res.to_dict()
-    assert d["approximant"]["kind"] == "trigpoly"
+    assert d["coefficients"]["kind"] == "trigpoly"
     assert "post_check_error" in d and "rounds" in d
     assert d["converged"] is True
 

@@ -4,12 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import chebpts1
+from numpy.polynomial.chebyshev import chebpts1, chebval
 from scipy.integrate import quad
 
 from cotrig.mollifier import (_BLOCK, _CHEB_DEGREE, _cumulative_bump,
-                              build_mollifier_table, bump, bump_derivative,
-                              bump_derivatives)
+                              build_mollifier_table, bump, bump_derivatives)
 
 # sup |S^(j)| for j = 1..12 in 60 digits (mpmath: psi^(j-1) from the exact
 # P_k of psi^(k) = P_k / (1-t^2)^(2k) psi, the mass Z by mp.quad, and the
@@ -37,8 +36,9 @@ def test_bump_derivative_matches_central_differences():
     ts = np.linspace(-0.85, 0.85, 19)
     h = 1e-6
     for k in range(1, 7):
-        fd = (bump_derivative(k - 1, ts + h) - bump_derivative(k - 1, ts - h)) / (2 * h)
-        exact = bump_derivative(k, ts)
+        fd = (bump_derivatives(k - 1, ts + h)[k - 1]
+              - bump_derivatives(k - 1, ts - h)[k - 1]) / (2 * h)
+        exact = bump_derivatives(k, ts)[k]
         scale = np.abs(exact).max()
         assert np.allclose(fd, exact, atol=1e-5 * max(scale, 1.0))
 
@@ -48,27 +48,28 @@ def test_bump_second_derivative_closed_form():
     ts = np.linspace(-0.9, 0.9, 25)
     d = 1.0 - ts * ts
     expected = (6.0 * ts ** 4 - 2.0) / d ** 4 * bump(ts)
-    assert np.allclose(bump_derivative(2, ts), expected, atol=1e-13)
+    assert np.allclose(bump_derivatives(2, ts)[2], expected, atol=1e-13)
 
 
 def test_bump_derivative_zero_order_and_bounds():
     ts = np.linspace(-0.9, 0.9, 11)
-    assert np.allclose(bump_derivative(0, ts), bump(ts))
+    np.testing.assert_array_equal(bump_derivatives(0, ts), [bump(ts)])
     with pytest.raises(ValueError):
-        bump_derivative(14, ts)
+        bump_derivatives(14, ts)
     with pytest.raises(ValueError):
-        bump_derivative(-1, ts)
+        bump_derivatives(-1, ts)
 
 
 def test_bump_derivatives_share_one_recursion():
     # row 0 is the bump itself, bit for bit, and row k of a longer jet is
-    # bump_derivative(k); everything vanishes outside the support
+    # the last row of the jet of order k; everything vanishes outside the
+    # support
     ts = np.linspace(-1.2, 1.2, 97)
     rows = bump_derivatives(13, ts)
     assert rows.shape == (14, 97)
     np.testing.assert_array_equal(rows[0], bump(ts))
     for k in range(14):
-        np.testing.assert_array_equal(rows[k], bump_derivative(k, ts))
+        np.testing.assert_array_equal(rows[k], bump_derivatives(k, ts)[k])
     assert not rows[:, np.abs(ts) >= 1.0].any()
 
 
@@ -80,25 +81,38 @@ def test_bump_rows_do_not_depend_on_the_blocks():
     pieces = np.concatenate([bump_derivatives(13, ts[i:i + 7])
                              for i in range(0, ts.size, 7)], axis=1)
     np.testing.assert_array_equal(rows, pieces)
-    np.testing.assert_array_equal(bump_derivative(9, ts), rows[9])
     grid = ts[:-3].reshape(4, _BLOCK)
     np.testing.assert_array_equal(bump_derivatives(2, grid),
                                   rows[:3, :-3].reshape(3, 4, _BLOCK))
-    assert bump_derivative(5, []).shape == (0,)
+    assert bump_derivatives(5, []).shape == (6, 0)
 
 
-def test_one_bump_row_holds_one_row_of_memory():
-    # on the 8193-point step-norm sample the 13 rows and 12 pole terms of
-    # the whole recursion take about 2 MB at once; a block's take 0.2 MB
+def test_one_bump_row_holds_one_row_of_memory(table, monkeypatch):
+    # the sample of sup |S^(12)| reads one row on 8193 points: the row and
+    # its scaled copy take 0.13 MB and one block's recursion 0.2 MB, while
+    # the 13 rows of the whole sample alone would take 0.85 MB
+    seen = {}
+
+    def capture(jet, window, **kwargs):
+        seen["jet"] = jet
+        return 0.0
+
+    monkeypatch.setattr("cotrig.mollifier.sup_norm", capture)
+    table.sup_step_derivative(12)
+    jet = seen["jet"]
     ts = np.linspace(-1.0, 1.0, 8193)
-    bump_derivative(12, ts[:5])
+    jet(ts[:5], 1)
     tracemalloc.start()
     try:
-        bump_derivative(12, ts)
+        row = jet(ts, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 19
+    rows = jet(ts)
+    np.testing.assert_array_equal(row, rows[:1])
+    np.testing.assert_array_equal(
+        rows, 2.0 / table.mass * bump_derivatives(13, ts)[11:])
 
 
 def test_bump_mass_against_dense_trapezoid(table):
@@ -128,20 +142,20 @@ def test_panel_rule_matches_adaptive_quadrature(table):
 
 
 def test_step_shape(table):
-    us = np.linspace(-1.5, 1.5, 101)
-    s = table.step(us)
+    # S on (-1, 1) is the interpolant the zone pieces carry
+    step = lambda u: chebval(u, table.cheb_coeffs)
+    us = np.linspace(-1.0, 1.0, 101)[1:-1]
+    s = step(us)
     # the interpolant may overshoot the plateaus by its own accuracy
     assert np.all(np.abs(s) <= 1.0 + 1e-10)
-    assert np.allclose(table.step(-us), -s, atol=1e-11)
-    assert table.step(0.0)[0] == pytest.approx(0.0, abs=1e-12)
-    assert table.step(1.0)[0] == 1.0
-    assert table.step(-3.0)[0] == -1.0
+    assert np.allclose(step(-us), -s, atol=1e-11)
+    assert step(0.0) == pytest.approx(0.0, abs=1e-12)
     # strictly increasing where the slope beats the interpolation error,
     # nondecreasing up to that error in the flat tails
     core = np.linspace(-0.9, 0.9, 181)
-    assert np.all(np.diff(table.step(core)) > 0.0)
+    assert np.all(np.diff(step(core)) > 0.0)
     inner = np.linspace(-0.999, 0.999, 201)
-    assert np.all(np.diff(table.step(inner)) > -1e-11)
+    assert np.all(np.diff(step(inner)) > -1e-11)
 
 
 def test_step_matches_direct_quadrature(table):
@@ -149,18 +163,21 @@ def test_step_matches_direct_quadrature(table):
         integral, _ = quad(lambda t: bump(t)[0], -1.0, u,
                            epsabs=1e-13, epsrel=1e-12, limit=200)
         expected = -1.0 + 2.0 * integral / table.mass
-        assert table.step(u)[0] == pytest.approx(expected, abs=1e-10)
+        assert chebval(u, table.cheb_coeffs) == pytest.approx(expected,
+                                                              abs=1e-10)
 
 
 def test_step_derivative_consistency(table):
+    # S' = 2/Z psi and S'' = 2/Z psi': central differences of the
+    # interpolant and of the first row give the next row
     us = np.linspace(-0.9, 0.9, 41)
-    d1 = table.step_derivative(1, us)
-    assert np.allclose(d1, 2.0 / table.mass * bump(us), atol=1e-14)
+    rows = 2.0 / table.mass * bump_derivatives(1, us)
     h = 1e-5
-    fd = (table.step(us + h) - table.step(us - h)) / (2 * h)
-    assert np.allclose(fd, d1, atol=1e-6)
-    with pytest.raises(ValueError):
-        table.step_derivative(0, us)
+    fd = (chebval(us + h, table.cheb_coeffs)
+          - chebval(us - h, table.cheb_coeffs)) / (2 * h)
+    assert np.allclose(fd, rows[0], atol=1e-6)
+    fd = 2.0 / table.mass * (bump(us + h) - bump(us - h)) / (2 * h)
+    assert np.allclose(fd, rows[1], atol=1e-6)
 
 
 def test_s_norms(table):
@@ -177,8 +194,9 @@ def test_s_norms(table):
 def test_s_norms_are_polished_maxima():
     table = build_mollifier_table(max_order=12)
     us = np.linspace(-1.0, 1.0, 20001)
+    rows = 2.0 / table.mass * bump_derivatives(table.max_order - 1, us)
     for j in range(1, table.max_order + 1):
-        dense = np.abs(table.step_derivative(j, us)).max()
+        dense = np.abs(rows[j - 1]).max()
         assert table.s_norm(j) >= dense
         assert table.s_norm(j) == pytest.approx(S_NORMS_60_DIGITS[j - 1],
                                                 rel=1e-13)

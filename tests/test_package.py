@@ -1,8 +1,8 @@
 """Tests that the package's public names and the benchmark's span table
 resolve against the code, that scipy and mpmath load only where they are
 used (scipy only through the HiGHS loader in simplex.py), that jsonschema
-never loads, and that the CLI runs the same in one process as in fresh
-ones."""
+never loads, that sup norms are taken of one callable each, and that the
+CLI runs the same in one process as in fresh ones."""
 
 import ast
 import importlib
@@ -108,6 +108,17 @@ def _importers(package: str) -> list:
         if package in _imported_roots(ast.parse(path.read_text())))
 
 
+def _calls(name: str):
+    """(module file name, call node) of every call of name in cotrig, as a
+    plain name or an attribute."""
+    for path in sorted((ROOT / "src" / "cotrig").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                yield path.name, node
+
+
 def test_only_simplex_imports_scipy():
     # the HiGHS loader is the one place scipy may enter
     assert _importers("scipy") == ["simplex.py"]
@@ -121,13 +132,16 @@ def test_no_module_imports_jsonschema():
 def test_no_module_calls_golden_section_search():
     # every sup norm is polished by Newton steps on a jet; golden-section
     # search stays in grids only as the tests' reference
-    callers = sorted(
-        path.name for path in (ROOT / "src" / "cotrig").glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call)
-        and "golden_refine_max" in (getattr(node.func, "id", None),
-                                    getattr(node.func, "attr", None)))
-    assert callers == []
+    assert [name for name, _ in _calls("golden_refine_max")] == []
+
+
+def test_sup_norm_takes_one_callable():
+    # a sup norm is given one jet(x, rows), whose row 0 is the function:
+    # no caller passes a second description of it
+    calls = list(_calls("sup_norm"))
+    assert calls
+    assert [(name, node.lineno) for name, node in calls
+            if any(kw.arg == "jet" for kw in node.keywords)] == []
 
 
 def test_python_m_cotrig_runs_a_command(tmp_path):

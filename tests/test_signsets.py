@@ -79,16 +79,17 @@ def test_membership_sine_against_pi_zero_set():
     # f(t) = cos t has f'''(t) = sin t, changing sign at -pi and 0 with
     # sin(t) * (t + pi) * t >= 0 on (-pi, pi)
     ys = SignChangeSet([-np.pi, 0.0])
-    assert delta_q_membership(np.sin, ys)
-    ok, margin = delta_q_membership(lambda t: -np.sin(t), ys, return_margin=True)
+    ok, margin = delta_q_membership(np.sin, ys)
+    assert ok and margin >= 0.0
+    ok, margin = delta_q_membership(lambda t: -np.sin(t), ys)
     assert not ok
     assert margin < -1e-3
 
 
 def test_membership_zero_function_and_wrong_constant():
     ys = SignChangeSet([-np.pi, 0.0])
-    assert delta_q_membership(lambda t: np.zeros_like(t), ys)
-    assert not delta_q_membership(lambda t: np.ones_like(t), ys)
+    assert delta_q_membership(lambda t: np.zeros_like(t), ys)[0]
+    assert not delta_q_membership(lambda t: np.ones_like(t), ys)[0]
 
 
 def test_membership_extra_points_catch_narrow_violation():
@@ -100,7 +101,8 @@ def test_membership_extra_points_catch_narrow_violation():
         t = np.asarray(t, dtype=float)
         return np.sin(t) - 50.0 * np.exp(-((t - centre) / 1e-4) ** 2)
 
-    assert not delta_q_membership(dq, ys, extra_points=[centre])
+    assert delta_q_membership(dq, ys)[0]
+    assert not delta_q_membership(dq, ys, extra_points=[centre])[0]
 
 
 def test_convexity_membership_consistent_with_direct():
@@ -108,9 +110,7 @@ def test_convexity_membership_consistent_with_direct():
     # matching the direct check of f^(3) = sin above
     ys = SignChangeSet([-np.pi, 0.0])
     assert delta_q_membership_by_convexity(lambda t: -np.sin(t), ys)
-    ok, margin = delta_q_membership_by_convexity(np.sin, ys, return_margin=True)
-    assert not ok
-    assert margin < 0.0
+    assert not delta_q_membership_by_convexity(np.sin, ys)
 
 
 def test_convexity_membership_accepts_piecewise_kinks():
@@ -118,7 +118,7 @@ def test_convexity_membership_accepts_piecewise_kinks():
     # exactly on the sign-change points, which the per-gap check never samples
     ys = SignChangeSet([-np.pi, 0.0])
     fq2 = lambda t: np.abs(np.mod(np.asarray(t) + np.pi, 2 * np.pi) - np.pi)
-    assert delta_q_membership_by_convexity(fq2, ys, tol=1e-9)
+    assert delta_q_membership_by_convexity(fq2, ys)
 
 
 def test_to_dict():

@@ -121,6 +121,6 @@ def test_membership_in_both_shape_classes():
         sp = build_ideal_spline(r, b)
         ys = SignChangeSet([-b, 0.0])
         assert delta_q_membership_by_convexity(
-            lambda t: sp.derivative_values(r - 1, t), ys, tol=1e-9)
+            lambda t: sp.derivative_values(r - 1, t), ys)
         assert delta_q_membership_by_convexity(
-            lambda t: sp.derivative_values(r, t), ys, tol=1e-9)
+            lambda t: sp.derivative_values(r, t), ys)
