@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -39,7 +40,6 @@ from .experiments import EXPERIMENT_NAMES, run_experiment
 from .grids import Interval
 from .ledger import DEFAULT_MAX_BITS, ConstantsLedger, EpsGrowthError
 from .minimax import best_approx, best_co_q_monotone
-from .mollifier import build_mollifier_table
 from .reports import write_json, write_report_files
 from .signsets import (SignChangeSet, delta_q_membership,
                        delta_q_membership_by_convexity)
@@ -117,7 +117,8 @@ def _validate(value, schema: dict, where: str = "config") -> None:
     ``value`` meets ``schema``.
 
     Enforces the keywords SCHEMAS uses, as draft 2020-12 defines them,
-    with one exception: an "integer" must be an int, so 4.0 is refused.
+    with two exceptions: an "integer" must be an int, so 4.0 is refused,
+    and a float must be finite, so inf and nan are refused.
     """
     types = schema.get("type", [])
     types = [types] if isinstance(types, str) else types
@@ -125,6 +126,8 @@ def _validate(value, schema: dict, where: str = "config") -> None:
             value, sum((_TYPES[t] for t in types), ()))):
         raise ValueError(f"{where}: {value!r} is not of type "
                          + " or ".join(map(repr, types)))
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{where}: {value!r} is not a finite number")
     if "minimum" in schema and value < schema["minimum"]:
         raise ValueError(f"{where}: {value!r} is less than the minimum of "
                          f"{schema['minimum']!r}")
@@ -222,13 +225,12 @@ def cmd_build_ideal(cfg: dict, out_dir: Path) -> int:
 
 def cmd_build_smooth(cfg: dict, out_dir: Path) -> int:
     r, d, lam = cfg["r"], float(cfg["d"]), float(Fraction(cfg["lam"]))
-    table = build_mollifier_table()
-    spline = build_smooth_spline(r, d, lam, table=table)
+    spline = build_smooth_spline(r, d, lam)
     ideal = build_ideal_spline(r, d)
     dist = spline_distance(ideal, spline, spline.window,
                            seeds=spline.seed_points())
     norms = {str(j): spline.sup_derivative(j)
-             for j in range(min(r + 3, table.max_order + r))}
+             for j in range(min(r + 3, spline.table.max_order + r))}
     summary = {
         "r": r, "d": d, "lam": lam,
         "window": [spline.window.lo, spline.window.hi],
@@ -256,8 +258,7 @@ def cmd_build_fnb(cfg: dict, out_dir: Path) -> int:
         Fraction(ledger.provenance.get("gap", "0"))
     if d <= 0:
         raise ValueError("no gap in the ledger provenance; pass d")
-    table = build_mollifier_table()
-    summand = build_summand(ledger, n, b, d, table=table)
+    summand = build_summand(ledger, n, b, d)
     top = ledger.r + ledger.m
     ys = canonical_sign_set(float(d))
     member, margin = delta_q_membership(
@@ -294,8 +295,7 @@ def cmd_build_partial_sum(cfg: dict, out_dir: Path) -> int:
     eps_rule = cfg.get("eps_rule", "log")
     kwargs = {"max_bits": cfg["max_bits"]} if "max_bits" in cfg else {}
     plan = plan_recursion(ledger, d, K + 1, eps_rule=eps_rule, **kwargs)
-    table = build_mollifier_table()
-    partial = build_partial_sum(plan, K, table=table)
+    partial = build_partial_sum(plan, K)
     member, margin = partial.membership_margin()
     checks = plan.verify()
     summary = {

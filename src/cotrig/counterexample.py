@@ -24,8 +24,7 @@ import numpy as np
 
 from .grids import Interval, sup_norm
 from .ledger import (DEFAULT_MAX_BITS, ConstantsLedger, EpsGrowthError,
-                     EpsRule, ceil_fraction, iroot_ceil, parse_eps_rule)
-from .mollifier import MollifierTable
+                     ceil_fraction, iroot_ceil, parse_eps_rule)
 from .signsets import SignChangeSet, delta_q_membership
 from .smooth import SmoothSpline, build_smooth_spline
 
@@ -95,8 +94,7 @@ class Summand:
         }
 
 
-def build_summand(ledger: ConstantsLedger, n: int, b, d,
-                  table: MollifierTable | None = None) -> Summand:
+def build_summand(ledger: ConstantsLedger, n: int, b, d) -> Summand:
     """Scaled smooth spline c7 (b^rm / n^m) * spline(r, d, lambda_{n,b})."""
     b = Fraction(b)
     d_frac = Fraction(d)
@@ -112,7 +110,7 @@ def build_summand(ledger: ConstantsLedger, n: int, b, d,
             f"plan-only level: smoothing width {float(lam):.3e} is below "
             f"the realization floor {MIN_REALIZED_WIDTH:.0e}")
     amplitude = ledger["c7"] * b ** (ledger.r * ledger.m) / Fraction(n) ** ledger.m
-    spline = build_smooth_spline(ledger.r, float(d_frac), float(lam), table=table)
+    spline = build_smooth_spline(ledger.r, float(d_frac), float(lam))
     return Summand(n=n, b=b, width=lam, amplitude=amplitude, spline=spline)
 
 
@@ -229,16 +227,16 @@ class RecursionPlan:
 
 
 def plan_recursion(ledger: ConstantsLedger, d, levels: int,
-                   eps_rule="log", max_bits: int = DEFAULT_MAX_BITS) -> RecursionPlan:
+                   eps_rule: str = "log",
+                   max_bits: int = DEFAULT_MAX_BITS) -> RecursionPlan:
     """Choose each n_{k+1} as the smallest admissible integer, exactly.
 
     Every condition is monotone in n_{k+1}, so the minimum over the exact
     per-condition thresholds is the smallest integer satisfying all of
     them; the growth-rule threshold is inverted by the rule itself.
+    eps_rule is a name parse_eps_rule reads, as verify() re-reads it.
     """
-    rule = parse_eps_rule(eps_rule) if isinstance(eps_rule, str) else eps_rule
-    if not isinstance(rule, EpsRule):
-        raise TypeError("eps_rule must be a rule name or an EpsRule")
+    rule = parse_eps_rule(eps_rule)
     d = Fraction(d)
     if not 0 < d <= Fraction(355, 113):
         raise ValueError("need 0 < d <= pi for a minimal gap")
@@ -368,8 +366,7 @@ class PartialSum:
         }
 
 
-def build_partial_sum(plan: RecursionPlan, K: int,
-                      table: MollifierTable | None = None) -> PartialSum:
+def build_partial_sum(plan: RecursionPlan, K: int) -> PartialSum:
     """Realize the first K levels of a plan as an actual function."""
     if not 1 <= K <= plan.levels:
         raise ValueError(f"K={K} outside 1..{plan.levels}")
@@ -377,7 +374,7 @@ def build_partial_sum(plan: RecursionPlan, K: int,
     for k in range(1, K + 1):
         n_k, b_k, width = plan.summand_parameters(k)
         try:
-            s = build_summand(plan.ledger, n_k, b_k, plan.d, table=table)
+            s = build_summand(plan.ledger, n_k, b_k, plan.d)
         except RealizabilityError as exc:
             raise RealizabilityError(f"level {k}: {exc}") from exc
         if s.width != width:

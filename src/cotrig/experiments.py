@@ -23,7 +23,7 @@ from .grids import Interval, chebyshev_points, sup_norm
 from .ledger import ConstantsLedger, make_empirical_ledger
 from .minimax import (_constraint_rows, _gap_points, _split_points,
                       best_approx, best_co_q_monotone, solve_grid_minimax)
-from .mollifier import MollifierTable, build_mollifier_table
+from .mollifier import build_mollifier_table
 from .reports import Assertion, ConstantReading, ExperimentReport
 from .signsets import SignChangeSet, delta_q_membership_by_convexity
 from .smooth import build_smooth_spline, spline_distance
@@ -373,64 +373,63 @@ def exp_lemma_22(q: int, knots: int = 16, seed: int = 0) -> ExperimentReport:
 # constrained stagnation vs unconstrained decay
 
 
-def _contrast_cells(f, q: int, ys: SignChangeSet, ns):
-    """Constrained and unconstrained solves per degree; returns the grid
-    rows and the constrained results for reuse."""
-    def _cell(n):
-        con = best_co_q_monotone(f, n, q, ys)
-        unc = best_approx(f, n)
-        row = {"n": n,
-               "constrained": con.post_check_error,
-               "constrained_grid": con.error,
-               "constraint_violation": con.constraint_violation,
-               "unconstrained": unc.post_check_error,
-               "n_constrained": n * con.post_check_error}
-        return row, con
+def _theorem_ladder(q: int, r: int, y_points, n_list):
+    """The degree-r ideal spline f cut at the sign set's minimal gap b, and
+    its constrained and unconstrained solves per degree.
 
-    pairs = [_cell(n) for n in ns]
-    return [p[0] for p in pairs], [p[1] for p in pairs]
-
-
-def _prepare_sign_set(y_points):
+    Returns f, b, the grid rows, the constrained results, the Sobolev and
+    class-membership assertions, and the report parameters.
+    """
+    if q < 3:
+        raise ValueError("need q >= 3")
+    ns = _check_degrees(n_list, large=True)
     ys = SignChangeSet(tuple(sorted(float(v) for v in y_points)))
     canonical, shift = ys.shift_to_canonical()
-    return canonical, shift, canonical.min_gap()
+    b = canonical.min_gap()
+    f = build_ideal_spline(r, b)
+    cells, cons = [], []
+    for n in ns:
+        con = best_co_q_monotone(f, n, q, canonical)
+        unc = best_approx(f, n)
+        cells.append({"n": n,
+                      "constrained": con.post_check_error,
+                      "constrained_grid": con.error,
+                      "constraint_violation": con.constraint_violation,
+                      "unconstrained": unc.post_check_error,
+                      "n_constrained": n * con.post_check_error})
+        cons.append(con)
+    member = delta_q_membership_by_convexity(
+        lambda x: f.derivative_values(q - 2, x), canonical)
+    top = f.top_derivative_sup()
+    shared = [
+        Assertion("sobolev_membership", top < 2.0,
+                  f"sup|f^({r})| = {top:.6g} < 2"),
+        Assertion("class_membership", member,
+                  "piecewise q-monotone pattern holds"),
+    ]
+    parameters = {"q": q, "y_points": [float(v) for v in y_points],
+                  "canonical": list(canonical.points), "shift": shift,
+                  "b": b, "n_list": ns}
+    return f, b, cells, cons, shared, parameters
 
 
 def exp_theorem_12(q: int, y_points, n_list,
                    seed: int = 0) -> ExperimentReport:
     """Ideal spline of degree q-2: constrained errors refuse to decay."""
     t0 = time.perf_counter()
-    if q < 3:
-        raise ValueError("need q >= 3")
-    ns = _check_degrees(n_list, large=True)
-    canonical, shift, b = _prepare_sign_set(y_points)
-    r = q - 2
-    f = build_ideal_spline(r, b)
-    cells, _ = _contrast_cells(f, q, canonical, ns)
-
+    _, _, cells, _, shared, parameters = _theorem_ladder(q, q - 2, y_points,
+                                                         n_list)
     con = [c["constrained"] for c in cells]
     unc = [c["unconstrained"] for c in cells]
-    member = delta_q_membership_by_convexity(
-        lambda x: f.derivative_values(r, x), canonical)
-    top = f.top_derivative_sup()
-
     assertions = [
         Assertion("constrained_floor", min(con) >= 0.3 * con[0],
                   f"min/first = {min(con) / con[0]:.4g} >= 0.3"),
         Assertion("unconstrained_decay", unc[0] >= 3.0 * unc[-1],
                   f"drop x{unc[0] / unc[-1]:.3g} >= x3"),
-        Assertion("sobolev_membership", top < 2.0,
-                  f"sup|f^({r})| = {top:.6g} < 2"),
-        Assertion("class_membership", member,
-                  "piecewise q-monotone pattern holds"),
+        *shared,
     ]
     report = ExperimentReport(
-        experiment="thm-12", seed=seed,
-        parameters={"q": q, "y_points": [float(v) for v in y_points],
-                    "canonical": list(canonical.points), "shift": shift,
-                    "b": b, "n_list": ns},
-        grid=cells,
+        experiment="thm-12", seed=seed, parameters=parameters, grid=cells,
         constants=[ConstantReading(
             "C_floor", float(min(con)), "empirical",
             "inf_n E_n^{(q)}(f, Y) for f the degree-(q-2) ideal spline")],
@@ -443,23 +442,16 @@ def exp_theorem_13(q: int, y_points, n_list,
                    seed: int = 0) -> ExperimentReport:
     """Ideal spline of degree q-1: n times the constrained error stays flat."""
     t0 = time.perf_counter()
-    if q < 3:
-        raise ValueError("need q >= 3")
-    ns = _check_degrees(n_list, large=True)
-    canonical, shift, b = _prepare_sign_set(y_points)
     r = q - 1
-    f = build_ideal_spline(r, b)
-    cells, cons = _contrast_cells(f, q, canonical, ns)
-
+    f, b, cells, cons, shared, parameters = _theorem_ladder(q, r, y_points,
+                                                            n_list)
     products = [c["n_constrained"] for c in cells]
     unc = [c["unconstrained"] for c in cells]
-    member = delta_q_membership_by_convexity(
-        lambda x: f.derivative_values(q - 2, x), canonical)
-    top = f.top_derivative_sup()
 
     window = Interval(-b, b)
     c3_vals = []
-    for cell, n, con in zip(cells, ns, cons):
+    for cell, con in zip(cells, cons):
+        n = cell["n"]
         resid = sup_norm(
             lambda x, rows=3: f.jet(x, rows) - con.approximant.jet(x, rows),
             window, degree_hint=n)
@@ -474,19 +466,12 @@ def exp_theorem_13(q: int, y_points, n_list,
                   f"min n E = {min(products):.6g} > 0"),
         Assertion("unconstrained_decay", unc[0] >= 8.0 * unc[-1],
                   f"drop x{unc[0] / unc[-1]:.3g} >= x8"),
-        Assertion("sobolev_membership", top < 2.0,
-                  f"sup|f^({r})| = {top:.6g} < 2"),
-        Assertion("class_membership", member,
-                  "piecewise q-monotone pattern holds"),
+        *shared,
         Assertion("window_floor_positive", c3 > 0,
                   f"measured window constant {c3:.6g} > 0"),
     ]
     report = ExperimentReport(
-        experiment="thm-13", seed=seed,
-        parameters={"q": q, "y_points": [float(v) for v in y_points],
-                    "canonical": list(canonical.points), "shift": shift,
-                    "b": b, "n_list": ns},
-        grid=cells,
+        experiment="thm-13", seed=seed, parameters=parameters, grid=cells,
         constants=[
             ConstantReading("nE_floor", float(min(products)), "empirical",
                             "inf_n n E_n^{(q)}(f, Y), degree-(q-1) spline"),
@@ -528,8 +513,7 @@ def window_floor_solve(target, n: int, q: int, b: float, poly_degree: int,
 
 
 def exp_lemma_aux(n_list, b, q: int, p: int, ledger: ConstantsLedger,
-                  d=None, seed: int = 0,
-                  table: MollifierTable | None = None) -> ExperimentReport:
+                  d=None, seed: int = 0) -> ExperimentReport:
     """Scaled-summand floor: n^{m+1} sup|f_{n,b} + P_r - T_n| on [-b,b]
     stays above a fixed share of the calibrated chain constant."""
     t0 = time.perf_counter()
@@ -545,11 +529,10 @@ def exp_lemma_aux(n_list, b, q: int, p: int, ledger: ConstantsLedger,
     d = Fraction(d)
     b = Fraction(b)
     r, m = ledger.r, ledger.m
-    table = table or build_mollifier_table()
     floor = float(ledger["c10"])
 
     def _cell(n):
-        summand = build_summand(ledger, n, b, d, table=table)
+        summand = build_summand(ledger, n, b, d)
         err_p, post_p = window_floor_solve(summand, n, q, float(b), r,
                                            with_poly=True)
         err_np, post_np = window_floor_solve(summand, n, q, float(b), r,
@@ -602,13 +585,14 @@ def measure_window_rate_constant(r: int, b_list, n_list) -> tuple:
     return float(worst), cells
 
 
-def calibrate_constants(q: int, p: int, d, seed: int = 0,
-                        table: MollifierTable | None = None):
+def calibrate_constants(q: int, p: int, d, seed: int = 0):
     """Measure the base constants and assemble the empirical ledger.
 
     Returns (ledger, report).  The chained constants are derived exactly
     from the measured ones inside the ledger constructor, so every
-    structural identity holds by construction.
+    structural identity holds by construction.  The step norms come from
+    a table of order max(8, p + 2); the width probes' splines read only
+    the step's mass and series, which no table order changes.
     """
     t0 = time.perf_counter()
     d = float(d)
@@ -617,7 +601,7 @@ def calibrate_constants(q: int, p: int, d, seed: int = 0,
     r, m = q - 1, p - q + 1
     if m < 1:
         raise ValueError("need p >= q")
-    table = table or build_mollifier_table(max_order=max(8, p + 2))
+    table = build_mollifier_table(max_order=max(8, p + 2))
 
     bern = exp_bernstein_interval(b=min(d, 0.9 * np.pi), n_list=(4, 8, 16),
                                   trials=40, seed=seed + 1)
@@ -633,7 +617,7 @@ def calibrate_constants(q: int, p: int, d, seed: int = 0,
     c5 = 0.0
     c4 = ideal.top_derivative_sup()
     for lam in lam_probes:
-        smooth = build_smooth_spline(r, d, lam, table=table)
+        smooth = build_smooth_spline(r, d, lam)
         dist = spline_distance(ideal, smooth, smooth.window,
                                seeds=smooth.seed_points())
         c5 = max(c5, dist / lam)
@@ -697,9 +681,6 @@ def calibrate_constants(q: int, p: int, d, seed: int = 0,
 # ---------------------------------------------------------------------------
 # dispatch
 
-EXPERIMENT_NAMES = ("bernstein", "lemma-mod", "lemma-3111", "lemma-22",
-                    "thm-12", "thm-13", "lemma-aux", "calibrate")
-
 _RUNNERS = {
     "bernstein": exp_bernstein_interval,
     "lemma-mod": exp_lemma_mod,
@@ -708,7 +689,10 @@ _RUNNERS = {
     "thm-12": exp_theorem_12,
     "thm-13": exp_theorem_13,
     "lemma-aux": exp_lemma_aux,
+    "calibrate": lambda **p: calibrate_constants(**p)[1],
 }
+
+EXPERIMENT_NAMES = tuple(_RUNNERS)
 
 
 def run_experiment(name: str, **params) -> ExperimentReport:
@@ -717,9 +701,6 @@ def run_experiment(name: str, **params) -> ExperimentReport:
     For "calibrate" the assembled ledger rides along in
     extras["ledger"]; rebuild it with ConstantsLedger.from_dict.
     """
-    if name == "calibrate":
-        _, report = calibrate_constants(**params)
-        return report
     try:
         runner = _RUNNERS[name]
     except KeyError:

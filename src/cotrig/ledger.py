@@ -154,28 +154,18 @@ class PowerEps(EpsRule):
         return self._budget(n, max_bits)
 
 
-class GeometricEps(EpsRule):
-    """eps_n = B**n."""
-
-    def __init__(self, base: int):
-        if base < 2:
-            raise ValueError("geometric rule needs an integer base >= 2")
-        self.base = base
-        self.name = f"geometric:{base}"
-
-    def min_degree(self, threshold: Fraction, max_bits: int = DEFAULT_MAX_BITS) -> int:
-        return self._budget(max(1, ilog_threshold(self.base, threshold)), max_bits)
-
-
 class TowerEps(EpsRule):
-    """eps_n = B**(n**e): fast enough to keep planned degrees tiny."""
+    """eps_n = B**(n**e): fast enough to keep planned degrees tiny.
+
+    e = 1 is the geometric rule eps_n = B**n, named geometric:B.
+    """
 
     def __init__(self, base: int, expo: int):
         if base < 2 or expo < 1:
             raise ValueError("tower rule needs base >= 2 and exponent >= 1")
         self.base = base
         self.expo = expo
-        self.name = f"tower:{base}:{expo}"
+        self.name = f"geometric:{base}" if expo == 1 else f"tower:{base}:{expo}"
 
     def min_degree(self, threshold: Fraction, max_bits: int = DEFAULT_MAX_BITS) -> int:
         e_min = ilog_threshold(self.base, threshold)
@@ -194,7 +184,7 @@ def parse_eps_rule(spec: str) -> EpsRule:
         if head == "power" and len(parts) == 2:
             return PowerEps(int(parts[1]))
         if head == "geometric" and len(parts) == 2:
-            return GeometricEps(int(parts[1]))
+            return TowerEps(int(parts[1]), 1)
         if head == "tower" and len(parts) == 3:
             return TowerEps(int(parts[1]), int(parts[2]))
     except ValueError as exc:
@@ -320,14 +310,13 @@ def _derive_chain(c: dict, s, r: int, m: int, ref: Fraction) -> dict:
             "c10": c7 * c["c3"] / 2}
 
 
-def make_proven_ledger(q: int, p: int, s_norms, c2=Fraction(10), c4=Fraction(4),
-                       gap=Fraction(31, 10)) -> ConstantsLedger:
+def make_proven_ledger(q: int, p: int, s_norms) -> ConstantsLedger:
     """Conservative ledger carried by the proofs.
 
     c2 and c4 have no pinned values in the underlying arguments (one is
-    quoted from the literature, the other only asserted finite), so safe
-    defaults are taken and recorded; gap is the reference sign-change gap
-    used to freeze the b-dependent constants c8 and c9.
+    quoted from the literature, the other only asserted finite), so the
+    safe values c2 = 10 and c4 = 4 are taken and recorded; the reference
+    sign-change gap 31/10 freezes the b-dependent constants c8 and c9.
     """
     s = [Fraction(v) for v in s_norms]
     r, m = q - 1, p - q + 1
@@ -335,10 +324,10 @@ def make_proven_ledger(q: int, p: int, s_norms, c2=Fraction(10), c4=Fraction(4),
         raise ValueError("s_norms too short for the smoothness margin m")
     c0 = Fraction(10)
     c1 = 1 / (80 * c0)
-    c2 = Fraction(c2)
-    gap = Fraction(gap)
+    c2 = Fraction(10)
+    gap = Fraction(31, 10)
     base = {"c0": c0, "c1": c1, "c2": c2, "c3": Fraction(1, 2 ** r) * c1 / c2,
-            "c4": Fraction(c4), "c5": 8 * _PI_UPPER ** (r - 1)}
+            "c4": Fraction(4), "c5": 8 * _PI_UPPER ** (r - 1)}
     constants = _derive_chain(base, s, r, m, gap)
     prov = {
         "c2": "assumed conservative bound (no pinned value available)",

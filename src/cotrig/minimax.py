@@ -327,9 +327,9 @@ def solve_grid_minimax(values, columns, cons_matrix=None, model=None,
     return theta, float(error), info
 
 
-def _split_points(subintervals, total: int, minimum: int = 33):
+def _split_points(subintervals, total: int):
     widths = np.asarray([iv.width for iv in subintervals])
-    counts = np.maximum(minimum, np.ceil(total * widths / widths.sum()).astype(int))
+    counts = np.maximum(33, np.ceil(total * widths / widths.sum()).astype(int))
     pts = [chebyshev_points(iv, c) for iv, c in zip(subintervals, counts)]
     return np.unique(np.concatenate(pts))
 

@@ -1,9 +1,10 @@
 """Linear programs that grow by rows, solved and re-solved by HiGHS.
 
 A ``LinearProgram`` is min c.x subject to lower <= A x <= upper and
-bounds on x, held in one HiGHS model (the dual revised simplex of Huangfu
-& Hall, Math. Prog. Comp. 2018, through the bindings scipy's ``linprog``
-drives).  ``add_rows`` appends constraints to the live model.  HiGHS keeps
+bounds on x (x >= 0 until ``set_col_bounds`` replaces them), held in one
+HiGHS model (the dual revised simplex of Huangfu & Hall, Math. Prog.
+Comp. 2018, through the bindings scipy's ``linprog`` drives).
+``add_rows`` appends constraints to the live model.  HiGHS keeps
 the optimal basis of the last solve and gives each new row a basic slack,
 so the basis stays dual feasible and the next ``solve_lp`` resumes from it
 with a few dual simplex pivots instead of solving the enlarged LP from
@@ -41,7 +42,8 @@ scaled (an orthonormal basis, unit-length constraint rows, values at most
 1) and with it on, warm re-solves lost accuracy: on the first grid of
 constrained ideal:2 at n = 64 the last one left a dual residual of 2e-6
 and a duality gap of 2e-7.  HiGHS's statuses become typed errors, so a
-solve that gives up never returns a number.
+solve that gives up, or takes more than ITERATION_LIMIT pivots, never
+returns a number.
 
 The bindings are imported with the first ``LinearProgram``, not with this
 module: they pull in ``scipy.optimize``, which commands that solve no LP
@@ -56,6 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 FEASIBILITY_TOL = 1e-10
+# most simplex pivots one solve_lp call may take
+ITERATION_LIMIT = 20000
 # HiGHS's simplex_dual_edge_weight_strategy value for Devex pricing
 DEVEX = 1
 
@@ -113,18 +117,19 @@ def _highs_bindings():
 class LinearProgram:
     """min cost.x, lower <= A x <= upper, col_lower <= x <= col_upper.
 
-    Starts with no rows; ``add_rows`` appends them.  Each instance owns
-    its HiGHS model, so nothing carries over between programs.
+    Starts with no rows and x >= 0; ``add_rows`` appends rows and
+    ``set_col_bounds`` replaces the bounds.  Each instance owns its HiGHS
+    model, so nothing carries over between programs.
     """
 
-    def __init__(self, cost, col_lower=0.0, col_upper=np.inf):
+    def __init__(self, cost):
         cost = np.asarray(cost, dtype=float)
         if cost.ndim != 1:
             raise ValueError("cost must be a vector")
         n = cost.size
         self.num_cols = n
-        self.col_lower = np.broadcast_to(np.asarray(col_lower, float), n)
-        self.col_upper = np.broadcast_to(np.asarray(col_upper, float), n)
+        self.col_lower = np.zeros(n)
+        self.col_upper = np.full(n, np.inf)
         self.row_lower = np.zeros(0)
         self.row_upper = np.zeros(0)
         self._solved = False
@@ -133,6 +138,7 @@ class LinearProgram:
                             ("presolve", "off"),
                             ("simplex_scale_strategy", 0),
                             ("no_unnecessary_rebuild_refactor", False),
+                            ("simplex_iteration_limit", ITERATION_LIMIT),
                             ("primal_feasibility_tolerance", FEASIBILITY_TOL),
                             ("dual_feasibility_tolerance", FEASIBILITY_TOL)):
             self._highs.setOptionValue(name, value)
@@ -181,7 +187,7 @@ def _priced_bounds(dual, lower, upper) -> float:
     return float(dual @ bound)
 
 
-def solve_lp(lp: LinearProgram, max_iterations: int = 20000) -> LPSolution:
+def solve_lp(lp: LinearProgram) -> LPSolution:
     """Optimal solution of lp, resumed from the basis of its last solve.
 
     Raises LPInfeasibleError, LPUnboundedError, LPIterationLimitError, or
@@ -192,7 +198,6 @@ def solve_lp(lp: LinearProgram, max_iterations: int = 20000) -> LPSolution:
     returned row duals and reduced costs.
     """
     highs = lp._highs
-    highs.setOptionValue("simplex_iteration_limit", int(max_iterations))
     highs.run()
     if not lp._solved:
         # every later solve is a re-solve, priced by Devex (module docstring)

@@ -115,16 +115,16 @@ class SmoothSpline:
         }
 
 
-def build_smooth_spline(r: int, d: float, lam: float,
-                        table: MollifierTable | None = None) -> SmoothSpline:
-    """Construct the mollified degree-r spline with gap d and half-width lam."""
+def build_smooth_spline(r: int, d: float, lam: float) -> SmoothSpline:
+    """Construct the mollified degree-r spline with gap d and half-width lam,
+    on the process's cached step table (build_mollifier_table())."""
     if r < 1:
         raise ValueError("r must be a positive integer")
     if not 0.0 < d <= np.pi:
         raise ValueError("the gap d must satisfy 0 < d <= pi")
     if not 0.0 < lam <= d / 3.0:
         raise ValueError("the zone half-width must satisfy 0 < lam <= d/3")
-    table = table or build_mollifier_table()
+    table = build_mollifier_table()
     gamma = step_offset(d)
 
     up = table.cheb_coeffs.copy()

@@ -86,27 +86,6 @@ class TrigPoly:
             a0 = 0.0
         return TrigPoly(a0, ac, bs)
 
-    def __add__(self, other):
-        if isinstance(other, TrigPoly):
-            n = max(self.degree, other.degree)
-            a = np.zeros(n)
-            b = np.zeros(n)
-            a[: self.degree] += self.cos_coeffs
-            a[: other.degree] += other.cos_coeffs
-            b[: self.degree] += self.sin_coeffs
-            b[: other.degree] += other.sin_coeffs
-            return TrigPoly(self.a0 + other.a0, a, b)
-        return TrigPoly(self.a0 + float(other), self.cos_coeffs, self.sin_coeffs)
-
-    def __sub__(self, other):
-        return self + (other * -1.0 if isinstance(other, TrigPoly) else -float(other))
-
-    def __mul__(self, scalar):
-        s = float(scalar)
-        return TrigPoly(self.a0 * s, self.cos_coeffs * s, self.sin_coeffs * s)
-
-    __rmul__ = __mul__
-
     def to_dict(self) -> dict:
         return {
             "kind": "trigpoly",
@@ -114,10 +93,6 @@ class TrigPoly:
             "cos": self.cos_coeffs.tolist(),
             "sin": self.sin_coeffs.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrigPoly":
-        return cls(d["a0"], d["cos"], d["sin"])
 
     def __repr__(self):
         return f"TrigPoly(degree={self.degree}, a0={self.a0:.6g})"

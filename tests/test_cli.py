@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from cotrig.splines import build_ideal_spline
     ("proven", "geometric:2", 1, 2, None),
     ("toy", "tower:2:3", 2, 1, 40),
 ])
-def test_build_partial_sum_round_trip(tmp_path, toy_ledger, table,
+def test_build_partial_sum_round_trip(tmp_path, toy_ledger,
                                       ledger_name, rule, K, d, max_bits):
     ledger = {"proven": make_proven_ledger(3, 4, s_norms=(1, 2, 4)),
               "toy": toy_ledger}[ledger_name]
@@ -40,7 +41,7 @@ def test_build_partial_sum_round_trip(tmp_path, toy_ledger, table,
 
     plan = plan_recursion(ledger, Fraction(d), K + 1, eps_rule=rule,
                           max_bits=max_bits or DEFAULT_MAX_BITS)
-    built = build_partial_sum(plan, K, table=table)
+    built = build_partial_sum(plan, K)
     reloaded, _ = cli._resolve_target(str(artifact_path))
     xs = np.linspace(-np.pi, np.pi, 64)
     assert np.array_equal(reloaded(xs), built(xs))
@@ -48,18 +49,18 @@ def test_build_partial_sum_round_trip(tmp_path, toy_ledger, table,
 
 @pytest.mark.parametrize("argv, direct", [
     (["build", "ideal", "--r", "2", "--b", "1.2"],
-     lambda table: build_ideal_spline(2, 1.2)),
+     lambda: build_ideal_spline(2, 1.2)),
     (["build", "smooth", "--r", "2", "--d", "1", "--lam", "1/12"],
-     lambda table: build_smooth_spline(2, 1.0, 1.0 / 12.0, table=table)),
+     lambda: build_smooth_spline(2, 1.0, 1.0 / 12.0)),
 ], ids=["ideal", "smooth"])
-def test_build_spline_round_trip(tmp_path, table, argv, direct):
+def test_build_spline_round_trip(tmp_path, argv, direct):
     # artifacts are rebuilt from their params, not from the stored pieces
     out = tmp_path / "run"
     assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
     artifact_path = out / "artifacts" / f"{argv[1]}.json"
     reloaded, _ = cli._resolve_target(str(artifact_path))
     xs = np.linspace(-np.pi, np.pi, 64)
-    assert np.array_equal(reloaded(xs), direct(table)(xs))
+    assert np.array_equal(reloaded(xs), direct()(xs))
 
 
 def test_build_smooth_pins_sup_norms(tmp_path):
@@ -191,6 +192,19 @@ def test_integer_keys_refuse_floats_and_bools(tmp_path, capsys, argv, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "smooth", "--r", "2", "--d", "1", "--lam", "inf"],
+    ["experiment", "thm-12", "--q", "3", "--Y", "-1.2", "nan", "--n", "8"],
+], ids=["lam-inf", "Y-nan"])
+def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv):
+    # inf and nan pass a JSON Schema "number"; they fail before the run
+    # directory is made, not as a numerical failure inside the command
+    out = tmp_path / "run"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+    assert "is not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _valid(schema):
     """A value that meets a property schema of SCHEMAS."""
     kind = schema["type"] if isinstance(schema["type"], str) \
@@ -227,6 +241,8 @@ def _mutations(schema, value):
             yield f"items.{name}", [item] + value[1:]
     if "integer" in types:
         yield "integral-float", float(value)
+    if "number" in types:
+        yield "non-finite", math.inf
 
 
 def _configs(schema):
@@ -260,8 +276,9 @@ def test_validator_agrees_with_jsonschema(key):
     schema = cli.SCHEMAS[key]
     reference = jsonschema.Draft202012Validator(schema)
     for label, config in _configs(schema):
-        if label.endswith("integral-float"):
-            # the one intended difference: 4.0 is no integer here
+        if label.endswith(("integral-float", "non-finite")):
+            # the intended differences: 4.0 is no integer here, and a
+            # number must be finite
             assert reference.is_valid(config), label
             assert not _accepts(config, schema), label
         else:

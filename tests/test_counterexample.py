@@ -41,9 +41,9 @@ def test_summand_validation(toy_ledger):
         build_summand(toy_ledger, 10 ** 18, Fraction(1, 4), 1)
 
 
-def test_summand_scaling_is_exact(toy_ledger, table):
-    s1 = build_summand(toy_ledger, 64, Fraction(1, 4), 1, table=table)
-    s2 = build_summand(toy_ledger, 128, Fraction(1, 4), 1, table=table)
+def test_summand_scaling_is_exact(toy_ledger):
+    s1 = build_summand(toy_ledger, 64, Fraction(1, 4), 1)
+    s2 = build_summand(toy_ledger, 128, Fraction(1, 4), 1)
     # doubling the degree quarters the amplitude (m = 2) and halves the width
     assert s1.amplitude / s2.amplitude == Fraction(4)
     assert s1.width / s2.width == Fraction(2)
@@ -52,10 +52,10 @@ def test_summand_scaling_is_exact(toy_ledger, table):
     assert np.allclose(s1(xs), float(s1.amplitude) * s1.spline(xs))
 
 
-def test_summand_top_derivative_identity(table_ledger, table):
+def test_summand_top_derivative_identity(table_ledger):
     # the closed chain makes sup |f^(p)| equal the true-to-ledger step-norm
     # ratio, which is 1 when the ledger carries the measured norms
-    s = build_summand(table_ledger, 8, Fraction(1, 4), 1, table=table)
+    s = build_summand(table_ledger, 8, Fraction(1, 4), 1)
     p = table_ledger.p
     top = s.sup_derivative(p)
     assert top <= 1.0 + 1e-6
@@ -126,8 +126,6 @@ def test_plan_validation(toy_ledger):
         plan_recursion(toy_ledger, d=4, levels=1)
     with pytest.raises(ValueError):
         plan_recursion(toy_ledger, d=1, levels=0)
-    with pytest.raises(TypeError):
-        plan_recursion(toy_ledger, d=1, levels=1, eps_rule=3.14)
 
 
 def test_plan_budget_overflow(toy_ledger):
@@ -172,9 +170,9 @@ def test_plan_to_dict(toy_ledger):
     assert d["n_float"][2] == pytest.approx(float(2 ** 111))
 
 
-def test_partial_sum_single_level(toy_ledger, table):
+def test_partial_sum_single_level(toy_ledger):
     plan = toy_plan(toy_ledger)
-    f = build_partial_sum(plan, 1, table=table)
+    f = build_partial_sum(plan, 1)
     assert f.levels == 1
     assert f.tail_bound == Fraction(1, 2 ** 229)
     assert f.sign_set.points == (-1.0, 0.0)
@@ -188,24 +186,24 @@ def test_partial_sum_single_level(toy_ledger, table):
     assert margin >= -1e-15
 
 
-def test_partial_sum_rejects_plan_only_levels(toy_ledger, table):
+def test_partial_sum_rejects_plan_only_levels(toy_ledger):
     plan = toy_plan(toy_ledger)
     with pytest.raises(RealizabilityError, match="level 2"):
-        build_partial_sum(plan, 2, table=table)
+        build_partial_sum(plan, 2)
     with pytest.raises(ValueError):
-        build_partial_sum(plan, 0, table=table)
+        build_partial_sum(plan, 0)
     with pytest.raises(ValueError):
-        build_partial_sum(plan, 3, table=table)
+        build_partial_sum(plan, 3)
 
 
-def test_partial_sum_two_levels(toy_ledger, table):
+def test_partial_sum_two_levels(toy_ledger):
     # the tower rule keeps the planned degrees small enough that both
     # smoothing widths stay above the realization floor
     plan = plan_recursion(toy_ledger, d=1, levels=2, eps_rule="tower:2:3")
     assert plan.n == (3, 6, 372)
     assert plan.b == (Fraction(1, 4), Fraction(1, 96), Fraction(1, 3428352))
     assert plan.realizable_prefix() == 2
-    f = build_partial_sum(plan, 2, table=table)
+    f = build_partial_sum(plan, 2)
     assert f.levels == 2
     xs = np.linspace(-0.9, 2.0, 11)
     assert np.allclose(f(xs), f.summands[0](xs) + f.summands[1](xs))
@@ -221,11 +219,11 @@ def test_partial_sum_two_levels(toy_ledger, table):
     assert len(d["summands"]) == 2
 
 
-def test_partial_sum_jet_rows_are_exact(toy_ledger, table, monkeypatch):
+def test_partial_sum_jet_rows_are_exact(toy_ledger, monkeypatch):
     # above the spline degree the three jet rows of sup_derivative come from
     # one bump recursion per zone; they must equal the one-row derivatives
     plan = plan_recursion(toy_ledger, d=1, levels=2, eps_rule="tower:2:3")
-    f = build_partial_sum(plan, 2, table=table)
+    f = build_partial_sum(plan, 2)
     p = toy_ledger.p
     assert p > toy_ledger.r
     seen = {}
@@ -252,9 +250,9 @@ def test_partial_sum_jet_rows_are_exact(toy_ledger, table, monkeypatch):
         assert np.any(rows != 0.0)
 
 
-def test_partial_sum_seed_points_cover_all_zones(toy_ledger, table):
+def test_partial_sum_seed_points_cover_all_zones(toy_ledger):
     plan = plan_recursion(toy_ledger, d=1, levels=2, eps_rule="tower:2:3")
-    f = build_partial_sum(plan, 2, table=table)
+    f = build_partial_sum(plan, 2)
     seeds = f.seed_points()
     for s in f.summands:
         for lo, hi in s.spline.zones():

@@ -289,7 +289,7 @@ def _jet_case(name, request):
         sp = build_ideal_spline(3, 1.0)
         return sp.jet, sp, np.concatenate([xs, sp.breakpoints])
     if name == "smooth-spline":
-        sp = build_smooth_spline(2, 1.0, 1.0 / 12.0, table=table)
+        sp = build_smooth_spline(2, 1.0, 1.0 / 12.0)
         return sp.jet, sp, np.concatenate([xs, sp.seed_points()])
     if name.startswith("hinge"):
         knots = np.linspace(0.0, 1.0, 14, endpoint=False)
@@ -306,7 +306,7 @@ def _jet_case(name, request):
     # PartialSum.sup_derivative(j), below and above the spline degree r
     toy_ledger = request.getfixturevalue("toy_ledger")
     plan = plan_recursion(toy_ledger, d=1, levels=2, eps_rule="tower:2:3")
-    f = build_partial_sum(plan, 2, table=table)
+    f = build_partial_sum(plan, 2)
     j = toy_ledger.r if name == "partial-sum-low" else toy_ledger.p
     jet = _captured_jet("counterexample", lambda: f.sup_derivative(j))
     return (jet, lambda x: f.derivative_values(j, x),

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cotrig.ledger import (ConstantsLedger, EpsGrowthError, GeometricEps,
-                           LogEps, PowerEps, TowerEps, ceil_fraction,
+from cotrig.ledger import (ConstantsLedger, EpsGrowthError, LogEps,
+                           PowerEps, TowerEps, ceil_fraction,
                            ilog_threshold, iroot_ceil, iroot_floor,
                            make_empirical_ledger, make_proven_ledger,
                            parse_eps_rule)
@@ -59,13 +59,15 @@ def test_power_rule():
 
 
 def test_geometric_rule():
-    geo = GeometricEps(2)
+    # the geometric rule B**n is the tower rule with exponent 1
+    geo = parse_eps_rule("geometric:2")
     assert geo.name == "geometric:2"
+    assert (geo.base, geo.expo) == (2, 1)
     assert geo.min_degree(Fraction(9)) == 4
     assert geo.min_degree(Fraction(8)) == 3
     assert geo.min_degree(Fraction(1, 2)) == 1
-    with pytest.raises(ValueError):
-        GeometricEps(1)
+    with pytest.raises(ValueError, match="base >= 2"):
+        parse_eps_rule("geometric:1")
 
 
 def test_tower_rule():
@@ -90,7 +92,7 @@ def test_log_rule():
 
 _RULES = st.one_of(
     st.builds(PowerEps, st.integers(1, 3)),
-    st.builds(GeometricEps, st.integers(2, 5)),
+    st.builds(TowerEps, st.integers(2, 5), st.just(1)),
     st.builds(TowerEps, st.integers(2, 3), st.integers(1, 3)),
 )
 
@@ -98,8 +100,6 @@ _RULES = st.one_of(
 def _exact_eps(rule, n: int) -> int:
     if isinstance(rule, PowerEps):
         return n ** rule.a
-    if isinstance(rule, GeometricEps):
-        return rule.base ** n
     return rule.base ** (n ** rule.expo)
 
 

@@ -196,8 +196,8 @@ def test_constrained_fit_meets_its_sign_pattern_and_a_dense_lp():
     C /= np.linalg.norm(C, axis=1)[:, None]
     A, v = trig_basis(xs, n), target(xs)
     p, m, ones = A.shape[1], xs.size, np.ones((xs.size, 1))
-    lp = LinearProgram(np.r_[np.zeros(p), 1.0],
-                       col_lower=np.r_[np.full(p, -np.inf), 0.0])
+    lp = LinearProgram(np.r_[np.zeros(p), 1.0])
+    lp.set_col_bounds(np.r_[np.full(p, -np.inf), 0.0], np.inf)
     lp.add_rows(np.block([[A, -ones], [A, ones],
                           [C, np.zeros((C.shape[0], 1))]]),
                 lower=np.r_[np.full(m, -np.inf), v, np.zeros(C.shape[0])],

@@ -1,8 +1,9 @@
 """Tests that the package's public names and the benchmark's span table
 resolve against the code, that scipy and mpmath load only where they are
 used (scipy only through the HiGHS loader in simplex.py), that jsonschema
-never loads, that sup norms are taken of one callable each, and that the
-CLI runs the same in one process as in fresh ones."""
+never loads, that sup norms are taken of one callable each, that every
+defaulted parameter has a caller that sets it, and that the CLI runs the
+same in one process as in fresh ones."""
 
 import ast
 import importlib
@@ -142,6 +143,80 @@ def test_sup_norm_takes_one_callable():
     assert calls
     assert [(name, node.lineno) for name, node in calls
             if any(kw.arg == "jet" for kw in node.keywords)] == []
+
+
+def _calls_by_callee(paths) -> dict:
+    """callee name -> [(positional count, keyword names, unpacks)] of every
+    call in the files, the callee being a plain name or an attribute."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            keywords = {kw.arg for kw in node.keywords}
+            unpacks = None in keywords or any(isinstance(a, ast.Starred)
+                                              for a in node.args)
+            calls.setdefault(callee, []).append(
+                (len(node.args), keywords, unpacks))
+    return calls
+
+
+def _defaulted_parameters(tree):
+    """(callee name, parameter, positional index or None) of every defaulted
+    parameter of a module-level function or method; a method's index
+    leaves out self, and __init__ is called by its class name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defs = [(node.name, node, False)]
+        elif isinstance(node, ast.ClassDef):
+            defs = [(node.name if fn.name == "__init__" else fn.name, fn, True)
+                    for fn in node.body if isinstance(fn, ast.FunctionDef)]
+        else:
+            continue
+        for callee, fn, bound in defs:
+            params = fn.args.posonlyargs + fn.args.args
+            first = len(params) - len(fn.args.defaults)
+            for i, arg in enumerate(params[first:], start=first):
+                yield callee, arg.arg, i - bound
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield callee, arg.arg, None
+
+
+# the function run_experiment runs for each experiment name
+_DISPATCHED = {"exp_bernstein_interval": "bernstein",
+               "exp_lemma_mod": "lemma-mod", "exp_lemma_3111": "lemma-3111",
+               "exp_lemma_22": "lemma-22", "exp_theorem_12": "thm-12",
+               "exp_theorem_13": "thm-13", "exp_lemma_aux": "lemma-aux",
+               "calibrate_constants": "calibrate"}
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    # a parameter no caller in cotrig or the benchmark sets is an option
+    # only tests use; the experiments run_experiment dispatches are set by
+    # their CLI config keys alone
+    from cotrig.experiments import EXPERIMENT_NAMES
+
+    assert sorted(_DISPATCHED.values()) == sorted(EXPERIMENT_NAMES)
+    schema_keys = {fn: cli.SCHEMAS[("experiment", name)]["properties"]
+                   for fn, name in _DISPATCHED.items()}
+    src = sorted((ROOT / "src" / "cotrig").glob("*.py"))
+    calls = _calls_by_callee(src + sorted((ROOT / "perfbench").glob("*.py")))
+    unset = []
+    for path in src:
+        for callee, name, index in _defaulted_parameters(
+                ast.parse(path.read_text())):
+            if callee in schema_keys:
+                is_set = name in schema_keys[callee]
+            else:
+                is_set = any(unpacks or name in keywords
+                             or (index is not None and index < count)
+                             for count, keywords, unpacks
+                             in calls.get(callee, ()))
+            if not is_set:
+                unset.append(f"{callee}.{name}")
+    assert unset == []
 
 
 def test_python_m_cotrig_runs_a_command(tmp_path):

@@ -60,15 +60,17 @@ def test_unbounded():
                                 np.array([-1.0, 0.0])))
 
 
-def test_iteration_limit():
-    # the limit is tested on a program that takes several simplex steps
+def test_iteration_limit(monkeypatch):
+    # the limit is tested on a program that takes several simplex steps;
+    # a LinearProgram takes ITERATION_LIMIT when it is built
     rng = np.random.default_rng(3)
     A = rng.standard_normal((4, 9))
     b = A @ np.abs(rng.standard_normal(9))
     c = np.abs(rng.standard_normal(9)) + 0.1
     assert solve_lp(_standard_form(A, b, c)).iterations > 1
+    monkeypatch.setattr(cotrig.simplex, "ITERATION_LIMIT", 1)
     with pytest.raises(LPIterationLimitError):
-        solve_lp(_standard_form(A, b, c), max_iterations=1)
+        solve_lp(_standard_form(A, b, c))
 
 
 def test_dimension_validation():
@@ -138,7 +140,9 @@ def _minimax_rows(xs, degree):
 def _minimax_lp(degree):
     cost = np.zeros(degree + 2)
     cost[-1] = 1.0
-    return LinearProgram(cost, col_lower=-np.inf)
+    lp = LinearProgram(cost)
+    lp.set_col_bounds(-np.inf, np.inf)
+    return lp
 
 
 def test_added_rows_resolve_from_the_last_basis():

@@ -78,21 +78,21 @@ def test_mixed_round_trip():
     assert np.allclose(f(xs), g(xs))
 
 
-def test_smooth_build_validation(table):
+def test_smooth_build_validation():
     with pytest.raises(ValueError):
-        build_smooth_spline(0, 1.0, 0.1, table=table)
+        build_smooth_spline(0, 1.0, 0.1)
     with pytest.raises(ValueError):
-        build_smooth_spline(1, 4.0, 0.1, table=table)
+        build_smooth_spline(1, 4.0, 0.1)
     with pytest.raises(ValueError):
-        build_smooth_spline(1, 1.0, 0.5, table=table)
+        build_smooth_spline(1, 1.0, 0.5)
     with pytest.raises(ValueError):
-        build_smooth_spline(1, 1.0, 0.0, table=table)
+        build_smooth_spline(1, 1.0, 0.0)
 
 
-def test_smooth_step_plateaus(table):
+def test_smooth_step_plateaus():
     d = np.pi / 2
     lam = d / 8
-    sp = build_smooth_spline(2, d, lam, table=table)
+    sp = build_smooth_spline(2, d, lam)
     gamma = step_offset(d)
     base = sp.levels[0]
     # low plateau between the zones, high plateau outside
@@ -102,18 +102,18 @@ def test_smooth_step_plateaus(table):
     assert abs(base.integral()) < 1e-10
 
 
-def test_smooth_levels_are_smooth_and_mean_zero(table, join_defects):
-    sp = build_smooth_spline(2, np.pi / 2, np.pi / 16, table=table)
+def test_smooth_levels_are_smooth_and_mean_zero(join_defects):
+    sp = build_smooth_spline(2, np.pi / 2, np.pi / 16)
     for level in sp.levels:
         assert join_defects(level).max() < 1e-9
         assert abs(level.integral()) < 1e-9
     assert join_defects(sp.levels[0]).max() < 1e-10
 
 
-def test_smooth_derivative_values_match_differences(table):
+def test_smooth_derivative_values_match_differences():
     d = np.pi / 2
     lam = d / 6
-    sp = build_smooth_spline(2, d, lam, table=table)
+    sp = build_smooth_spline(2, d, lam)
     xs = np.linspace(-d + 0.01, 2 * np.pi - d - 0.01, 101)
     h = 1e-6
     for j in (1, 2):
@@ -130,10 +130,10 @@ def test_smooth_derivative_values_match_differences(table):
         sp.derivative_values(-1, xs)
 
 
-def test_smooth_higher_derivatives_vanish_off_zones(table):
+def test_smooth_higher_derivatives_vanish_off_zones():
     d = np.pi / 2
     lam = d / 12
-    sp = build_smooth_spline(1, d, lam, table=table)
+    sp = build_smooth_spline(1, d, lam)
     xs = np.array([-d + 0.5 * lam, 0.0, 0.5 * lam, 4 * lam, 3.0, -d + 3.5 * lam])
     for j in (2, 3, 4):
         assert np.all(sp.derivative_values(j, xs) == 0.0)
@@ -144,19 +144,19 @@ def test_smooth_higher_derivatives_vanish_off_zones(table):
 
 def test_smooth_derivative_sup_scaling(table):
     d = np.pi / 2
-    sp = build_smooth_spline(2, d, d / 12, table=table)
+    sp = build_smooth_spline(2, d, d / 12)
     for j in (1, 2):
         ratio = sp.sup_derivative(2 + j) * sp.lam ** j / table.s_norm(j)
         assert ratio == pytest.approx(1.0, abs=1e-6)
 
 
-def test_smooth_close_to_ideal_spline(table):
+def test_smooth_close_to_ideal_spline():
     d = np.pi / 2
     for r in (1, 2):
         ideal = build_ideal_spline(r, d)
         dists = []
         for lam in (d / 6, d / 12):
-            sp = build_smooth_spline(r, d, lam, table=table)
+            sp = build_smooth_spline(r, d, lam)
             dist = spline_distance(sp, ideal, sp.window,
                                    seeds=sp.seed_points())
             assert dist <= 8.0 * np.pi ** (r - 1) * lam
@@ -164,8 +164,8 @@ def test_smooth_close_to_ideal_spline(table):
         assert 0.3 <= dists[1] / dists[0] <= 0.7
 
 
-def test_smooth_seed_points(table):
-    sp = build_smooth_spline(1, np.pi / 2, np.pi / 24, table=table)
+def test_smooth_seed_points():
+    sp = build_smooth_spline(1, np.pi / 2, np.pi / 24)
     seeds = sp.seed_points()
     assert seeds.size >= 130
     assert np.all(np.diff(seeds) > 0)
@@ -173,6 +173,6 @@ def test_smooth_seed_points(table):
     assert np.any((seeds > lo) & (seeds < hi))
 
 
-def test_spline_distance_of_identical_functions(table):
-    sp = build_smooth_spline(1, np.pi / 2, np.pi / 12, table=table)
+def test_spline_distance_of_identical_functions():
+    sp = build_smooth_spline(1, np.pi / 2, np.pi / 12)
     assert spline_distance(sp, sp, sp.window) == 0.0

@@ -148,16 +148,6 @@ def test_derivative_order_validation():
     assert q.a0 == 2.0
 
 
-def test_arithmetic():
-    p = TrigPoly(1.0, [1.0], [0.0])
-    q = TrigPoly(0.5, [0.0, 2.0], [1.0])
-    ts = np.linspace(0, 2, 9)
-    assert np.allclose((p + q)(ts), p(ts) + q(ts))
-    assert np.allclose((p - q)(ts), p(ts) - q(ts))
-    assert np.allclose((3.0 * p)(ts), 3.0 * p(ts))
-    assert np.allclose((p + 2.0)(ts), p(ts) + 2.0)
-
-
 def test_trig_basis_columns():
     ts = np.array([0.0, 0.5])
     B = trig_basis(ts, 2)
@@ -201,11 +191,3 @@ def test_random_trig_odd_and_deterministic(random_trig):
 def test_random_trig_decay_shrinks_high_modes(random_trig):
     p = random_trig(np.random.default_rng(0), 40, decay=0.5)
     assert np.abs(p.sin_coeffs[-5:]).max() < 1e-6
-
-
-def test_round_trip_dict():
-    p = TrigPoly(0.25, [1.0, -2.0], [0.5, 0.0])
-    q = TrigPoly.from_dict(p.to_dict())
-    ts = np.linspace(-1, 1, 9)
-    assert np.allclose(p(ts), q(ts))
-    assert p.to_dict()["kind"] == "trigpoly"
