@@ -13,6 +13,8 @@ tables/*.csv, and plots/*.dat.  Config values come from an optional JSON
 file (--config) overridden by command-line flags.  The merged config is
 checked against the command's schema in SCHEMAS by this module's own
 validator, which enforces the JSON-Schema keywords those schemas use.
+That check comes before the run directory is made, so a bad value writes
+nothing; fraction strings such as --lam 1/12 are checked there too.
 
 Exit codes: 0 success, 1 a declared assertion failed, 2 numerical
 failure (solver breakdown, unrepresentable plan level), 64 usage or
@@ -57,7 +59,12 @@ OUT_ROOT_ENV = "COTRIG_OUT_ROOT"
 _POS_INT = {"type": "integer", "minimum": 1}
 _Q_INT = {"type": "integer", "minimum": 3}
 _NUMBER = {"type": "number", "exclusiveMinimum": 0}
-_FRACTIONABLE = {"type": ["number", "string"]}
+# a positive number, or a string Fraction reads as a positive rational:
+# "0.25", ".5", or "p/q" with q > 0.  "1/0", "0/3", "-1/4", "0", "inf" and
+# "1e-3" are refused (a flag float() reads, as --lam 1e-3, is a number)
+_FRACTIONABLE = {
+    "type": ["number", "string"], "exclusiveMinimum": 0,
+    "pattern": r"^(?=[^/]*[1-9])([0-9]*\.?[0-9]+|[0-9]+/0*[1-9][0-9]*)$"}
 _INT_LIST = {"type": "array", "items": _POS_INT, "minItems": 1}
 _NUM_LIST = {"type": "array", "items": {"type": "number"}, "minItems": 1}
 _STRING = {"type": "string", "minLength": 1}
@@ -116,9 +123,10 @@ def _validate(value, schema: dict, where: str = "config") -> None:
     """Raise a ValueError that starts with the offending key unless
     ``value`` meets ``schema``.
 
-    Enforces the keywords SCHEMAS uses, as draft 2020-12 defines them,
-    with two exceptions: an "integer" must be an int, so 4.0 is refused,
-    and a float must be finite, so inf and nan are refused.
+    Enforces the keywords SCHEMAS uses, as draft 2020-12 defines them
+    (so fraction strings meet their "pattern" before any run directory
+    exists), with two exceptions: an "integer" must be an int, so 4.0 is
+    refused, and a float must be finite, so inf and nan are refused.
     """
     types = schema.get("type", [])
     types = [types] if isinstance(types, str) else types
@@ -128,14 +136,20 @@ def _validate(value, schema: dict, where: str = "config") -> None:
                          + " or ".join(map(repr, types)))
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{where}: {value!r} is not a finite number")
-    if "minimum" in schema and value < schema["minimum"]:
-        raise ValueError(f"{where}: {value!r} is less than the minimum of "
-                         f"{schema['minimum']!r}")
-    if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
-        raise ValueError(f"{where}: {value!r} is not greater than "
-                         f"{schema['exclusiveMinimum']!r}")
-    if isinstance(value, str) and len(value) < schema.get("minLength", 0):
-        raise ValueError(f"{where}: {value!r} is too short")
+    if isinstance(value, (int, float)):
+        if "minimum" in schema and value < schema["minimum"]:
+            raise ValueError(f"{where}: {value!r} is less than the minimum "
+                             f"of {schema['minimum']!r}")
+        if "exclusiveMinimum" in schema and \
+                value <= schema["exclusiveMinimum"]:
+            raise ValueError(f"{where}: {value!r} is not greater than "
+                             f"{schema['exclusiveMinimum']!r}")
+    if isinstance(value, str):
+        if len(value) < schema.get("minLength", 0):
+            raise ValueError(f"{where}: {value!r} is too short")
+        if "pattern" in schema and not re.search(schema["pattern"], value):
+            raise ValueError(f"{where}: {value!r} does not match "
+                             f"{schema['pattern']!r}")
     if isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
             raise ValueError(f"{where}: {value!r} is too short")
@@ -206,13 +220,36 @@ def _ideal_summary(spline: IdealSpline, r: int, b: float) -> dict:
     }
 
 
+def _make(kind: str, params: dict, ledger: ConstantsLedger | None = None):
+    """The function of an artifact, built from its kind and params."""
+    if kind == "ideal":
+        return build_ideal_spline(params["r"], float(params["b"]))
+    if kind == "smooth":
+        return build_smooth_spline(params["r"], float(params["d"]),
+                                   float(params["lam"]))
+    if kind == "fnb":
+        return build_summand(ledger, params["n"], Fraction(params["b"]),
+                             Fraction(params["d"]))
+    plan = plan_recursion(ledger, Fraction(params["d"]), params["K"] + 1,
+                          eps_rule=params["eps_rule"],
+                          max_bits=params.get("max_bits", DEFAULT_MAX_BITS))
+    return build_partial_sum(plan, params["K"])
+
+
+def _write_artifact(out_dir: Path, kind: str, params: dict, summary: dict,
+                    function, **extra) -> None:
+    """Write artifacts/<kind>.json, which _function_from_artifact reloads."""
+    write_json(out_dir / "artifacts" / f"{kind.replace('-', '_')}.json",
+               {"kind": kind, "params": params, "summary": summary,
+                "function": function.to_dict(), **extra})
+
+
 def cmd_build_ideal(cfg: dict, out_dir: Path) -> int:
     r, b = cfg["r"], float(cfg["b"])
-    spline = build_ideal_spline(r, b)
+    params = {"r": r, "b": b}
+    spline = _make("ideal", params)
     summary = _ideal_summary(spline, r, b)
-    artifact = {"kind": "ideal", "params": {"r": r, "b": b},
-                "summary": summary, "function": spline.to_dict()}
-    write_json(out_dir / "artifacts" / "ideal.json", artifact)
+    _write_artifact(out_dir, "ideal", params, summary, spline)
     _print([
         f"ideal spline r={r} b={b:.12g}",
         f"  sup|f^({r})| = {summary['top_derivative_sup']:.12g} "
@@ -225,23 +262,20 @@ def cmd_build_ideal(cfg: dict, out_dir: Path) -> int:
 
 def cmd_build_smooth(cfg: dict, out_dir: Path) -> int:
     r, d, lam = cfg["r"], float(cfg["d"]), float(Fraction(cfg["lam"]))
-    spline = build_smooth_spline(r, d, lam)
+    params = {"r": r, "d": d, "lam": lam}
+    spline = _make("smooth", params)
     ideal = build_ideal_spline(r, d)
     dist = spline_distance(ideal, spline, spline.window,
                            seeds=spline.seed_points())
     norms = {str(j): spline.sup_derivative(j)
              for j in range(min(r + 3, spline.table.max_order + r))}
     summary = {
-        "r": r, "d": d, "lam": lam,
-        "window": [spline.window.lo, spline.window.hi],
+        **params, "window": [spline.window.lo, spline.window.hi],
         "zones": [list(z) for z in spline.zones()],
         "derivative_sups": norms,
         "distance_to_ideal": dist,
     }
-    artifact = {"kind": "smooth",
-                "params": {"r": r, "d": d, "lam": lam},
-                "summary": summary, "function": spline.to_dict()}
-    write_json(out_dir / "artifacts" / "smooth.json", artifact)
+    _write_artifact(out_dir, "smooth", params, summary, spline)
     _print([
         f"mollified spline r={r} d={d:.12g} lam={lam:.12g}",
         f"  distance to ideal = {dist:.6e}",
@@ -252,31 +286,25 @@ def cmd_build_smooth(cfg: dict, out_dir: Path) -> int:
 
 def cmd_build_fnb(cfg: dict, out_dir: Path) -> int:
     ledger = _load_ledger(cfg["ledger"])
-    n = cfg["n"]
-    b = Fraction(cfg["b"])
-    d = Fraction(cfg["d"]) if "d" in cfg else \
-        Fraction(ledger.provenance.get("gap", "0"))
-    if d <= 0:
-        raise ValueError("no gap in the ledger provenance; pass d")
-    summand = build_summand(ledger, n, b, d)
+    n, b = cfg["n"], Fraction(cfg["b"])
+    d = Fraction(cfg["d"]) if "d" in cfg else ledger.gap
+    params = {"n": n, "b": str(b), "d": str(d)}
+    summand = _make("fnb", params, ledger)
     top = ledger.r + ledger.m
     ys = canonical_sign_set(float(d))
     member, margin = delta_q_membership(
         lambda x: summand.derivative_values(ledger.q, x), ys,
         extra_points=summand.seed_points())
     summary = {
-        "n": n, "b": str(b), "d": str(d),
+        **params,
         "width": str(summand.width), "width_float": float(summand.width),
         "amplitude_float": float(summand.amplitude),
         "sup_top_derivative": summand.sup_derivative(top),
         "sup_value": summand.sup_derivative(0),
         "membership": bool(member), "membership_margin": margin,
     }
-    artifact = {"kind": "fnb",
-                "params": {"n": n, "b": str(b), "d": str(d)},
-                "ledger": ledger.to_dict(),
-                "summary": summary, "function": summand.to_dict()}
-    write_json(out_dir / "artifacts" / "fnb.json", artifact)
+    _write_artifact(out_dir, "fnb", params, summary, summand,
+                    ledger=ledger.to_dict())
     _print([
         f"scaled summand n={n} b={b} (width {float(summand.width):.3e})",
         f"  sup|f^({top})| = {summary['sup_top_derivative']:.9g} (cap 1)",
@@ -288,16 +316,14 @@ def cmd_build_fnb(cfg: dict, out_dir: Path) -> int:
 def cmd_build_partial_sum(cfg: dict, out_dir: Path) -> int:
     ledger = _load_ledger(cfg["ledger"])
     K = cfg["K"]
-    d = Fraction(cfg["d"]) if "d" in cfg else \
-        Fraction(ledger.provenance.get("gap", "0"))
-    if d <= 0:
-        raise ValueError("no gap in the ledger provenance; pass d")
+    d = Fraction(cfg["d"]) if "d" in cfg else ledger.gap
     eps_rule = cfg.get("eps_rule", "log")
-    kwargs = {"max_bits": cfg["max_bits"]} if "max_bits" in cfg else {}
-    plan = plan_recursion(ledger, d, K + 1, eps_rule=eps_rule, **kwargs)
-    partial = build_partial_sum(plan, K)
+    params = {"K": K, "d": str(d), "eps_rule": eps_rule}
+    if "max_bits" in cfg:
+        params["max_bits"] = cfg["max_bits"]
+    partial = _make("partial-sum", params, ledger)
     member, margin = partial.membership_margin()
-    checks = plan.verify()
+    checks = partial.plan.verify()
     summary = {
         "K": K, "d": str(d), "eps_rule": eps_rule,
         "tail_bound": str(partial.tail_bound),
@@ -307,16 +333,11 @@ def cmd_build_partial_sum(cfg: dict, out_dir: Path) -> int:
         "membership": bool(member), "membership_margin": margin,
         "head_window_residual": partial.window_polynomial_residual(),
     }
-    artifact = {"kind": "partial-sum",
-                "params": {"K": K, "d": str(d), "eps_rule": eps_rule,
-                           **kwargs},
-                "ledger": ledger.to_dict(),
-                "plan_checks": checks,
-                "summary": summary, "function": partial.to_dict()}
-    write_json(out_dir / "artifacts" / "partial_sum.json", artifact)
+    _write_artifact(out_dir, "partial-sum", params, summary, partial,
+                    ledger=ledger.to_dict(), plan_checks=checks)
     _print([
         f"partial sum K={K}, eps rule {eps_rule}, gap {d}",
-        f"  plan degrees: {', '.join(str(n) for n in plan.n[1:K + 1])}",
+        f"  plan degrees: {', '.join(map(str, partial.plan.n[1:K + 1]))}",
         f"  tail bound = {summary['tail_bound_float']:.6e}",
         f"  sup|f^({ledger.p})| = {summary['sup_top_derivative']:.9g} (cap 1)",
         f"  class membership (q={ledger.q}): {summary['membership']}",
@@ -341,24 +362,11 @@ def _function_from_artifact(path: str):
     with open(path, encoding="utf-8") as fh:
         art = json.load(fh)
     kind = art.get("kind")
-    params = art.get("params", {})
-    if kind == "ideal":
-        return build_ideal_spline(params["r"], float(params["b"]))
-    if kind == "smooth":
-        return build_smooth_spline(params["r"], float(params["d"]),
-                                   float(params["lam"]))
-    if kind == "fnb":
-        ledger = ConstantsLedger.from_dict(art["ledger"])
-        return build_summand(ledger, params["n"], Fraction(params["b"]),
-                             Fraction(params["d"]))
-    if kind == "partial-sum":
-        ledger = ConstantsLedger.from_dict(art["ledger"])
-        plan = plan_recursion(ledger, Fraction(params["d"]),
-                              params["K"] + 1,
-                              eps_rule=params.get("eps_rule", "log"),
-                              max_bits=params.get("max_bits", DEFAULT_MAX_BITS))
-        return build_partial_sum(plan, params["K"])
-    raise ValueError(f"artifact {path} has unknown kind {kind!r}")
+    if kind not in _BUILDERS:
+        raise ValueError(f"artifact {path} has unknown kind {kind!r}")
+    ledger = ConstantsLedger.from_dict(art["ledger"]) if "ledger" in art \
+        else None
+    return _make(kind, art.get("params", {}), ledger)
 
 
 def _resolve_target(spec: str):

@@ -277,7 +277,7 @@ class PartialSum:
     ledger: ConstantsLedger
     tail_bound: Fraction
     sign_set: SignChangeSet
-    plan: RecursionPlan | None = field(default=None, repr=False)
+    plan: RecursionPlan = field(repr=False)
 
     @property
     def levels(self) -> int:
@@ -305,15 +305,12 @@ class PartialSum:
         return np.unique(np.concatenate([s.seed_points() for s in self.summands]))
 
     def sup_derivative(self, j: int) -> float:
-        """Sup of |f^(j)|, Newton-polished by the rows f^(j), f^(j+1) and
-        f^(j+2).  Above the spline degree r each summand gives all three
+        """Sup of |f^(j)| for j above the spline degree r, Newton-polished
+        by the rows f^(j), f^(j+1) and f^(j+2), which each summand gives
         from one bump recursion per zone (step_derivative_values)."""
         r = self.ledger.r
 
         def jet(x, rows=3):
-            if j <= r:
-                return np.array([self.derivative_values(j + i, x)
-                                 for i in range(rows)])
             x = np.asarray(x, dtype=float)
             total = np.zeros((rows,) + x.shape)
             for s in self.summands:

@@ -49,11 +49,6 @@ def _check_degrees(n_list, large: bool = False):
     return ns
 
 
-def _finish(report: ExperimentReport, t0: float) -> ExperimentReport:
-    report.runtime_s = time.perf_counter() - t0
-    return report
-
-
 def hill_climb(score, x0):
     """Coordinate-wise maximizer with geometric step decay.
 
@@ -99,7 +94,6 @@ def _bernstein_ratio(sin_coeffs, b: float, floor: int = 512) -> float:
 def exp_bernstein_interval(b: float, n_list, trials: int = 60,
                            seed: int = 0) -> ExperimentReport:
     """Largest observed b sup|T'|_[-b/2,b/2] / (n sup|T|_[-b,b]) over odd T."""
-    t0 = time.perf_counter()
     if not 0 < b < np.pi:
         raise ValueError("need b in (0, pi)")
     ns = _check_degrees(n_list)
@@ -129,10 +123,10 @@ def exp_bernstein_interval(b: float, n_list, trials: int = 60,
         parameters={"b": b, "n_list": ns, "trials": trials},
         grid=grid,
         constants=[ConstantReading(
-            "c0", overall, "empirical",
+            "c0", overall,
             "sup|T'| on [-b/2,b/2] <= (c0/b) n sup|T| on [-b,b], odd T")],
         assertions=assertions, plots=[("n", "rho")])
-    return _finish(report, t0)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +136,6 @@ def exp_bernstein_interval(b: float, n_list, trials: int = 60,
 def exp_lemma_mod(b_list, n_list, seed: int = 0) -> ExperimentReport:
     """n E_n(F_1, [-b,b]) / b stays positive and stable; adding a linear
     term barely moves the error when b < pi."""
-    t0 = time.perf_counter()
     ns = _check_degrees(n_list)
     bs = [float(b) for b in b_list]
     if any(not 0 < b <= np.pi for b in bs):
@@ -188,14 +181,13 @@ def exp_lemma_mod(b_list, n_list, seed: int = 0) -> ExperimentReport:
         parameters={"b_list": bs, "n_list": ns,
                     "invariance": {"b": b_inv, "n": n_inv, "slope": slope}},
         grid=grid,
-        constants=[ConstantReading(
-            "c1", kappa_min, "empirical",
-            "E_n(F_1, [-b,b]) >= c1 b / n")],
+        constants=[ConstantReading("c1", kappa_min,
+                                   "E_n(F_1, [-b,b]) >= c1 b / n")],
         assertions=assertions,
         plots=[("n", "kappa")],
         extras={"kappa_min": kappa_min, "kappa_max": kappa_max,
                 "invariance_drift": float(drift)})
-    return _finish(report, t0)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +248,6 @@ def exp_lemma_3111(q: int, b: float, trials: int = 40,
                    seed: int = 0) -> ExperimentReport:
     """Max of b^{q-2} sup|f^{(q-2)}|_[-b,b] / sup|f|_[-2b,2b] over the
     half-convex family."""
-    t0 = time.perf_counter()
     if q < 3:
         raise ValueError("need q >= 3")
     if not 0 < 2 * b <= np.pi:
@@ -297,11 +288,11 @@ def exp_lemma_3111(q: int, b: float, trials: int = 40,
                     "knots": knots.tolist()},
         grid=grid,
         constants=[ConstantReading(
-            "c2", float(best), "empirical",
+            "c2", float(best),
             "b^{q-2} sup|f^{(q-2)}| on [-b,b] <= c2 sup|f| on [-2b,2b]")],
         assertions=assertions, plots=[("trial", "ratio")],
         extras={"reference_ratio": float(smooth_ref)})
-    return _finish(report, t0)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +338,6 @@ def _lemma22_minimum(q: int, knots: int) -> float:
 def exp_lemma_22(q: int, knots: int = 16, seed: int = 0) -> ExperimentReport:
     """Minimal distance from F_{q-2} to the convex-right/concave-left class
     on [-1,1], estimated by an LP over integrated hinge splines."""
-    t0 = time.perf_counter()
     if q < 3:
         raise ValueError("need q >= 3")
     coarse, fine = _lemma22_minimum(q, knots), _lemma22_minimum(q, 2 * knots)
@@ -363,10 +353,10 @@ def exp_lemma_22(q: int, knots: int = 16, seed: int = 0) -> ExperimentReport:
         grid=[{"knots": knots, "minimum": coarse},
               {"knots": 2 * knots, "minimum": fine}],
         constants=[ConstantReading(
-            "c_lemma22", fine, "empirical",
+            "c_lemma22", fine,
             "inf over half-convex g of sup|F_{q-2} - g| on [-1,1]")],
         assertions=assertions, plots=[("knots", "minimum")])
-    return _finish(report, t0)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +406,6 @@ def _theorem_ladder(q: int, r: int, y_points, n_list):
 def exp_theorem_12(q: int, y_points, n_list,
                    seed: int = 0) -> ExperimentReport:
     """Ideal spline of degree q-2: constrained errors refuse to decay."""
-    t0 = time.perf_counter()
     _, _, cells, _, shared, parameters = _theorem_ladder(q, q - 2, y_points,
                                                          n_list)
     con = [c["constrained"] for c in cells]
@@ -431,17 +420,16 @@ def exp_theorem_12(q: int, y_points, n_list,
     report = ExperimentReport(
         experiment="thm-12", seed=seed, parameters=parameters, grid=cells,
         constants=[ConstantReading(
-            "C_floor", float(min(con)), "empirical",
+            "C_floor", float(min(con)),
             "inf_n E_n^{(q)}(f, Y) for f the degree-(q-2) ideal spline")],
         assertions=assertions,
         plots=[("n", "constrained"), ("n", "unconstrained")])
-    return _finish(report, t0)
+    return report
 
 
 def exp_theorem_13(q: int, y_points, n_list,
                    seed: int = 0) -> ExperimentReport:
     """Ideal spline of degree q-1: n times the constrained error stays flat."""
-    t0 = time.perf_counter()
     r = q - 1
     f, b, cells, cons, shared, parameters = _theorem_ladder(q, r, y_points,
                                                             n_list)
@@ -473,15 +461,14 @@ def exp_theorem_13(q: int, y_points, n_list,
     report = ExperimentReport(
         experiment="thm-13", seed=seed, parameters=parameters, grid=cells,
         constants=[
-            ConstantReading("nE_floor", float(min(products)), "empirical",
+            ConstantReading("nE_floor", float(min(products)),
                             "inf_n n E_n^{(q)}(f, Y), degree-(q-1) spline"),
-            ConstantReading("c3_direct", c3, "empirical",
-                            "n sup|f - T_n| on [-b,b] >= c3 b^r for the "
-                            "returned constrained T_n"),
+            ConstantReading("c3_direct", c3, "n sup|f - T_n| on [-b,b] >= "
+                            "c3 b^r for the returned constrained T_n"),
         ],
         assertions=assertions,
         plots=[("n", "n_constrained"), ("n", "unconstrained")])
-    return _finish(report, t0)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -516,17 +503,12 @@ def exp_lemma_aux(n_list, b, q: int, p: int, ledger: ConstantsLedger,
                   d=None, seed: int = 0) -> ExperimentReport:
     """Scaled-summand floor: n^{m+1} sup|f_{n,b} + P_r - T_n| on [-b,b]
     stays above a fixed share of the calibrated chain constant."""
-    t0 = time.perf_counter()
     if ledger.q != q or ledger.p != p:
         raise ValueError("ledger was built for different (q, p)")
     if ledger.mode != "empirical":
         raise ValueError("needs an empirical ledger so levels are realizable")
     ns = _check_degrees(n_list, large=True)
-    if d is None:
-        d = Fraction(ledger.provenance.get("gap", "0"))
-        if d <= 0:
-            raise ValueError("ledger provenance lacks a gap; pass d explicitly")
-    d = Fraction(d)
+    d = ledger.gap if d is None else Fraction(d)
     b = Fraction(b)
     r, m = ledger.r, ledger.m
     floor = float(ledger["c10"])
@@ -559,11 +541,11 @@ def exp_lemma_aux(n_list, b, q: int, p: int, ledger: ConstantsLedger,
         parameters={"n_list": ns, "b": str(b), "d": str(d), "q": q, "p": p},
         grid=grid,
         constants=[ConstantReading(
-            "c10_measured", measured, "empirical",
+            "c10_measured", measured,
             "n^{m+1} sup|f_{n,b} + P_r - T_n| on [-b,b] >= c10 b^{r(m+1)}")],
         assertions=assertions, plots=[("n", "ratio")],
         ledger_hash=ledger.content_hash())
-    return _finish(report, t0)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +576,6 @@ def calibrate_constants(q: int, p: int, d, seed: int = 0):
     a table of order max(8, p + 2); the width probes' splines read only
     the step's mass and series, which no table order changes.
     """
-    t0 = time.perf_counter()
     d = float(d)
     if not 0 < d <= np.pi:
         raise ValueError("need 0 < d <= pi")
@@ -663,19 +644,19 @@ def calibrate_constants(q: int, p: int, d, seed: int = 0):
         parameters={"q": q, "p": p, "d": d},
         grid=grid,
         constants=[
-            ConstantReading("c0", c0, "empirical", "derivative growth"),
-            ConstantReading("c1", c1, "empirical", "kink rate floor"),
-            ConstantReading("c2", c2, "empirical", "norm domination"),
-            ConstantReading("c3", c3, "empirical", "window rate floor"),
-            ConstantReading("c4", c4, "empirical", "low derivative sups"),
-            ConstantReading("c5", c5, "empirical", "mollification distance"),
-            ConstantReading("c10", float(ledger["c10"]), "empirical",
+            ConstantReading("c0", c0, "derivative growth"),
+            ConstantReading("c1", c1, "kink rate floor"),
+            ConstantReading("c2", c2, "norm domination"),
+            ConstantReading("c3", c3, "window rate floor"),
+            ConstantReading("c4", c4, "low derivative sups"),
+            ConstantReading("c5", c5, "mollification distance"),
+            ConstantReading("c10", float(ledger["c10"]),
                             "chained summand floor c7 c3 / 2"),
         ],
         assertions=assertions,
         extras={"ledger": ledger.to_dict()},
         ledger_hash=ledger.content_hash())
-    return ledger, _finish(report, t0)
+    return ledger, report
 
 
 # ---------------------------------------------------------------------------
@@ -707,4 +688,7 @@ def run_experiment(name: str, **params) -> ExperimentReport:
         raise ValueError(
             f"unknown experiment {name!r}; choose one of "
             f"{', '.join(EXPERIMENT_NAMES)}") from None
-    return runner(**params)
+    t0 = time.perf_counter()
+    report = runner(**params)
+    report.runtime_s = time.perf_counter() - t0
+    return report

@@ -243,6 +243,14 @@ class ConstantsLedger:
     def __getitem__(self, key: str) -> Fraction:
         return self.constants[key]
 
+    @property
+    def gap(self) -> Fraction:
+        """The calibrated sign-change gap: the default d of a summand."""
+        gap = Fraction(self.provenance.get("gap", 0))
+        if gap <= 0:
+            raise ValueError("no gap in the ledger provenance; pass d")
+        return gap
+
     def _check_proven(self):
         c = self.constants
         if c["c0"] > 10:

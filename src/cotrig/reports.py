@@ -1,7 +1,7 @@
 """Experiment reports: canonical JSON, CSV tables, plot data files.
 
 A report is a parameter grid with per-cell measurements, derived
-constants (each tagged with its mode and the formula it calibrates), and
+constants (each tagged empirical, with the formula it calibrates), and
 declared assertions.  Serialization is canonical (sorted keys, full
 precision floats) so that reruns with the same seed produce bit-identical
 files; the content fingerprint excludes wall-clock fields.
@@ -37,15 +37,10 @@ class ConstantReading:
 
     name: str
     value: float
-    mode: str
     formula: str
 
-    def __post_init__(self):
-        if self.mode not in ("proven", "empirical"):
-            raise ValueError("constant mode must be 'proven' or 'empirical'")
-
     def to_dict(self) -> dict:
-        return {"name": self.name, "value": self.value, "mode": self.mode,
+        return {"name": self.name, "value": self.value, "mode": "empirical",
                 "formula": self.formula}
 
 
@@ -98,7 +93,7 @@ class ExperimentReport:
                  f"({len(self.grid)} cells, seed {self.seed})"]
         for c in self.constants:
             lines.append(f"  constant {c.name} = {c.value:.6g} "
-                         f"[{c.mode}] {c.formula}")
+                         f"[empirical] {c.formula}")
         for a in self.assertions:
             mark = "ok" if a.passed else "FAIL"
             lines.append(f"  [{mark}] {a.name}: {a.detail}")
@@ -143,29 +138,12 @@ def write_json(path: str, obj) -> str:
 
 def write_csv(path: str, rows: list) -> str:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    if not rows:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("")
-        return path
-    header = list(rows[0].keys())
-    for row in rows[1:]:
-        for key in row:
-            if key not in header:
-                header.append(key)
+    header = list(dict.fromkeys(key for row in rows for key in row))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=header, restval="")
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _cell(v) for k, v in row.items()})
+        writer.writerows(rows)
     return path
-
-
-def _cell(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return value
 
 
 def write_plot_data(path: str, xs, ys) -> str:
@@ -173,14 +151,8 @@ def write_plot_data(path: str, xs, ys) -> str:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for x, y in zip(xs, ys):
-            fh.write(f"{_num(x)} {_num(y)}\n")
+            fh.write(f"{x} {y}\n")
     return path
-
-
-def _num(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def write_report_files(report: ExperimentReport, out_dir: str) -> dict:

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from cotrig import cli
-from cotrig.counterexample import build_partial_sum, plan_recursion
+from cotrig.counterexample import (build_partial_sum, build_summand,
+                                   plan_recursion)
 from cotrig.ledger import DEFAULT_MAX_BITS, make_proven_ledger
-from cotrig.reports import write_json
+from cotrig.reports import canonical_json, write_json
 from cotrig.smooth import build_smooth_spline
 from cotrig.splines import build_ideal_spline
 
@@ -91,6 +92,57 @@ def test_build_fnb_pins_sup_norms(tmp_path, table_ledger):
                                                           rel=1e-13)
     assert summary["sup_value"] == pytest.approx(2.3878092198962182e-14,
                                                  rel=1e-13)
+
+
+def test_build_fnb_round_trip(tmp_path, table_ledger):
+    # without --d the summand takes the ledger's gap, and its reload the
+    # d the artifact stored
+    ledger_path = tmp_path / "table.json"
+    write_json(ledger_path, table_ledger.to_dict())
+    out = tmp_path / "run"
+    argv = ["build", "fnb", "--ledger", str(ledger_path), "--n", "16",
+            "--b", "1/4", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    artifact_path = out / "artifacts" / "fnb.json"
+    assert json.loads(artifact_path.read_text())["params"] == {
+        "n": 16, "b": "1/4", "d": "1"}
+    reloaded, _ = cli._resolve_target(str(artifact_path))
+    built = build_summand(table_ledger, 16, Fraction(1, 4), Fraction(1))
+    xs = np.linspace(-np.pi, np.pi, 64)
+    assert np.array_equal(reloaded(xs), built(xs))
+
+
+def _build_argv(kind, ledgers):
+    """A build command of each kind, over the ledger files it names."""
+    return {
+        "ideal": ["build", "ideal", "--r", "2", "--b", "1.2"],
+        "smooth": ["build", "smooth", "--r", "2", "--d", "1", "--lam",
+                   "1/12"],
+        "fnb": ["build", "fnb", "--ledger", ledgers["table"], "--n", "16",
+                "--b", "1/4", "--d", "1"],
+        "partial-sum": ["build", "partial-sum", "--ledger", ledgers["toy"],
+                        "--K", "2", "--eps-rule", "tower:2:3", "--d", "1",
+                        "--max-bits", "40"],
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", list(cli._BUILDERS))
+def test_every_build_artifact_reloads_as_built(tmp_path, toy_ledger,
+                                               table_ledger, kind):
+    # solve --target <artifact> rebuilds the function from the artifact's
+    # params: it must be the function the build wrote, piece for piece
+    ledgers = {}
+    for name, ledger in (("toy", toy_ledger), ("table", table_ledger)):
+        ledgers[name] = str(tmp_path / f"{name}.json")
+        write_json(ledgers[name], ledger.to_dict())
+    out = tmp_path / "run"
+    assert cli.main(_build_argv(kind, ledgers) + ["--out", str(out)]) \
+        == cli.EXIT_OK
+    (artifact_path,) = (out / "artifacts").glob("*.json")
+    artifact = json.loads(artifact_path.read_text())
+    assert artifact["kind"] == kind
+    reloaded, _ = cli._resolve_target(str(artifact_path))
+    assert json.loads(canonical_json(reloaded)) == artifact["function"]
 
 
 def test_solve_f1_at_degree_24(tmp_path):
@@ -205,6 +257,48 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["build", "smooth", "--r", "2", "--d", "1", "--lam", "1/0"], None),
+    (["build", "smooth", "--r", "2", "--d", "1", "--lam", "0"], None),
+    (["build", "smooth", "--r", "2", "--d", "1"], {"lam": "inf"}),
+    (["build", "fnb", "--ledger", "table.json", "--n", "16", "--b", "1/0"],
+     None),
+    (["experiment", "lemma-aux", "--n", "8", "--b", "1/0", "--q", "3",
+      "--p", "4", "--ledger", "table.json"], None),
+], ids=["lam-1/0", "lam-0", "lam-inf-string", "fnb-b-1/0", "lemma-aux-b-1/0"])
+def test_bad_fractions_are_usage_errors(tmp_path, capsys, argv, config):
+    # the schema refuses a fraction that is no positive rational before
+    # the run directory is made; the key is named, nothing is written
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    out = tmp_path / "run"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+    key = "lam" if "smooth" in argv else "b"
+    assert f"invalid configuration: {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+_FRACTION_STRINGS = ["1/12", "3/4", "0.25", "1", ".5", "007/010"]
+_NOT_FRACTION_STRINGS = ["1/0", "0/3", "-1/4", "abc", "inf", "0", "0.0",
+                         "1e-3", "1.5/2", "", "1/", "/4"]
+
+
+@pytest.mark.parametrize("value", _FRACTION_STRINGS + _NOT_FRACTION_STRINGS)
+def test_fraction_pattern_admits_positive_rationals_only(value):
+    # every string the schema admits is a positive Fraction, and jsonschema
+    # admits the same strings
+    admitted = _accepts(value, cli._FRACTIONABLE)
+    assert admitted == (value in _FRACTION_STRINGS)
+    if admitted:
+        assert Fraction(value) > 0
+    if importlib.util.find_spec("jsonschema") is not None:
+        from jsonschema import Draft202012Validator
+        assert Draft202012Validator(cli._FRACTIONABLE).is_valid(value) \
+            == admitted
+
+
 def _valid(schema):
     """A value that meets a property schema of SCHEMAS."""
     kind = schema["type"] if isinstance(schema["type"], str) \
@@ -232,6 +326,9 @@ def _mutations(schema, value):
         yield "exclusiveMinimum", schema["exclusiveMinimum"]
     if "minLength" in schema:
         yield "minLength", ""
+    if "pattern" in schema:
+        for text in ("1/0", "0/3", "-1/4", "abc", "inf", "0", "0.0"):
+            yield "pattern", text
     if "minItems" in schema:
         yield "minItems", value[:schema["minItems"] - 1]
     if "maxItems" in schema:
@@ -293,8 +390,8 @@ _SCHEMA_ONE = ("items", "additionalProperties", "contains", "not",
                "propertyNames", "if", "then", "else", "unevaluatedItems",
                "unevaluatedProperties")
 # what cli._validate enforces
-_ENFORCED = {"type", "minimum", "exclusiveMinimum", "minLength", "items",
-             "minItems", "maxItems", "required", "properties",
+_ENFORCED = {"type", "minimum", "exclusiveMinimum", "minLength", "pattern",
+             "items", "minItems", "maxItems", "required", "properties",
              "additionalProperties", "dependentRequired"}
 
 

@@ -303,11 +303,11 @@ def _jet_case(name, request):
         jet = _captured_jet("mollifier", lambda: table.sup_step_derivative(j))
         step = lambda u: 2.0 / table.mass * bump_derivatives(j - 1, u)[j - 1]
         return jet, step, np.linspace(-1.0, 1.0, 2049)
-    # PartialSum.sup_derivative(j), below and above the spline degree r
+    # PartialSum.sup_derivative(j), at j = p above the spline degree r
     toy_ledger = request.getfixturevalue("toy_ledger")
     plan = plan_recursion(toy_ledger, d=1, levels=2, eps_rule="tower:2:3")
     f = build_partial_sum(plan, 2)
-    j = toy_ledger.r if name == "partial-sum-low" else toy_ledger.p
+    j = toy_ledger.p
     jet = _captured_jet("counterexample", lambda: f.sup_derivative(j))
     return (jet, lambda x: f.derivative_values(j, x),
             np.concatenate([xs, f.seed_points()]))
@@ -316,7 +316,7 @@ def _jet_case(name, request):
 @pytest.mark.parametrize("name", [
     "trigpoly", "piecewise", "power-kink", "ideal-spline", "smooth-spline",
     "hinge-f", "hinge-fq2", "hinge-f-mirrored", "hinge-fq2-mirrored",
-    "step-derivative", "partial-sum-low", "partial-sum-high"])
+    "step-derivative", "partial-sum-high"])
 def test_jets_give_their_first_rows(name, request):
     # sup_norm samples row 0 of jet(x, 1) and polishes with jet(x): each
     # jet's first k rows are those of the full jet, bit for bit, and row 0

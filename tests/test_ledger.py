@@ -233,3 +233,16 @@ def test_ledger_hashes_are_pinned(toy_ledger):
 
 def test_getitem_and_as_float(toy_ledger):
     assert toy_ledger["c6"] == Fraction(1)
+
+
+def test_gap_is_the_calibrated_sign_change_gap(toy_ledger):
+    # the default d of summands, partial sums and lemma-aux
+    assert toy_ledger.gap == Fraction(1)
+    proven = make_proven_ledger(3, 4, s_norms=(1, 2, 4))
+    edited = ConstantsLedger.from_dict(
+        dict(toy_ledger.to_dict(),
+             provenance=dict(toy_ledger.provenance, gap="0")))
+    for ledger in (proven, edited):
+        with pytest.raises(ValueError,
+                           match="^no gap in the ledger provenance; pass d$"):
+            ledger.gap

@@ -5,7 +5,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from cotrig.reports import (Assertion, ConstantReading, ExperimentReport,
                             canonical_json, write_csv, write_json,
@@ -18,7 +17,7 @@ def small_report():
         seed=7,
         parameters={"n": (2, 4), "b": Fraction(1, 3)},
         grid=[{"n": 2, "error": 0.5}, {"n": 4, "error": 0.125, "extra": 1}],
-        constants=[ConstantReading("c0", 2.0, "empirical", "sup ratio")],
+        constants=[ConstantReading("c0", 2.0, "sup ratio")],
         assertions=[Assertion("halves", True, "0.125 <= 0.5")],
         plots=[("n", "error")],
         runtime_s=1.25,
@@ -28,10 +27,9 @@ def small_report():
 def test_assertion_and_reading_dicts():
     a = Assertion("bound", False, "1.2 > 1.0")
     assert a.to_dict() == {"name": "bound", "passed": False, "detail": "1.2 > 1.0"}
-    c = ConstantReading("c3", 0.25, "proven", "ratio of sups")
-    assert c.to_dict()["mode"] == "proven"
-    with pytest.raises(ValueError):
-        ConstantReading("c3", 0.25, "guessed", "")
+    c = ConstantReading("c3", 0.25, "ratio of sups")
+    assert c.to_dict() == {"name": "c3", "value": 0.25, "mode": "empirical",
+                           "formula": "ratio of sups"}
 
 
 def test_report_pass_state():
@@ -42,6 +40,7 @@ def test_report_pass_state():
     lines = rep.summary_lines()
     assert lines[0].startswith("experiment toy: FAIL")
     assert any("[FAIL] fails" in ln for ln in lines)
+    assert "  constant c0 = 2 [empirical] sup ratio" in lines
 
 
 def test_fingerprint_ignores_runtime():
@@ -89,8 +88,6 @@ def test_write_csv_union_header(tmp_path):
     assert lines[0] == "n,err,theta,b"
     assert lines[1] == "2,0.5,,"
     assert lines[3] == "8,,,1/2"
-    write_csv(str(tmp_path / "empty.csv"), [])
-    assert open(tmp_path / "empty.csv").read() == ""
 
 
 def test_write_plot_data(tmp_path):
