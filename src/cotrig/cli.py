@@ -7,14 +7,21 @@ build       construct a spline, a scaled summand, or a recursive partial
 solve       run one minimax approximation (free or shape-constrained)
 experiment  run a named certification experiment and write its report
 
-Every run writes into one directory: config-echo.json (the exact
-resolved configuration, replayable), artifacts/*.json, report.json,
-tables/*.csv, and plots/*.dat.  Config values come from an optional JSON
-file (--config) overridden by command-line flags.  The merged config is
-checked against the command's schema in SCHEMAS by this module's own
-validator, which enforces the JSON-Schema keywords those schemas use.
-That check comes before the run directory is made, so a bad value writes
-nothing; fraction strings such as --lam 1/12 are checked there too.
+Every run writes into one directory, first config-echo.json (the exact
+resolved configuration, replayable).  build then writes
+artifacts/<kind>.json (partial_sum.json for partial-sum), solve
+artifacts/solution.json, and experiment report.json, tables/<name>.csv
+when its grid has rows, and plots/*.dat for each plot with data;
+calibrate also writes artifacts/empirical_ledger.json.
+
+Config values come from an optional JSON file (--config) overridden by
+command-line flags.  A flag for a number key is read as a float, unless
+the key also takes fraction strings and the flag is one: --b 0.1 stays
+the exact 1/10.  The merged config is checked against the command's
+schema in SCHEMAS by this module's own validator, which enforces the
+JSON-Schema keywords those schemas use.  That check comes before the run
+directory is made, so a bad value writes nothing; fraction strings such
+as --lam 1/12 are checked there too.
 
 Exit codes: 0 success, 1 a declared assertion failed, 2 numerical
 failure (solver breakdown, unrepresentable plan level), 64 usage or
@@ -61,7 +68,8 @@ _Q_INT = {"type": "integer", "minimum": 3}
 _NUMBER = {"type": "number", "exclusiveMinimum": 0}
 # a positive number, or a string Fraction reads as a positive rational:
 # "0.25", ".5", or "p/q" with q > 0.  "1/0", "0/3", "-1/4", "0", "inf" and
-# "1e-3" are refused (a flag float() reads, as --lam 1e-3, is a number)
+# "1e-3" are refused (a flag the pattern refuses but float() reads, as
+# --lam 1e-3, arrives as a number)
 _FRACTIONABLE = {
     "type": ["number", "string"], "exclusiveMinimum": 0,
     "pattern": r"^(?=[^/]*[1-9])([0-9]*\.?[0-9]+|[0-9]+/0*[1-9][0-9]*)$"}
@@ -206,11 +214,11 @@ def _ideal_summary(spline: IdealSpline, r: int, b: float) -> dict:
     coeffs, defect = spline.residual_poly()
     ys = SignChangeSet((-b, 0.0))
     member = delta_q_membership_by_convexity(
-        lambda x: spline.derivative_values(max(r - 1, 0), x), ys)
+        lambda x: spline.jet(x, 1, max(r - 1, 0))[0], ys)
     return {
         "r": r, "b": b,
         "window": [spline.window.lo, spline.window.hi],
-        "top_derivative_sup": spline.top_derivative_sup(),
+        "top_derivative_sup": spline.sup_derivative(r),
         "expected_top_derivative_sup": 1.0 + gamma,
         "step_offset": gamma,
         "residual_poly_coeffs": list(coeffs),
@@ -293,7 +301,7 @@ def cmd_build_fnb(cfg: dict, out_dir: Path) -> int:
     top = ledger.r + ledger.m
     ys = canonical_sign_set(float(d))
     member, margin = delta_q_membership(
-        lambda x: summand.derivative_values(ledger.q, x), ys,
+        lambda x: summand.jet(x, 1, ledger.q)[0], ys,
         extra_points=summand.seed_points())
     summary = {
         **params,
@@ -518,12 +526,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _coerce_flag(key: str, value):
-    if key in ("b", "d", "lam") and isinstance(value, str):
+def _coerce_flag(value, schema: dict):
+    """A string flag for a number key as a float, unless the key's schema
+    also admits strings and the flag meets its pattern."""
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if isinstance(value, str) and "number" in types and not (
+            "string" in types and re.search(schema.get("pattern", ""), value)):
         try:
             return float(value)
         except ValueError:
-            return value
+            pass
     return value
 
 
@@ -535,10 +548,10 @@ def _resolve_config(args) -> dict:
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
         cfg.update(loaded)
-    for key in SCHEMAS[args.schema_key]["properties"]:
+    for key, schema in SCHEMAS[args.schema_key]["properties"].items():
         value = getattr(args, key, None)
         if value is not None:
-            cfg[key] = _coerce_flag(key, value)
+            cfg[key] = _coerce_flag(value, schema)
     return cfg
 
 

@@ -13,11 +13,14 @@ are both computed and verified by the growth rule's exact threshold
 inversion, never by materialising eps_n at a planned degree.
 Realizing a summand additionally needs its smoothing width to stay above
 a hard floor, otherwise a typed error reports the level as plan-only.
+
+Summands and partial sums read every derivative through jet(x, rows,
+order); a partial sum adds its summands' jets in level order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -70,8 +73,8 @@ class Summand:
     def __call__(self, x):
         return float(self.amplitude) * self.spline(x)
 
-    def derivative_values(self, j: int, x):
-        return float(self.amplitude) * self.spline.derivative_values(j, x)
+    def jet(self, x, rows: int = 3, order: int = 0) -> np.ndarray:
+        return float(self.amplitude) * self.spline.jet(x, rows, order)
 
     def sup_derivative(self, j: int) -> float:
         return float(self.amplitude) * self.spline.sup_derivative(j)
@@ -289,64 +292,42 @@ class PartialSum:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x, dtype=float)
-        for s in self.summands:
-            total = total + s(x)
-        return total if total.ndim else float(total)
+        values = self.jet(x, 1)[0]
+        return float(values[0]) if x.ndim == 0 else values.reshape(x.shape)
 
-    def derivative_values(self, j: int, x):
-        x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x, dtype=float)
+    def jet(self, x, rows: int = 3, order: int = 0) -> np.ndarray:
+        """Rows f^(order), ..., f^(order+rows-1) at the flat points x, the
+        summands' jets added in level order."""
+        total = np.zeros((rows, np.size(x)))
         for s in self.summands:
-            total = total + s.derivative_values(j, x)
-        return total if total.ndim else float(total)
+            total = total + s.jet(x, rows, order)
+        return total
 
     def seed_points(self) -> np.ndarray:
         return np.unique(np.concatenate([s.seed_points() for s in self.summands]))
 
     def sup_derivative(self, j: int) -> float:
-        """Sup of |f^(j)| for j above the spline degree r, Newton-polished
-        by the rows f^(j), f^(j+1) and f^(j+2), which each summand gives
-        from one bump recursion per zone (step_derivative_values)."""
-        r = self.ledger.r
-
-        def jet(x, rows=3):
-            x = np.asarray(x, dtype=float)
-            total = np.zeros((rows,) + x.shape)
-            for s in self.summands:
-                total = total + float(s.amplitude) * \
-                    s.spline.step_derivative_values(j - r, x, rows)
-            return total
-
-        return sup_norm(jet, self.window, seeds=self.seed_points(),
-                        floor=4096)
+        """Sup of |f^(j)|, Newton-polished by the rows f^(j), f^(j+1) and
+        f^(j+2) of the jet (above r, one bump recursion per zone)."""
+        return sup_norm(lambda x, rows=3: self.jet(x, rows, j), self.window,
+                        seeds=self.seed_points(), floor=4096)
 
     def membership_margin(self):
         """(is member, worst signed margin) of the q-th derivative test."""
         q = self.ledger.q
-        zone_seeds = self.seed_points()
-        return delta_q_membership(
-            lambda x: self.derivative_values(q, x), self.sign_set,
-            extra_points=zone_seeds)
+        return delta_q_membership(lambda x: self.jet(x, 1, q)[0],
+                                  self.sign_set, extra_points=self.seed_points())
 
     def window_polynomial_residual(self) -> float:
         """Max deviation of the sum without its last level from a degree-r
         polynomial on the final window [-b_K, b_K]."""
-        r = self.ledger.r
-        b_last = float(self.summands[-1].b)
-        us = np.cos(np.linspace(0.0, np.pi, 8 * r + 64))
-
-        def head(xs):
-            xs = np.asarray(xs, dtype=float)
-            total = np.zeros_like(xs)
-            for s in self.summands[:-1]:
-                total = total + s(xs)
-            return total
-
         if self.levels == 1:
             return 0.0
-        vals = head(b_last * us)
-        coef = np.polynomial.polynomial.polyfit(us, vals, r)
+        r = self.ledger.r
+        b_last = float(self.summands[-1].b)
+        head = replace(self, summands=self.summands[:-1])
+        us = np.cos(np.linspace(0.0, np.pi, 8 * r + 64))
+        coef = np.polynomial.polynomial.polyfit(us, head(b_last * us), r)
         uu = np.cos(np.linspace(0.0, np.pi, 2049))
         resid = head(b_last * uu) - np.polynomial.polynomial.polyval(uu, coef)
         return float(np.max(np.abs(resid)))

@@ -86,8 +86,8 @@ def _bernstein_ratio(sin_coeffs, b: float, floor: int = 512) -> float:
     den = sup_norm(tp.jet, Interval(-b, b), degree_hint=n, floor=floor)
     if den <= 0:
         return 0.0
-    num = sup_norm(tp.derivative(1).jet, Interval(-b / 2, b / 2),
-                   degree_hint=n, floor=floor)
+    num = sup_norm(lambda x, rows=3: tp.jet(x, rows, 1),
+                   Interval(-b / 2, b / 2), degree_hint=n, floor=floor)
     return b * num / (n * den)
 
 
@@ -389,8 +389,8 @@ def _theorem_ladder(q: int, r: int, y_points, n_list):
                       "n_constrained": n * con.post_check_error})
         cons.append(con)
     member = delta_q_membership_by_convexity(
-        lambda x: f.derivative_values(q - 2, x), canonical)
-    top = f.top_derivative_sup()
+        lambda x: f.jet(x, 1, q - 2)[0], canonical)
+    top = f.sup_derivative(r)
     shared = [
         Assertion("sobolev_membership", top < 2.0,
                   f"sup|f^({r})| = {top:.6g} < 2"),
@@ -596,7 +596,7 @@ def calibrate_constants(q: int, p: int, d, seed: int = 0):
     lam_probes = [d / 6, d / 12, d / 24]
     ideal = build_ideal_spline(r, d)
     c5 = 0.0
-    c4 = ideal.top_derivative_sup()
+    c4 = ideal.sup_derivative(r)
     for lam in lam_probes:
         smooth = build_smooth_spline(r, d, lam)
         dist = spline_distance(ideal, smooth, smooth.window,

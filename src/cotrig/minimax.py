@@ -405,7 +405,6 @@ def _sign_check(tp: TrigPoly, q: int, gaps, pts, owner, vals):
     |T^(q)|, the polished minima that fail the check, as (abscissae, gap
     indices), and the indices of the grid points that fail it.
     """
-    dq = tp.derivative(q)
     signs = _signs(gaps, owner)
     top = float(np.abs(vals).max())
     tol = SIGN_TOLERANCE * max(top, 1.0)
@@ -415,11 +414,11 @@ def _sign_check(tp: TrigPoly, q: int, gaps, pts, owner, vals):
     # a flat run (T^(q) = 0 on a whole gap) is polished at its two ends
     idx = np.flatnonzero((vals <= left) & (vals <= right)
                          & ((vals != left) | (vals != right)))
-    _, minima = _newton_refine_max(dq.jet, pts[idx],
+    _, minima = _newton_refine_max(lambda x: tp.jet(x, 3, q), pts[idx],
                                    pts[idx - np.isfinite(left[idx])],
                                    pts[idx + np.isfinite(right[idx])],
                                    -signs[idx])
-    polished = signs[idx] * dq(minima)
+    polished = signs[idx] * tp.jet(minima, 1, q)[0]
     worst = float(min(vals.min(), polished.min()))
     fail = polished < -tol
     return (worst, top, (minima[fail], owner[idx[fail]]),

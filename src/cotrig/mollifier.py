@@ -7,6 +7,8 @@ increasing, equals sign(x) for |x| >= 1, and all its derivatives vanish at
 joins.  The derivatives psi, psi', ..., psi^(k) come together from one
 Leibniz recursion on psi = exp(g), whose exponent g = -1/(1 - t^2) splits
 into two simple poles with closed-form derivatives of every order.
+MollifierTable.jet(u, rows, order) reads S^(order), ... (order >= 1) from
+that recursion, for the step's sup norms and the splines' zones alike.
 
 Z and the values of S at the interpolation nodes come from one fixed
 Gauss-Legendre rule on the panels between those nodes, in numpy alone.
@@ -44,41 +46,32 @@ _BLOCK = 1024
 _PANEL_POINTS = 16
 
 
-def bump_derivatives(k: int, t) -> np.ndarray:
-    """Rows psi, psi', ..., psi^(k) of the bump at the points t.
+def bump_derivatives(k: int, t, first: int = 0) -> np.ndarray:
+    """Rows psi^(first), ..., psi^(k) of the bump at the points t, shape
+    (k + 1 - first,) + t.shape.
 
     psi = exp(g) with g = -1/(1-t^2) = -(1/(1-t) + 1/(1+t))/2, so
     g^(i) = -i!/2 [(1-t)^-(i+1) + (-1)^i (1+t)^-(i+1)], and the Leibniz
     rule on psi' = g' psi gives psi^(m+1) = sum_{i<=m} C(m,i) g^(i+1)
-    psi^(m-i).  Row 0 is bump(t); every row is zero outside the support.
-    """
-    return _blockwise(k, t, slice(None))
-
-
-def bump(t):
-    """exp(-1/(1-t^2)) inside (-1, 1), zero outside."""
-    return _blockwise(0, t, 0)
-
-
-def _blockwise(k: int, t, rows):
-    """The given rows of bump_derivatives, shaped like t.
-
-    The recursion runs on at most _BLOCK points at a time, so only the
-    requested rows are ever held for every point; each row is elementwise
-    in t, so the blocks change no value.
+    psi^(m-i).  Every row is zero outside the support.  The recursion
+    runs on at most _BLOCK points at a time, so only the rows from first
+    on are ever held for every point; each row is elementwise in t, so
+    the blocks change no value.
     """
     if not 0 <= k <= _MAX_BUMP_ORDER:
         raise ValueError(f"bump derivatives supported up to order {_MAX_BUMP_ORDER}")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     flat = t.ravel()
-    out, start = None, 0
+    out, start = np.empty((k + 1 - first,) + flat.shape), 0
     for block in np.array_split(flat, max(1, -(-flat.size // _BLOCK))):
-        part = _leibniz_rows(k, block)[rows]
-        if out is None:
-            out = np.empty(part.shape[:-1] + flat.shape)
-        out[..., start:start + block.size] = part
+        out[:, start:start + block.size] = _leibniz_rows(k, block)[first:]
         start += block.size
-    return out.reshape(out.shape[:-1] + t.shape)
+    return out.reshape(out.shape[:1] + t.shape)
+
+
+def bump(t):
+    """exp(-1/(1-t^2)) inside (-1, 1), zero outside."""
+    return bump_derivatives(0, t)[0]
 
 
 def _leibniz_rows(k: int, t: np.ndarray) -> np.ndarray:
@@ -104,7 +97,8 @@ class MollifierTable:
 
     S itself is the Chebyshev interpolant cheb_coeffs (degree cheb_degree)
     on [-1, 1], which transition zones integrate exactly; S^(j) for j >= 1
-    is 2/Z psi^(j-1), a row of bump_derivatives.  mass is the bump mass Z.
+    is 2/Z psi^(j-1), a row of bump_derivatives, and every derivative is
+    read through jet(u, rows, order).  mass is the bump mass Z.
     sup_norms[j] is the sup of |S^(j)| from sup_step_derivative (exactly 1
     for j = 0), for j up to max_order.
     """
@@ -115,13 +109,19 @@ class MollifierTable:
     sup_norms: np.ndarray = field(repr=False)
     cheb_coeffs: np.ndarray = field(repr=False)
 
+    def jet(self, u, rows: int = 3, order: int = 1) -> np.ndarray:
+        """Rows S^(order), ..., S^(order+rows-1) at the points u, order >= 1:
+        2/Z times rows order-1, ... of one bump_derivatives recursion."""
+        if order < 1:
+            raise ValueError("the step's jet starts at order 1")
+        return 2.0 / self.mass * bump_derivatives(order + rows - 2, u,
+                                                  order - 1)
+
     def sup_step_derivative(self, j: int) -> float:
         """Sup of |S^(j)| on [-1, 1] for j >= 1, Newton-polished by the
-        rows S^(j), S^(j+1) and S^(j+2) of one bump recursion."""
-        def jet(u, rows=3):
-            return 2.0 / self.mass * _blockwise(j + rows - 2, u,
-                                                slice(j - 1, None))
-        return sup_norm(jet, Interval(-1.0, 1.0), floor=8193)
+        rows S^(j), S^(j+1) and S^(j+2) of the jet."""
+        return sup_norm(lambda u, rows=3: self.jet(u, rows, j),
+                        Interval(-1.0, 1.0), floor=8193)
 
     def s_norm(self, j: int) -> float:
         return float(self.sup_norms[j])

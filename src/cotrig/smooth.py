@@ -5,7 +5,8 @@ the cut points it rides the C^infinity step S through two transition zones
 of width 2*lam, placed at [lam, 3*lam] (upward) and [-d+lam, -d+3*lam]
 (downward) inside the window [-d, 2pi-d].  All lower levels are exact
 antiderivatives; all higher derivatives are supported on the zones alone
-and inherit closed forms from S.
+and inherit closed forms from S.  SmoothSpline.jet(x, rows, order) is the
+one accessor for all of them.
 
 Every level is a piecewise Chebyshev series whose zone pieces keep the
 zone's exact centre 2*lam (or -d + 2*lam) and half-width lam, so
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import TWO_PI, Interval, chebyshev_points, sup_norm
-from .mollifier import MollifierTable, build_mollifier_table, bump_derivatives
+from .mollifier import MollifierTable, build_mollifier_table
 from .piecewise import PiecewiseCheb, zero_mean_levels
 from .splines import step_offset
 
@@ -28,11 +29,10 @@ from .splines import step_offset
 class SmoothSpline:
     """Mollified degree-r spline on [-d, 2pi-d] with zone half-width lam.
 
-    Derivatives of order j <= r are the stored levels (piecewise Chebyshev
-    series, whose jet is one Clenshaw pass per series length).  Above r
-    they are closed forms on the zones: step_derivative_values gives rows
-    k, ..., k + count - 1 of the step level from one bump_derivatives
-    recursion per zone.
+    jet(x, rows, order) reads every derivative.  Orders j <= r are the
+    stored levels (piecewise Chebyshev series, whose jet is one Clenshaw
+    pass per series length).  Above r they are closed forms on the zones,
+    from the step table's jet: one bump recursion per zone.
     """
 
     r: int
@@ -53,42 +53,26 @@ class SmoothSpline:
     def __call__(self, x):
         return self.levels[self.r](x)
 
-    def jet(self, x, rows: int = 3):
-        """The first `rows` of f, f', f'' of the spline at the points x."""
-        return self.levels[self.r].jet(x, rows)
-
-    def _wrap(self, x):
-        return -self.d + np.mod(np.asarray(x, dtype=float) + self.d, TWO_PI)
-
-    def step_derivative_values(self, k: int, x, count: int = 1) -> np.ndarray:
-        """Rows k, ..., k + count - 1 (k >= 1) of the closed-form derivatives
-        of the smoothed step level, shape (count, points).
-
-        In each zone the rows are 2/Z psi^(k-1), ..., psi^(k+count-2) of one
-        bump_derivatives recursion, over lam^k, ..., lam^(k+count-1).
-        """
-        if k < 1:
-            raise ValueError("the step level's derivatives start at order 1")
-        xs = self._wrap(np.atleast_1d(np.asarray(x, dtype=float)))
-        out = np.zeros((count,) + xs.shape)
+    def jet(self, x, rows: int = 3, order: int = 0) -> np.ndarray:
+        """Rows f^(order), ..., f^(order+rows-1) at the flat points x: up
+        to order r the jet of level r - order; above r, with k = order - r,
+        the step table's jet of order k at (x - centre) / lam over lam^k,
+        ..., lam^(k+rows-1), up in one zone and down in the other."""
+        if order < 0:
+            raise ValueError("derivative order must be nonnegative")
+        if order <= self.r:
+            return self.levels[self.r - order].jet(x, rows)
+        k = order - self.r
         lam, d = self.lam, self.d
-        scale = 2.0 / self.table.mass
+        xs = -d + np.mod(np.asarray(x, dtype=float).ravel() + d, TWO_PI)
+        out = np.zeros((rows, xs.size))
         for sign, u in ((1.0, (xs - 2.0 * lam) / lam),
                         (-1.0, (xs + d - 2.0 * lam) / lam)):
             m = np.abs(u) < 1.0
             if m.any():
-                rows = bump_derivatives(k + count - 2, u[m])[k - 1:]
-                for i, row in enumerate(rows):
-                    out[i, m] = sign * (scale * row) / lam ** (k + i)
+                for i, row in enumerate(self.table.jet(u[m], rows, k)):
+                    out[i, m] = sign * row / lam ** (k + i)
         return out
-
-    def derivative_values(self, j: int, x):
-        """j-th derivative anywhere: stored level for j <= r, closed form above."""
-        if j < 0:
-            raise ValueError("derivative order must be nonnegative")
-        if j <= self.r:
-            return self.levels[self.r - j](x)
-        return self.step_derivative_values(j - self.r, x)[0]
 
     def sup_derivative(self, j: int) -> float:
         if j <= self.r:

@@ -83,19 +83,20 @@ class IdealSpline:
     def __call__(self, x):
         return self.levels[self.r](x)
 
-    def jet(self, x, rows: int = 3):
-        """The first `rows` of f, f', f'' of the spline at the points x."""
-        return self.levels[self.r].jet(x, rows)
-
-    def derivative_values(self, j: int, x):
-        """Values of the j-th derivative, 0 <= j <= r."""
+    def _level(self, j: int):
         if not 0 <= j <= self.r:
             raise ValueError("derivative order must lie in [0, r]")
-        return self.levels[self.r - j](x)
+        return self.levels[self.r - j]
 
-    def top_derivative_sup(self) -> float:
-        """Exact sup of |r-th derivative|: the larger step plateau, 1 + offset."""
-        return max(abs(c[0]) for c in self.levels[0].coefficients)
+    def jet(self, x, rows: int = 3, order: int = 0):
+        """Rows f^(order), ..., f^(order+rows-1) at the flat points x, the
+        jet of level r - order, 0 <= order <= r."""
+        return self._level(order).jet(x, rows)
+
+    def sup_derivative(self, j: int) -> float:
+        """Refined sup of |f^(j)|, 0 <= j <= r.  At j = r the pieces are
+        the constants -1 - offset and 1 - offset, so it is 1 + offset."""
+        return self._level(j).sup_norm()
 
     def residual_poly(self):
         """Coefficients of the degree <= r polynomial (spline minus power kink).

@@ -1,17 +1,20 @@
 """Trigonometric polynomials with exact coefficient calculus.
 
 A degree-n trigonometric polynomial is stored as its mean a0 together with
-cosine and sine coefficient arrays.  Differentiation acts exactly on the
-coefficients (each derivative multiplies the k-th pair by k and rotates it a
-quarter turn), so derivatives of any order carry no numerical error beyond
-the final evaluation.
+cosine and sine coefficient arrays.  Every derivative is read through one
+accessor, jet(t, rows, order), which returns T^(order), ...,
+T^(order+rows-1) at the points.  Differentiation acts exactly on the
+coefficients (each derivative multiplies c_k by ik, turning the k-th pair a
+quarter turn and scaling it by k), so derivatives of any order carry no
+numerical error beyond the final evaluation.
 
 Evaluation writes T(t) = a0 + Re sum_k c_k z^k with c_k = a_k - i b_k and
 z = e^{it}, and sums the power series by Horner's rule in z: n complex
 multiply-adds over the points, O(M) memory for M points, and a rounding
 error of O(n eps sum_k |c_k|) (Higham, Accuracy and Stability of Numerical
 Algorithms, 5.1).  The jet runs the same loop over the rows c_k (ik)^j,
-j = 0, 1, 2, whose real parts are T, T' and T''; evaluation is its row 0.
+j = order, ..., order + rows - 1, whose real parts are the derivatives;
+evaluation is row 0 of the order-0 jet.
 The basis matrices that feed the minimax LP keep their cos/sin table: the
 LP needs every column, not their sum.
 """
@@ -45,46 +48,36 @@ class TrigPoly:
         out = self.jet(t, 1)[0].reshape(t.shape)
         return float(out) if t.ndim == 0 else out
 
-    def jet(self, t, rows: int = 3) -> np.ndarray:
-        """Rows T, ..., T^(rows-1) at the points t, shape (rows, t.size), by
-        Horner in e^{it}.
+    def jet(self, t, rows: int = 3, order: int = 0) -> np.ndarray:
+        """Rows T^(order), ..., T^(order+rows-1) at the points t, shape
+        (rows, t.size), by Horner in e^{it}.
 
-        Row j sums Re c_k (ik)^j z^k; its coefficients are built by j
-        multiplications by ik, the same products derivative(j) forms.
+        Row j sums Re c_k (ik)^(order+j); its coefficients are built by
+        order + j multiplications by ik.  a0 joins row 0 at order 0 only.
         """
+        if order < 0:
+            raise ValueError("derivative order must be nonnegative")
         t = np.asarray(t, dtype=float).ravel()
         n = self.degree
+        a0 = self.a0 if order == 0 else 0.0
         if not n:
             out = np.zeros((rows, t.size))
-            out[0] = self.a0
+            out[0] = a0
             return out
-        coeffs = np.empty((rows, n), dtype=complex)
+        coeffs = np.empty((order + rows, n), dtype=complex)
         coeffs[0] = self.cos_coeffs - 1j * self.sin_coeffs
         ik = 1j * np.arange(1, n + 1)
-        for j in range(1, rows):
+        for j in range(1, order + rows):
             np.multiply(coeffs[j - 1], ik, out=coeffs[j])
+        coeffs = coeffs[order:]
         z = np.exp(1j * t)
         acc = coeffs[:, -1:] * z
         for k in range(n - 2, -1, -1):
             acc += coeffs[:, k:k + 1]
             acc *= z
         out = acc.real.copy()
-        out[0] += self.a0
+        out[0] += a0
         return out
-
-    def derivative(self, order: int = 1) -> "TrigPoly":
-        """Exact derivative of the given order (order >= 0)."""
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
-        ac = self.cos_coeffs.copy()
-        bs = self.sin_coeffs.copy()
-        a0 = self.a0
-        k = np.arange(1, self.degree + 1, dtype=float)
-        for _ in range(order):
-            # (a cos kt + b sin kt)' = kb cos kt - ka sin kt
-            ac, bs = k * bs, -k * ac
-            a0 = 0.0
-        return TrigPoly(a0, ac, bs)
 
     def to_dict(self) -> dict:
         return {

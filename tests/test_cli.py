@@ -112,6 +112,38 @@ def test_build_fnb_round_trip(tmp_path, table_ledger):
     assert np.array_equal(reloaded(xs), built(xs))
 
 
+def test_decimal_flags_on_fraction_keys_stay_exact(tmp_path, capsys,
+                                                   table_ledger):
+    # a flag for a key that admits fraction strings is kept as given when
+    # it meets the fraction pattern, so --b 0.1 is the rational 1/10, not
+    # the float nearest it; a flag the pattern refuses (1e-3) and a flag
+    # for a number-only key (build ideal --b) still arrive as floats
+    ledger_path = tmp_path / "table.json"
+    write_json(ledger_path, table_ledger.to_dict())
+    out = tmp_path / "run"
+    argv = ["build", "fnb", "--ledger", str(ledger_path), "--n", "16",
+            "--b", "0.1", "--d", "1", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "scaled summand n=16 b=1/10 " in capsys.readouterr().out
+    artifact = json.loads((out / "artifacts" / "fnb.json").read_text())
+    assert artifact["params"] == {"n": 16, "b": "1/10", "d": "1"}
+    echo = json.loads((out / "config-echo.json").read_text())
+    assert (echo["b"], echo["d"]) == ("0.1", "1")
+
+    def resolved(argv):
+        return cli._resolve_config(cli._build_parser().parse_args(argv))
+
+    smooth = resolved(["build", "smooth", "--r", "2", "--d", "1",
+                       "--lam", "1e-3"])
+    assert (smooth["d"], smooth["lam"]) == (1.0, 0.001)
+    assert resolved(["build", "smooth", "--r", "2", "--d", "1",
+                     "--lam", "1/12"])["lam"] == "1/12"
+    assert resolved(["build", "ideal", "--r", "2", "--b", "1.2"])["b"] == 1.2
+    assert resolved(["experiment", "lemma-aux", "--n", "8", "--b", "0.25",
+                     "--q", "3", "--p", "4", "--ledger", "x.json"])["b"] \
+        == "0.25"
+
+
 def _build_argv(kind, ledgers):
     """A build command of each kind, over the ledger files it names."""
     return {

@@ -207,8 +207,8 @@ def test_partial_sum_two_levels(toy_ledger):
     assert f.levels == 2
     xs = np.linspace(-0.9, 2.0, 11)
     assert np.allclose(f(xs), f.summands[0](xs) + f.summands[1](xs))
-    dj = f.derivative_values(1, xs)
-    expect = sum(s.derivative_values(1, xs) for s in f.summands)
+    dj = f.jet(xs, 1, 1)[0]
+    expect = sum(s.jet(xs, 1, 1)[0] for s in f.summands)
     assert np.allclose(dj, expect)
     ok, _ = f.membership_margin()
     assert ok
@@ -237,16 +237,14 @@ def test_partial_sum_jet_rows_are_exact(toy_ledger, monkeypatch):
     plateau = np.linspace(-0.9, 5.0, 17)
     for xs, zoned in ((f.seed_points(), True), (plateau, False)):
         rows = seen["jet"](xs)
-        expect = np.array([f.derivative_values(p + i, xs) for i in range(3)])
+        expect = np.array([f.jet(xs, 1, p + i)[0] for i in range(3)])
         assert np.array_equal(rows, expect)
         assert rows.any() == zoned
-    k = p - toy_ledger.r
     xs = np.concatenate([f.seed_points(), plateau])
     for s in f.summands:
-        rows = s.spline.step_derivative_values(k, xs, 3)
+        rows = s.spline.jet(xs, 3, p)
         assert rows.shape == (3, xs.size)
-        assert np.array_equal(s.spline.step_derivative_values(k, xs)[0],
-                              rows[0])
+        assert np.array_equal(s.spline.jet(xs, 1, p)[0], rows[0])
         assert np.any(rows != 0.0)
 
 

@@ -12,7 +12,7 @@ from cotrig.counterexample import build_partial_sum, plan_recursion
 from cotrig.experiments import _halfconvex_family, _mirrored
 from cotrig.grids import (FULL_PERIOD, Interval, chebyshev_points,
                           golden_refine_max, sup_norm)
-from cotrig.mollifier import bump_derivatives
+from cotrig.mollifier import bump, bump_derivatives
 from cotrig.piecewise import PiecewiseCheb
 from cotrig.smooth import build_smooth_spline
 from cotrig.splines import PowerKink, build_ideal_spline
@@ -265,15 +265,31 @@ def _captured_jet(module, call):
     return seen[0]
 
 
+def _of_order(obj, order, count, exact):
+    """obj's jet of order `order`, and the (object, order, count, exact)
+    that _jet_case gives with it."""
+    return (lambda x, rows=3: obj.jet(x, rows, order)), (obj, order, count,
+                                                         exact)
+
+
 def _jet_case(name, request):
-    """A jet of the package, the function (or derivative) whose values its
-    row 0 must repeat (None where there is none), and points to compare
-    at: outside one period too, and every breakpoint or zone seed."""
+    """A jet of the package; the function (or derivative) whose values its
+    row 0 must repeat (None where there is none); points to compare at:
+    outside one period too, and every breakpoint or zone seed; and, for
+    the jet of order `order` of an object, (object, order, count, exact):
+    its first `count` rows must be the rows obj.jet(x, 1, order + i)[0],
+    bit for bit where exact (one recursion gives every row) and to
+    allclose where they come from different stored levels (a level's
+    derivative series against the next level down)."""
     table = request.getfixturevalue("table")
     xs = np.linspace(-7.0, 7.0, 301)
-    if name == "trigpoly":
+    if name.startswith("trigpoly"):
         tp = request.getfixturevalue("random_trig")(np.random.default_rng(3), 9)
-        return tp.jet, tp, xs
+        if name == "trigpoly":
+            return tp.jet, tp, xs, None
+        # T^(q) at q = 3, as the sign check reads it
+        jet, ordered = _of_order(tp, 3, 3, True)
+        return jet, None, xs, ordered
     if name == "piecewise":
         # series of lengths 1, 2, 3 and 97 on one period
         bp = np.array([-np.pi, -1.0, 0.5, 1.0, np.pi])
@@ -281,47 +297,75 @@ def _jet_case(name, request):
                           halves=0.5 * np.diff(bp),
                           coefficients=[[0.7], [0.3, -1.1], [0.2, 0.5, -0.4],
                                         table.cheb_coeffs], periodic=True)
-        return p.jet, p, np.concatenate([xs, bp])
+        return p.jet, p, np.concatenate([xs, bp]), None
     if name == "power-kink":
         kink = PowerKink(3, 0.5)
-        return kink.jet, kink, xs
-    if name == "ideal-spline":
+        return kink.jet, kink, xs, None
+    if name.startswith("ideal-spline"):
         sp = build_ideal_spline(3, 1.0)
-        return sp.jet, sp, np.concatenate([xs, sp.breakpoints])
-    if name == "smooth-spline":
+        xs = np.concatenate([xs, sp.breakpoints])
+        if name == "ideal-spline":
+            return sp.jet, sp, xs, None
+        # order r - 1: rows r - 1 and r exist as levels, row r + 1 does not
+        jet, ordered = _of_order(sp, 2, 2, False)
+        return jet, None, xs, ordered
+    if name.startswith("smooth-spline"):
         sp = build_smooth_spline(2, 1.0, 1.0 / 12.0)
-        return sp.jet, sp, np.concatenate([xs, sp.seed_points()])
+        xs = np.concatenate([xs, sp.seed_points()])
+        if name == "smooth-spline":
+            return sp.jet, sp, xs, None
+        # order 1 <= r reads level 1, whose rows 1 and 2 are levels 1 and
+        # 0; order 3 > r reads the zones' closed forms
+        low = name.endswith("low")
+        jet, ordered = _of_order(sp, 1, 2, False) if low \
+            else _of_order(sp, 3, 3, True)
+        return jet, None, xs, ordered
     if name.startswith("hinge"):
         knots = np.linspace(0.0, 1.0, 14, endpoint=False)
         f_jet, fq2_jet = _halfconvex_family(4, 0.5, np.linspace(0.2, 1.0, 14),
                                             knots)
         jet = f_jet if "fq2" not in name else fq2_jet
         jet = _mirrored(jet) if name.endswith("mirrored") else jet
-        return jet, None, np.concatenate([xs, knots, -knots])
+        return jet, None, np.concatenate([xs, knots, -knots]), None
     if name == "step-derivative":
         j = 5
         jet = _captured_jet("mollifier", lambda: table.sup_step_derivative(j))
         step = lambda u: 2.0 / table.mass * bump_derivatives(j - 1, u)[j - 1]
-        return jet, step, np.linspace(-1.0, 1.0, 2049)
-    # PartialSum.sup_derivative(j), at j = p above the spline degree r
+        return jet, step, np.linspace(-1.0, 1.0, 2049), (table, j, 3, True)
+    if name == "table":
+        # S' = 2/Z psi, the first row of the recursion
+        jet, ordered = _of_order(table, 1, 3, True)
+        return (jet, lambda u: 2.0 / table.mass * bump(u),
+                np.linspace(-1.0, 1.0, 2049), ordered)
     toy_ledger = request.getfixturevalue("toy_ledger")
     plan = plan_recursion(toy_ledger, d=1, levels=2, eps_rule="tower:2:3")
     f = build_partial_sum(plan, 2)
+    xs = np.concatenate([xs, f.seed_points()])
+    if name == "summand":
+        # f_{n,b}^(q) at q = 3 above r = 2, as build fnb's check reads it
+        jet, ordered = _of_order(f.summands[0], 3, 3, True)
+        return jet, None, xs, ordered
+    if name == "partial-sum-low":
+        # order 1 <= r: rows 1 and 2 are the summands' levels 1 and 0
+        jet, ordered = _of_order(f, 1, 2, False)
+        return jet, None, xs, ordered
+    # PartialSum.sup_derivative(j), at j = p above the spline degree r
     j = toy_ledger.p
     jet = _captured_jet("counterexample", lambda: f.sup_derivative(j))
-    return (jet, lambda x: f.derivative_values(j, x),
-            np.concatenate([xs, f.seed_points()]))
+    return jet, lambda x: f.jet(x, 1, j)[0], xs, (f, j, 3, True)
 
 
 @pytest.mark.parametrize("name", [
     "trigpoly", "piecewise", "power-kink", "ideal-spline", "smooth-spline",
     "hinge-f", "hinge-fq2", "hinge-f-mirrored", "hinge-fq2-mirrored",
-    "step-derivative", "partial-sum-high"])
+    "step-derivative", "partial-sum-high", "trigpoly-order",
+    "ideal-spline-order", "smooth-spline-low", "smooth-spline-high",
+    "summand", "partial-sum-low", "table"])
 def test_jets_give_their_first_rows(name, request):
     # sup_norm samples row 0 of jet(x, 1) and polishes with jet(x): each
     # jet's first k rows are those of the full jet, bit for bit, and row 0
     # is the function's own value wherever the function can be called
-    jet, fn, xs = _jet_case(name, request)
+    jet, fn, xs, ordered = _jet_case(name, request)
     rows = jet(xs)
     assert rows.shape == (3, xs.size)
     assert np.any(rows[0] != 0.0)
@@ -329,3 +373,15 @@ def test_jets_give_their_first_rows(name, request):
         assert np.array_equal(jet(xs, k), rows[:k])
     if fn is not None:
         assert np.array_equal(fn(xs), rows[0])
+    if ordered is not None:
+        # row i of a jet of order `order` is the derivative of order
+        # order + i, which jet(x, 1, order + i) reads on its own
+        obj, order, count, exact = ordered
+        for i in range(count):
+            row = obj.jet(xs, 1, order + i)[0]
+            if exact:
+                assert np.array_equal(row, rows[i])
+            else:
+                scale = np.abs(rows[i]).max()
+                np.testing.assert_allclose(row, rows[i], rtol=1e-12,
+                                           atol=1e-13 * scale)

@@ -180,7 +180,7 @@ def test_constrained_fit_meets_its_sign_pattern_and_a_dense_lp():
     per_gap = 4 * 10 * 512
     ts = np.concatenate([np.linspace(lo, hi, per_gap) for lo, hi, _ in gaps])
     sigma = np.repeat([float(s) for *_, s in gaps], per_gap)
-    signed = sigma * res.approximant.derivative(q)(ts)
+    signed = sigma * res.approximant.jet(ts, 1, q)[0]
     assert signed.min() >= -1e-8 * np.abs(signed).max()
     assert res.rounds[-1]["constraint_points"] \
         < 2 * res.rounds[0]["constraint_points"]

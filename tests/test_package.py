@@ -2,14 +2,16 @@
 resolve against the code, that scipy and mpmath load only where they are
 used (scipy only through the HiGHS loader in simplex.py), that jsonschema
 never loads, that sup norms are taken of one callable each, that every
-defaulted parameter has a caller that sets it, and that the CLI runs the
-same in one process as in fresh ones."""
+defaulted parameter has a caller that sets it, that every definition has
+a caller outside the tests, and that the CLI runs the same in one process
+as in fresh ones."""
 
 import ast
 import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,14 +43,20 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
-def test_benchmark_spans_resolve():
-    # load the span table by path; the tracer itself is never installed
+def _span_targets():
+    """Every definition the benchmark's span table wraps, as
+    ``module:attr`` or ``module:Class.method``; the table is loaded by
+    path and the tracer itself is never installed."""
     spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS_PY)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     targets = [t for defs in layers.SPANS.values() for t in defs]
     assert len(targets) >= len(layers.SPANS)
-    assert [t for t in targets if not _defined(t)] == []
+    return targets
+
+
+def test_benchmark_spans_resolve():
+    assert [t for t in _span_targets() if not _defined(t)] == []
 
 
 # run in a fresh interpreter: prints the heavy modules loaded after the
@@ -217,6 +225,38 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
             if not is_set:
                 unset.append(f"{callee}.{name}")
     assert unset == []
+
+
+def test_every_definition_has_a_caller_outside_tests():
+    """Every function, method and class defined in cotrig, dunder names
+    excepted, is referenced outside the tests: as a Name, an Attribute or
+    an imported name in a cotrig module other than __init__.py (whose
+    imports only re-export) or in a benchmark module, or as a span the
+    benchmark's span table wraps.  The check goes by name, so a name
+    that several definitions share (jet, to_dict, sup_derivative, ...) is
+    referenced by a use of any one of them, and is not checked
+    definition by definition."""
+    src = sorted((ROOT / "src" / "cotrig").glob("*.py"))
+    users = [path for path in src if path.name != "__init__.py"]
+    users += [path for path in sorted((ROOT / "perfbench").glob("*.py"))
+              if not path.name.startswith("test_")]
+    referenced = {part for target in _span_targets()
+                  for part in re.split(r"[:.]", target)}
+    for path in users:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    unreferenced = [
+        f"{path.name}:{node.name}" for path in src
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not re.fullmatch(r"__\w+__", node.name)
+        and node.name not in referenced]
+    assert unreferenced == []
 
 
 def test_python_m_cotrig_runs_a_command(tmp_path):

@@ -117,17 +117,16 @@ def test_smooth_derivative_values_match_differences():
     xs = np.linspace(-d + 0.01, 2 * np.pi - d - 0.01, 101)
     h = 1e-6
     for j in (1, 2):
-        fd = (sp.derivative_values(j - 1, xs + h)
-              - sp.derivative_values(j - 1, xs - h)) / (2 * h)
-        assert np.allclose(fd, sp.derivative_values(j, xs), atol=1e-5)
+        fd = (sp.jet(xs + h, 1, j - 1)[0]
+              - sp.jet(xs - h, 1, j - 1)[0]) / (2 * h)
+        assert np.allclose(fd, sp.jet(xs, 1, j)[0], atol=1e-5)
     # above the stored levels: the closed form against differences of level r
     inner = np.linspace(lam * 1.2, lam * 2.8, 41)
-    fd = (sp.derivative_values(2, inner + h)
-          - sp.derivative_values(2, inner - h)) / (2 * h)
-    assert np.allclose(fd, sp.derivative_values(3, inner),
+    fd = (sp.jet(inner + h, 1, 2)[0] - sp.jet(inner - h, 1, 2)[0]) / (2 * h)
+    assert np.allclose(fd, sp.jet(inner, 1, 3)[0],
                        atol=1e-4 * max(1.0, np.abs(fd).max()))
     with pytest.raises(ValueError):
-        sp.derivative_values(-1, xs)
+        sp.jet(xs, 1, -1)
 
 
 def test_smooth_higher_derivatives_vanish_off_zones():
@@ -136,10 +135,10 @@ def test_smooth_higher_derivatives_vanish_off_zones():
     sp = build_smooth_spline(1, d, lam)
     xs = np.array([-d + 0.5 * lam, 0.0, 0.5 * lam, 4 * lam, 3.0, -d + 3.5 * lam])
     for j in (2, 3, 4):
-        assert np.all(sp.derivative_values(j, xs) == 0.0)
+        assert np.all(sp.jet(xs, 1, j) == 0.0)
     # and they are nonzero somewhere inside each zone
-    assert sp.derivative_values(2, np.array([2 * lam - 0.3 * lam]))[0] != 0.0
-    assert sp.derivative_values(2, np.array([-d + 2 * lam + 0.3 * lam]))[0] != 0.0
+    assert sp.jet(2 * lam - 0.3 * lam, 1, 2)[0, 0] != 0.0
+    assert sp.jet(-d + 2 * lam + 0.3 * lam, 1, 2)[0, 0] != 0.0
 
 
 def test_smooth_derivative_sup_scaling(table):

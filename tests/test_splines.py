@@ -60,7 +60,7 @@ def test_top_derivative_sup_is_exactly_one_plus_offset():
     for r in (1, 2, 3):
         for b in (np.pi / 4, np.pi / 2, np.pi):
             sp = build_ideal_spline(r, b)
-            assert sp.top_derivative_sup() == 1.0 + sp.offset
+            assert sp.sup_derivative(r) == 1.0 + sp.offset
 
 
 def test_every_level_has_zero_period_mean():
@@ -104,13 +104,13 @@ def test_derivative_values_match_difference_quotients():
     xs = np.array([-1.0, 0.7, 2.0, 4.0])
     h = 1e-5
     for j in (1, 2):
-        fd = (sp.derivative_values(j - 1, xs + h)
-              - sp.derivative_values(j - 1, xs - h)) / (2 * h)
-        assert np.allclose(fd, sp.derivative_values(j, xs), atol=1e-7)
+        fd = (sp.jet(xs + h, 1, j - 1)[0]
+              - sp.jet(xs - h, 1, j - 1)[0]) / (2 * h)
+        assert np.allclose(fd, sp.jet(xs, 1, j)[0], atol=1e-7)
     with pytest.raises(ValueError):
-        sp.derivative_values(4, xs)
+        sp.jet(xs, 1, 4)
     with pytest.raises(ValueError):
-        sp.derivative_values(-1, xs)
+        sp.jet(xs, 1, -1)
 
 
 def test_membership_in_both_shape_classes():
@@ -121,6 +121,6 @@ def test_membership_in_both_shape_classes():
         sp = build_ideal_spline(r, b)
         ys = SignChangeSet([-b, 0.0])
         assert delta_q_membership_by_convexity(
-            lambda t: sp.derivative_values(r - 1, t), ys)
+            lambda t: sp.jet(t, 1, r - 1)[0], ys)
         assert delta_q_membership_by_convexity(
-            lambda t: sp.derivative_values(r, t), ys)
+            lambda t: sp.jet(t, 1, r)[0], ys)

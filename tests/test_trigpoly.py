@@ -38,20 +38,38 @@ def test_mixed_length_coefficients_pad():
     assert p.sin_coeffs.tolist() == [0.0, 2.0]
 
 
+def _theta(p):
+    """The stacked coefficient vector [a0, cos..., sin...] of p."""
+    return np.concatenate([[p.a0], p.cos_coeffs, p.sin_coeffs])
+
+
+def _derivative(p, order):
+    """The TrigPoly of p^(order), its coefficients formed here by
+    (a cos kt + b sin kt)' = kb cos kt - ka sin kt."""
+    k = np.arange(1, p.degree + 1, dtype=float)
+    a0, ac, bs = p.a0, p.cos_coeffs, p.sin_coeffs
+    for _ in range(order):
+        a0, ac, bs = 0.0, k * bs, -k * ac
+    return TrigPoly(a0, ac, bs)
+
+
 def test_derivative_coefficients_exact():
-    # (cos t)' = -sin t; (sin 2t)' = 2 cos 2t
+    # (cos t)' = -sin t; (sin 2t)' = 2 cos 2t.  The rows c_k (ik)^j are
+    # exact, and so is their sum at t = 0, where z = 1; a0 joins row 0 of
+    # the order-0 jet only
     p = TrigPoly(4.0, [1.0, 0.0], [0.0, 1.0])
-    d = p.derivative()
-    assert d.a0 == 0.0
-    assert d.cos_coeffs.tolist() == [0.0, 2.0]
-    assert d.sin_coeffs.tolist() == [-1.0, 0.0]
+    assert p.jet(0.0, 2).tolist() == [[5.0], [2.0]]
+    assert p.jet(0.0, 1, 1).tolist() == [[2.0]]
+    t = np.linspace(-3.0, 3.0, 13)
+    assert np.allclose(p.jet(t, 1, 1)[0], -np.sin(t) + 2.0 * np.cos(2.0 * t),
+                       rtol=0.0, atol=1e-14)
 
 
 def test_fourth_derivative_is_identity_at_degree_one():
+    # four multiplications by i are exact, so T^(4) = T to the last bit
     p = TrigPoly(0.0, [0.7], [-0.3])
-    d4 = p.derivative(4)
-    assert np.allclose(d4.cos_coeffs, p.cos_coeffs)
-    assert np.allclose(d4.sin_coeffs, p.sin_coeffs)
+    t = np.linspace(-3.0, 3.0, 13)
+    assert np.array_equal(p.jet(t, 3, 4), p.jet(t, 3))
 
 
 def test_jet_matches_derivative_evaluations(random_trig):
@@ -59,10 +77,16 @@ def test_jet_matches_derivative_evaluations(random_trig):
     t = np.linspace(-3.0, 3.0, 41)
     jet = p.jet(t)
     assert jet.shape == (3, 41)
-    # the jet's rows c_k (ik)^j are the coefficients derivative(j) forms,
-    # summed by the same loop, so the values agree to the last bit
-    for order in range(3):
-        assert np.array_equal(jet[order], p.derivative(order)(t))
+    for order in range(6):
+        rows = p.jet(t, 3, order)
+        # row i sums c_k (ik)^(order+i) by the same loop as the jet that
+        # starts at order + i, so the values agree to the last bit
+        for i in range(3):
+            assert np.array_equal(rows[i], p.jet(t, 1, order + i)[0])
+            assert np.allclose(
+                rows[i], trig_derivative_basis(t, 7, order + i) @ _theta(p),
+                rtol=1e-12, atol=1e-12 * 7.0 ** (order + i))
+    assert np.array_equal(p.jet(t, 3, 0), jet)
     assert p.jet(0.5).shape == (3, 1)
     assert TrigPoly(2.5).jet(t).tolist() == [[2.5] * 41, [0.0] * 41,
                                              [0.0] * 41]
@@ -92,11 +116,11 @@ def test_evaluation_error_within_horner_bound(random_trig, degree):
     eps = np.finfo(float).eps
     jet = p.jet(ts)
     for order in range(3):
-        d = p.derivative(order)
+        d = _derivative(p, order)
         bound = 8 * degree * eps * (abs(d.a0) + np.abs(d.cos_coeffs).sum()
                                     + np.abs(d.sin_coeffs).sum())
         ref = _mp_values(d, ts)
-        assert np.abs(d(ts) - ref).max() <= bound
+        assert np.abs(p.jet(ts, 1, order)[0] - ref).max() <= bound
         assert np.abs(jet[order] - ref).max() <= bound
 
 
@@ -143,9 +167,10 @@ def test_evaluation_memory_is_linear_in_points(random_trig, method):
 
 def test_derivative_order_validation():
     with pytest.raises(ValueError):
-        TrigPoly(0.0, [1.0]).derivative(-1)
-    q = TrigPoly(2.0, [1.0]).derivative(0)
-    assert q.a0 == 2.0
+        TrigPoly(0.0, [1.0]).jet(0.0, 1, -1)
+    # order 0 keeps a0 (2 + cos 0 = 3); every higher order drops it
+    assert TrigPoly(2.0, [1.0]).jet(0.0, 1, 0).tolist() == [[3.0]]
+    assert TrigPoly(2.0).jet([0.0, 1.0], 2, 1).tolist() == [[0.0] * 2] * 2
 
 
 def test_trig_basis_columns():
@@ -168,7 +193,7 @@ def test_trig_derivative_basis_matches_exact_derivative():
         D = trig_derivative_basis(ts, 3, order)
         theta = rng.standard_normal(7)
         p = coeffs_from_vector(theta, 3)
-        assert np.allclose(D @ theta, p.derivative(order)(ts), atol=1e-10)
+        assert np.allclose(D @ theta, p.jet(ts, 1, order)[0], atol=1e-10)
 
 
 def test_coeffs_from_vector_layout():
