@@ -3,7 +3,7 @@
 Commands
 --------
 build       construct a spline, a scaled summand, or a recursive partial
-            sum, and serialize it with a human summary
+            sum, and write its parameters with a human summary
 solve       run one minimax approximation (free or shape-constrained)
 experiment  run a named certification experiment and write its report
 
@@ -14,14 +14,20 @@ artifacts/solution.json, and experiment report.json, tables/<name>.csv
 when its grid has rows, and plots/*.dat for each plot with data;
 calibrate also writes artifacts/empirical_ledger.json.
 
+A build artifact holds kind, params and summary, plus the ledger for fnb
+and partial-sum and the plan_checks of a partial sum; no coefficients.
+solve --target <artifact> rebuilds the function from kind, params and
+ledger alone, so an artifact that still carries a "function" key, as
+builds once wrote, loads unchanged.
+
 Config values come from an optional JSON file (--config) overridden by
 command-line flags.  A flag for a number key is read as a float, unless
-the key also takes fraction strings and the flag is one: --b 0.1 stays
-the exact 1/10.  The merged config is checked against the command's
-schema in SCHEMAS by this module's own validator, which enforces the
-JSON-Schema keywords those schemas use.  That check comes before the run
-directory is made, so a bad value writes nothing; fraction strings such
-as --lam 1/12 are checked there too.
+the key also takes fraction strings and the flag is one: --b 0.1 and
+--b 1e-1 stay the exact 1/10.  The merged config is checked against the
+command's schema in SCHEMAS by this module's own validator, which
+enforces the JSON-Schema keywords those schemas use.  That check comes
+before the run directory is made, so a bad value writes nothing;
+fraction strings such as --lam 1/12 are checked there too.
 
 Exit codes: 0 success, 1 a declared assertion failed, 2 numerical
 failure (solver breakdown, unrepresentable plan level), 64 usage or
@@ -67,12 +73,14 @@ _POS_INT = {"type": "integer", "minimum": 1}
 _Q_INT = {"type": "integer", "minimum": 3}
 _NUMBER = {"type": "number", "exclusiveMinimum": 0}
 # a positive number, or a string Fraction reads as a positive rational:
-# "0.25", ".5", or "p/q" with q > 0.  "1/0", "0/3", "-1/4", "0", "inf" and
-# "1e-3" are refused (a flag the pattern refuses but float() reads, as
-# --lam 1e-3, arrives as a number)
+# "0.25", ".5", "1e-3" (a non-zero mantissa, an exponent of at most two
+# digits), or "p/q" with q > 0.  "1/0", "0/3", "-1/4", "0", "0e5", "inf"
+# and "1e400" are refused (a flag the pattern refuses but float() reads,
+# as --lam 1e-400, arrives as a number: here 0.0, which fails the minimum)
 _FRACTIONABLE = {
     "type": ["number", "string"], "exclusiveMinimum": 0,
-    "pattern": r"^(?=[^/]*[1-9])([0-9]*\.?[0-9]+|[0-9]+/0*[1-9][0-9]*)$"}
+    "pattern": r"^(?=[^/eE]*[1-9])([0-9]*\.?[0-9]+([eE][+-]?[0-9]{1,2})?"
+               r"|[0-9]+/0*[1-9][0-9]*)$"}
 _INT_LIST = {"type": "array", "items": _POS_INT, "minItems": 1}
 _NUM_LIST = {"type": "array", "items": {"type": "number"}, "minItems": 1}
 _STRING = {"type": "string", "minLength": 1}
@@ -245,11 +253,15 @@ def _make(kind: str, params: dict, ledger: ConstantsLedger | None = None):
 
 
 def _write_artifact(out_dir: Path, kind: str, params: dict, summary: dict,
-                    function, **extra) -> None:
-    """Write artifacts/<kind>.json, which _function_from_artifact reloads."""
+                    **extra) -> None:
+    """Write artifacts/<kind>.json: the kind, the params _make builds the
+    function from, the summary, and extra keys (the ledger of fnb and
+    partial-sum, a partial sum's plan_checks).  No coefficients are
+    written: _function_from_artifact rebuilds the function from kind,
+    params and ledger, and ignores any other key, so an artifact that
+    still carries a "function" key loads unchanged."""
     write_json(out_dir / "artifacts" / f"{kind.replace('-', '_')}.json",
-               {"kind": kind, "params": params, "summary": summary,
-                "function": function.to_dict(), **extra})
+               {"kind": kind, "params": params, "summary": summary, **extra})
 
 
 def cmd_build_ideal(cfg: dict, out_dir: Path) -> int:
@@ -257,7 +269,7 @@ def cmd_build_ideal(cfg: dict, out_dir: Path) -> int:
     params = {"r": r, "b": b}
     spline = _make("ideal", params)
     summary = _ideal_summary(spline, r, b)
-    _write_artifact(out_dir, "ideal", params, summary, spline)
+    _write_artifact(out_dir, "ideal", params, summary)
     _print([
         f"ideal spline r={r} b={b:.12g}",
         f"  sup|f^({r})| = {summary['top_derivative_sup']:.12g} "
@@ -283,7 +295,7 @@ def cmd_build_smooth(cfg: dict, out_dir: Path) -> int:
         "derivative_sups": norms,
         "distance_to_ideal": dist,
     }
-    _write_artifact(out_dir, "smooth", params, summary, spline)
+    _write_artifact(out_dir, "smooth", params, summary)
     _print([
         f"mollified spline r={r} d={d:.12g} lam={lam:.12g}",
         f"  distance to ideal = {dist:.6e}",
@@ -311,8 +323,7 @@ def cmd_build_fnb(cfg: dict, out_dir: Path) -> int:
         "sup_value": summand.sup_derivative(0),
         "membership": bool(member), "membership_margin": margin,
     }
-    _write_artifact(out_dir, "fnb", params, summary, summand,
-                    ledger=ledger.to_dict())
+    _write_artifact(out_dir, "fnb", params, summary, ledger=ledger.to_dict())
     _print([
         f"scaled summand n={n} b={b} (width {float(summand.width):.3e})",
         f"  sup|f^({top})| = {summary['sup_top_derivative']:.9g} (cap 1)",
@@ -341,7 +352,7 @@ def cmd_build_partial_sum(cfg: dict, out_dir: Path) -> int:
         "membership": bool(member), "membership_margin": margin,
         "head_window_residual": partial.window_polynomial_residual(),
     }
-    _write_artifact(out_dir, "partial-sum", params, summary, partial,
+    _write_artifact(out_dir, "partial-sum", params, summary,
                     ledger=ledger.to_dict(), plan_checks=checks)
     _print([
         f"partial sum K={K}, eps rule {eps_rule}, gap {d}",
@@ -505,7 +516,8 @@ def _build_parser() -> _Parser:
                      description="co-q-monotone approximation workbench")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    build = sub.add_parser("build", help="construct and serialize a function")
+    build = sub.add_parser("build",
+                           help="construct a function, write its artifact")
     build_sub = build.add_subparsers(dest="kind", required=True)
     for kind in _BUILDERS:
         bp = build_sub.add_parser(kind)

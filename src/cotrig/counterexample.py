@@ -37,13 +37,6 @@ from .smooth import SmoothSpline, build_smooth_spline
 MIN_REALIZED_WIDTH = 1e-13
 
 
-def _safe_float(value) -> float | None:
-    try:
-        return float(value)
-    except (OverflowError, ValueError):
-        return None
-
-
 class RealizabilityError(ValueError):
     """A planned level is too extreme to realize as a function."""
 
@@ -64,7 +57,6 @@ def canonical_sign_set(d: float) -> SignChangeSet:
 class Summand:
     """One level of the construction: amplitude * smooth spline."""
 
-    n: int
     b: Fraction
     width: Fraction
     amplitude: Fraction
@@ -86,16 +78,6 @@ class Summand:
     def window(self) -> Interval:
         return self.spline.window
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "summand",
-            "n": self.n,
-            "b": str(self.b),
-            "width": str(self.width),
-            "amplitude": str(self.amplitude),
-            "spline": self.spline.to_dict(),
-        }
-
 
 def build_summand(ledger: ConstantsLedger, n: int, b, d) -> Summand:
     """Scaled smooth spline c7 (b^rm / n^m) * spline(r, d, lambda_{n,b})."""
@@ -114,7 +96,7 @@ def build_summand(ledger: ConstantsLedger, n: int, b, d) -> Summand:
             f"the realization floor {MIN_REALIZED_WIDTH:.0e}")
     amplitude = ledger["c7"] * b ** (ledger.r * ledger.m) / Fraction(n) ** ledger.m
     spline = build_smooth_spline(ledger.r, float(d_frac), float(lam))
-    return Summand(n=n, b=b, width=lam, amplitude=amplitude, spline=spline)
+    return Summand(b=b, width=lam, amplitude=amplitude, spline=spline)
 
 
 def rows_satisfied(rows) -> bool:
@@ -152,13 +134,6 @@ class RecursionPlan:
         if not 1 <= k <= self.levels:
             raise ValueError(f"level {k} outside 1..{self.levels}")
         return self.n[k], self.b[k - 1], self.b[k]
-
-    def realizable_prefix(self) -> int:
-        """Largest K such that levels 1..K all clear the width floor."""
-        k = 0
-        while k < self.levels and float(self.b[k + 1]) >= MIN_REALIZED_WIDTH:
-            k += 1
-        return k
 
     def verify(self) -> list:
         """Re-check every planned level against the exact conditions."""
@@ -214,20 +189,6 @@ class RecursionPlan:
         return (led["c10"] * self.b[K - 1] ** (led.r * (led.m + 1))
                 / (5 * Fraction(self.n[K]) ** (led.m + 1)))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "recursion_plan",
-            "levels": self.levels,
-            "d": str(self.d),
-            "eps_rule": self.eps_rule_name,
-            "n": [str(v) for v in self.n],
-            "b": [str(v) for v in self.b],
-            "n_float": [_safe_float(v) for v in self.n],
-            "b_float": [_safe_float(v) for v in self.b],
-            "realizable_prefix": self.realizable_prefix(),
-            "ledger_hash": self.ledger.content_hash(),
-        }
-
 
 def plan_recursion(ledger: ConstantsLedger, d, levels: int,
                    eps_rule: str = "log",
@@ -276,7 +237,6 @@ class PartialSum:
     """Sum of the first K realized summands, plus the exact tail bound."""
 
     summands: tuple
-    d: float
     ledger: ConstantsLedger
     tail_bound: Fraction
     sign_set: SignChangeSet
@@ -332,17 +292,6 @@ class PartialSum:
         resid = head(b_last * uu) - np.polynomial.polynomial.polyval(uu, coef)
         return float(np.max(np.abs(resid)))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "partial_sum",
-            "levels": self.levels,
-            "d": self.d,
-            "tail_bound": str(self.tail_bound),
-            "tail_bound_float": float(self.tail_bound),
-            "sign_set": self.sign_set.to_dict(),
-            "summands": [s.to_dict() for s in self.summands],
-        }
-
 
 def build_partial_sum(plan: RecursionPlan, K: int) -> PartialSum:
     """Realize the first K levels of a plan as an actual function."""
@@ -358,7 +307,6 @@ def build_partial_sum(plan: RecursionPlan, K: int) -> PartialSum:
         if s.width != width:
             raise AssertionError("planned and realized widths disagree")
         summands.append(s)
-    d = float(plan.d)
-    return PartialSum(summands=tuple(summands), d=d, ledger=plan.ledger,
+    return PartialSum(summands=tuple(summands), ledger=plan.ledger,
                       tail_bound=plan.tail_bound(K),
-                      sign_set=canonical_sign_set(d), plan=plan)
+                      sign_set=canonical_sign_set(float(plan.d)), plan=plan)

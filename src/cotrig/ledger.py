@@ -198,6 +198,8 @@ class ConstantsLedger:
 
     r = q - 1 is the spline degree, m = p - r the extra smoothness margin.
     s_norms[j] is the sup norm of the j-th derivative of the smooth step.
+    A ledger of either mode must hold the chain identities (_check_chain),
+    so one read from an edited file raises the identity it breaks.
     """
 
     q: int
@@ -231,6 +233,7 @@ class ConstantsLedger:
             self._check_proven()
         elif not self.provenance:
             raise ValueError("empirical ledgers must record provenance")
+        self._check_chain()
 
     @property
     def r(self) -> int:
@@ -261,7 +264,6 @@ class ConstantsLedger:
             raise ValueError("proven mode requires c_star = 1/(40 c0)")
         if c["c3"] < Fraction(1, 2 ** self.r) * c["c1"] / c["c2"]:
             raise ValueError("proven mode requires c3 >= 2^-r c1 / c2")
-        self._check_chain()
 
     def _check_chain(self):
         c = self.constants

@@ -95,7 +95,7 @@ def _leibniz_rows(k: int, t: np.ndarray) -> np.ndarray:
 class MollifierTable:
     """The smooth step S, its derivatives and their sup norms.
 
-    S itself is the Chebyshev interpolant cheb_coeffs (degree cheb_degree)
+    S itself is the Chebyshev interpolant cheb_coeffs (degree _CHEB_DEGREE)
     on [-1, 1], which transition zones integrate exactly; S^(j) for j >= 1
     is 2/Z psi^(j-1), a row of bump_derivatives, and every derivative is
     read through jet(u, rows, order).  mass is the bump mass Z.
@@ -104,7 +104,6 @@ class MollifierTable:
     """
 
     max_order: int
-    cheb_degree: int
     mass: float
     sup_norms: np.ndarray = field(repr=False)
     cheb_coeffs: np.ndarray = field(repr=False)
@@ -125,15 +124,6 @@ class MollifierTable:
 
     def s_norm(self, j: int) -> float:
         return float(self.sup_norms[j])
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "mollifier_table",
-            "max_order": self.max_order,
-            "cheb_degree": self.cheb_degree,
-            "mass": self.mass,
-            "sup_norms": self.sup_norms.tolist(),
-        }
 
 
 def _cumulative_bump(nodes: np.ndarray) -> tuple[np.ndarray, float]:
@@ -181,8 +171,8 @@ def build_mollifier_table(max_order: int = 8) -> MollifierTable:
     s_nodes = -1.0 + 2.0 / mass * below
     cheb_coeffs = _cheb.chebfit(nodes, s_nodes, _CHEB_DEGREE)
 
-    table = MollifierTable(max_order=max_order, cheb_degree=_CHEB_DEGREE,
-                           mass=mass, sup_norms=np.zeros(max_order + 1),
+    table = MollifierTable(max_order=max_order, mass=mass,
+                           sup_norms=np.zeros(max_order + 1),
                            cheb_coeffs=cheb_coeffs)
     table.sup_norms = np.asarray(
         [1.0] + [table.sup_step_derivative(j) for j in range(1, max_order + 1)])

@@ -160,16 +160,6 @@ class PiecewiseCheb:
         p = np.polynomial.Polynomial(_cheb.cheb2poly(self.coefficients[piece]))
         return p(np.polynomial.Polynomial([-centre / half, 1.0 / half])).coef
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "piecewise_cheb",
-            "periodic": self.periodic,
-            "breakpoints": self.breakpoints.tolist(),
-            "centres": self.centres.tolist(),
-            "halves": self.halves.tolist(),
-            "coefficients": [c.tolist() for c in self.coefficients],
-        }
-
 
 def _clenshaw(stack: np.ndarray, slots: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Clenshaw sums at the points u, each point with its own series.

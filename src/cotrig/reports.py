@@ -113,8 +113,6 @@ def _sanitize(obj):
         return obj if math.isfinite(obj) else repr(obj)
     if isinstance(obj, (str, int, bool)) or obj is None:
         return obj
-    if hasattr(obj, "to_dict"):
-        return _sanitize(obj.to_dict())
     if hasattr(obj, "item"):
         return _sanitize(obj.item())
     return str(obj)

@@ -90,9 +90,6 @@ class SignChangeSet:
             out = out * (t - y)
         return out
 
-    def to_dict(self) -> dict:
-        return {"points": list(self.points)}
-
 
 def delta_q_membership_by_convexity(fq2, ys: SignChangeSet) -> bool:
     """Membership check through the defining convexity pattern.

@@ -38,7 +38,6 @@ class SmoothSpline:
     r: int
     d: float
     lam: float
-    offset: float
     table: MollifierTable
     levels: list
 
@@ -87,17 +86,6 @@ class SmoothSpline:
             seeds.append(chebyshev_points(Interval(lo, hi), 65))
         return np.unique(np.concatenate(seeds))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "smooth_spline",
-            "r": self.r,
-            "d": self.d,
-            "lam": self.lam,
-            "offset": self.offset,
-            "table": self.table.to_dict(),
-            "levels": [lv.to_dict() for lv in self.levels],
-        }
-
 
 def build_smooth_spline(r: int, d: float, lam: float) -> SmoothSpline:
     """Construct the mollified degree-r spline with gap d and half-width lam,
@@ -124,7 +112,7 @@ def build_smooth_spline(r: int, d: float, lam: float) -> SmoothSpline:
                 0.5 * (TWO_PI - d - 3 * lam)],
         coefficients=[[1.0 - gamma], down, [-1.0 - gamma], up, [1.0 - gamma]],
         periodic=True)
-    return SmoothSpline(r=r, d=d, lam=lam, offset=gamma, table=table,
+    return SmoothSpline(r=r, d=d, lam=lam, table=table,
                         levels=zero_mean_levels(base, r))
 
 

@@ -115,15 +115,6 @@ class IdealSpline:
         defect = float(np.abs(p_plus - p_minus).max())
         return p_plus, defect
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "ideal_spline",
-            "r": self.r,
-            "b": self.b,
-            "offset": self.offset,
-            "levels": [lv.to_dict() for lv in self.levels],
-        }
-
 
 def build_ideal_spline(r: int, b: float) -> IdealSpline:
     """Construct the degree-r ideal spline on the window [-b, 2pi - b]."""

@@ -11,8 +11,9 @@ import pytest
 from cotrig import cli
 from cotrig.counterexample import (build_partial_sum, build_summand,
                                    plan_recursion)
-from cotrig.ledger import DEFAULT_MAX_BITS, make_proven_ledger
-from cotrig.reports import canonical_json, write_json
+from cotrig.ledger import (DEFAULT_MAX_BITS, ConstantsLedger,
+                           make_proven_ledger)
+from cotrig.reports import write_json
 from cotrig.smooth import build_smooth_spline
 from cotrig.splines import build_ideal_spline
 
@@ -112,30 +113,50 @@ def test_build_fnb_round_trip(tmp_path, table_ledger):
     assert np.array_equal(reloaded(xs), built(xs))
 
 
+def test_chain_broken_ledger_is_a_usage_error(tmp_path, capsys, toy_ledger):
+    # an empirical ledger read from a file is held to the chain identities
+    # too: one whose c10 was edited fails to load, and a build on it exits 64
+    doc = toy_ledger.to_dict()
+    doc["constants"]["c10"] = "1/3"
+    message = "chain identity c10 = c7 c3 / 2 violated"
+    with pytest.raises(ValueError, match=message):
+        ConstantsLedger.from_dict(doc)
+    ledger_path = tmp_path / "edited.json"
+    write_json(ledger_path, doc)
+    argv = ["build", "fnb", "--ledger", str(ledger_path), "--n", "16",
+            "--b", "1/4", "--d", "1", "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
 def test_decimal_flags_on_fraction_keys_stay_exact(tmp_path, capsys,
                                                    table_ledger):
     # a flag for a key that admits fraction strings is kept as given when
-    # it meets the fraction pattern, so --b 0.1 is the rational 1/10, not
-    # the float nearest it; a flag the pattern refuses (1e-3) and a flag
-    # for a number-only key (build ideal --b) still arrive as floats
+    # it meets the fraction pattern, so --b 0.1 and --b 1e-1 are the
+    # rational 1/10, not the float nearest it; a flag the pattern refuses
+    # (1e-400) and a flag for a number-only key (build ideal --b) still
+    # arrive as floats
     ledger_path = tmp_path / "table.json"
     write_json(ledger_path, table_ledger.to_dict())
-    out = tmp_path / "run"
-    argv = ["build", "fnb", "--ledger", str(ledger_path), "--n", "16",
-            "--b", "0.1", "--d", "1", "--out", str(out)]
-    assert cli.main(argv) == cli.EXIT_OK
-    assert "scaled summand n=16 b=1/10 " in capsys.readouterr().out
-    artifact = json.loads((out / "artifacts" / "fnb.json").read_text())
-    assert artifact["params"] == {"n": 16, "b": "1/10", "d": "1"}
-    echo = json.loads((out / "config-echo.json").read_text())
-    assert (echo["b"], echo["d"]) == ("0.1", "1")
+    for b in ("0.1", "1e-1"):
+        out = tmp_path / b
+        argv = ["build", "fnb", "--ledger", str(ledger_path), "--n", "16",
+                "--b", b, "--d", "1", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert "scaled summand n=16 b=1/10 " in capsys.readouterr().out
+        artifact = json.loads((out / "artifacts" / "fnb.json").read_text())
+        assert artifact["params"] == {"n": 16, "b": "1/10", "d": "1"}
+        echo = json.loads((out / "config-echo.json").read_text())
+        assert (echo["b"], echo["d"]) == (b, "1")
 
     def resolved(argv):
         return cli._resolve_config(cli._build_parser().parse_args(argv))
 
     smooth = resolved(["build", "smooth", "--r", "2", "--d", "1",
                        "--lam", "1e-3"])
-    assert (smooth["d"], smooth["lam"]) == (1.0, 0.001)
+    assert (smooth["d"], smooth["lam"]) == (1.0, "1e-3")
+    assert resolved(["build", "smooth", "--r", "2", "--d", "1",
+                     "--lam", "1e-400"])["lam"] == 0.0
     assert resolved(["build", "smooth", "--r", "2", "--d", "1",
                      "--lam", "1/12"])["lam"] == "1/12"
     assert resolved(["build", "ideal", "--r", "2", "--b", "1.2"])["b"] == 1.2
@@ -158,23 +179,60 @@ def _build_argv(kind, ledgers):
     }[kind]
 
 
+# the top-level keys of each kind's artifact beyond kind, params, summary
+_ARTIFACT_EXTRAS = {"ideal": set(), "smooth": set(), "fnb": {"ledger"},
+                    "partial-sum": {"ledger", "plan_checks"}}
+
+
+def _jets(f, points):
+    """f.jet(points, 3, order) for every order 0..r, with r the order of
+    f, of its spline or of its ledger."""
+    r = f.ledger.r if hasattr(f, "ledger") else getattr(f, "spline", f).r
+    return [f.jet(points, 3, order) for order in range(r + 1)]
+
+
 @pytest.mark.parametrize("kind", list(cli._BUILDERS))
-def test_every_build_artifact_reloads_as_built(tmp_path, toy_ledger,
-                                               table_ledger, kind):
+def test_every_build_artifact_reloads_as_built(tmp_path, monkeypatch,
+                                               toy_ledger, table_ledger,
+                                               kind):
     # solve --target <artifact> rebuilds the function from the artifact's
-    # params: it must be the function the build wrote, piece for piece
+    # kind, params and ledger: every jet row up to order r must be the
+    # built function's, bit for bit, also for an artifact that still
+    # carries the "function" key builds once wrote
     ledgers = {}
     for name, ledger in (("toy", toy_ledger), ("table", table_ledger)):
         ledgers[name] = str(tmp_path / f"{name}.json")
         write_json(ledgers[name], ledger.to_dict())
+    built, make = [], cli._make
+
+    def capture(*args):
+        built.append(make(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_make", capture)
     out = tmp_path / "run"
     assert cli.main(_build_argv(kind, ledgers) + ["--out", str(out)]) \
         == cli.EXIT_OK
+    monkeypatch.undo()
+    (function,) = built
     (artifact_path,) = (out / "artifacts").glob("*.json")
     artifact = json.loads(artifact_path.read_text())
     assert artifact["kind"] == kind
-    reloaded, _ = cli._resolve_target(str(artifact_path))
-    assert json.loads(canonical_json(reloaded)) == artifact["function"]
+    assert set(artifact) == {"kind", "params", "summary"} \
+        | _ARTIFACT_EXTRAS[kind]
+    seeds = function.breakpoints if kind == "ideal" \
+        else function.seed_points()
+    points = np.concatenate([np.linspace(-np.pi, np.pi, 257), seeds])
+    expect = _jets(function, points)
+    legacy_path = tmp_path / "legacy.json"
+    write_json(legacy_path, dict(artifact, function={
+        "kind": "stored coefficients", "levels": [[0.0]]}))
+    for path in (artifact_path, legacy_path):
+        reloaded, _ = cli._resolve_target(str(path))
+        got = _jets(reloaded, points)
+        assert len(got) == len(expect) == 3
+        for want, row in zip(expect, got):
+            assert np.array_equal(row, want)
 
 
 def test_solve_f1_at_degree_24(tmp_path):
@@ -297,7 +355,12 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv):
      None),
     (["experiment", "lemma-aux", "--n", "8", "--b", "1/0", "--q", "3",
       "--p", "4", "--ledger", "table.json"], None),
-], ids=["lam-1/0", "lam-0", "lam-inf-string", "fnb-b-1/0", "lemma-aux-b-1/0"])
+    (["build", "smooth", "--r", "2", "--d", "1", "--lam", "0e5"], None),
+    (["build", "fnb", "--ledger", "table.json", "--n", "16", "--b", "1e400"],
+     None),
+    (["build", "smooth", "--r", "2", "--d", "1", "--lam", "1e-400"], None),
+], ids=["lam-1/0", "lam-0", "lam-inf-string", "fnb-b-1/0", "lemma-aux-b-1/0",
+        "lam-0e5", "fnb-b-1e400", "lam-1e-400"])
 def test_bad_fractions_are_usage_errors(tmp_path, capsys, argv, config):
     # the schema refuses a fraction that is no positive rational before
     # the run directory is made; the key is named, nothing is written
@@ -312,9 +375,10 @@ def test_bad_fractions_are_usage_errors(tmp_path, capsys, argv, config):
     assert not out.exists()
 
 
-_FRACTION_STRINGS = ["1/12", "3/4", "0.25", "1", ".5", "007/010"]
+_FRACTION_STRINGS = ["1/12", "3/4", "0.25", "1", ".5", "007/010", "1e-3",
+                     "1e-1"]
 _NOT_FRACTION_STRINGS = ["1/0", "0/3", "-1/4", "abc", "inf", "0", "0.0",
-                         "1e-3", "1.5/2", "", "1/", "/4"]
+                         "0e5", "1e400", "1.5/2", "", "1/", "/4"]
 
 
 @pytest.mark.parametrize("value", _FRACTION_STRINGS + _NOT_FRACTION_STRINGS)

@@ -115,10 +115,10 @@ def test_plan_tail_bounds_exact(toy_ledger):
 
 
 def test_plan_realizable_prefix(toy_ledger):
+    # level 1's width clears the realization floor and level 2's does not
     plan = toy_plan(toy_ledger)
     assert float(plan.b[1]) >= MIN_REALIZED_WIDTH
     assert float(plan.b[2]) < MIN_REALIZED_WIDTH
-    assert plan.realizable_prefix() == 1
 
 
 def test_plan_validation(toy_ledger):
@@ -161,15 +161,6 @@ def test_plan_verify_handles_immaterial_eps(toy_ledger):
     assert plan.all_satisfied()
 
 
-def test_plan_to_dict(toy_ledger):
-    d = toy_plan(toy_ledger).to_dict()
-    assert d["levels"] == 2
-    assert d["n"] == ["3", "16384", str(2 ** 111)]
-    assert d["b"][0] == "1/4"
-    assert d["realizable_prefix"] == 1
-    assert d["n_float"][2] == pytest.approx(float(2 ** 111))
-
-
 def test_partial_sum_single_level(toy_ledger):
     plan = toy_plan(toy_ledger)
     f = build_partial_sum(plan, 1)
@@ -202,7 +193,7 @@ def test_partial_sum_two_levels(toy_ledger):
     plan = plan_recursion(toy_ledger, d=1, levels=2, eps_rule="tower:2:3")
     assert plan.n == (3, 6, 372)
     assert plan.b == (Fraction(1, 4), Fraction(1, 96), Fraction(1, 3428352))
-    assert plan.realizable_prefix() == 2
+    assert float(plan.b[2]) >= MIN_REALIZED_WIDTH
     f = build_partial_sum(plan, 2)
     assert f.levels == 2
     xs = np.linspace(-0.9, 2.0, 11)
@@ -214,9 +205,6 @@ def test_partial_sum_two_levels(toy_ledger):
     assert ok
     # the head of the sum is polynomial-flat on the final cut window
     assert f.window_polynomial_residual() <= 1e-12
-    d = f.to_dict()
-    assert d["levels"] == 2
-    assert len(d["summands"]) == 2
 
 
 def test_partial_sum_jet_rows_are_exact(toy_ledger, monkeypatch):

@@ -227,13 +227,3 @@ def test_zero_mean_levels():
         assert abs(upper.integral()) < 1e-13
         fd = (upper(xs + h) - upper(xs - h)) / (2 * h)
         assert np.allclose(fd[xs != 0.0], lower(xs)[xs != 0.0], atol=1e-7)
-
-
-def test_round_trip_dict():
-    f = two_piece()
-    d = f.to_dict()
-    assert d["kind"] == "piecewise_cheb"
-    g = PiecewiseCheb(d["breakpoints"], d["centres"], d["halves"],
-                      d["coefficients"], d["periodic"])
-    xs = np.linspace(-1, 2, 13)
-    assert np.array_equal(f(xs), g(xs))

@@ -122,4 +122,6 @@ def test_convexity_membership_accepts_piecewise_kinks():
 
 
 def test_to_dict():
-    assert SignChangeSet([-1.0, 0.0]).to_dict() == {"points": [-1.0, 0.0]}
+    """The set stores its points as plain floats, the list its removed
+    serialiser wrote."""
+    assert SignChangeSet([-1, 0]).points == (-1.0, 0.0)

@@ -68,16 +68,6 @@ def test_mixed_sup_norm_and_defect(join_defects):
     assert join_defects(g).max() == pytest.approx(0.0, abs=1e-15)
 
 
-def test_mixed_round_trip():
-    f = PiecewiseCheb([0.0, 1.0, 3.0], centres=[0.5, 2.0], halves=[0.5, 1.0],
-                      coefficients=[[1.0, 1.0], [0.5, 0.0, 1.0]])
-    d = f.to_dict()
-    g = PiecewiseCheb(d["breakpoints"], d["centres"], d["halves"],
-                      d["coefficients"], d["periodic"])
-    xs = np.linspace(0, 3, 17)
-    assert np.allclose(f(xs), g(xs))
-
-
 def test_smooth_build_validation():
     with pytest.raises(ValueError):
         build_smooth_spline(0, 1.0, 0.1)
