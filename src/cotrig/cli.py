@@ -27,7 +27,13 @@ the key also takes fraction strings and the flag is one: --b 0.1 and
 command's schema in SCHEMAS by this module's own validator, which
 enforces the JSON-Schema keywords those schemas use.  That check comes
 before the run directory is made, so a bad value writes nothing;
-fraction strings such as --lam 1/12 are checked there too.
+fraction strings such as --lam 1/12 are checked there too, and the
+--ledger file is loaded there, so a missing, malformed or chain-broken
+ledger writes nothing either.
+
+Only experiment bernstein, lemma-3111 and calibrate take --seed (the
+"seed" key), because only they draw random numbers; every other command
+refuses it as a usage error.
 
 Exit codes: 0 success, 1 a declared assertion failed, 2 numerical
 failure (solver breakdown, unrepresentable plan level), 64 usage or
@@ -84,10 +90,12 @@ _FRACTIONABLE = {
 _INT_LIST = {"type": "array", "items": _POS_INT, "minItems": 1}
 _NUM_LIST = {"type": "array", "items": {"type": "number"}, "minItems": 1}
 _STRING = {"type": "string", "minLength": 1}
+# only the experiments that draw random numbers take a seed
+_SEED = {"type": "integer", "minimum": 0}
 
 
 def _schema(required, extra=None, **props):
-    props.update({"out": _STRING, "seed": {"type": "integer", "minimum": 0}})
+    props["out"] = _STRING
     doc = {"type": "object", "properties": props, "required": list(required),
            "additionalProperties": False}
     if extra:
@@ -112,11 +120,12 @@ SCHEMAS = {
                 "minItems": 2, "maxItems": 2},
         q=_Q_INT, y_points=_NUM_LIST),
     ("experiment", "bernstein"): _schema(["b", "n_list"], b=_NUMBER,
-                                         n_list=_INT_LIST, trials=_POS_INT),
+                                         n_list=_INT_LIST, trials=_POS_INT,
+                                         seed=_SEED),
     ("experiment", "lemma-mod"): _schema(["b_list", "n_list"],
                                          b_list=_NUM_LIST, n_list=_INT_LIST),
     ("experiment", "lemma-3111"): _schema(["q", "b"], q=_Q_INT, b=_NUMBER,
-                                          trials=_POS_INT),
+                                          trials=_POS_INT, seed=_SEED),
     ("experiment", "lemma-22"): _schema(["q"], q=_Q_INT, knots=_POS_INT),
     ("experiment", "thm-12"): _schema(["q", "y_points", "n_list"], q=_Q_INT,
                                       y_points=_NUM_LIST, n_list=_INT_LIST),
@@ -126,7 +135,7 @@ SCHEMAS = {
         ["n_list", "b", "q", "p", "ledger"], n_list=_INT_LIST,
         b=_FRACTIONABLE, q=_Q_INT, p=_Q_INT, ledger=_STRING, d=_FRACTIONABLE),
     ("experiment", "calibrate"): _schema(["q", "p", "d"], q=_Q_INT, p=_Q_INT,
-                                         d=_NUMBER),
+                                         d=_NUMBER, seed=_SEED),
 }
 
 
@@ -305,7 +314,7 @@ def cmd_build_smooth(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_build_fnb(cfg: dict, out_dir: Path) -> int:
-    ledger = _load_ledger(cfg["ledger"])
+    ledger = cfg["ledger"]
     n, b = cfg["n"], Fraction(cfg["b"])
     d = Fraction(cfg["d"]) if "d" in cfg else ledger.gap
     params = {"n": n, "b": str(b), "d": str(d)}
@@ -333,7 +342,7 @@ def cmd_build_fnb(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_build_partial_sum(cfg: dict, out_dir: Path) -> int:
-    ledger = _load_ledger(cfg["ledger"])
+    ledger = cfg["ledger"]
     K = cfg["K"]
     d = Fraction(cfg["d"]) if "d" in cfg else ledger.gap
     eps_rule = cfg.get("eps_rule", "log")
@@ -445,8 +454,6 @@ def cmd_solve(cfg: dict, out_dir: Path) -> int:
 
 def cmd_experiment(name: str, cfg: dict, out_dir: Path) -> int:
     params = {k: v for k, v in cfg.items() if k != "out"}
-    if "ledger" in params:
-        params["ledger"] = _load_ledger(params["ledger"])
     report = run_experiment(name, **params)
     write_report_files(report, out_dir)
     if name == "calibrate":
@@ -494,16 +501,14 @@ _FLAGS = {
                          "help": "sign-change points (even count)"}),
     "trials": ("--trials", {"type": int, "help": "random draws per cell"}),
     "knots": ("--knots", {"type": int, "help": "hinge knots per side"}),
+    "seed": ("--seed", {"type": int, "help": "base random seed"}),
+    "out": ("--out", {"help": "output directory for this run"}),
 }
 
 
 def _add_flags(parser, schema_key) -> None:
     parser.add_argument("--config", help="JSON config file; flags win")
-    parser.add_argument("--out", help="output directory for this run")
-    parser.add_argument("--seed", type=int, help="base random seed")
     for key in SCHEMAS[schema_key]["properties"]:
-        if key in ("out", "seed"):
-            continue
         flag, kwargs = _FLAGS[key]
         parser.add_argument(flag, dest=key, **kwargs)
 
@@ -528,7 +533,11 @@ def _build_parser() -> _Parser:
     _add_flags(solve, ("solve", None))
     solve.set_defaults(schema_key=("solve", None), run_name="solve")
 
-    exp = sub.add_parser("experiment", help="run a certification experiment")
+    exp = sub.add_parser(
+        "experiment", help="run a certification experiment",
+        description="run a certification experiment; bernstein, lemma-3111 "
+                    "and calibrate draw random numbers and take --seed, the "
+                    "others take no seed")
     exp_sub = exp.add_subparsers(dest="name", required=True)
     for name in EXPERIMENT_NAMES:
         ep = exp_sub.add_parser(name)
@@ -590,6 +599,9 @@ def main(argv=None) -> int:
         # before anything is written: a config that fails its schema
         # exits 64 and creates no run directory
         _validate(cfg, SCHEMAS[args.schema_key])
+        # and so does a ledger file that is missing, malformed or breaks
+        # its chain identities
+        ledger = _load_ledger(cfg["ledger"]) if "ledger" in cfg else None
         out_dir = _out_dir(args, cfg)
         cfg["out"] = str(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -600,6 +612,9 @@ def main(argv=None) -> int:
             echo["name"] = args.name
         echo.update(cfg)
         write_json(out_dir / "config-echo.json", echo)
+        # the commands read the loaded ledger where the echo holds its path
+        if ledger is not None:
+            cfg["ledger"] = ledger
         return _dispatch(args, cfg, out_dir)
     except (EpsGrowthError, RealizabilityError, LPError,
             FloatingPointError, OverflowError) as exc:

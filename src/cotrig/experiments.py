@@ -6,8 +6,10 @@ behaviour it certifies: derivative-growth ratios stay bounded, kink
 errors decay at the right rate, constrained errors refuse to decay while
 unconstrained ones drop, and the scaled-summand floor holds.
 
-All randomness flows through one seeded generator per experiment, so a
-rerun with the same seed reproduces every number bit-exactly.
+Only bernstein and lemma-3111 draw random numbers, each from one
+generator seeded by its seed parameter, so a rerun with the same seed
+reproduces every number bit-exactly; calibrate seeds those two from its
+own seed.  The other experiments draw nothing and take no seed.
 """
 
 from __future__ import annotations
@@ -133,7 +135,7 @@ def exp_bernstein_interval(b: float, n_list, trials: int = 60,
 # kink approximation rate on an interval
 
 
-def exp_lemma_mod(b_list, n_list, seed: int = 0) -> ExperimentReport:
+def exp_lemma_mod(b_list, n_list) -> ExperimentReport:
     """n E_n(F_1, [-b,b]) / b stays positive and stable; adding a linear
     term barely moves the error when b < pi."""
     ns = _check_degrees(n_list)
@@ -177,7 +179,7 @@ def exp_lemma_mod(b_list, n_list, seed: int = 0) -> ExperimentReport:
                   f"{slope}x + 0.05 at b={b_inv:.4g}, n={n_inv}"),
     ]
     report = ExperimentReport(
-        experiment="lemma-mod", seed=seed,
+        experiment="lemma-mod",
         parameters={"b_list": bs, "n_list": ns,
                     "invariance": {"b": b_inv, "n": n_inv, "slope": slope}},
         grid=grid,
@@ -335,7 +337,7 @@ def _lemma22_minimum(q: int, knots: int) -> float:
     return post
 
 
-def exp_lemma_22(q: int, knots: int = 16, seed: int = 0) -> ExperimentReport:
+def exp_lemma_22(q: int, knots: int = 16) -> ExperimentReport:
     """Minimal distance from F_{q-2} to the convex-right/concave-left class
     on [-1,1], estimated by an LP over integrated hinge splines."""
     if q < 3:
@@ -348,7 +350,7 @@ def exp_lemma_22(q: int, knots: int = 16, seed: int = 0) -> ExperimentReport:
                   f"knot doubling moved the minimum by {100 * change:.2f}%"),
     ]
     report = ExperimentReport(
-        experiment="lemma-22", seed=seed,
+        experiment="lemma-22",
         parameters={"q": q, "knots": knots},
         grid=[{"knots": knots, "minimum": coarse},
               {"knots": 2 * knots, "minimum": fine}],
@@ -403,8 +405,7 @@ def _theorem_ladder(q: int, r: int, y_points, n_list):
     return f, b, cells, cons, shared, parameters
 
 
-def exp_theorem_12(q: int, y_points, n_list,
-                   seed: int = 0) -> ExperimentReport:
+def exp_theorem_12(q: int, y_points, n_list) -> ExperimentReport:
     """Ideal spline of degree q-2: constrained errors refuse to decay."""
     _, _, cells, _, shared, parameters = _theorem_ladder(q, q - 2, y_points,
                                                          n_list)
@@ -418,7 +419,7 @@ def exp_theorem_12(q: int, y_points, n_list,
         *shared,
     ]
     report = ExperimentReport(
-        experiment="thm-12", seed=seed, parameters=parameters, grid=cells,
+        experiment="thm-12", parameters=parameters, grid=cells,
         constants=[ConstantReading(
             "C_floor", float(min(con)),
             "inf_n E_n^{(q)}(f, Y) for f the degree-(q-2) ideal spline")],
@@ -427,8 +428,7 @@ def exp_theorem_12(q: int, y_points, n_list,
     return report
 
 
-def exp_theorem_13(q: int, y_points, n_list,
-                   seed: int = 0) -> ExperimentReport:
+def exp_theorem_13(q: int, y_points, n_list) -> ExperimentReport:
     """Ideal spline of degree q-1: n times the constrained error stays flat."""
     r = q - 1
     f, b, cells, cons, shared, parameters = _theorem_ladder(q, r, y_points,
@@ -459,7 +459,7 @@ def exp_theorem_13(q: int, y_points, n_list,
                   f"measured window constant {c3:.6g} > 0"),
     ]
     report = ExperimentReport(
-        experiment="thm-13", seed=seed, parameters=parameters, grid=cells,
+        experiment="thm-13", parameters=parameters, grid=cells,
         constants=[
             ConstantReading("nE_floor", float(min(products)),
                             "inf_n n E_n^{(q)}(f, Y), degree-(q-1) spline"),
@@ -500,7 +500,7 @@ def window_floor_solve(target, n: int, q: int, b: float, poly_degree: int,
 
 
 def exp_lemma_aux(n_list, b, q: int, p: int, ledger: ConstantsLedger,
-                  d=None, seed: int = 0) -> ExperimentReport:
+                  d=None) -> ExperimentReport:
     """Scaled-summand floor: n^{m+1} sup|f_{n,b} + P_r - T_n| on [-b,b]
     stays above a fixed share of the calibrated chain constant."""
     if ledger.q != q or ledger.p != p:
@@ -537,7 +537,7 @@ def exp_lemma_aux(n_list, b, q: int, p: int, ledger: ConstantsLedger,
                   "error with free P never exceeds error without"),
     ]
     report = ExperimentReport(
-        experiment="lemma-aux", seed=seed,
+        experiment="lemma-aux",
         parameters={"n_list": ns, "b": str(b), "d": str(d), "q": q, "p": p},
         grid=grid,
         constants=[ConstantReading(
@@ -587,7 +587,7 @@ def calibrate_constants(q: int, p: int, d, seed: int = 0):
     bern = exp_bernstein_interval(b=min(d, 0.9 * np.pi), n_list=(4, 8, 16),
                                   trials=40, seed=seed + 1)
     c0 = max(bern.constants[0].value, 1.0 + 1e-9)
-    mod = exp_lemma_mod(b_list=(d,), n_list=(8, 16, 32), seed=seed + 2)
+    mod = exp_lemma_mod(b_list=(d,), n_list=(8, 16, 32))
     c1 = mod.constants[0].value
     dom = exp_lemma_3111(q=max(q, 3), b=d / 2, trials=40, seed=seed + 3)
     c2 = dom.constants[0].value

@@ -3,13 +3,15 @@
 Every sup norm in this package goes through sup_norm, and every function
 it measures is given as one callable, its jet: jet(x, rows=3) returns the
 first `rows` of f, f', f'' at the flat points x, shape (rows, x.size).
-Every function object of the package reads its derivatives through one
-accessor, obj.jet(x, rows=3, order=0), the rows f^(order), ...,
-f^(order+rows-1); the jet of f^(j) handed to sup_norm is
-lambda x, rows=3: obj.jet(x, rows, j).  Trigonometric polynomials,
-piecewise Chebyshev series and the splines built from them, the
-mollifier's step, partial sums and hinge sums all know these rows in
-closed form.
+Trigonometric polynomials, ideal and mollified splines, summands and
+partial sums read their derivatives through one accessor,
+obj.jet(x, rows=3, order=0), the rows f^(order), ..., f^(order+rows-1);
+the jet of f^(j) handed to sup_norm is
+lambda x, rows=3: obj.jet(x, rows, j).  The mollifier table's jet is the
+same accessor starting at the step's first derivative (order=1).  A
+piecewise Chebyshev series, PowerKink and lemma-3111's hinge sums take
+rows only: jet(x, rows=3) is their order-0 jet.  All of them know these
+rows in closed form.
 
 sup_norm samples |f| (the jet's row 0) on Chebyshev-distributed points of
 the interval (clustered at the endpoints, where the kinks of the target

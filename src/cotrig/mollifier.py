@@ -123,7 +123,11 @@ class MollifierTable:
                         Interval(-1.0, 1.0), floor=8193)
 
     def s_norm(self, j: int) -> float:
-        return float(self.sup_norms[j])
+        """Sup of |S^(j)|: the stored norm up to max_order, computed by
+        sup_step_derivative above it."""
+        if j <= self.max_order:
+            return float(self.sup_norms[j])
+        return self.sup_step_derivative(j)
 
 
 def _cumulative_bump(nodes: np.ndarray) -> tuple[np.ndarray, float]:

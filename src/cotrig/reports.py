@@ -46,12 +46,16 @@ class ConstantReading:
 
 @dataclass
 class ExperimentReport:
-    """Everything one experiment run measured and asserted."""
+    """Everything one experiment run measured and asserted.
+
+    seed is the seed of the experiment's random draws, and 0 for an
+    experiment that draws nothing.
+    """
 
     experiment: str
-    seed: int
     parameters: dict
     grid: list
+    seed: int = 0
     constants: list = field(default_factory=list)
     assertions: list = field(default_factory=list)
     plots: list = field(default_factory=list)
@@ -102,7 +106,8 @@ class ExperimentReport:
 
 def _sanitize(obj):
     """Make an object JSON-safe: Fractions to strings, non-finite floats
-    to strings, tuples to lists."""
+    to strings, tuples to lists, numpy scalars to Python ones; any other
+    type is a TypeError, not its str()."""
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -115,7 +120,8 @@ def _sanitize(obj):
         return obj
     if hasattr(obj, "item"):
         return _sanitize(obj.item())
-    return str(obj)
+    raise TypeError(f"cannot write an object of type {type(obj).__name__} "
+                    "as JSON")
 
 
 def _fingerprint(doc: dict) -> str:

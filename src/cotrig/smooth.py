@@ -77,7 +77,7 @@ class SmoothSpline:
         if j <= self.r:
             return self.levels[self.r - j].sup_norm()
         k = j - self.r
-        return self.table.sup_step_derivative(k) / self.lam ** k
+        return self.table.s_norm(k) / self.lam ** k
 
     def seed_points(self) -> np.ndarray:
         """Top-level breakpoints and 65 Chebyshev points in every zone."""

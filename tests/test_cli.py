@@ -127,6 +127,21 @@ def test_chain_broken_ledger_is_a_usage_error(tmp_path, capsys, toy_ledger):
             "--b", "1/4", "--d", "1", "--out", str(tmp_path / "run")]
     assert cli.main(argv) == cli.EXIT_USAGE
     assert message in capsys.readouterr().err
+    # the ledger loads before the run directory is made: nothing is written
+    assert not (tmp_path / "run").exists()
+
+
+def test_missing_ledger_is_a_usage_error(tmp_path, capsys):
+    # an experiment's ledger loads before its run directory is made too
+    missing = tmp_path / "missing.json"
+    argv = ["experiment", "lemma-aux", "--n", "8", "--b", "1/4", "--q", "3",
+            "--p", "4", "--ledger", str(missing),
+            "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: ")
+    assert str(missing) in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_decimal_flags_on_fraction_keys_stay_exact(tmp_path, capsys,
@@ -286,20 +301,38 @@ def _exit_code(argv) -> int:
         return exc.code
 
 
-@pytest.mark.parametrize("extra, config", [
-    (["--jobs", "2"], None),
-    (["--points-per-degree", "8"], None),
-    ([], {"jobs": 2}),
-], ids=["jobs-flag", "points-per-degree-flag", "jobs-config-key"])
-def test_retired_options_are_usage_errors(tmp_path, extra, config):
-    # the solver and sampling policy is fixed: no thread pool, no density
-    argv = ["solve", "--target", "cos", "--degree", "2",
-            "--out", str(tmp_path / "run")] + extra
+_RETIRED_OPTIONS = {
+    "jobs-flag": (["--jobs", "2"], None),
+    "points-per-degree-flag": (["--points-per-degree", "8"], None),
+    "jobs-config-key": ([], {"jobs": 2}),
+    "seed-flag": (["--seed", "1"], None),
+    "seed-config-key": ([], {"seed": 1}),
+}
+# commands that draw nothing; the solve cases keep their plain ids
+_UNSEEDED_COMMANDS = {
+    "": ["solve", "--target", "cos", "--degree", "2"],
+    "build-ideal-": ["build", "ideal", "--r", "2", "--b", "1.2"],
+    "thm-12-": ["experiment", "thm-12", "--q", "3", "--Y", "-1.2", "0",
+                "--n", "8"],
+}
+
+
+@pytest.mark.parametrize("command, extra, config", [
+    (command, *option) for command in _UNSEEDED_COMMANDS.values()
+    for option in _RETIRED_OPTIONS.values()
+], ids=[prefix + name for prefix in _UNSEEDED_COMMANDS
+        for name in _RETIRED_OPTIONS])
+def test_retired_options_are_usage_errors(tmp_path, command, extra, config):
+    # the solver and sampling policy is fixed: no thread pool, no density;
+    # and a command that draws nothing takes no seed
+    out = tmp_path / "run"
+    argv = command + ["--out", str(out)] + extra
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         argv += ["--config", str(path)]
     assert _exit_code(argv) == cli.EXIT_USAGE
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, missing, given", [

@@ -95,3 +95,23 @@ def test_theorem_experiments_take_the_large_cap(run):
     # degrees are validated before any solve, so this costs nothing
     with pytest.raises(ValueError, match=f"cap {DEGREE_CAP_LARGE}$"):
         run(3, [-0.6, 0.6], [DEGREE_CAP_LARGE + 1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["bernstein", "--b", "1", "--n", "4"],
+    ["lemma-3111", "--q", "3", "--b", "0.5"],
+], ids=["bernstein", "lemma-3111"])
+def test_kept_seeds_seed_the_draws(tmp_path, argv):
+    # the experiments that take a seed draw from it: seeds 1 and 2 give
+    # different fingerprints, and different grids, so not only the seed
+    # field moved
+    reports = []
+    for seed in (1, 2):
+        out = tmp_path / f"seed{seed}"
+        assert cli.main(["experiment", *argv, "--trials", "4", "--seed",
+                         str(seed), "--out", str(out)]) == cli.EXIT_OK
+        reports.append(json.loads((out / "report.json").read_text()))
+    one, two = reports
+    assert (one["seed"], two["seed"]) == (1, 2)
+    assert one["fingerprint"] != two["fingerprint"]
+    assert one["grid"] != two["grid"]

@@ -181,6 +181,11 @@ def test_sup_norm_polishes_a_flat_run_at_its_ends(monkeypatch, j, value,
     monkeypatch.setattr(grids, "_newton_refine_max", counting_newton)
     monkeypatch.setattr(grids, "golden_refine_max", no_golden)
     assert spline.sup_derivative(j) == value
+    if j > spline.r:
+        # above r the spline reads the table's stored step norm: take
+        # that sup again, the one the table took when it was built
+        k = j - spline.r
+        assert spline.table.sup_step_derivative(k) / spline.lam ** k == value
     assert 0 < len(brackets) <= most
 
 

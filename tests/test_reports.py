@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from cotrig.reports import (Assertion, ConstantReading, ExperimentReport,
                             canonical_json, write_csv, write_json,
@@ -69,6 +70,9 @@ def test_sanitize_through_canonical_json():
     assert doc["npfloat"] == 0.5
     assert doc["npint"] == 3
     assert doc["none"] is None
+    # a type it does not know fails instead of landing as its str()
+    with pytest.raises(TypeError, match="of type object as JSON"):
+        canonical_json({"unknown": object()})
 
 
 def test_write_json_canonical(tmp_path):

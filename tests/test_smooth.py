@@ -4,6 +4,7 @@ for the splines themselves."""
 import numpy as np
 import pytest
 
+from cotrig.mollifier import MollifierTable
 from cotrig.piecewise import PiecewiseCheb
 from cotrig.smooth import build_smooth_spline, spline_distance
 from cotrig.splines import build_ideal_spline, step_offset
@@ -137,6 +138,25 @@ def test_smooth_derivative_sup_scaling(table):
     for j in (1, 2):
         ratio = sp.sup_derivative(2 + j) * sp.lam ** j / table.s_norm(j)
         assert ratio == pytest.approx(1.0, abs=1e-6)
+
+
+def test_smooth_derivative_sup_reads_the_stored_norms(table, monkeypatch):
+    # above r the sup is the table's stored step norm over lam^k, with no
+    # new sup norm taken; an order past the table's is still computed
+    sp = build_smooth_spline(2, 1.0, 1.0 / 12)
+    expected = {k: table.sup_step_derivative(k) / sp.lam ** k
+                for k in (1, 2, 3, table.max_order + 1)}
+    computed = []
+    original = MollifierTable.sup_step_derivative
+
+    def counting(self, j):
+        computed.append(j)
+        return original(self, j)
+
+    monkeypatch.setattr(MollifierTable, "sup_step_derivative", counting)
+    for k, value in expected.items():
+        assert sp.sup_derivative(2 + k) == value
+    assert computed == [table.max_order + 1]
 
 
 def test_smooth_close_to_ideal_spline():
