@@ -21,15 +21,22 @@ ledger alone, so an artifact that still carries a "function" key, as
 builds once wrote, loads unchanged.
 
 Config values come from an optional JSON file (--config) overridden by
-command-line flags.  A flag for a number key is read as a float, unless
-the key also takes fraction strings and the flag is one: --b 0.1 and
---b 1e-1 stay the exact 1/10.  The merged config is checked against the
-command's schema in SCHEMAS by this module's own validator, which
-enforces the JSON-Schema keywords those schemas use.  That check comes
-before the run directory is made, so a bad value writes nothing;
-fraction strings such as --lam 1/12 are checked there too, and the
---ledger file is loaded there, so a missing, malformed or chain-broken
-ledger writes nothing either.
+command-line flags.  A flag and a config key read alike: a flag's text
+and a config file's value go through the same check, the one _KEYS
+gives the key, and a string is read the way Python reads it (int() for
+an integer key, float() for a number key), so --r 2 and "r": "2" are
+the same value.  A check refuses the wrong type, a bool, 4.0 for an
+integer, a number that is not finite, a value below the key's minimum,
+an empty list and a domain of other than two numbers; every refusal
+starts with the key it names.  A
+fraction key (lam, and b and d on the commands that read a ledger) also
+admits any string that Fraction reads as a positive rational whose float
+is positive and finite, "1/12", "0.1", "1e-1", " 1/4" or "1_0" alike,
+and keeps it exactly as given: --b 0.1 is the exact 1/10.  The config is
+checked before the run directory is made, so a bad value writes nothing;
+the --ledger file is loaded there too, so a missing, malformed or
+chain-broken ledger writes nothing either.  A usage error a command
+raises later removes the run directory, when this run made it.
 
 Only experiment bernstein, lemma-3111 and calibrate take --seed (the
 "seed" key), because only they draw random numbers; every other command
@@ -48,6 +55,7 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -75,133 +83,18 @@ EXIT_USAGE = 64
 
 OUT_ROOT_ENV = "COTRIG_OUT_ROOT"
 
-_POS_INT = {"type": "integer", "minimum": 1}
-_Q_INT = {"type": "integer", "minimum": 3}
-_NUMBER = {"type": "number", "exclusiveMinimum": 0}
-# a positive number, or a string Fraction reads as a positive rational:
-# "0.25", ".5", "1e-3" (a non-zero mantissa, an exponent of at most two
-# digits), or "p/q" with q > 0.  "1/0", "0/3", "-1/4", "0", "0e5", "inf"
-# and "1e400" are refused (a flag the pattern refuses but float() reads,
-# as --lam 1e-400, arrives as a number: here 0.0, which fails the minimum)
-_FRACTIONABLE = {
-    "type": ["number", "string"], "exclusiveMinimum": 0,
-    "pattern": r"^(?=[^/eE]*[1-9])([0-9]*\.?[0-9]+([eE][+-]?[0-9]{1,2})?"
-               r"|[0-9]+/0*[1-9][0-9]*)$"}
-_INT_LIST = {"type": "array", "items": _POS_INT, "minItems": 1}
-_NUM_LIST = {"type": "array", "items": {"type": "number"}, "minItems": 1}
-_STRING = {"type": "string", "minLength": 1}
-# only the experiments that draw random numbers take a seed
-_SEED = {"type": "integer", "minimum": 0}
-
-
-def _schema(required, extra=None, **props):
-    props["out"] = _STRING
-    doc = {"type": "object", "properties": props, "required": list(required),
-           "additionalProperties": False}
-    if extra:
-        doc.update(extra)
-    return doc
-
-
-SCHEMAS = {
-    ("build", "ideal"): _schema(["r", "b"], r=_POS_INT, b=_NUMBER),
-    ("build", "smooth"): _schema(["r", "d", "lam"], r=_POS_INT, d=_NUMBER,
-                                 lam=_FRACTIONABLE),
-    ("build", "fnb"): _schema(["ledger", "n", "b"], ledger=_STRING,
-                              n=_POS_INT, b=_FRACTIONABLE, d=_FRACTIONABLE),
-    ("build", "partial-sum"): _schema(
-        ["ledger", "K"], ledger=_STRING, K=_POS_INT, d=_FRACTIONABLE,
-        eps_rule=_STRING, max_bits=_POS_INT),
-    ("solve", None): _schema(
-        ["target", "degree"],
-        extra={"dependentRequired": {"q": ["y_points"], "y_points": ["q"]}},
-        target=_STRING, degree=_POS_INT,
-        domain={"type": "array", "items": {"type": "number"},
-                "minItems": 2, "maxItems": 2},
-        q=_Q_INT, y_points=_NUM_LIST),
-    ("experiment", "bernstein"): _schema(["b", "n_list"], b=_NUMBER,
-                                         n_list=_INT_LIST, trials=_POS_INT,
-                                         seed=_SEED),
-    ("experiment", "lemma-mod"): _schema(["b_list", "n_list"],
-                                         b_list=_NUM_LIST, n_list=_INT_LIST),
-    ("experiment", "lemma-3111"): _schema(["q", "b"], q=_Q_INT, b=_NUMBER,
-                                          trials=_POS_INT, seed=_SEED),
-    ("experiment", "lemma-22"): _schema(["q"], q=_Q_INT, knots=_POS_INT),
-    ("experiment", "thm-12"): _schema(["q", "y_points", "n_list"], q=_Q_INT,
-                                      y_points=_NUM_LIST, n_list=_INT_LIST),
-    ("experiment", "thm-13"): _schema(["q", "y_points", "n_list"], q=_Q_INT,
-                                      y_points=_NUM_LIST, n_list=_INT_LIST),
-    ("experiment", "lemma-aux"): _schema(
-        ["n_list", "b", "q", "p", "ledger"], n_list=_INT_LIST,
-        b=_FRACTIONABLE, q=_Q_INT, p=_Q_INT, ledger=_STRING, d=_FRACTIONABLE),
-    ("experiment", "calibrate"): _schema(["q", "p", "d"], q=_Q_INT, p=_Q_INT,
-                                         d=_NUMBER, seed=_SEED),
-}
-
-
-# the Python classes each JSON type admits; a bool is never one of them
-_TYPES = {"object": (dict,), "array": (list,), "string": (str,),
-          "number": (int, float), "integer": (int,)}
-
-
-def _validate(value, schema: dict, where: str = "config") -> None:
-    """Raise a ValueError that starts with the offending key unless
-    ``value`` meets ``schema``.
-
-    Enforces the keywords SCHEMAS uses, as draft 2020-12 defines them
-    (so fraction strings meet their "pattern" before any run directory
-    exists), with two exceptions: an "integer" must be an int, so 4.0 is
-    refused, and a float must be finite, so inf and nan are refused.
-    """
-    types = schema.get("type", [])
-    types = [types] if isinstance(types, str) else types
-    if types and (isinstance(value, bool) or not isinstance(
-            value, sum((_TYPES[t] for t in types), ()))):
-        raise ValueError(f"{where}: {value!r} is not of type "
-                         + " or ".join(map(repr, types)))
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{where}: {value!r} is not a finite number")
-    if isinstance(value, (int, float)):
-        if "minimum" in schema and value < schema["minimum"]:
-            raise ValueError(f"{where}: {value!r} is less than the minimum "
-                             f"of {schema['minimum']!r}")
-        if "exclusiveMinimum" in schema and \
-                value <= schema["exclusiveMinimum"]:
-            raise ValueError(f"{where}: {value!r} is not greater than "
-                             f"{schema['exclusiveMinimum']!r}")
-    if isinstance(value, str):
-        if len(value) < schema.get("minLength", 0):
-            raise ValueError(f"{where}: {value!r} is too short")
-        if "pattern" in schema and not re.search(schema["pattern"], value):
-            raise ValueError(f"{where}: {value!r} does not match "
-                             f"{schema['pattern']!r}")
-    if isinstance(value, list):
-        if len(value) < schema.get("minItems", 0):
-            raise ValueError(f"{where}: {value!r} is too short")
-        if len(value) > schema.get("maxItems", len(value)):
-            raise ValueError(f"{where}: {value!r} is too long")
-        for i, item in enumerate(value):
-            _validate(item, schema.get("items", {}), f"{where}[{i}]")
-    if isinstance(value, dict):
-        properties = schema.get("properties", {})
-        for key in value:
-            if key not in properties and \
-                    schema.get("additionalProperties") is False:
-                raise ValueError(f"{key}: unknown key")
-        for key in schema.get("required", []):
-            if key not in value:
-                raise ValueError(f"{key}: required")
-        for key, needs in schema.get("dependentRequired", {}).items():
-            for need in needs:
-                if key in value and need not in value:
-                    raise ValueError(f"{need}: required with {key!r}")
-        for key, sub in properties.items():
-            if key in value:
-                _validate(value[key], sub, key)
-
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser whose usage errors exit with code 64."""
+    """argparse parser whose usage errors exit with code 64, and whose
+    commands report the flags they do not know with their own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extras = super().parse_known_args(args, namespace)
+        # a command has no subcommands; argparse would pass its extras up
+        # to the root parser, whose usage names no command
+        if extras and self._subparsers is None:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return args, extras
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -473,44 +366,160 @@ def cmd_experiment(name: str, cfg: dict, out_dir: Path) -> int:
 # plumbing
 
 
-_FLAGS = {
-    "r": ("--r", {"type": int, "help": "spline order"}),
-    "b": ("--b", {"help": "window or cut parameter"}),
-    "d": ("--d", {"help": "sign-change gap"}),
-    "lam": ("--lam", {"help": "mollification width"}),
-    "n": ("--n", {"type": int, "help": "summand degree"}),
-    "K": ("--K", {"type": int, "help": "partial-sum level count"}),
-    "q": ("--q", {"type": int, "help": "monotonicity order"}),
-    "p": ("--p", {"type": int, "help": "smoothness order"}),
-    "target": ("--target",
+def _integer(least: int):
+    """The check of an integer key of at least least."""
+    def check(key, value):
+        if isinstance(value, str):
+            try:
+                value = int(value)
+            except ValueError:
+                pass
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{key}: {value!r} is not an integer")
+        if value < least:
+            raise ValueError(f"{key}: {value!r} is less than the minimum "
+                             f"of {least}")
+        return value
+    return check
+
+
+def _number(key, value, positive=False):
+    """A finite number, and a positive one if positive."""
+    if isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            pass
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key}: {value!r} is not a number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key}: {value!r} is not a finite number")
+    if positive and value <= 0:
+        raise ValueError(f"{key}: {value!r} is not greater than 0")
+    return value
+
+
+def _positive(key, value):
+    return _number(key, value, positive=True)
+
+
+def _fraction(key, value):
+    """A string Fraction reads as a positive rational whose float is
+    positive and finite, kept as given; else a positive number."""
+    if isinstance(value, str):
+        try:
+            if 0 < float(Fraction(value)) < math.inf:
+                return value
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+    return _positive(key, value)
+
+
+def _text(key, value):
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{key}: {value!r} is not non-empty text")
+    return value
+
+
+def _list(item, size=None):
+    """The check of a non-empty list (of size items, if given) whose
+    items each pass item."""
+    def check(key, value):
+        if not isinstance(value, list) or not value \
+                or len(value) != (size or len(value)):
+            raise ValueError(f"{key}: {value!r} is not a list of "
+                             f"{size or 'one or more'} values")
+        return [item(f"{key}[{i}]", v) for i, v in enumerate(value)]
+    return check
+
+
+# each config key: its flag, the check its value passes, and the flag's
+# other argparse settings
+_KEYS = {
+    "r": ("--r", _integer(1), {"help": "spline order"}),
+    "b": ("--b", _positive, {"help": "window or cut parameter"}),
+    "d": ("--d", _positive, {"help": "sign-change gap"}),
+    "lam": ("--lam", _fraction, {"help": "mollification width"}),
+    "n": ("--n", _integer(1), {"help": "summand degree"}),
+    "K": ("--K", _integer(1), {"help": "partial-sum level count"}),
+    "q": ("--q", _integer(3), {"help": "monotonicity order"}),
+    "p": ("--p", _integer(3), {"help": "smoothness order"}),
+    "target": ("--target", _text,
                {"help": "cos, F<r>, ideal:<r>:<b>, or artifact path"}),
-    "degree": ("--degree", {"type": int, "help": "trigonometric degree"}),
-    "domain": ("--domain", {"type": float, "nargs": 2,
-                            "metavar": ("LO", "HI"),
-                            "help": "interval endpoints"}),
-    "ledger": ("--ledger", {"help": "constants ledger JSON path"}),
-    "eps_rule": ("--eps-rule", {"help": "decay rule: log, linear, "
-                                        "power:a, geometric:B, tower:B:e"}),
-    "max_bits": ("--max-bits",
-                 {"type": int, "help": "cap on planned integer sizes"}),
-    "n_list": ("--n", {"type": int, "nargs": "+",
-                       "help": "trigonometric degrees"}),
-    "b_list": ("--b-list", {"type": float, "nargs": "+",
-                            "help": "window parameters"}),
-    "y_points": ("--Y", {"type": float, "nargs": "+",
-                         "help": "sign-change points (even count)"}),
-    "trials": ("--trials", {"type": int, "help": "random draws per cell"}),
-    "knots": ("--knots", {"type": int, "help": "hinge knots per side"}),
-    "seed": ("--seed", {"type": int, "help": "base random seed"}),
-    "out": ("--out", {"help": "output directory for this run"}),
+    "degree": ("--degree", _integer(1), {"help": "trigonometric degree"}),
+    "domain": ("--domain", _list(_number, 2),
+               {"nargs": 2, "metavar": ("LO", "HI"),
+                "help": "interval endpoints"}),
+    "ledger": ("--ledger", _text, {"help": "constants ledger JSON path"}),
+    "eps_rule": ("--eps-rule", _text, {"help": "decay rule: log, linear, "
+                                               "power:a, geometric:B, "
+                                               "tower:B:e"}),
+    "max_bits": ("--max-bits", _integer(1),
+                 {"help": "cap on planned integer sizes"}),
+    "n_list": ("--n", _list(_integer(1)),
+               {"nargs": "+", "help": "trigonometric degrees"}),
+    "b_list": ("--b-list", _list(_number),
+               {"nargs": "+", "help": "window parameters"}),
+    "y_points": ("--Y", _list(_number),
+                 {"nargs": "+", "help": "sign-change points (even count)"}),
+    "trials": ("--trials", _integer(1), {"help": "random draws per cell"}),
+    "knots": ("--knots", _integer(1), {"help": "hinge knots per side"}),
+    "seed": ("--seed", _integer(0), {"help": "base random seed"}),
+    "out": ("--out", _text, {"help": "output directory for this run"}),
+}
+
+# each command's required keys and its optional ones, named as its run
+# directory; every command also takes out.  Only bernstein, lemma-3111
+# and calibrate draw random numbers, so only they take a seed.
+COMMANDS = {
+    "build-ideal": (("r", "b"), ()),
+    "build-smooth": (("r", "d", "lam"), ()),
+    "build-fnb": (("ledger", "n", "b"), ("d",)),
+    "build-partial-sum": (("ledger", "K"), ("d", "eps_rule", "max_bits")),
+    "solve": (("target", "degree"), ("domain", "q", "y_points")),
+    "experiment-bernstein": (("b", "n_list"), ("trials", "seed")),
+    "experiment-lemma-mod": (("b_list", "n_list"), ()),
+    "experiment-lemma-3111": (("q", "b"), ("trials", "seed")),
+    "experiment-lemma-22": (("q",), ("knots",)),
+    "experiment-thm-12": (("q", "y_points", "n_list"), ()),
+    "experiment-thm-13": (("q", "y_points", "n_list"), ()),
+    "experiment-lemma-aux": (("n_list", "b", "q", "p", "ledger"), ("d",)),
+    "experiment-calibrate": (("q", "p", "d"), ("seed",)),
 }
 
 
-def _add_flags(parser, schema_key) -> None:
+def _keys(command: str) -> tuple:
+    required, optional = COMMANDS[command]
+    return required + optional + ("out",)
+
+
+def _checked(cfg: dict, command: str) -> dict:
+    """cfg with every value as its key's check reads it, or a ValueError
+    that starts with the offending key."""
+    keys = _keys(command)
+    for key in cfg:
+        if key not in keys:
+            raise ValueError(f"{key}: unknown key")
+    for key in COMMANDS[command][0]:
+        if key not in cfg:
+            raise ValueError(f"{key}: required")
+    # a constrained solve needs its order and its sign changes together
+    if command == "solve" and ("q" in cfg) != ("y_points" in cfg):
+        given, need = ("q", "y_points") if "q" in cfg else ("y_points", "q")
+        raise ValueError(f"{need}: required with {given!r}")
+    # the commands that read a ledger plan in exact rational arithmetic,
+    # so there b and d are fractions; everywhere else they are numbers
+    fractions = ("b", "d") if "ledger" in COMMANDS[command][0] else ()
+    return {key: (_fraction if key in fractions else _KEYS[key][1])(key, value)
+            for key, value in cfg.items()}
+
+
+def _add_flags(parser, command: str) -> None:
     parser.add_argument("--config", help="JSON config file; flags win")
-    for key in SCHEMAS[schema_key]["properties"]:
-        flag, kwargs = _FLAGS[key]
+    for key in _keys(command):
+        flag, _, kwargs = _KEYS[key]
         parser.add_argument(flag, dest=key, **kwargs)
+    parser.set_defaults(run_name=command)
 
 
 @functools.cache
@@ -525,13 +534,10 @@ def _build_parser() -> _Parser:
                            help="construct a function, write its artifact")
     build_sub = build.add_subparsers(dest="kind", required=True)
     for kind in _BUILDERS:
-        bp = build_sub.add_parser(kind)
-        _add_flags(bp, ("build", kind))
-        bp.set_defaults(schema_key=("build", kind), run_name=f"build-{kind}")
+        _add_flags(build_sub.add_parser(kind), f"build-{kind}")
 
-    solve = sub.add_parser("solve", help="one minimax approximation")
-    _add_flags(solve, ("solve", None))
-    solve.set_defaults(schema_key=("solve", None), run_name="solve")
+    _add_flags(sub.add_parser("solve", help="one minimax approximation"),
+               "solve")
 
     exp = sub.add_parser(
         "experiment", help="run a certification experiment",
@@ -540,28 +546,12 @@ def _build_parser() -> _Parser:
                     "others take no seed")
     exp_sub = exp.add_subparsers(dest="name", required=True)
     for name in EXPERIMENT_NAMES:
-        ep = exp_sub.add_parser(name)
-        _add_flags(ep, ("experiment", name))
-        ep.set_defaults(schema_key=("experiment", name),
-                        run_name=f"experiment-{name}")
+        _add_flags(exp_sub.add_parser(name), f"experiment-{name}")
     return parser
 
 
-def _coerce_flag(value, schema: dict):
-    """A string flag for a number key as a float, unless the key's schema
-    also admits strings and the flag meets its pattern."""
-    types = schema.get("type", [])
-    types = [types] if isinstance(types, str) else types
-    if isinstance(value, str) and "number" in types and not (
-            "string" in types and re.search(schema.get("pattern", ""), value)):
-        try:
-            return float(value)
-        except ValueError:
-            pass
-    return value
-
-
 def _resolve_config(args) -> dict:
+    """The config file's values overridden by the flags, checked."""
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
@@ -569,11 +559,11 @@ def _resolve_config(args) -> dict:
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
         cfg.update(loaded)
-    for key, schema in SCHEMAS[args.schema_key]["properties"].items():
+    for key in _keys(args.run_name):
         value = getattr(args, key, None)
         if value is not None:
-            cfg[key] = _coerce_flag(value, schema)
-    return cfg
+            cfg[key] = value
+    return _checked(cfg, args.run_name)
 
 
 def _out_dir(args, cfg: dict) -> Path:
@@ -594,16 +584,18 @@ def _dispatch(args, cfg: dict, out_dir: Path) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    made = None  # the outermost directory this run creates
     try:
-        cfg = _resolve_config(args)
-        # before anything is written: a config that fails its schema
+        # before anything is written: a config that fails its checks
         # exits 64 and creates no run directory
-        _validate(cfg, SCHEMAS[args.schema_key])
+        cfg = _resolve_config(args)
         # and so does a ledger file that is missing, malformed or breaks
         # its chain identities
         ledger = _load_ledger(cfg["ledger"]) if "ledger" in cfg else None
         out_dir = _out_dir(args, cfg)
         cfg["out"] = str(out_dir)
+        made = next((path for path in (*reversed(out_dir.parents), out_dir)
+                     if not path.exists()), None)
         out_dir.mkdir(parents=True, exist_ok=True)
         echo = {"command": args.command}
         if args.command == "build":
@@ -622,8 +614,11 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
+        # a usage error writes nothing, also when a command raises it
+        # after the run directory was made
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
         return EXIT_USAGE
-
 
 if __name__ == "__main__":
     sys.exit(main())

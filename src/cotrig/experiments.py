@@ -572,9 +572,10 @@ def calibrate_constants(q: int, p: int, d, seed: int = 0):
 
     Returns (ledger, report).  The chained constants are derived exactly
     from the measured ones inside the ledger constructor, so every
-    structural identity holds by construction.  The step norms come from
-    a table of order max(8, p + 2); the width probes' splines read only
-    the step's mass and series, which no table order changes.
+    structural identity holds by construction.  The step norms of orders
+    0..max(8, p + 2) are read off the process's one step table before
+    any experiment runs, so an order past the bump recursion's cap fails
+    at once.
     """
     d = float(d)
     if not 0 < d <= np.pi:
@@ -582,7 +583,8 @@ def calibrate_constants(q: int, p: int, d, seed: int = 0):
     r, m = q - 1, p - q + 1
     if m < 1:
         raise ValueError("need p >= q")
-    table = build_mollifier_table(max_order=max(8, p + 2))
+    table = build_mollifier_table()
+    s_norms = [Fraction(table.s_norm(j)) for j in range(max(8, p + 2) + 1)]
 
     bern = exp_bernstein_interval(b=min(d, 0.9 * np.pi), n_list=(4, 8, 16),
                                   trials=40, seed=seed + 1)
@@ -605,7 +607,6 @@ def calibrate_constants(q: int, p: int, d, seed: int = 0):
         for j in range(r + 1):
             c4 = max(c4, smooth.sup_derivative(j))
 
-    s_norms = [Fraction(table.s_norm(j)) for j in range(table.max_order + 1)]
     measured = {"c0": Fraction(c0), "c1": Fraction(c1), "c2": Fraction(c2),
                 "c3": Fraction(c3), "c4": Fraction(c4 * (1 + 1e-9)),
                 "c5": Fraction(c5 * (1 + 1e-6))}

@@ -16,6 +16,7 @@ Gauss-Legendre rule on the panels between those nodes, in numpy alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,10 +30,14 @@ from .grids import Interval, sup_norm
 # keep the powers of 1/(1 -+ t) from overflowing
 _EDGE = 2e-3
 
-# highest order of the table; the jet of S^(j) reaches S^(j+2), a bump
-# derivative of order j + 1
-_MAX_ORDER = 12
-_MAX_BUMP_ORDER = _MAX_ORDER + 1
+# highest bump derivative the recursion gives: the jet of S^(j) reaches
+# S^(j+2), a bump derivative of order j + 1, so sup norms of S^(j) can be
+# taken up to j = 12
+_MAX_BUMP_ORDER = 13
+
+# the orders 0..8 whose sup norms the table stores; s_norm computes higher
+# ones on demand
+_STORED_ORDERS = 8
 
 # degree of the Chebyshev interpolant of S
 _CHEB_DEGREE = 96
@@ -150,11 +155,9 @@ def _cumulative_bump(nodes: np.ndarray) -> tuple[np.ndarray, float]:
     return cumulative[:-1], float(cumulative[-1])
 
 
-_TABLE_CACHE: dict = {}
-
-
-def build_mollifier_table(max_order: int = 8) -> MollifierTable:
-    """Build (or fetch from cache) the step table.
+@functools.cache
+def build_mollifier_table() -> MollifierTable:
+    """Build the step table, once a process.
 
     The Chebyshev interpolant of degree _CHEB_DEGREE is fitted to S at
     its first-kind nodes; since S is C^infinity its coefficients decay
@@ -164,21 +167,16 @@ def build_mollifier_table(max_order: int = 8) -> MollifierTable:
     u = 1 with no second quadrature for Z to disagree with; the test
     suite checks both against adaptive quadrature.
     """
-    if max_order in _TABLE_CACHE:
-        return _TABLE_CACHE[max_order]
-    if max_order > _MAX_ORDER:
-        raise ValueError(f"max_order capped at {_MAX_ORDER}")
-
     # interpolation at first-kind nodes: chebfit with full degree is exact there
     nodes = _cheb.chebpts1(_CHEB_DEGREE + 1)
     below, mass = _cumulative_bump(nodes)
     s_nodes = -1.0 + 2.0 / mass * below
     cheb_coeffs = _cheb.chebfit(nodes, s_nodes, _CHEB_DEGREE)
 
-    table = MollifierTable(max_order=max_order, mass=mass,
-                           sup_norms=np.zeros(max_order + 1),
+    table = MollifierTable(max_order=_STORED_ORDERS, mass=mass,
+                           sup_norms=np.zeros(_STORED_ORDERS + 1),
                            cheb_coeffs=cheb_coeffs)
     table.sup_norms = np.asarray(
-        [1.0] + [table.sup_step_derivative(j) for j in range(1, max_order + 1)])
-    _TABLE_CACHE[max_order] = table
+        [1.0] + [table.sup_step_derivative(j)
+                 for j in range(1, _STORED_ORDERS + 1)])
     return table

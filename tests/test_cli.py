@@ -1,8 +1,8 @@
 """Tests for the command-line entry point: builds and their reloads."""
 
-import importlib.util
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -146,11 +146,10 @@ def test_missing_ledger_is_a_usage_error(tmp_path, capsys):
 
 def test_decimal_flags_on_fraction_keys_stay_exact(tmp_path, capsys,
                                                    table_ledger):
-    # a flag for a key that admits fraction strings is kept as given when
-    # it meets the fraction pattern, so --b 0.1 and --b 1e-1 are the
-    # rational 1/10, not the float nearest it; a flag the pattern refuses
-    # (1e-400) and a flag for a number-only key (build ideal --b) still
-    # arrive as floats
+    # a flag for a fraction key is kept as given when Fraction reads it as
+    # a positive rational, so --b 0.1 and --b 1e-1 are the rational 1/10,
+    # not the float nearest it; one whose float is 0 (1e-400) is refused,
+    # and a flag for a number key (build ideal --b) arrives as a float
     ledger_path = tmp_path / "table.json"
     write_json(ledger_path, table_ledger.to_dict())
     for b in ("0.1", "1e-1"):
@@ -170,8 +169,9 @@ def test_decimal_flags_on_fraction_keys_stay_exact(tmp_path, capsys,
     smooth = resolved(["build", "smooth", "--r", "2", "--d", "1",
                        "--lam", "1e-3"])
     assert (smooth["d"], smooth["lam"]) == (1.0, "1e-3")
-    assert resolved(["build", "smooth", "--r", "2", "--d", "1",
-                     "--lam", "1e-400"])["lam"] == 0.0
+    with pytest.raises(ValueError, match="^lam: 0.0 is not greater than 0$"):
+        resolved(["build", "smooth", "--r", "2", "--d", "1", "--lam",
+                  "1e-400"])
     assert resolved(["build", "smooth", "--r", "2", "--d", "1",
                      "--lam", "1/12"])["lam"] == "1/12"
     assert resolved(["build", "ideal", "--r", "2", "--b", "1.2"])["b"] == 1.2
@@ -409,150 +409,144 @@ def test_bad_fractions_are_usage_errors(tmp_path, capsys, argv, config):
 
 
 _FRACTION_STRINGS = ["1/12", "3/4", "0.25", "1", ".5", "007/010", "1e-3",
-                     "1e-1"]
+                     "1e-1", "+1/4", " 1/4", "1_0", "1e-100"]
 _NOT_FRACTION_STRINGS = ["1/0", "0/3", "-1/4", "abc", "inf", "0", "0.0",
-                         "0e5", "1e400", "1.5/2", "", "1/", "/4"]
+                         "0e5", "1e400", "1.5/2", "", "1/", "/4", "1e-400"]
 
 
 @pytest.mark.parametrize("value", _FRACTION_STRINGS + _NOT_FRACTION_STRINGS)
 def test_fraction_pattern_admits_positive_rationals_only(value):
-    # every string the schema admits is a positive Fraction, and jsonschema
-    # admits the same strings
-    admitted = _accepts(value, cli._FRACTIONABLE)
-    assert admitted == (value in _FRACTION_STRINGS)
-    if admitted:
-        assert Fraction(value) > 0
-    if importlib.util.find_spec("jsonschema") is not None:
-        from jsonschema import Draft202012Validator
-        assert Draft202012Validator(cli._FRACTIONABLE).is_valid(value) \
-            == admitted
-
-
-def _valid(schema):
-    """A value that meets a property schema of SCHEMAS."""
-    kind = schema["type"] if isinstance(schema["type"], str) \
-        else schema["type"][0]
-    if kind == "array":
-        return [_valid(schema["items"])] * schema.get("minItems", 1)
-    if kind == "string":
-        return "x"
-    if kind == "integer":
-        return schema.get("minimum", 0) + 1
-    return schema.get("exclusiveMinimum", 0) + 0.5
-
-
-def _mutations(schema, value):
-    """Values that break one keyword of a property schema each, and the
-    name of that keyword."""
-    types = schema["type"] if isinstance(schema["type"], list) \
-        else [schema["type"]]
-    yield "type", {"array": "x", "string": 1}.get(types[0], [1])
-    if "number" in types or "integer" in types:
-        yield "bool", True
-    if "minimum" in schema:
-        yield "minimum", schema["minimum"] - 1
-    if "exclusiveMinimum" in schema:
-        yield "exclusiveMinimum", schema["exclusiveMinimum"]
-    if "minLength" in schema:
-        yield "minLength", ""
-    if "pattern" in schema:
-        for text in ("1/0", "0/3", "-1/4", "abc", "inf", "0", "0.0"):
-            yield "pattern", text
-    if "minItems" in schema:
-        yield "minItems", value[:schema["minItems"] - 1]
-    if "maxItems" in schema:
-        yield "maxItems", value * schema["maxItems"]
-    if "items" in schema:
-        for name, item in _mutations(schema["items"], value[0]):
-            yield f"items.{name}", [item] + value[1:]
-    if "integer" in types:
-        yield "integral-float", float(value)
-    if "number" in types:
-        yield "non-finite", math.inf
-
-
-def _configs(schema):
-    """(label, config) pairs: valid ones and one mutation per keyword."""
-    full = {key: _valid(sub) for key, sub in schema["properties"].items()}
-    yield "full", full
-    yield "required-only", {key: full[key] for key in schema["required"]}
-    for key in schema["required"]:
-        yield f"missing-{key}", {k: v for k, v in full.items() if k != key}
-    yield "unknown-key", dict(full, bogus=1)
-    for key, needs in schema.get("dependentRequired", {}).items():
-        for need in needs:
-            yield f"{key}-without-{need}", {k: v for k, v in full.items()
-                                            if k != need}
-    for key, sub in schema["properties"].items():
-        for name, value in _mutations(sub, full[key]):
-            yield f"{key}-{name}", dict(full, **{key: value})
-
-
-def _accepts(config, schema) -> bool:
+    # a fraction key admits a string Fraction reads as a positive rational
+    # whose float is positive and finite, and keeps it as given
     try:
-        cli._validate(config, schema)
+        kept = cli._fraction("b", value)
+    except ValueError as exc:
+        assert str(exc).startswith("b: ")
+        assert value in _NOT_FRACTION_STRINGS
+    else:
+        assert value in _FRACTION_STRINGS
+        assert kept == value
+        assert 0 < float(Fraction(value)) < math.inf
+
+
+# one valid value of each key, as a config file gives it; the numbers are
+# dyadic, so a fraction key reads them and their text as the same rational
+_VALID = {"r": 2, "b": 0.5, "d": 1, "lam": "1/12", "n": 16, "K": 2, "q": 3,
+          "p": 4, "target": "cos", "degree": 4, "domain": [-1, 1],
+          "ledger": "ledger.json", "eps_rule": "log", "max_bits": 40,
+          "n_list": [8, 16], "b_list": [0.5], "y_points": [-1, 0],
+          "trials": 4, "knots": 8, "seed": 0}
+# the least value of each integer key, and of n_list's items
+_INTEGERS = {"r": 1, "n": 1, "K": 1, "q": 3, "p": 3, "degree": 1,
+             "max_bits": 1, "trials": 1, "knots": 1, "seed": 0, "n_list": 1}
+_LISTS = {"domain", "n_list", "b_list", "y_points"}
+
+
+def _scalar_refusals(key):
+    """(class, value) pairs a scalar value of key, or an item of the list
+    key, must refuse; the scalar number keys are positive, the items of
+    the number lists are not."""
+    yield "wrong type", [1]
+    yield "unreadable text", "abc"
+    yield "bool", True
+    if key in _INTEGERS:
+        yield "integral float", 4.0
+        yield "below the minimum", _INTEGERS[key] - 1
+        return
+    yield "infinite", math.inf
+    yield "nan", math.nan
+    yield "infinite text", "inf"
+    if key not in _LISTS:
+        yield "below the minimum", 0
+
+
+def _refusals(key):
+    """(class, value) pairs the check of key must refuse."""
+    if key in ("target", "ledger", "eps_rule", "out"):
+        yield "wrong type", 1
+        yield "empty text", ""
+    elif key in _LISTS:
+        yield "wrong type", 1
+        yield "empty list", []
+        if key == "domain":
+            yield "wrong length", [0]
+            yield "wrong length", [0, 1, 2]
+        for name, item in _scalar_refusals(key):
+            yield f"item {name}", [item] * (2 if key == "domain" else 1)
+    else:
+        yield from _scalar_refusals(key)
+
+
+def _flag_text(value):
+    return [str(v) for v in value] if isinstance(value, list) else str(value)
+
+
+def _exact(value):
+    """A checked value as the rational it stands for, text kept as text."""
+    if isinstance(value, list):
+        return [_exact(v) for v in value]
+    try:
+        return Fraction(value)
     except ValueError:
-        return False
-    return True
+        return value
 
 
-@pytest.mark.parametrize("key", list(cli.SCHEMAS), ids=str)
-def test_validator_agrees_with_jsonschema(key):
-    jsonschema = pytest.importorskip("jsonschema")
-    schema = cli.SCHEMAS[key]
-    reference = jsonschema.Draft202012Validator(schema)
-    for label, config in _configs(schema):
-        if label.endswith(("integral-float", "non-finite")):
-            # the intended differences: 4.0 is no integer here, and a
-            # number must be finite
-            assert reference.is_valid(config), label
-            assert not _accepts(config, schema), label
-        else:
-            assert _accepts(config, schema) == reference.is_valid(config), \
-                label
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_every_key_is_checked(tmp_path, capsys, monkeypatch, command):
+    # each key's valid value passes, as a config value and as a flag's
+    # text alike; a value of each class of refusal, an unknown key, a
+    # missing required key and solve's q without Y exit 64, name their key
+    # first and write nothing
+    required, optional = cli.COMMANDS[command]
+    valid = {key: _VALID[key] for key in required + optional}
+    checked = cli._checked(valid, command)
+    flags = {key: _flag_text(value) for key, value in valid.items()}
+    assert _exact(list(cli._checked(flags, command).values())) \
+        == _exact(list(checked.values()))
+    cases = [(key, name, dict(valid, **{key: value}))
+             for key in (*valid, "out") for name, value in _refusals(key)]
+    cases.append(("bogus", "unknown key", dict(valid, bogus=1)))
+    # a missing key is named, and so is q or y_points in a solve that
+    # has the other one
+    dropped = required + (("q", "y_points") if command == "solve" else ())
+    cases += [(key, "missing", {k: v for k, v in valid.items() if k != key})
+              for key in dropped]
+    monkeypatch.chdir(tmp_path)
+    for i, (key, name, config) in enumerate(cases):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps({"out": f"run{i}", **config}))
+        argv = command.split("-", 1) + ["--config", str(path)]
+        assert cli.main(argv) == cli.EXIT_USAGE, (key, name)
+        err = capsys.readouterr().err
+        assert re.match(rf"invalid configuration: {key}(\[\d\]|): ", err), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{i}.json" for i in range(len(cases)))
 
 
-# subschema-valued keywords, and keywords that only annotate
-_SCHEMA_MAPS = ("properties", "patternProperties", "$defs", "dependentSchemas")
-_SCHEMA_LISTS = ("allOf", "anyOf", "oneOf", "prefixItems")
-_SCHEMA_ONE = ("items", "additionalProperties", "contains", "not",
-               "propertyNames", "if", "then", "else", "unevaluatedItems",
-               "unevaluatedProperties")
-# what cli._validate enforces
-_ENFORCED = {"type", "minimum", "exclusiveMinimum", "minLength", "pattern",
-             "items", "minItems", "maxItems", "required", "properties",
-             "additionalProperties", "dependentRequired"}
+def test_unknown_flag_is_reported_with_its_command_usage(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _exit_code(["build", "ideal", "--seed", "1", "--r", "2", "--b",
+                       "1"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: cotrig build ideal [-h] ")
+    assert err[-1] == ("cotrig build ideal: error: unrecognized arguments: "
+                       "--seed 1")
+    assert list(tmp_path.iterdir()) == []
 
 
-def _subschemas(schema):
-    """schema and every schema nested in it."""
-    yield schema
-    for key, value in schema.items():
-        if key in _SCHEMA_MAPS:
-            children = value.values()
-        elif key in _SCHEMA_LISTS:
-            children = value
-        elif key in _SCHEMA_ONE:
-            children = [value]
-        else:
-            continue
-        for child in children:
-            if isinstance(child, dict):
-                yield from _subschemas(child)
-
-
-@pytest.mark.parametrize("key", list(cli.SCHEMAS), ids=str)
-def test_config_schemas_are_valid_and_enforced(key):
-    # a keyword the validator does not enforce would be silently ignored;
-    # main() never checks the schemas against their metaschema
-    schema = cli.SCHEMAS[key]
-    subs = list(_subschemas(schema))
-    assert {k for sub in subs for k in sub} <= _ENFORCED
-    for sub in subs:
-        types = sub.get("type", [])
-        assert set([types] if isinstance(types, str) else types) \
-            <= set(cli._TYPES)
-        assert sub.get("additionalProperties", False) is False
-    if importlib.util.find_spec("jsonschema") is not None:
-        from jsonschema import Draft202012Validator
-        Draft202012Validator.check_schema(schema)
+@pytest.mark.parametrize("argv", [
+    ["solve", "--target", "bogus", "--degree", "4"],
+    ["solve", "--target", "ideal:2:9", "--degree", "4"],
+    ["experiment", "thm-12", "--q", "3", "--Y", "-1", "0", "1", "--n", "8"],
+    ["experiment", "calibrate", "--q", "3", "--p", "11", "--d", "1"],
+], ids=["unknown-target", "ideal-b-9", "odd-Y", "calibrate-p-11"])
+def test_usage_errors_in_a_command_leave_no_run_directory(tmp_path, argv):
+    # a usage error a command raises removes the run directory and the
+    # parents this run made, and nothing it did not make
+    out = tmp_path / "runs" / "run"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
+    out.mkdir(parents=True)
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+    assert out.is_dir()

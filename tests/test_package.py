@@ -1,7 +1,8 @@
 """Tests that the benchmark's span table resolves against the code, that
 scipy and mpmath load only where they are used (scipy only through the
-HiGHS loader in simplex.py), that jsonschema never loads, that sup norms
-are taken of one callable each, that every defaulted parameter has a
+HiGHS loader in simplex.py), that every import is of the standard
+library or a declared dependency, that sup norms are taken of one
+callable each, that every defaulted parameter has a
 caller that sets it, that every definition has a caller outside the
 tests, and that the CLI runs the same in one process as in fresh ones.
 The package root exports no names, so there are none to resolve."""
@@ -55,8 +56,7 @@ def test_benchmark_spans_resolve():
 
 # run in a fresh interpreter: prints the heavy modules loaded after the
 # import, after an experiment and a smooth-spline build that need
-# neither, and whether a constrained solve brought in the HiGHS bindings;
-# jsonschema is never needed, as cli validates configs itself
+# neither, and whether a constrained solve brought in the HiGHS bindings
 _STARTUP_PROBE = """
 import json, sys
 import cotrig, cotrig.cli
@@ -65,17 +65,16 @@ def loaded(*names):
     return sorted(m for m in sys.modules if m.split(".")[0] in names)
 
 out = sys.argv[1]
-seen = {"import": loaded("scipy", "mpmath", "jsonschema")}
+seen = {"import": loaded("scipy", "mpmath")}
 code = cotrig.cli.main(["experiment", "lemma-3111", "--q", "3", "--b", "0.5",
                         "--trials", "4", "--out", out + "/lemma"])
-seen["lemma-3111"] = [code, loaded("scipy", "jsonschema")]
+seen["lemma-3111"] = [code, loaded("scipy")]
 code = cotrig.cli.main(["build", "smooth", "--r", "2", "--d", "1", "--lam", "1/12",
                         "--out", out + "/smooth"])
-seen["build smooth"] = [code, loaded("scipy", "jsonschema")]
+seen["build smooth"] = [code, loaded("scipy")]
 code = cotrig.cli.main(["solve", "--target", "ideal:1:1.2", "--degree", "4",
                         "--q", "3", "--Y", "-1.2", "0", "--out", out + "/solve"])
-seen["solve"] = [code, "scipy.optimize._highspy._core" in sys.modules,
-                 loaded("jsonschema")]
+seen["solve"] = [code, "scipy.optimize._highspy._core" in sys.modules]
 print(json.dumps(seen))
 """
 
@@ -92,7 +91,7 @@ def test_startup_loads_scipy_and_mpmath_only_when_used(tmp_path):
     assert run.returncode == 0, run.stderr
     seen = json.loads(run.stdout.splitlines()[-1])
     assert seen == {"import": [], "lemma-3111": [0, []],
-                    "build smooth": [0, []], "solve": [0, True, []]}
+                    "build smooth": [0, []], "solve": [0, True]}
 
 
 def _imported_roots(tree):
@@ -127,9 +126,13 @@ def test_only_simplex_imports_scipy():
     assert _importers("scipy") == ["simplex.py"]
 
 
-def test_no_module_imports_jsonschema():
-    # cli validates configs itself; jsonschema is a test-only dependency
-    assert _importers("jsonschema") == []
+def test_every_import_is_a_declared_dependency():
+    # cli checks configs itself: nothing outside the standard library and
+    # the dependencies pyproject.toml declares is ever imported
+    declared = set(sys.stdlib_module_names) | {"numpy", "scipy", "mpmath"}
+    assert sorted({root for path in (ROOT / "src" / "cotrig").glob("*.py")
+                   for root in _imported_roots(ast.parse(path.read_text()))}
+                  - declared) == []
 
 
 def test_no_module_calls_golden_section_search():
@@ -201,7 +204,7 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
     from cotrig.experiments import EXPERIMENT_NAMES
 
     assert sorted(_DISPATCHED.values()) == sorted(EXPERIMENT_NAMES)
-    schema_keys = {fn: cli.SCHEMAS[("experiment", name)]["properties"]
+    config_keys = {fn: sum(cli.COMMANDS[f"experiment-{name}"], ())
                    for fn, name in _DISPATCHED.items()}
     src = sorted((ROOT / "src" / "cotrig").glob("*.py"))
     calls = _calls_by_callee(src + sorted((ROOT / "perfbench").glob("*.py")))
@@ -209,8 +212,8 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
     for path in src:
         for callee, name, index in _defaulted_parameters(
                 ast.parse(path.read_text())):
-            if callee in schema_keys:
-                is_set = name in schema_keys[callee]
+            if callee in config_keys:
+                is_set = name in config_keys[callee]
             else:
                 is_set = any(unpacks or name in keywords
                              or (index is not None and index < count)
