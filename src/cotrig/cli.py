@@ -26,9 +26,10 @@ and a config file's value go through the same check, the one _KEYS
 gives the key, and a string is read the way Python reads it (int() for
 an integer key, float() for a number key), so --r 2 and "r": "2" are
 the same value.  A check refuses the wrong type, a bool, 4.0 for an
-integer, a number that is not finite, a value below the key's minimum,
-an empty list and a domain of other than two numbers; every refusal
-starts with the key it names.  A
+integer, a number that is not finite, a value below the key's minimum
+or above its maximum (p's is 10, the highest order whose constants the
+step table gives), an empty list and a domain of other than two
+numbers; every refusal starts with the key it names.  A
 fraction key (lam, and b and d on the commands that read a ledger) also
 admits any string that Fraction reads as a positive rational whose float
 is positive and finite, "1/12", "0.1", "1e-1", " 1/4" or "1_0" alike,
@@ -69,6 +70,7 @@ from .experiments import EXPERIMENT_NAMES, run_experiment
 from .grids import Interval
 from .ledger import DEFAULT_MAX_BITS, ConstantsLedger, EpsGrowthError
 from .minimax import best_approx, best_co_q_monotone
+from .mollifier import _MAX_BUMP_ORDER
 from .reports import write_json, write_report_files
 from .signsets import (SignChangeSet, delta_q_membership,
                        delta_q_membership_by_convexity)
@@ -366,8 +368,9 @@ def cmd_experiment(name: str, cfg: dict, out_dir: Path) -> int:
 # plumbing
 
 
-def _integer(least: int):
-    """The check of an integer key of at least least."""
+def _integer(least: int, most: int | None = None):
+    """The check of an integer key of at least least, and at most most if
+    given."""
     def check(key, value):
         if isinstance(value, str):
             try:
@@ -379,6 +382,9 @@ def _integer(least: int):
         if value < least:
             raise ValueError(f"{key}: {value!r} is less than the minimum "
                              f"of {least}")
+        if most is not None and value > most:
+            raise ValueError(f"{key}: {value!r} is greater than the maximum "
+                             f"of {most}")
         return value
     return check
 
@@ -443,7 +449,10 @@ _KEYS = {
     "n": ("--n", _integer(1), {"help": "summand degree"}),
     "K": ("--K", _integer(1), {"help": "partial-sum level count"}),
     "q": ("--q", _integer(3), {"help": "monotonicity order"}),
-    "p": ("--p", _integer(3), {"help": "smoothness order"}),
+    # calibrate reads the step table's sup norms up to order p + 2, whose
+    # jet reaches a bump derivative of order p + 3
+    "p": ("--p", _integer(3, _MAX_BUMP_ORDER - 3),
+          {"help": "smoothness order"}),
     "target": ("--target", _text,
                {"help": "cos, F<r>, ideal:<r>:<b>, or artifact path"}),
     "degree": ("--degree", _integer(1), {"help": "trigonometric degree"}),

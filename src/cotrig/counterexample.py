@@ -29,12 +29,7 @@ from .grids import Interval, sup_norm
 from .ledger import (DEFAULT_MAX_BITS, ConstantsLedger, EpsGrowthError,
                      ceil_fraction, iroot_ceil, parse_eps_rule)
 from .signsets import SignChangeSet, delta_q_membership
-from .smooth import SmoothSpline, build_smooth_spline
-
-# smallest smoothing width a summand can be realized at: the spline
-# breakpoints -d + lam and -d must stay hundreds of float spacings apart
-# near |x| = pi, and zone arithmetic must stay in the normal range
-MIN_REALIZED_WIDTH = 1e-13
+from .smooth import MIN_REALIZED_WIDTH, SmoothSpline, build_smooth_spline
 
 
 class RealizabilityError(ValueError):

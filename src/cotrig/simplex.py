@@ -45,15 +45,36 @@ and a duality gap of 2e-7.  HiGHS's statuses become typed errors, so a
 solve that gives up, or takes more than ITERATION_LIMIT pivots, never
 returns a number.
 
-The bindings are imported with the first ``LinearProgram``, not with this
-module: they pull in ``scipy.optimize``, which commands that solve no LP
-never need.
+The bindings load with the first ``LinearProgram``, not with this module,
+and without ``scipy.optimize``: ``_highs_bindings`` finds scipy's directory
+by ``importlib.util.find_spec``, which runs no package ``__init__``, and
+loads the compiled ``scipy/optimize/_highspy/_core`` file on its own under
+its dotted name, registered in ``sys.modules``.  The plain import would run
+``scipy/optimize/__init__``, which loads scipy.linalg, scipy.special,
+scipy.fft and numpy.f2py among 548 modules: 0.53 s and 42 MB of resident
+memory before the first LP, against 7 ms, 3 modules and 3 MB (medians of
+11 fresh processes on 2 vCPUs of a Xeon, no cached bytecode).
+The plain import still serves when ``scipy.optimize._highspy`` is already
+imported (nothing is left to save), and when the file is not where scipy
+1.17 keeps it; a ``None`` entry in ``sys.modules`` counts as missing, as it
+does for an import.  One corner remains: if ``scipy.optimize`` is imported
+later in the same process, ``linprog(method="highs")`` and ``import
+scipy.optimize._highspy._core`` work and give the same module object, but
+the attribute ``_core`` of the package ``scipy.optimize._highspy`` is never
+set, because the import system finds the module cached and does not attach
+it to its parent.  Read the module from ``sys.modules`` or by an import
+statement, never as that attribute.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -99,19 +120,62 @@ _STATUS_ERRORS = {"kIterationLimit": LPIterationLimitError,
                   "kUnbounded": LPUnboundedError}
 
 
+# scipy's compiled HiGHS bindings, and their place under scipy's directory
+_HIGHS_PACKAGE = "scipy.optimize._highspy"
+_HIGHS_CORE = _HIGHS_PACKAGE + "._core"
+_HIGHS_CORE_DIR = ("optimize", "_highspy")
+
+
 @functools.cache
 def _highs_bindings():
-    """scipy's HiGHS bindings module, imported once."""
+    """scipy's HiGHS bindings module, loaded once, without running
+    ``scipy.optimize`` (see the module docstring)."""
     try:
-        import scipy.optimize._highspy._core as core
+        return _load_highs_core()
     except ImportError as exc:
-        import scipy
+        try:
+            import scipy
+            found = (f"the installed scipy {scipy.__version__} does not "
+                     "provide them")
+        except ImportError:
+            found = "scipy is not installed"
+        raise ImportError(f"cotrig needs the HiGHS bindings {_HIGHS_CORE} "
+                          f"(scipy >= 1.17); {found}") from exc
 
-        raise ImportError(
-            "cotrig needs the HiGHS bindings scipy.optimize._highspy._core "
-            f"(scipy >= 1.17); the installed scipy {scipy.__version__} does "
-            "not provide them") from exc
-    return core
+
+def _load_highs_core():
+    """The bindings module from its own file, or by the plain import when
+    its package is already imported, the name is cached (a None entry
+    raises), or the file is not found."""
+    if _HIGHS_CORE in sys.modules or _HIGHS_PACKAGE in sys.modules:
+        return importlib.import_module(_HIGHS_CORE)
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError(f"no module named 'scipy', so no {_HIGHS_CORE}",
+                          name="scipy")
+    for root in scipy_spec.submodule_search_locations or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = Path(root, *_HIGHS_CORE_DIR, "_core" + suffix)
+            if path.is_file():
+                return _load_extension(path)
+    return importlib.import_module(_HIGHS_CORE)
+
+
+def _load_extension(path: Path):
+    """The extension file at path run as the bindings module, entered in
+    sys.modules before it runs and taken out if it fails, as an import
+    does."""
+    loader = importlib.machinery.ExtensionFileLoader(_HIGHS_CORE, str(path))
+    spec = importlib.util.spec_from_file_location(_HIGHS_CORE, path,
+                                                  loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_CORE] = module
+    try:
+        loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_HIGHS_CORE]
+        raise
+    return module
 
 
 class LinearProgram:

@@ -24,6 +24,11 @@ from .mollifier import MollifierTable, build_mollifier_table
 from .piecewise import PiecewiseCheb, zero_mean_levels
 from .splines import step_offset
 
+# smallest zone half-width a spline can be built at: the breakpoints
+# -d + lam and -d must stay hundreds of float spacings apart near
+# |x| = pi, and zone arithmetic must stay in the normal range
+MIN_REALIZED_WIDTH = 1e-13
+
 
 @dataclass
 class SmoothSpline:
@@ -96,6 +101,9 @@ def build_smooth_spline(r: int, d: float, lam: float) -> SmoothSpline:
         raise ValueError("the gap d must satisfy 0 < d <= pi")
     if not 0.0 < lam <= d / 3.0:
         raise ValueError("the zone half-width must satisfy 0 < lam <= d/3")
+    if lam < MIN_REALIZED_WIDTH:
+        raise ValueError(f"lam: {lam!r} is below the realization floor "
+                         f"{MIN_REALIZED_WIDTH:.0e}")
     table = build_mollifier_table()
     gamma = step_offset(d)
 

@@ -408,6 +408,18 @@ def test_bad_fractions_are_usage_errors(tmp_path, capsys, argv, config):
     assert not out.exists()
 
 
+def test_lam_below_the_realization_floor_is_a_usage_error(tmp_path, capsys):
+    # a zone narrower than 1e-13 would put spline breakpoints within
+    # rounding of each other; the refusal names lam and the floor
+    out = tmp_path / "run"
+    argv = ["build", "smooth", "--r", "2", "--d", "1", "--lam", "1e-16",
+            "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == ("invalid configuration: lam: 1e-16 is "
+                                       "below the realization floor 1e-13\n")
+    assert not out.exists()
+
+
 _FRACTION_STRINGS = ["1/12", "3/4", "0.25", "1", ".5", "007/010", "1e-3",
                      "1e-1", "+1/4", " 1/4", "1_0", "1e-100"]
 _NOT_FRACTION_STRINGS = ["1/0", "0/3", "-1/4", "abc", "inf", "0", "0.0",
@@ -439,6 +451,9 @@ _VALID = {"r": 2, "b": 0.5, "d": 1, "lam": "1/12", "n": 16, "K": 2, "q": 3,
 # the least value of each integer key, and of n_list's items
 _INTEGERS = {"r": 1, "n": 1, "K": 1, "q": 3, "p": 3, "degree": 1,
              "max_bits": 1, "trials": 1, "knots": 1, "seed": 0, "n_list": 1}
+# the greatest value of each integer key that has one: calibrate reads
+# the step table's norms to order p + 2, and no further than order 12
+_MAXIMA = {"p": 10}
 _LISTS = {"domain", "n_list", "b_list", "y_points"}
 
 
@@ -452,6 +467,8 @@ def _scalar_refusals(key):
     if key in _INTEGERS:
         yield "integral float", 4.0
         yield "below the minimum", _INTEGERS[key] - 1
+        if key in _MAXIMA:
+            yield "above the maximum", _MAXIMA[key] + 1
         return
     yield "infinite", math.inf
     yield "nan", math.nan

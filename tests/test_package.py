@@ -1,6 +1,7 @@
 """Tests that the benchmark's span table resolves against the code, that
 scipy and mpmath load only where they are used (scipy only through the
-HiGHS loader in simplex.py), that every import is of the standard
+HiGHS loader in simplex.py, which loads the bindings alone and falls
+back to the plain import), that every import is of the standard
 library or a declared dependency, that sup norms are taken of one
 callable each, that every defaulted parameter has a
 caller that sets it, that every definition has a caller outside the
@@ -92,6 +93,56 @@ def test_startup_loads_scipy_and_mpmath_only_when_used(tmp_path):
     seen = json.loads(run.stdout.splitlines()[-1])
     assert seen == {"import": [], "lemma-3111": [0, []],
                     "build smooth": [0, []], "solve": [0, True]}
+
+
+# run in a fresh interpreter: the scipy modules a constrained solve loads,
+# then, once scipy.optimize is imported too, linprog's optimum and whether
+# the import statement gives the loader's module
+_HIGHS_PROBE = """
+import json, sys
+import cotrig.cli
+from cotrig.simplex import _highs_bindings
+
+code = cotrig.cli.main(["solve", "--target", "ideal:2:1.2", "--degree", "4",
+                        "--q", "3", "--Y", "-1.2", "0", "--out", sys.argv[1]])
+seen = {"solve": [code, sorted(m for m in sys.modules if m.startswith("scipy"))]}
+from scipy.optimize import linprog
+res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-3.0], method="highs")
+import scipy.optimize._highspy._core as core
+seen["linprog"] = [res.status, res.fun, core is _highs_bindings()]
+print(json.dumps(seen))
+"""
+
+# run in a fresh interpreter: the loader with scipy's directory holding no
+# bindings file falls back to the plain import
+_FALLBACK_PROBE = """
+import json, sys
+import cotrig.simplex as simplex
+
+simplex._HIGHS_CORE_DIR = ("no_such_directory",)
+core = simplex._highs_bindings()
+lp = simplex.LinearProgram([1.0, 2.0])
+lp.add_rows([[1.0, 1.0]], [3.0], [float("inf")])
+print(json.dumps([simplex.solve_lp(lp).objective, "scipy.optimize" in sys.modules,
+                  core is sys.modules["scipy.optimize._highspy._core"]]))
+"""
+
+
+def test_first_lp_loads_only_the_highs_bindings(tmp_path):
+    run = _fresh_python(["-c", _HIGHS_PROBE, str(tmp_path / "solve")],
+                        tmp_path)
+    assert run.returncode == 0, run.stderr
+    seen = json.loads(run.stdout.splitlines()[-1])
+    core = "scipy.optimize._highspy._core"
+    assert seen == {"solve": [0, [core, core + ".cb",
+                                  core + ".simplex_constants"]],
+                    "linprog": [0, 3.0, True]}
+
+
+def test_highs_loader_falls_back_to_the_plain_import(tmp_path):
+    run = _fresh_python(["-c", _FALLBACK_PROBE], tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [3.0, True, True]
 
 
 def _imported_roots(tree):

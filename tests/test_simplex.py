@@ -1,5 +1,6 @@
 """Tests for the HiGHS adapter behind LinearProgram and solve_lp."""
 
+import importlib.util
 import sys
 
 import numpy as np
@@ -186,3 +187,19 @@ def test_missing_highs_bindings_are_named(monkeypatch):
         cotrig.simplex._highs_bindings.cache_clear()
     assert "scipy.optimize._highspy._core" in str(exc.value)
     assert scipy.__version__ in str(exc.value)
+
+
+def test_highs_loader_names_the_module_without_scipy(monkeypatch):
+    # no scipy found: the loader's typed ImportError names the bindings
+    for name in ("scipy.optimize._highspy._core", "scipy.optimize._highspy"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    cotrig.simplex._highs_bindings.cache_clear()
+    try:
+        with pytest.raises(ImportError) as exc:
+            cotrig.simplex._highs_bindings()
+    finally:
+        monkeypatch.undo()
+        cotrig.simplex._highs_bindings.cache_clear()
+    assert "scipy.optimize._highspy._core" in str(exc.value)
+    assert exc.value.__cause__.name == "scipy"

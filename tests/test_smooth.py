@@ -6,7 +6,8 @@ import pytest
 
 from cotrig.mollifier import MollifierTable
 from cotrig.piecewise import PiecewiseCheb
-from cotrig.smooth import build_smooth_spline, spline_distance
+from cotrig.smooth import (MIN_REALIZED_WIDTH, build_smooth_spline,
+                           spline_distance)
 from cotrig.splines import build_ideal_spline, step_offset
 
 
@@ -78,6 +79,13 @@ def test_smooth_build_validation():
         build_smooth_spline(1, 1.0, 0.5)
     with pytest.raises(ValueError):
         build_smooth_spline(1, 1.0, 0.0)
+
+
+def test_smooth_build_refuses_widths_below_the_realization_floor():
+    assert build_smooth_spline(1, 1.0, MIN_REALIZED_WIDTH).lam \
+        == MIN_REALIZED_WIDTH
+    with pytest.raises(ValueError, match=r"^lam: 1e-17 .* floor 1e-13$"):
+        build_smooth_spline(1, 1.0, 1e-17)
 
 
 def test_smooth_step_plateaus():
