@@ -28,6 +28,21 @@ a few ulps.  The result is the largest |f| seen, so polishing never
 lowers the sampled maximum.  golden_refine_max, golden-section search on
 the same brackets of a plain f, is kept as an independent reference for
 the tests.
+
+A family jet measures K functions in one pass.  jet(x, rows=3) returns
+(rows, K, x.size), every member at every point, and
+jet(x, rows=3, owner=o), with o an integer array of x's size, returns
+(rows, x.size), member o[i] at x[i].  A stack of TrigPolys (coefficients
+with a leading axis) and lemma-3111's hinge sums over a stack of weight
+vectors are families.  sup_norm samples every member on the one sample,
+finds each member's brackets, and polishes all of them in one Newton
+loop, each bracket tagged with its member; it returns the K sups.  A
+single function is the K = 1 case, and its sup is a float.  The polish
+evaluates each member only at its own points, in the order its own
+polish would: a hinge sum's rows are OpenBLAS gemv products, whose last
+bit depends on the array gemv is given, so evaluating every member at
+every point (one gemm) would move sups in the last place.  A member's
+sup is therefore its own sup_norm's, bit for bit.
 """
 
 from __future__ import annotations
@@ -127,7 +142,11 @@ def _newton_refine_max(jet, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                        s: np.ndarray | None = None):
     """Safeguarded Newton maximisation of s f on bracket arrays.
 
-    jet(x) returns the rows f, f' and f'' at the points x, shape (3, m).
+    jet(x, i) returns the rows f, f' and f'' at the points x, shape
+    (3, x.size), where i holds the index of each point's bracket: a
+    family's polish reads from it which member to evaluate at each
+    point, and a single function ignores it.  The points of one bracket
+    come in the same order, whatever other brackets run beside it.
     Each bracket [lo, hi] holds a sampled maximum x0 of s f, where s is
     sign f(x0) (so s f = |f|) unless the signs s are given, and s f is
     maximised there: Newton on (s f)' = 0 from x0, inside
@@ -138,12 +157,14 @@ def _newton_refine_max(jet, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     ulps; (s f)' = 0 alone moves c, since at a breakpoint the jet is that
     of the piece to the right, which may be flat while the maximum lies to
     the left.  Only open brackets are evaluated, at most _MAX_STEPS times.
-    Returns the largest |f| at any iterate, and each bracket's last
-    iterate: its polished maximiser of s f, or x0 where it never opened.
+    Returns f at every point evaluated (x0, lo, hi and the iterates), the
+    bracket of each, and each bracket's last iterate: its polished
+    maximiser of s f, or x0 where it never opened.
     """
     m = x0.size
-    t, d1, d2 = jet(np.concatenate([x0, lo, hi])).reshape(3, 3, m)
-    best = float(np.abs(t).max())
+    every = np.arange(m)
+    ends = np.concatenate([every, every, every])
+    t, d1, d2 = jet(np.concatenate([x0, lo, hi]), ends).reshape(3, 3, m)
     s = np.sign(t[0]) if s is None else s
     g, h = s * d1[0], s * d2[0]
     up = g > 0
@@ -151,10 +172,10 @@ def _newton_refine_max(jet, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     a = np.where(up, x0, lo)[open_]
     c = np.where(up, hi, x0)[open_]
     s, g, h, x = s[open_], g[open_], h[open_], x0[open_]
-    last, idx = x0.copy(), np.flatnonzero(open_)
+    last, idx = x0.copy(), every[open_]
+    seen, where = [t.ravel()], [ends]
     for _ in range(_MAX_STEPS):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(h < 0, g / h, np.nan)
+        step = np.divide(g, h, out=np.full_like(g, np.nan), where=h < 0)
         ulps = 4.0 * _EPS * np.maximum(np.abs(x), 1.0)
         open_ = ~(np.abs(step) <= ulps) & (c - a > ulps)
         if not open_.any():
@@ -164,37 +185,51 @@ def _newton_refine_max(jet, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         newton = x - step
         x = np.where((newton > a) & (newton < c), newton, 0.5 * (a + c))
         last[idx] = x
-        t, d1, d2 = jet(x)
-        best = max(best, float(np.abs(t).max()))
+        t, d1, d2 = jet(x, idx)
+        seen.append(t)
+        where.append(idx)
         g, h = s * d1, s * d2
-        a = np.where(g > 0, x, a)
-        c = np.where(g > 0, c, x)
-    return best, last
+        up = g > 0
+        a = np.where(up, x, a)
+        c = np.where(up, c, x)
+    return np.concatenate(seen), np.concatenate(where), last
 
 
 def sup_norm(jet, interval: Interval, degree_hint: int | None = None,
-             seeds=None, floor: int = 256) -> float:
+             seeds=None, floor: int = 256):
     """Sup norm of f on the interval, Chebyshev sampling plus Newton polish.
 
     jet(x, rows=3) returns the first `rows` of f, f', f'' at the flat
     points x, shape (rows, x.size): the sample reads jet(xs, 1)[0], the
-    polish the full jet.  The sample holds max(floor,
-    SUP_POINTS_PER_DEGREE * degree_hint) Chebyshev points, or floor points
-    without a hint.
+    polish the full jet, and the result is a float.  The sample's rows are
+    overwritten by their absolute values, so a jet returns arrays of its
+    own, never a view of stored values.  A family jet returns
+    (rows, K, x.size) and gets the K members' sups back, as an array; its
+    polish reads jet(x, owner=o), member o[i] at x[i] (see the module
+    docstring).  The sample holds max(floor, SUP_POINTS_PER_DEGREE *
+    degree_hint) Chebyshev points, or floor points without a hint.
     seeds: optional extra sample abscissae (breakpoints, zone grids) merged
     into the Chebyshev sample before the local maxima are located.
     """
-    best, x0, lo, hi = _sampled_maxima(jet, interval, degree_hint, seeds, floor)
-    return max(best, _newton_refine_max(jet, x0, lo, hi)[0])
+    best, x0, lo, hi, owner = _sampled_maxima(jet, interval, degree_hint,
+                                              seeds, floor)
+    polish = (lambda x, i: jet(x)) if best.ndim == 0 \
+        else (lambda x, i: jet(x, owner=owner[i]))
+    values, brackets, _ = _newton_refine_max(polish, x0, lo, hi)
+    sups = np.atleast_1d(best)
+    np.maximum.at(sups, owner[brackets], np.abs(values))
+    return float(sups[0]) if best.ndim == 0 else sups
 
 
 def _sampled_maxima(jet, interval: Interval, degree_hint: int | None, seeds,
                     floor: int):
     """The sample of sup_norm and the brackets it polishes.
 
-    Returns the largest sampled |f| and, for every local maximum of the
-    samples and both endpoints, the point x0 and its bracket [lo, hi]
-    between the neighbouring samples.
+    Returns the largest sampled |f| (a scalar, or one per member of a
+    family) and, for every local maximum of a member's samples and both
+    endpoints, the point x0, its bracket [lo, hi] between the
+    neighbouring samples, and the member it belongs to: member by member,
+    ascending within each.
     """
     count = floor if degree_hint is None \
         else max(floor, SUP_POINTS_PER_DEGREE * max(int(degree_hint), 1))
@@ -202,16 +237,18 @@ def _sampled_maxima(jet, interval: Interval, degree_hint: int | None, seeds,
     if seeds is not None and len(seeds) > 0:
         seeds = interval.clip(np.asarray(seeds, dtype=float))
         xs = np.unique(np.concatenate([xs, seeds]))
-    ys = np.abs(jet(xs, 1)[0])
+    # |f| in place: a family's sample is K rows of the whole sample
+    ys = jet(xs, 1)[0]
+    ys = np.abs(ys, out=ys)
 
-    mid = ys[1:-1]
-    inner = (mid >= ys[:-2]) & (mid >= ys[2:])
+    # endpoints always get polished: kinks and window cuts live there
+    peak = np.ones(ys.shape, dtype=bool)
+    mid, left, right = ys[..., 1:-1], ys[..., :-2], ys[..., 2:]
+    inner = np.greater_equal(mid, left, out=peak[..., 1:-1])
+    inner &= mid >= right
     # a flat run is one maximum: only its two end samples are polished
-    inner &= (mid != ys[:-2]) | (mid != ys[2:])
-    idx = np.flatnonzero(inner) + 1
-    # endpoints always get polished: kinks and window cuts live there; idx
-    # is sorted, unique and inside [1, size - 2], so no sort is needed
-    idx = np.concatenate([[0], idx, [ys.size - 1]])
+    inner &= (mid != left) | (mid != right)
+    owner, idx = np.nonzero(peak.reshape(-1, xs.size))
     lo = xs[np.maximum(idx - 1, 0)]
-    hi = xs[np.minimum(idx + 1, ys.size - 1)]
-    return float(ys.max()), xs[idx], lo, hi
+    hi = xs[np.minimum(idx + 1, xs.size - 1)]
+    return ys.max(axis=-1), xs[idx], lo, hi, owner

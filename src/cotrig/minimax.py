@@ -414,10 +414,10 @@ def _sign_check(tp: TrigPoly, q: int, gaps, pts, owner, vals):
     # a flat run (T^(q) = 0 on a whole gap) is polished at its two ends
     idx = np.flatnonzero((vals <= left) & (vals <= right)
                          & ((vals != left) | (vals != right)))
-    _, minima = _newton_refine_max(lambda x: tp.jet(x, 3, q), pts[idx],
-                                   pts[idx - np.isfinite(left[idx])],
-                                   pts[idx + np.isfinite(right[idx])],
-                                   -signs[idx])
+    *_, minima = _newton_refine_max(lambda x, _: tp.jet(x, 3, q), pts[idx],
+                                    pts[idx - np.isfinite(left[idx])],
+                                    pts[idx + np.isfinite(right[idx])],
+                                    -signs[idx])
     polished = signs[idx] * tp.jet(minima, 1, q)[0]
     worst = float(min(vals.min(), polished.min()))
     fail = polished < -tol

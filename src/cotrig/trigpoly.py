@@ -15,6 +15,10 @@ error of O(n eps sum_k |c_k|) (Higham, Accuracy and Stability of Numerical
 Algorithms, 5.1).  The jet runs the same loop over the rows c_k (ik)^j,
 j = order, ..., order + rows - 1, whose real parts are the derivatives;
 evaluation is row 0 of the order-0 jet.
+Coefficients with a leading axis of length K store K polynomials of one
+degree, a family for grids.sup_norm; each point runs the same Horner
+steps on its own member's coefficients, so a member's values are those it
+has on its own.
 The basis matrices that feed the minimax LP keep their cos/sin table: the
 LP needs every column, not their sum.
 """
@@ -25,56 +29,78 @@ import numpy as np
 
 
 class TrigPoly:
-    """a0 + sum_k (cos_coeffs[k-1] cos(kt) + sin_coeffs[k-1] sin(kt))."""
+    """a0 + sum_k (cos_coeffs[k-1] cos(kt) + sin_coeffs[k-1] sin(kt)).
+
+    Coefficients with a leading axis make a stack of K polynomials of one
+    degree, a family in the sense of grids.sup_norm: cos_coeffs and
+    sin_coeffs of shape (K, n), and a0 a float or K of them.
+    """
 
     __slots__ = ("a0", "cos_coeffs", "sin_coeffs")
 
     def __init__(self, a0: float = 0.0, cos_coeffs=None, sin_coeffs=None):
         ac = np.atleast_1d(np.asarray(cos_coeffs if cos_coeffs is not None else [], dtype=float))
         bs = np.atleast_1d(np.asarray(sin_coeffs if sin_coeffs is not None else [], dtype=float))
-        n = max(ac.size, bs.size)
-        self.a0 = float(a0)
-        self.cos_coeffs = np.zeros(n)
-        self.sin_coeffs = np.zeros(n)
-        self.cos_coeffs[: ac.size] = ac
-        self.sin_coeffs[: bs.size] = bs
+        lead = ac.shape[:-1] or bs.shape[:-1] or getattr(a0, "shape", ())
+        n = max(ac.shape[-1], bs.shape[-1])
+        self.a0 = np.array(np.broadcast_to(a0, lead), dtype=float) if lead \
+            else float(a0)
+        self.cos_coeffs = np.zeros(lead + (n,))
+        self.sin_coeffs = np.zeros(lead + (n,))
+        self.cos_coeffs[..., : ac.shape[-1]] = ac
+        self.sin_coeffs[..., : bs.shape[-1]] = bs
 
     @property
     def degree(self) -> int:
-        return self.cos_coeffs.size
+        return self.cos_coeffs.shape[-1]
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         out = self.jet(t, 1)[0].reshape(t.shape)
         return float(out) if t.ndim == 0 else out
 
-    def jet(self, t, rows: int = 3, order: int = 0) -> np.ndarray:
+    def jet(self, t, rows: int = 3, order: int = 0,
+            owner=None) -> np.ndarray:
         """Rows T^(order), ..., T^(order+rows-1) at the points t, shape
         (rows, t.size), by Horner in e^{it}.
 
         Row j sums Re c_k (ik)^(order+j); its coefficients are built by
         order + j multiplications by ik.  a0 joins row 0 at order 0 only.
+        A stack of K gives (rows, K, t.size), every member at every
+        point, or with owner, an integer array of t's size, (rows,
+        t.size), member owner[i] at t[i].  Each point takes the same
+        Horner steps on its own member's coefficients either way, so a
+        member's values do not depend on what else is evaluated with it.
         """
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
         t = np.asarray(t, dtype=float).ravel()
         n = self.degree
         a0 = self.a0 if order == 0 else 0.0
+        if isinstance(a0, np.ndarray):
+            a0 = a0[:, None] if owner is None else a0[owner]
         if not n:
-            out = np.zeros((rows, t.size))
+            lead = self.cos_coeffs.shape[:-1] if owner is None else ()
+            out = np.zeros((rows,) + lead + t.shape)
             out[0] = a0
             return out
-        coeffs = np.empty((order + rows, n), dtype=complex)
+        coeffs = np.empty((order + rows,) + self.cos_coeffs.shape,
+                          dtype=complex)
         coeffs[0] = self.cos_coeffs - 1j * self.sin_coeffs
         ik = 1j * np.arange(1, n + 1)
         for j in range(1, order + rows):
             np.multiply(coeffs[j - 1], ik, out=coeffs[j])
         coeffs = coeffs[order:]
         z = np.exp(1j * t)
-        acc = coeffs[:, -1:] * z
+        if owner is not None:
+            # each point's own member: (rows, points, n) against a column
+            coeffs, z = coeffs[:, owner], z[:, None]
+        acc = coeffs[..., -1:] * z
         for k in range(n - 2, -1, -1):
-            acc += coeffs[:, k:k + 1]
+            acc += coeffs[..., k:k + 1]
             acc *= z
+        if owner is not None:
+            acc = acc[..., 0]
         out = acc.real.copy()
         out[0] += a0
         return out

@@ -1,5 +1,6 @@
 """Tests for intervals, Chebyshev grids, and refined sup-norm estimates."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from cotrig import grids
 from cotrig.counterexample import build_partial_sum, plan_recursion
-from cotrig.experiments import _halfconvex_family, _mirrored
+from cotrig.experiments import (_bernstein_ratio, _domination_ratio,
+                                _halfconvex_family, _mirrored)
 from cotrig.grids import (FULL_PERIOD, Interval, chebyshev_points,
                           golden_refine_max, sup_norm)
 from cotrig.mollifier import bump, bump_derivatives
@@ -46,10 +48,29 @@ def test_full_period_width():
 def _golden_sup(jet, iv, degree_hint=None, seeds=None, floor=256):
     """Reference sup norm: the sample and brackets of sup_norm, each bracket
     polished by 60 rounds of golden-section search instead of Newton."""
-    sampled, _, lo, hi = grids._sampled_maxima(jet, iv, degree_hint, seeds,
-                                               floor)
+    sampled, _, lo, hi, _ = grids._sampled_maxima(jet, iv, degree_hint,
+                                                  seeds, floor)
     f = lambda x: jet(x, 1)[0]
-    return max(sampled, float(golden_refine_max(f, lo, hi, 60).max()))
+    return max(float(sampled), float(golden_refine_max(f, lo, hi, 60).max()))
+
+
+def _assert_family_is_its_members(family, members, iv, **kwargs):
+    """A family's sups are each member's own sup_norm, bit for bit."""
+    sups = sup_norm(family, iv, **kwargs)
+    assert isinstance(sups, np.ndarray) and sups.shape == (len(members),)
+    assert sups.tolist() == [sup_norm(jet, iv, **kwargs) for jet in members]
+
+
+def _brackets(jet, iv, **kwargs):
+    """Each member's bracket count, and whether each member's polish
+    moved any bracket off its sampled point."""
+    _, x0, lo, hi, owner = grids._sampled_maxima(
+        jet, iv, kwargs.get("degree_hint"), None, kwargs.get("floor", 256))
+    *_, last = grids._newton_refine_max(
+        lambda x, i: jet(x, owner=owner[i]), x0, lo, hi)
+    moved = np.zeros(owner.max() + 1, dtype=bool)
+    np.logical_or.at(moved, owner, last != x0)
+    return np.bincount(owner), moved
 
 
 def _sin_jet(x, rows=3):
@@ -224,6 +245,74 @@ def test_trigpoly_sup_norm_matches_golden_section(data, degree, kind, half):
     tp = _draw_trig(data, degree, kind)
     iv = FULL_PERIOD if half is None else Interval(-half, half)
     _assert_polish_paths_agree(tp.jet, iv, degree_hint=degree)
+    # a stack of tp, its mirror image and its double is a family
+    members = [tp, TrigPoly(tp.a0, tp.cos_coeffs, -tp.sin_coeffs),
+               TrigPoly(2 * tp.a0, 2 * tp.cos_coeffs, 2 * tp.sin_coeffs)]
+    stack = TrigPoly([m.a0 for m in members], [m.cos_coeffs for m in members],
+                     [m.sin_coeffs for m in members])
+    _assert_family_is_its_members(stack.jet, [m.jet for m in members], iv,
+                                  degree_hint=degree)
+
+
+def _trig_stack(degree):
+    """Six members of one degree: four drawn, the constant 1/2, and 0."""
+    rng = np.random.default_rng(degree)
+    a0 = rng.standard_normal(6)
+    cos, sin = rng.standard_normal((2, 6, degree))
+    a0[4:], cos[4:], sin[4:] = (0.5, 0.0), 0.0, 0.0
+    return TrigPoly(a0, cos, sin), [TrigPoly(*c) for c in zip(a0, cos, sin)]
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("degree", range(1, 17))
+def test_trigpoly_family_sups_are_the_members_own(degree, order):
+    stack, members = _trig_stack(degree)
+    family = lambda x, rows=3, owner=None: stack.jet(x, rows, order, owner)
+    singles = [lambda x, rows=3, m=m: m.jet(x, rows, order) for m in members]
+    _assert_family_is_its_members(family, singles, FULL_PERIOD,
+                                  degree_hint=degree)
+    # the drawn members have interior maxima to polish; the constant and
+    # the zero member are one flat run, whose two end brackets never open
+    counts, moved = _brackets(family, FULL_PERIOD, degree_hint=degree)
+    assert counts[:4].min() > 2 and counts[4:].tolist() == [2, 2]
+    assert moved[:4].all() and not moved[4:].any()
+
+
+@pytest.mark.parametrize("degree", range(1, 17))
+def test_bernstein_family_ratios_are_the_members_own(degree):
+    # the constant and the zero member have no sine part: their ratios
+    # are 0.0, and nothing warns of their 0/0
+    stack, _ = _trig_stack(degree)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ratios = _bernstein_ratio(stack.sin_coeffs, 1.0, floor=256)
+        singles = [_bernstein_ratio(c, 1.0, floor=256)
+                   for c in stack.sin_coeffs]
+    assert ratios.tolist() == singles
+    assert ratios[:4].min() > 0.0 and ratios[4:].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_hinge_family_sups_are_the_members_own(q):
+    # lemma-3111's trials as one family, with a zero member whose
+    # brackets never open: its sups and ratios are those of each trial
+    # alone, bit for bit
+    b = 0.5
+    knots = np.linspace(0.0, 2 * b, 14, endpoint=False)
+    # half of them signed, whose sums have interior maxima
+    weights = np.random.default_rng(q).standard_normal((40, 14))
+    weights[:20] = np.abs(weights[:20])
+    weights[7] = 0.0
+    family = _halfconvex_family(q, b, weights, knots)
+    members = [_halfconvex_family(q, b, w, knots) for w in weights]
+    for k, iv in ((0, Interval(-2 * b, 2 * b)), (1, Interval(-b, b))):
+        _assert_family_is_its_members(family[k], [m[k] for m in members],
+                                      iv, floor=1024)
+        counts, moved = _brackets(family[k], iv, floor=1024)
+        assert len(set(counts)) > 1 and not moved[7]
+    ratios = _domination_ratio(q, b, family)
+    assert ratios.tolist() == [_domination_ratio(q, b, m) for m in members]
+    assert ratios[7] == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,6 +336,13 @@ def test_hinge_sup_norm_matches_golden_section(q, b, weights):
     f_jet, fq2_jet = _halfconvex_family(q, b, weights, knots)
     _assert_polish_paths_agree(f_jet, Interval(-2 * b, 2 * b), floor=1024)
     _assert_polish_paths_agree(fq2_jet, Interval(-b, b), floor=1024)
+    # with its reversal and its magnitudes, it makes a family
+    family = np.array([weights, weights[::-1], np.abs(weights)])
+    jets = _halfconvex_family(q, b, family, knots)
+    members = [_halfconvex_family(q, b, w, knots) for w in family]
+    for k, iv in ((0, Interval(-2 * b, 2 * b)), (1, Interval(-b, b))):
+        _assert_family_is_its_members(jets[k], [m[k] for m in members], iv,
+                                      floor=1024)
     # away from the knots, central differences of each row give the next
     xs = np.linspace(-2 * b, 2 * b, 41)
     xs = xs[np.abs(np.abs(xs)[:, None] - knots).min(axis=1) > 1e-3 * b]
