@@ -54,24 +54,34 @@ def _check_degrees(n_list, large: bool = False):
 def hill_climb(score, x0):
     """Coordinate-wise maximizer with geometric step decay.
 
-    At most 200 sweeps; the relative step starts at 0.5, halves after a
-    sweep without improvement, and the climb stops below 1e-4.
+    score maps a (K, n) stack of candidates to K values.  A sweep moves
+    x[i] by +step * base, then by -step * base, base = |x[i]| + 1 read
+    before both, for i = 0, 1, ..., and takes each move that beats the
+    best by a relative 1e-12.  The rest of the sweep is scored as one
+    stack from the current x and the climb takes its first improving
+    move, so it walks the path of one candidate at a time.  At most 200
+    sweeps; the relative step starts at 0.5, halves after a sweep without
+    improvement, and the climb stops below 1e-4.
     """
     x = np.array(x0, dtype=float)
-    best = score(x)
+    best = score(x[None])[0]
+    coord = np.repeat(np.arange(x.size), 2)
+    sgn = np.tile([1.0, -1.0], x.size)
     step = 0.5
     for _ in range(200):
-        improved = False
-        for i in range(x.size):
-            base = abs(x[i]) + 1.0
-            for sgn in (1.0, -1.0):
-                cand = x.copy()
-                cand[i] += sgn * step * base
-                val = score(cand)
-                if val > best * (1.0 + 1e-12):
-                    x, best = cand, val
-                    improved = True
-        if not improved:
+        # x[i] changes only by coordinate i's moves: read every base here
+        delta = sgn * step * (np.abs(x) + 1.0)[coord]
+        m = 0
+        while m < coord.size:
+            cands = np.repeat(x[None], coord.size - m, axis=0)
+            cands[np.arange(coord.size - m), coord[m:]] += delta[m:]
+            vals = score(cands)
+            wins = np.flatnonzero(vals > best * (1.0 + 1e-12))
+            if wins.size == 0:
+                break
+            x, best = cands[wins[0]], vals[wins[0]]
+            m += wins[0] + 1
+        if m == 0:
             step *= 0.5
             if step < 1e-4:
                 break
@@ -92,7 +102,9 @@ def _ratio(num, den):
 def _bernstein_ratio(sin_coeffs, b: float, floor: int = 512):
     """b sup|T'|_[-b/2,b/2] / (n sup|T|_[-b,b]) for the odd T with these
     sine coefficients, 0 where T = 0: a float for coefficients of shape
-    (n,), K ratios for a stack of shape (K, n), measured as one family."""
+    (n,), K ratios for a stack of shape (K, n), measured as one family.
+    bernstein scores its random starts and the hill climb's stacks of
+    moves this way."""
     tp = TrigPoly(0.0, None, sin_coeffs)
     n = tp.degree
     den = sup_norm(tp.jet, Interval(-b, b), degree_hint=n, floor=floor)
@@ -112,8 +124,8 @@ def exp_bernstein_interval(b: float, n_list, trials: int = 60,
              for n in ns]
 
     def _cell(n, cands):
-        # the random starts are one family; the climb from the best of
-        # them measures one candidate at a time
+        # the random starts are one family, and the climb from the best of
+        # them scores the rest of each sweep as one
         ratios = _bernstein_ratio(cands, b, floor=256)
         start = cands[int(np.argmax(ratios))]
         _, climbed = hill_climb(lambda c: _bernstein_ratio(c, b, floor=512),

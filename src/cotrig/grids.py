@@ -34,7 +34,9 @@ A family jet measures K functions in one pass.  jet(x, rows=3) returns
 jet(x, rows=3, owner=o), with o an integer array of x's size, returns
 (rows, x.size), member o[i] at x[i].  A stack of TrigPolys (coefficients
 with a leading axis) and lemma-3111's hinge sums over a stack of weight
-vectors are families.  sup_norm samples every member on the one sample,
+vectors are families: bernstein's random starts and the moves its hill
+climb scores at once are TrigPoly stacks, and lemma-3111's trials are
+one hinge-sum family.  sup_norm samples every member on the one sample,
 finds each member's brackets, and polishes all of them in one Newton
 loop, each bracket tagged with its member; it returns the K sups.  A
 single function is the K = 1 case, and its sup is a float.  The polish
