@@ -312,21 +312,20 @@ def exp_lemma_3111(q: int, b: float, trials: int = 40,
         raise ValueError("need 0 < 2b <= pi")
     rng = np.random.default_rng(seed)
     knots = np.linspace(0.0, 2 * b, 14, endpoint=False)
-    draws = np.array([np.abs(rng.standard_normal(knots.size))
-                      for _ in range(trials)])
-    # the trials are one family, measured by one pass of each sup norm
-    ratios = _domination_ratio(q, b, _halfconvex_family(q, b, draws, knots))
+    # the trials, one more draw w7 for the invariance checks and 7 w7 are
+    # one family, measured by one pass of each sup norm
+    draws = np.abs([rng.standard_normal(knots.size)
+                    for _ in range(trials + 1)])
+    w7 = draws[trials]
+    ratios = _domination_ratio(q, b, _halfconvex_family(
+        q, b, np.vstack([draws, 7.0 * w7]), knots))
     grid = [{"trial": trial, "ratio": float(ratio)}
-            for trial, ratio in enumerate(ratios)]
+            for trial, ratio in enumerate(ratios[:trials])]
     best = max(row["ratio"] for row in grid)
-
-    w7 = np.abs(rng.standard_normal(knots.size))
-    jets7 = _halfconvex_family(q, b, w7, knots)
-    r_base = _domination_ratio(q, b, jets7)
-    r_scaled = _domination_ratio(q, b,
-                                 _halfconvex_family(q, b, 7.0 * w7, knots))
+    r_base, r_scaled = ratios[trials:].tolist()
     # the flipped ratio reads the hinge sums mirrored, by mirrored jets
-    r_flipped = _domination_ratio(q, b, [_mirrored(jet) for jet in jets7])
+    r_flipped = _domination_ratio(
+        q, b, [_mirrored(jet) for jet in _halfconvex_family(q, b, w7, knots)])
     smooth_ref = _domination_ratio(q, b, (PowerKink(q - 1, 2 * b).jet,
                                           PowerKink(1, 2 * b).jet))
 

@@ -567,3 +567,19 @@ def test_usage_errors_in_a_command_leave_no_run_directory(tmp_path, argv):
     out.mkdir(parents=True)
     assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
     assert out.is_dir()
+
+
+@pytest.mark.parametrize("argv, summary, seed", [
+    (["thm-12", "--q", "3", "--Y", "-1.2", "0", "--n", "8"], " (1 cells)", 0),
+    (["lemma-3111", "--q", "3", "--b", "0.5", "--trials", "4", "--seed", "7"],
+     ": PASS (4 cells, seed 7)", 7),
+], ids=["thm-12", "lemma-3111"])
+def test_summary_names_a_seed_only_where_one_is_drawn(tmp_path, capsys, argv,
+                                                      summary, seed):
+    # thm-12 draws nothing: its summary names no seed, and its report
+    # still records seed 0, as its fingerprint always hashed (at one
+    # degree its decay assertion fails, which the summary line shows too)
+    cli.main(["experiment", *argv, "--out", str(tmp_path)])
+    assert capsys.readouterr().out.splitlines()[0].endswith(summary)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["seed"] == seed

@@ -158,6 +158,32 @@ def test_lemma_3111_pinned_ratio():
     assert report.fingerprint() == LEMMA_3111_FINGERPRINT
 
 
+def test_lemma_3111_invariance_members_are_single_calls(monkeypatch):
+    # w7 and 7 w7 join the trials' family as its last two members; each
+    # member's ratio must be exactly the one a call for it alone gives
+    family, ratio = _halfconvex_family, experiments._domination_ratio
+    weights, ratios = [], []
+
+    def recorded_family(q, b, w, knots):
+        weights.append(np.array(w))
+        return family(q, b, w, knots)
+
+    def recorded_ratio(q, b, jets):
+        ratios.append(ratio(q, b, jets))
+        return ratios[-1]
+
+    monkeypatch.setattr(experiments, "_halfconvex_family", recorded_family)
+    monkeypatch.setattr(experiments, "_domination_ratio", recorded_ratio)
+    report = exp_lemma_3111(3, 0.5, trials=40, seed=1)
+    draws, knots = weights[0], np.array(report.parameters["knots"])
+    assert draws.shape == (42, 14)
+    assert (draws[41] == 7.0 * draws[40]).all()
+    r_base, r_scaled = (ratio(3, 0.5, family(3, 0.5, draws[k], knots))
+                        for k in (40, 41))
+    assert (ratios[0][40], ratios[0][41]) == (r_base, r_scaled)
+    assert [row["ratio"] for row in report.grid] == ratios[0][:40].tolist()
+
+
 @pytest.mark.parametrize("q", [3, 4])
 def test_lemma_3111_flipped_and_reference_jets(q):
     # the jets of the flipped hinge sum and of the reference F_{q-1}(x/2b):

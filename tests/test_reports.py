@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from cotrig.experiments import exp_lemma_3111
 from cotrig.reports import (Assertion, ConstantReading, ExperimentReport,
-                            canonical_json, write_csv, write_json,
+                            _sanitize, canonical_json, write_csv, write_json,
                             write_plot_data, write_report_files)
 
 
@@ -75,6 +78,26 @@ def test_sanitize_through_canonical_json():
         canonical_json({"unknown": object()})
 
 
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_LEAVES = st.one_of(
+    st.text(), st.integers(), st.booleans(), st.none(), _FLOATS,
+    st.fractions(), _FLOATS.map(np.float64),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_))
+
+
+@given(st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner), st.lists(inner).map(tuple),
+    # integer keys as well: 1 and "1" name one JSON key, the later value's
+    st.dictionaries(st.one_of(st.text(), st.integers()), inner))))
+@example({1: "int", "1": "str", "t": (np.float64("-inf"), Fraction(-1, 3))})
+def test_canonical_json_is_json_dumps_of_the_sanitized_form(obj):
+    # one pass writes what json's indenting encoder writes, character for
+    # character, for every type a report holds
+    assert canonical_json(obj) == json.dumps(_sanitize(obj), sort_keys=True,
+                                             indent=2)
+
+
 def test_write_json_canonical(tmp_path):
     path = str(tmp_path / "sub" / "doc.json")
     write_json(path, {"b": 1, "a": 2})
@@ -98,6 +121,19 @@ def test_write_plot_data(tmp_path):
     path = str(tmp_path / "p.dat")
     write_plot_data(path, [1, 2], [0.5, 0.25])
     assert open(path).read() == "1 0.5\n2 0.25\n"
+
+
+@pytest.mark.parametrize("make", [
+    small_report, lambda: exp_lemma_3111(3, 0.5, trials=40, seed=1),
+], ids=["small", "lemma-3111"])
+def test_report_json_is_the_canonical_report(tmp_path, make):
+    # report.json encodes each value once, and its fingerprint hashes the
+    # content's entries joined: the same text as encoding the whole dict
+    rep = make()
+    write_report_files(rep, str(tmp_path))
+    text = (tmp_path / "report.json").read_text()
+    assert text == canonical_json(rep.to_dict()) + "\n"
+    assert json.loads(text)["fingerprint"] == rep.fingerprint()
 
 
 def test_write_report_files(tmp_path):
