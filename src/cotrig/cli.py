@@ -35,9 +35,10 @@ admits any string that Fraction reads as a positive rational whose float
 is positive and finite, "1/12", "0.1", "1e-1", " 1/4" or "1_0" alike,
 and keeps it exactly as given: --b 0.1 is the exact 1/10.  The config is
 checked before the run directory is made, so a bad value writes nothing;
-the --ledger file is loaded there too, so a missing, malformed or
-chain-broken ledger writes nothing either.  A usage error a command
-raises later removes the run directory, when this run made it.
+the --ledger file (a ledger, or a report.json whose extras hold one) is
+loaded there too, so a missing, malformed or chain-broken ledger writes
+nothing either.  A usage error a command raises later removes the run
+directory, when this run made it.
 
 Only experiment bernstein, lemma-3111 and calibrate take --seed (the
 "seed" key), because only they draw random numbers; every other command
@@ -107,8 +108,9 @@ class _Parser(argparse.ArgumentParser):
 def _load_ledger(path: str) -> ConstantsLedger:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if "constants" not in doc and "extras" in doc:
-        doc = doc["extras"].get("ledger", doc)
+    # calibrate's report.json holds its ledger in extras
+    if doc.get("kind") == "experiment_report":
+        doc = doc["extras"]["ledger"]
     return ConstantsLedger.from_dict(doc)
 
 
@@ -124,9 +126,8 @@ def _print(lines) -> None:
 def _ideal_summary(spline: IdealSpline, r: int, b: float) -> dict:
     gamma = step_offset(b)
     coeffs, defect = spline.residual_poly()
-    ys = SignChangeSet((-b, 0.0))
     member = delta_q_membership_by_convexity(
-        lambda x: spline.jet(x, 1, max(r - 1, 0))[0], ys)
+        lambda x: spline.jet(x, 1, r - 1)[0], canonical_sign_set(b))
     return {
         "r": r, "b": b,
         "window": [spline.window.lo, spline.window.hi],
@@ -191,8 +192,7 @@ def cmd_build_smooth(cfg: dict, out_dir: Path) -> int:
     ideal = build_ideal_spline(r, d)
     dist = spline_distance(ideal, spline, spline.window,
                            seeds=spline.seed_points())
-    norms = {str(j): spline.sup_derivative(j)
-             for j in range(min(r + 3, spline.table.max_order + r))}
+    norms = {str(j): spline.sup_derivative(j) for j in range(r + 3)}
     summary = {
         **params, "window": [spline.window.lo, spline.window.hi],
         "zones": [list(z) for z in spline.zones()],
@@ -458,7 +458,7 @@ _KEYS = {
     "degree": ("--degree", _integer(1), {"help": "trigonometric degree"}),
     "domain": ("--domain", _list(_number, 2),
                {"nargs": 2, "metavar": ("LO", "HI"),
-                "help": "interval endpoints"}),
+                "help": "fit interval endpoints (not with --Y)"}),
     "ledger": ("--ledger", _text, {"help": "constants ledger JSON path"}),
     "eps_rule": ("--eps-rule", _text, {"help": "decay rule: log, linear, "
                                                "power:a, geometric:B, "
@@ -516,6 +516,9 @@ def _checked(cfg: dict, command: str) -> dict:
     if command == "solve" and ("q" in cfg) != ("y_points" in cfg):
         given, need = ("q", "y_points") if "q" in cfg else ("y_points", "q")
         raise ValueError(f"{need}: required with {given!r}")
+    # a constrained solve fits on the gaps of its sign changes
+    if command == "solve" and "domain" in cfg and "y_points" in cfg:
+        raise ValueError("domain: not allowed with 'y_points'")
     # the commands that read a ledger plan in exact rational arithmetic,
     # so there b and d are fractions; everywhere else they are numbers
     fractions = ("b", "d") if "ledger" in COMMANDS[command][0] else ()
@@ -605,7 +608,6 @@ def main(argv=None) -> int:
         cfg["out"] = str(out_dir)
         made = next((path for path in (*reversed(out_dir.parents), out_dir)
                      if not path.exists()), None)
-        out_dir.mkdir(parents=True, exist_ok=True)
         echo = {"command": args.command}
         if args.command == "build":
             echo["kind"] = args.kind

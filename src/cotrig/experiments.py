@@ -627,9 +627,9 @@ def calibrate_constants(q: int, p: int, d, seed: int = 0):
     Returns (ledger, report).  The chained constants are derived exactly
     from the measured ones inside the ledger constructor, so every
     structural identity holds by construction.  The step norms of orders
-    0..max(8, p + 2) are read off the process's one step table before
-    any experiment runs, so an order past the bump recursion's cap fails
-    at once.
+    0..max(table.max_order, p + 2) are read off the process's one step
+    table before any experiment runs, so an order past the bump
+    recursion's cap fails at once.
     """
     d = float(d)
     if not 0 < d <= np.pi:
@@ -638,7 +638,8 @@ def calibrate_constants(q: int, p: int, d, seed: int = 0):
     if m < 1:
         raise ValueError("need p >= q")
     table = build_mollifier_table()
-    s_norms = [Fraction(table.s_norm(j)) for j in range(max(8, p + 2) + 1)]
+    s_norms = [Fraction(table.s_norm(j))
+               for j in range(max(table.max_order, p + 2) + 1)]
 
     bern = exp_bernstein_interval(b=min(d, 0.9 * np.pi), n_list=(4, 8, 16),
                                   trials=40, seed=seed + 1)

@@ -8,7 +8,8 @@ joins.  The derivatives psi, psi', ..., psi^(k) come together from one
 Leibniz recursion on psi = exp(g), whose exponent g = -1/(1 - t^2) splits
 into two simple poles with closed-form derivatives of every order.
 MollifierTable.jet(u, rows, order) reads S^(order), ... (order >= 1) from
-that recursion, for the step's sup norms and the splines' zones alike.
+that recursion, for the splines' zones and for the step's sup norms,
+which s_norm takes the first time an order is read: none is stored.
 
 Z and the values of S at the interpolation nodes come from one fixed
 Gauss-Legendre rule on the panels between those nodes, in numpy alone.
@@ -34,10 +35,6 @@ _EDGE = 2e-3
 # S^(j+2), a bump derivative of order j + 1, so sup norms of S^(j) can be
 # taken up to j = 12
 _MAX_BUMP_ORDER = 13
-
-# the orders 0..8 whose sup norms the table stores; s_norm computes higher
-# ones on demand
-_STORED_ORDERS = 8
 
 # degree of the Chebyshev interpolant of S
 _CHEB_DEGREE = 96
@@ -104,14 +101,16 @@ class MollifierTable:
     on [-1, 1], which transition zones integrate exactly; S^(j) for j >= 1
     is 2/Z psi^(j-1), a row of bump_derivatives, and every derivative is
     read through jet(u, rows, order).  mass is the bump mass Z.
-    sup_norms[j] is the sup of |S^(j)| from sup_step_derivative (exactly 1
-    for j = 0), for j up to max_order.
+    s_norm(j) is the one route to the sup of |S^(j)|; no norm is stored
+    ahead of time.  max_order is the highest order whose norm every
+    ledger lists, not a cap on s_norm.
     """
 
     max_order: int
     mass: float
-    sup_norms: np.ndarray = field(repr=False)
     cheb_coeffs: np.ndarray = field(repr=False)
+    # sup of |S^(j)| by order j, for each order s_norm has read
+    _norms: dict = field(default_factory=dict, init=False, repr=False)
 
     def jet(self, u, rows: int = 3, order: int = 1) -> np.ndarray:
         """Rows S^(order), ..., S^(order+rows-1) at the points u, order >= 1:
@@ -128,11 +127,13 @@ class MollifierTable:
                         Interval(-1.0, 1.0), floor=8193)
 
     def s_norm(self, j: int) -> float:
-        """Sup of |S^(j)|: the stored norm up to max_order, computed by
-        sup_step_derivative above it."""
-        if j <= self.max_order:
-            return float(self.sup_norms[j])
-        return self.sup_step_derivative(j)
+        """Sup of |S^(j)|: exactly 1 for j = 0, else sup_step_derivative,
+        computed the first time order j is read."""
+        if j == 0:
+            return 1.0
+        if j not in self._norms:
+            self._norms[j] = self.sup_step_derivative(j)
+        return self._norms[j]
 
 
 def _cumulative_bump(nodes: np.ndarray) -> tuple[np.ndarray, float]:
@@ -173,10 +174,5 @@ def build_mollifier_table() -> MollifierTable:
     s_nodes = -1.0 + 2.0 / mass * below
     cheb_coeffs = _cheb.chebfit(nodes, s_nodes, _CHEB_DEGREE)
 
-    table = MollifierTable(max_order=_STORED_ORDERS, mass=mass,
-                           sup_norms=np.zeros(_STORED_ORDERS + 1),
-                           cheb_coeffs=cheb_coeffs)
-    table.sup_norms = np.asarray(
-        [1.0] + [table.sup_step_derivative(j)
-                 for j in range(1, _STORED_ORDERS + 1)])
-    return table
+    # every ledger lists the step norms of orders 0..8
+    return MollifierTable(max_order=8, mass=mass, cheb_coeffs=cheb_coeffs)

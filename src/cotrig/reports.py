@@ -8,13 +8,15 @@ files; the content fingerprint excludes wall-clock fields.
 
 The canonical text is that of ``json.dumps(x, sort_keys=True, indent=2)``
 for the JSON-safe form of x, written by one walk over x: ``json`` runs
-its pure-Python encoder whenever it indents.
+its pure-Python encoder whenever it indents.  Every file, the CLI's too,
+is written by _write_text, the one function that makes directories.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -210,8 +212,9 @@ def _fingerprint(text: str) -> str:
 
 
 def _write_text(path: str, text: str) -> str:
+    """Write text to path, line ends as given, making its directories."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     return path
 
@@ -221,22 +224,17 @@ def write_json(path: str, obj) -> str:
 
 
 def write_csv(path: str, rows: list) -> str:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     header = list(dict.fromkeys(key for row in rows for key in row))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header, restval="")
-        writer.writeheader()
-        writer.writerows(rows)
-    return path
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=header, restval="")
+    writer.writeheader()
+    writer.writerows(rows)
+    return _write_text(path, text.getvalue())
 
 
 def write_plot_data(path: str, xs, ys) -> str:
     """Two whitespace-separated columns, one point per line."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for x, y in zip(xs, ys):
-            fh.write(f"{x} {y}\n")
-    return path
+    return _write_text(path, "".join(f"{x} {y}\n" for x, y in zip(xs, ys)))
 
 
 def write_report_files(report: ExperimentReport, out_dir: str) -> dict:

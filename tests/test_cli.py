@@ -8,12 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cotrig import cli
+from cotrig import cli, minimax
 from cotrig.counterexample import (build_partial_sum, build_summand,
                                    plan_recursion)
 from cotrig.ledger import (DEFAULT_MAX_BITS, ConstantsLedger,
                            make_proven_ledger)
-from cotrig.reports import write_json
+from cotrig.reports import ExperimentReport, write_json, write_report_files
 from cotrig.smooth import build_smooth_spline
 from cotrig.splines import build_ideal_spline
 
@@ -111,6 +111,25 @@ def test_build_fnb_round_trip(tmp_path, table_ledger):
     built = build_summand(table_ledger, 16, Fraction(1, 4), Fraction(1))
     xs = np.linspace(-np.pi, np.pi, 64)
     assert np.array_equal(reloaded(xs), built(xs))
+
+
+def test_a_report_holding_a_ledger_reads_as_the_ledger(tmp_path,
+                                                       toy_ledger):
+    # --ledger also takes a report whose extras hold the ledger, as
+    # calibrate's report.json does: the build is the plain ledger's
+    plain = tmp_path / "toy.json"
+    write_json(plain, toy_ledger.to_dict())
+    write_report_files(ExperimentReport(
+        experiment="calibrate", parameters={}, grid=[],
+        extras={"ledger": toy_ledger.to_dict()}), tmp_path / "report")
+    built = []
+    for i, path in enumerate((plain, tmp_path / "report" / "report.json")):
+        out = tmp_path / f"run{i}"
+        argv = ["build", "fnb", "--ledger", str(path), "--n", "16",
+                "--b", "1/4", "--d", "1", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        built.append((out / "artifacts" / "fnb.json").read_bytes())
+    assert built[0] == built[1]
 
 
 def test_chain_broken_ledger_is_a_usage_error(tmp_path, capsys, toy_ledger):
@@ -291,6 +310,20 @@ def test_constrained_solve_records_its_constraint_grids(tmp_path):
     assert rounds[-1]["constraint_violation_relative"] <= 1e-8
     assert solution["constraint_violation"] == rounds[-1][
         "constraint_violation"]
+
+
+def test_a_solve_that_gives_up_says_so(tmp_path, capsys, monkeypatch):
+    # F1's first round at degree 8 fails the gap test; with no regrid
+    # round left the fit ends unconverged, and both outputs say so
+    monkeypatch.setattr(minimax, "MAX_REFINEMENTS", 0)
+    out = tmp_path / "run"
+    argv = ["solve", "--target", "F1", "--degree", "8", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "  not converged: the last regrid round failed its checks")
+    solution = json.loads((out / "artifacts" / "solution.json").read_text())
+    assert solution["converged"] is False
+    assert len(solution["rounds"]) == 1
 
 
 def _exit_code(argv) -> int:
@@ -512,10 +545,13 @@ def _exact(value):
 def test_every_key_is_checked(tmp_path, capsys, monkeypatch, command):
     # each key's valid value passes, as a config value and as a flag's
     # text alike; a value of each class of refusal, an unknown key, a
-    # missing required key and solve's q without Y exit 64, name their key
-    # first and write nothing
+    # missing required key, solve's q without Y and its domain with Y exit
+    # 64, name their key first and write nothing.  A solve's valid config
+    # is the unconstrained one, with a domain.
     required, optional = cli.COMMANDS[command]
     valid = {key: _VALID[key] for key in required + optional}
+    pair = {key: valid.pop(key) for key in ("q", "y_points")} \
+        if command == "solve" else {}
     checked = cli._checked(valid, command)
     flags = {key: _flag_text(value) for key, value in valid.items()}
     assert _exact(list(cli._checked(flags, command).values())) \
@@ -524,10 +560,14 @@ def test_every_key_is_checked(tmp_path, capsys, monkeypatch, command):
              for key in (*valid, "out") for name, value in _refusals(key)]
     cases.append(("bogus", "unknown key", dict(valid, bogus=1)))
     # a missing key is named, and so is q or y_points in a solve that
-    # has the other one
-    dropped = required + (("q", "y_points") if command == "solve" else ())
+    # has the other one, and a domain in a solve that has both
     cases += [(key, "missing", {k: v for k, v in valid.items() if k != key})
-              for key in dropped]
+              for key in required]
+    cases += [(need, "missing", dict(valid, **{given: pair[given]}))
+              for need, given in (("q", "y_points"), ("y_points", "q"))
+              if pair]
+    if pair:
+        cases.append(("domain", "with y_points", dict(valid, **pair)))
     monkeypatch.chdir(tmp_path)
     for i, (key, name, config) in enumerate(cases):
         path = tmp_path / f"{i}.json"

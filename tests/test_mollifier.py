@@ -7,8 +7,9 @@ import pytest
 from numpy.polynomial.chebyshev import chebpts1, chebval
 from scipy.integrate import quad
 
-from cotrig.mollifier import (_BLOCK, _CHEB_DEGREE, _cumulative_bump,
-                              build_mollifier_table, bump, bump_derivatives)
+from cotrig.mollifier import (_BLOCK, _CHEB_DEGREE, MollifierTable,
+                              _cumulative_bump, build_mollifier_table, bump,
+                              bump_derivatives)
 
 # sup |S^(j)| for j = 1..12 in 60 digits (mpmath: psi^(j-1) from the exact
 # P_k of psi^(k) = P_k / (1-t^2)^(2k) psi, the mass Z by mp.quad, and the
@@ -192,8 +193,7 @@ def test_s_norms(table):
 
 
 def test_s_norms_are_polished_maxima(table):
-    # the stored norms up to max_order and the ones computed above it,
-    # up to the highest order the bump recursion reaches
+    # every order up to the highest the bump recursion reaches
     us = np.linspace(-1.0, 1.0, 20001)
     top = len(S_NORMS_60_DIGITS)
     rows = 2.0 / table.mass * bump_derivatives(top - 1, us)
@@ -214,7 +214,24 @@ def test_table_validation(table):
         table.s_norm(13)
 
 
-def test_table_to_dict(table):
-    """The table keeps one sup norm per order 0..max_order, the list its
-    removed serialiser wrote."""
-    assert table.sup_norms.shape == (table.max_order + 1,)
+def test_s_norm_is_computed_on_first_read(monkeypatch):
+    """The table stores no norm ahead of time: s_norm(0) is exactly 1,
+    and s_norm(j) is sup_step_derivative(j), bit for bit, computed the
+    first time order j is read and never again."""
+    computed = []
+    original = MollifierTable.sup_step_derivative
+
+    def counting(self, j):
+        computed.append(j)
+        return original(self, j)
+
+    monkeypatch.setattr(MollifierTable, "sup_step_derivative", counting)
+    fresh = build_mollifier_table.__wrapped__()
+    assert computed == []
+    assert fresh.s_norm(0) == 1.0
+    orders = range(1, fresh.max_order + 3)
+    for j in orders:
+        assert fresh.s_norm(j) == original(fresh, j)
+    for j in orders:
+        fresh.s_norm(j)
+    assert computed == list(orders)

@@ -3,9 +3,10 @@ scipy and mpmath load only where they are used (scipy only through the
 HiGHS loader in simplex.py, which loads the bindings alone and falls
 back to the plain import), that every import is of the standard
 library or a declared dependency, that sup norms are taken of one
-callable each, that every defaulted parameter has a
-caller that sets it, that every definition has a caller outside the
-tests, and that the CLI runs the same in one process as in fresh ones.
+callable each, that one function writes every file, that every
+defaulted parameter has a caller that sets it, that every definition
+has a caller outside the tests, and that the CLI runs the same in one
+process as in fresh ones.
 The package root exports no names, so there are none to resolve."""
 
 import ast
@@ -199,6 +200,43 @@ def test_sup_norm_takes_one_callable():
     assert calls
     assert [(name, node.lineno) for name, node in calls
             if any(kw.arg == "jet" for kw in node.keywords)] == []
+
+
+def _file_writers():
+    """(module file name, enclosing function) of every call in cotrig that
+    makes a directory or opens a file to write: open with a w, a, x or +
+    mode, os.makedirs, os.mkdir, .mkdir, .write_text and .write_bytes."""
+    for path in sorted((ROOT / "src" / "cotrig").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        # ast.walk goes outside in, so an inner function overwrites its
+        # outer one's claim on the nodes it holds
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "open":
+                # open(file, mode) and path.open(mode)
+                at = 1 if isinstance(node.func, ast.Name) else 0
+                modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+                mode = (node.args[at:at + 1] or modes or [None])[0]
+                writes = mode is not None and not (
+                    isinstance(mode, ast.Constant)
+                    and not set(str(mode.value)) & set("wax+"))
+            else:
+                writes = name in ("makedirs", "mkdir", "write_text",
+                                  "write_bytes")
+            if writes:
+                yield path.name, owner.get(id(node), "<module>")
+
+
+def test_one_function_writes_every_file():
+    # every file the package writes, and every directory it makes, goes
+    # through reports._write_text
+    assert sorted(set(_file_writers())) == [("reports.py", "_write_text")]
 
 
 def _calls_by_callee(paths) -> dict:

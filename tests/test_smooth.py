@@ -148,9 +148,9 @@ def test_smooth_derivative_sup_scaling(table):
         assert ratio == pytest.approx(1.0, abs=1e-6)
 
 
-def test_smooth_derivative_sup_reads_the_stored_norms(table, monkeypatch):
-    # above r the sup is the table's stored step norm over lam^k, with no
-    # new sup norm taken; an order past the table's is still computed
+def test_smooth_derivative_sup_reads_each_step_norm_once(table, monkeypatch):
+    # above r the sup is the table's step norm over lam^k; the table
+    # takes each order's norm at most once, however often it is read
     sp = build_smooth_spline(2, 1.0, 1.0 / 12)
     expected = {k: table.sup_step_derivative(k) / sp.lam ** k
                 for k in (1, 2, 3, table.max_order + 1)}
@@ -162,9 +162,11 @@ def test_smooth_derivative_sup_reads_the_stored_norms(table, monkeypatch):
         return original(self, j)
 
     monkeypatch.setattr(MollifierTable, "sup_step_derivative", counting)
-    for k, value in expected.items():
-        assert sp.sup_derivative(2 + k) == value
-    assert computed == [table.max_order + 1]
+    for _ in range(2):
+        for k, value in expected.items():
+            assert sp.sup_derivative(2 + k) == value
+    assert sorted(set(computed)) == sorted(computed)
+    assert set(computed) <= set(expected)
 
 
 def test_smooth_close_to_ideal_spline():
