@@ -108,10 +108,15 @@ class _Parser(argparse.ArgumentParser):
 def _load_ledger(path: str) -> ConstantsLedger:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    # calibrate's report.json holds its ledger in extras
-    if doc.get("kind") == "experiment_report":
-        doc = doc["extras"]["ledger"]
-    return ConstantsLedger.from_dict(doc)
+    # a document of the wrong shape fails as a usage error, not a traceback
+    try:
+        # calibrate's report.json holds its ledger in extras
+        if doc.get("kind") == "experiment_report":
+            doc = doc["extras"]["ledger"]
+        return ConstantsLedger.from_dict(doc)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"ledger: {path} holds no constants ledger "
+                         f"({type(exc).__name__}: {exc})") from exc
 
 
 def _print(lines) -> None:

@@ -103,6 +103,14 @@ class ApproxResult:
         }
 
 
+def _peaks(vals):
+    """Mask of the samples of vals at least as large as their neighbours."""
+    peak = np.ones(vals.size, dtype=bool)
+    peak[1:] &= vals[1:] >= vals[:-1]
+    peak[:-1] &= vals[:-1] >= vals[1:]
+    return peak
+
+
 def _violation_peaks(scores, tol, cap):
     """Isolated local maxima of a violation profile, capped at the worst few.
 
@@ -110,14 +118,7 @@ def _violation_peaks(scores, tol, cap):
     violation cluster (rather than a block of neighbours) adds as much to
     the working set as the whole block would, at a fraction of its size.
     """
-    n = scores.size
-    if n == 0:
-        return np.zeros(0, dtype=int)
-    peak = np.ones(n, dtype=bool)
-    if n > 1:
-        peak[1:] &= scores[1:] >= scores[:-1]
-        peak[:-1] &= scores[:-1] >= scores[1:]
-    idx = np.flatnonzero(peak & (scores > tol))
+    idx = np.flatnonzero(_peaks(scores) & (scores > tol))
     if idx.size > cap:
         idx = idx[np.argsort(scores[idx])[::-1][:cap]]
     return idx
@@ -347,14 +348,6 @@ def _cut_at_breakpoints(subintervals, breakpoints):
     return out
 
 
-def _local_maxima(vals):
-    """Indices of the local maxima of vals, both ends included."""
-    keep = np.zeros(vals.size, dtype=bool)
-    keep[0] = keep[-1] = True
-    keep[1:-1] = (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
-    return np.flatnonzero(keep)
-
-
 def _grown(rows, moved, size, build):
     """The rows of a grid of size points that holds the old one's points
     at the indices moved: the old rows are copied there, and build(idx)
@@ -532,7 +525,8 @@ def _refinement_loop(target, degree: int, subintervals, q: int, gaps):
             work_cons = moved[work_cons]
             failing = np.union1d(at_minima, moved[low])
         if not gap_ok:
-            grown = np.union1d(at, _local_maxima(np.abs(residual)))
+            # at already holds both ends of fine_all
+            grown = np.union1d(at, np.flatnonzero(_peaks(np.abs(residual))))
             moved = np.searchsorted(grown, at)
             at = grown
             columns = _grown(columns, moved, at.size,

@@ -8,8 +8,10 @@ files; the content fingerprint excludes wall-clock fields.
 
 The canonical text is that of ``json.dumps(x, sort_keys=True, indent=2)``
 for the JSON-safe form of x, written by one walk over x: ``json`` runs
-its pure-Python encoder whenever it indents.  Every file, the CLI's too,
-is written by _write_text, the one function that makes directories.
+its pure-Python encoder whenever it indents.  One encoder writes every
+dict, in one walk over a report's grid; the tests keep the sanitizing
+pass it replaced as its reference.  Every file, the CLI's too, is
+written by _write_text, the one function that makes directories.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ class ExperimentReport:
         return {**self._content(), **self._record(self.fingerprint())}
 
     def fingerprint(self) -> str:
-        return _fingerprint(canonical_json(self._content()))
+        return _fingerprint(_members(self._content(), "\n"))
 
     def summary_lines(self) -> list:
         lines = [f"experiment {self.experiment}: "
@@ -114,25 +116,6 @@ class ExperimentReport:
         return lines
 
 
-def _sanitize(obj):
-    """Make an object JSON-safe: Fractions to strings, non-finite floats
-    to strings, tuples to lists, numpy scalars to Python ones; any other
-    type is a TypeError, not its str()."""
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else repr(obj)
-    if isinstance(obj, (str, int, bool)) or obj is None:
-        return obj
-    if hasattr(obj, "item"):
-        return _sanitize(obj.item())
-    raise _unknown_type(obj)
-
-
 def _unknown_type(obj) -> TypeError:
     return TypeError(f"cannot write an object of type {type(obj).__name__} "
                      "as JSON")
@@ -142,9 +125,10 @@ _LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _emit(obj, out: list, nl: str) -> None:
-    """Append to out the text of _sanitize(obj) in canonical_json at the
-    depth whose line break and indent is nl, with json's own spelling of
-    strings (ASCII escapes) and numbers (the int and float reprs)."""
+    """Append to out the canonical_json text of obj at the depth whose line
+    break and indent is nl: json's spelling of strings and numbers, strings
+    for Fractions and non-finite floats, lists for tuples, Python values
+    for numpy scalars, and a TypeError for any other type."""
     if isinstance(obj, str):
         out.append(_quote(obj))
     elif isinstance(obj, float):
@@ -155,16 +139,7 @@ def _emit(obj, out: list, nl: str) -> None:
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
     elif isinstance(obj, dict):
-        items = {str(k): v for k, v in obj.items()}
-        if not items:
-            out.append("{}")
-            return
-        inner, sep = nl + "  ", "{"
-        for key in sorted(items):
-            out += (sep, inner, _quote(key), ": ")
-            _emit(items[key], out, inner)
-            sep = ","
-        out.append(nl + "}")
+        out.append(_object(_members(obj, nl), nl))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
@@ -184,31 +159,35 @@ def _emit(obj, out: list, nl: str) -> None:
 
 
 def canonical_json(obj) -> str:
-    """json.dumps(_sanitize(obj), sort_keys=True, indent=2), in one pass."""
+    """json.dumps(obj, sort_keys=True, indent=2) of obj made JSON-safe."""
     out = []
     _emit(obj, out, "\n")
     return "".join(out)
 
 
-def _members(doc: dict) -> dict:
-    """Each entry of doc as canonical_json writes it one level deep:
-    key -> '"key": value'."""
-    out = {}
-    for key, value in doc.items():
-        key = str(key)
+def _members(doc: dict, nl: str) -> dict:
+    """Each entry of doc as canonical_json writes it in a dict at the depth
+    of nl: key -> '"key": value'.  Keys become strings first, so of two
+    that read alike only the later value is encoded."""
+    out, inner = {}, nl + "  "
+    for key, value in {str(k): v for k, v in doc.items()}.items():
         text = [_quote(key), ": "]
-        _emit(value, text, "\n  ")
+        _emit(value, text, inner)
         out[key] = "".join(text)
     return out
 
 
-def _object(members: dict) -> str:
-    """canonical_json of the non-empty dict whose _members these are."""
-    return "{\n  " + ",\n  ".join(members[k] for k in sorted(members)) + "\n}"
+def _object(members: dict, nl: str) -> str:
+    """canonical_json, at the depth of nl, of the dict of these _members."""
+    if not members:
+        return "{}"
+    inner = nl + "  "
+    body = ("," + inner).join(members[k] for k in sorted(members))
+    return "{" + inner + body + nl + "}"
 
 
-def _fingerprint(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+def _fingerprint(content: dict) -> str:
+    return hashlib.sha256(_object(content, "\n").encode()).hexdigest()[:16]
 
 
 def _write_text(path: str, text: str) -> str:
@@ -240,17 +219,16 @@ def write_plot_data(path: str, xs, ys) -> str:
 def write_report_files(report: ExperimentReport, out_dir: str) -> dict:
     """Write report.json, tables/<name>.csv, and plots/*.dat; return paths.
 
-    report.json is canonical_json(report.to_dict()), each value encoded
-    once: the fingerprint hashes the content's entries joined."""
-    rows = _sanitize(report.grid)
-    content = _members({**report._content(), "grid": rows})
-    members = {**content,
-               **_members(report._record(_fingerprint(_object(content))))}
-    paths = {"report": _write_text(os.path.join(out_dir, "report.json"),
-                                   _object(members) + "\n")}
-    if rows:
-        paths["table"] = write_csv(
-            os.path.join(out_dir, "tables", f"{report.experiment}.csv"), rows)
+    report.json is canonical_json(report.to_dict()), written before any
+    other file, each value encoded once: the fingerprint hashes the
+    content's entries joined."""
+    content = _members(report._content(), "\n")
+    record = _members(report._record(_fingerprint(content)), "\n")
+    paths = {"report": os.path.join(out_dir, "report.json")}
+    _write_text(paths["report"], _object({**content, **record}, "\n") + "\n")
+    if report.grid:
+        paths["table"] = write_csv(os.path.join(
+            out_dir, "tables", f"{report.experiment}.csv"), report.grid)
     for x_key, y_key in report.plots:
         cells = [r for r in report.grid if x_key in r and y_key in r]
         if not cells:

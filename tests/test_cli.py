@@ -150,6 +150,25 @@ def test_chain_broken_ledger_is_a_usage_error(tmp_path, capsys, toy_ledger):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: [1],
+    lambda doc: {**doc, "constants": [1]},
+    lambda doc: {k: v for k, v in doc.items() if k != "q"},
+], ids=["not-an-object", "constants-not-an-object", "no-q"])
+def test_misshapen_ledger_is_a_usage_error(tmp_path, capsys, toy_ledger,
+                                           edit):
+    # a ledger file of the wrong shape exits 64 as a misshapen --config
+    # does, and the ledger loads before the run directory is made
+    ledger_path = tmp_path / "misshapen.json"
+    write_json(ledger_path, edit(toy_ledger.to_dict()))
+    argv = ["build", "fnb", "--ledger", str(ledger_path), "--n", "16",
+            "--b", "1/4", "--d", "1", "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: ledger: ")
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_ledger_is_a_usage_error(tmp_path, capsys):
     # an experiment's ledger loads before its run directory is made too
     missing = tmp_path / "missing.json"

@@ -1,6 +1,7 @@
 """Pinned values of the growth experiments, calibrate and lemma-22, the
 hill climb's walk against a one-candidate-at-a-time reference, the jets
-of lemma-3111's flipped and reference ratios, and the degree-cap message."""
+of lemma-3111's flipped and reference ratios, the degree-cap message and
+the theorems' unconstrained-decay bound."""
 
 import json
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from cotrig import cli, experiments
 from cotrig.experiments import (DEGREE_CAP, DEGREE_CAP_LARGE, _check_degrees,
                                 _halfconvex_family, _mirrored,
+                                _unconstrained_decay,
                                 calibrate_constants, exp_bernstein_interval,
                                 exp_lemma_22, exp_lemma_3111, exp_theorem_12,
                                 exp_theorem_13, hill_climb)
@@ -245,6 +247,30 @@ def test_theorem_experiments_take_the_large_cap(run):
     # degrees are validated before any solve, so this costs nothing
     with pytest.raises(ValueError, match=f"cap {DEGREE_CAP_LARGE}$"):
         run(3, [-0.6, 0.6], [DEGREE_CAP_LARGE + 1])
+
+
+@pytest.mark.parametrize("r, share, n_list, rate, passes, detail", [
+    # the default ladder asks for x3 (thm-12 at q = 3) and x8 (thm-13)
+    (1, 0.75, [8, 16, 32], 1, True, "drop x4 >= x3"),
+    (2, 0.5, [8, 16, 32], 2, True, "drop x16 >= x8"),
+    # the bound follows the degrees asked for, in any order
+    (1, 0.75, [16, 8], 1, True, "drop x2 >= x1.5"),
+    (2, 0.5, [8, 16], 2, True, "drop x4 >= x2"),
+    (3, 0.75, [8, 64], 3, True, "drop x512 >= x384"),
+    # a drop of exactly the bound passes, a smaller one fails
+    (2, 0.5, [8, 16], 1, True, "drop x2 >= x2"),
+    (3, 0.75, [8, 16], 2, False, "drop x4 >= x6"),
+    (1, 0.75, [8, 8], 1, False, "only degree 8: a decay needs two degrees"),
+    (1, 0.75, [8], 1, False, "only degree 8: a decay needs two degrees"),
+], ids=["thm-12-ladder", "thm-13-ladder", "unsorted", "r2-8-16", "r3-8-64",
+        "at-the-bound", "slower-than-r", "one-degree-twice", "one-degree"])
+def test_unconstrained_decay_takes_the_degrees_asked_for(
+        r, share, n_list, rate, passes, detail):
+    # synthetic errors E_n = n^-rate, against the bound share (n_max/n_min)^r
+    cells = [{"n": n, "unconstrained": float(n) ** -rate} for n in n_list]
+    check = _unconstrained_decay(cells, r, share)
+    assert (check.name, check.passed, check.detail) == (
+        "unconstrained_decay", passes, detail)
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,8 +11,27 @@ from hypothesis import strategies as st
 
 from cotrig.experiments import exp_lemma_3111
 from cotrig.reports import (Assertion, ConstantReading, ExperimentReport,
-                            _sanitize, canonical_json, write_csv, write_json,
-                            write_plot_data, write_report_files)
+                            _unknown_type, canonical_json, write_csv,
+                            write_json, write_plot_data, write_report_files)
+
+
+def _sanitize(obj):
+    """Make an object JSON-safe: Fractions to strings, non-finite floats
+    to strings, tuples to lists, numpy scalars to Python ones; any other
+    type is a TypeError, not its str()."""
+    if isinstance(obj, dict):
+        return {str(k): _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(obj)
+    if isinstance(obj, (str, int, bool)) or obj is None:
+        return obj
+    if hasattr(obj, "item"):
+        return _sanitize(obj.item())
+    raise _unknown_type(obj)
 
 
 def small_report():
@@ -123,17 +142,39 @@ def test_write_plot_data(tmp_path):
     assert open(path).read() == "1 0.5\n2 0.25\n"
 
 
+def odd_cells_report():
+    rep = small_report()
+    rep.grid.append({"n": np.int64(8), "error": np.float64(0.5),
+                     "extra": Fraction(1, 3), "inf": float("inf"),
+                     "nan": float("nan"), "flag": np.bool_(True)})
+    return rep
+
+
 @pytest.mark.parametrize("make", [
-    small_report, lambda: exp_lemma_3111(3, 0.5, trials=40, seed=1),
-], ids=["small", "lemma-3111"])
+    small_report, odd_cells_report,
+    lambda: exp_lemma_3111(3, 0.5, trials=40, seed=1),
+], ids=["small", "odd-cells", "lemma-3111"])
 def test_report_json_is_the_canonical_report(tmp_path, make):
     # report.json encodes each value once, and its fingerprint hashes the
-    # content's entries joined: the same text as encoding the whole dict
+    # content's entries joined: the same text as encoding the whole dict;
+    # the table, written from the grid as it is, is the sanitized grid's
     rep = make()
-    write_report_files(rep, str(tmp_path))
-    text = (tmp_path / "report.json").read_text()
+    write_report_files(rep, str(tmp_path / "run"))
+    text = (tmp_path / "run" / "report.json").read_text()
     assert text == canonical_json(rep.to_dict()) + "\n"
     assert json.loads(text)["fingerprint"] == rep.fingerprint()
+    table = tmp_path / "run" / "tables" / f"{rep.experiment}.csv"
+    write_csv(str(tmp_path / "sanitized.csv"), _sanitize(rep.grid))
+    assert table.read_bytes() == (tmp_path / "sanitized.csv").read_bytes()
+
+
+def test_an_unwritable_cell_writes_nothing(tmp_path):
+    # report.json is encoded before any file is opened
+    rep = small_report()
+    rep.grid.append({"n": 8, "error": object()})
+    with pytest.raises(TypeError, match="of type object as JSON"):
+        write_report_files(rep, str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_report_files(tmp_path):
