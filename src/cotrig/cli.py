@@ -195,8 +195,7 @@ def cmd_build_smooth(cfg: dict, out_dir: Path) -> int:
     params = {"r": r, "d": d, "lam": lam}
     spline = _make("smooth", params)
     ideal = build_ideal_spline(r, d)
-    dist = spline_distance(ideal, spline, spline.window,
-                           seeds=spline.seed_points())
+    dist = spline_distance(ideal, spline)
     norms = {str(j): spline.sup_derivative(j) for j in range(r + 3)}
     summary = {
         **params, "window": [spline.window.lo, spline.window.hi],

@@ -20,6 +20,7 @@ order); a partial sum adds its summands' jets in level order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .grids import Interval, sup_norm
 from .ledger import (DEFAULT_MAX_BITS, ConstantsLedger, EpsGrowthError,
-                     ceil_fraction, iroot_ceil, parse_eps_rule)
+                     iroot_ceil, parse_eps_rule)
 from .signsets import SignChangeSet, delta_q_membership
 from .smooth import MIN_REALIZED_WIDTH, SmoothSpline, build_smooth_spline
 
@@ -203,7 +204,7 @@ def plan_recursion(ledger: ConstantsLedger, d, levels: int,
         raise ValueError("levels must be >= 1")
     r, m = ledger.r, ledger.m
     c6, c9, c10 = ledger["c6"], ledger["c9"], ledger["c10"]
-    n = [max(1, ceil_fraction(3 * c6 * d ** r))]
+    n = [max(1, math.ceil(3 * c6 * d ** r))]
     b = [d / 4]
     for k in range(1, levels + 1):
         b_k = b[k - 1]
@@ -216,7 +217,7 @@ def plan_recursion(ledger: ConstantsLedger, d, levels: int,
         if k >= 2:
             x93 = (10 * c9 * Fraction(n[k - 1]) ** (m + 1)
                    / (c10 * b[k - 2] ** (r * (m + 1))))
-            candidate = max(candidate, iroot_ceil(ceil_fraction(x93), m))
+            candidate = max(candidate, iroot_ceil(math.ceil(x93), m))
         if candidate.bit_length() > max_bits:
             raise EpsGrowthError(
                 f"planned degree at level {k} needs {candidate.bit_length()} "

@@ -23,14 +23,14 @@ import numpy as np
 from .counterexample import build_summand
 from .grids import Interval, chebyshev_points, sup_norm
 from .ledger import ConstantsLedger, make_empirical_ledger
-from .minimax import (_constraint_rows, _gap_points, _split_points,
-                      best_approx, best_co_q_monotone, solve_grid_minimax)
+from .minimax import (_split_points, best_approx, best_co_q_monotone,
+                      solve_grid_minimax)
 from .mollifier import build_mollifier_table
 from .reports import Assertion, ConstantReading, ExperimentReport
 from .signsets import SignChangeSet, delta_q_membership_by_convexity
 from .smooth import build_smooth_spline, spline_distance
 from .splines import PowerKink, build_ideal_spline
-from .trigpoly import TrigPoly, trig_basis
+from .trigpoly import TrigPoly, trig_basis, trig_derivative_basis
 
 DEGREE_CAP = 32
 DEGREE_CAP_LARGE = 128
@@ -556,11 +556,12 @@ def window_floor_solve(target, n: int, q: int, b: float, poly_degree: int,
             blocks.append(-np.column_stack([x ** j for j in range(free)]))
         return np.hstack(blocks)
 
-    # both grids hold x = 0, where the sign pattern and F_r's kink sit
-    gaps = [(-b, 0.0, -1), (0.0, b, 1)]
-    halves = [Interval(lo, hi) for lo, hi, _ in gaps]
-    pts, owner = _gap_points(gaps, max(12 * n, 256), ends=False)
-    rows = _constraint_rows(gaps, pts, owner, n, q)
+    # both grids hold x = 0, where the sign pattern and F_r's kink sit;
+    # no open constraint point is 0, so sign(t) poses t T^(q)(t) >= 0
+    halves = [Interval(-b, 0.0), Interval(0.0, b)]
+    pts = np.concatenate([chebyshev_points(iv, max(12 * n, 256),
+                                           open_ends=True) for iv in halves])
+    rows = trig_derivative_basis(pts, n, q) * np.sign(pts)[:, None]
     count = max(24 * (n + 1), 1025)
     return _fit_and_post_check(
         target, columns, np.hstack([rows, np.zeros((rows.shape[0], free))]),
@@ -638,12 +639,12 @@ def measure_window_rate_constant(r: int, b_list, n_list) -> tuple:
 def calibrate_constants(q: int, p: int, d, seed: int = 0):
     """Measure the base constants and assemble the empirical ledger.
 
-    Returns (ledger, report).  The chained constants are derived exactly
-    from the measured ones inside the ledger constructor, so every
-    structural identity holds by construction.  The step norms of orders
-    0..max(table.max_order, p + 2) are read off the process's one step
-    table before any experiment runs, so an order past the bump
-    recursion's cap fails at once.
+    Returns the report, the ledger in its extras["ledger"].  The chained
+    constants are derived exactly from the measured ones inside the ledger
+    constructor, so every structural identity holds by construction.  The
+    step norms of orders 0..max(table.max_order, p + 2) are read off the
+    process's one step table before any experiment runs, so an order past
+    the bump recursion's cap fails at once.
     """
     d = float(d)
     if not 0 < d <= np.pi:
@@ -670,8 +671,7 @@ def calibrate_constants(q: int, p: int, d, seed: int = 0):
     c4 = ideal.sup_derivative(r)
     for lam in lam_probes:
         smooth = build_smooth_spline(r, d, lam)
-        dist = spline_distance(ideal, smooth, smooth.window,
-                               seeds=smooth.seed_points())
+        dist = spline_distance(ideal, smooth)
         c5 = max(c5, dist / lam)
         for j in range(r + 1):
             c4 = max(c4, smooth.sup_derivative(j))
@@ -726,7 +726,7 @@ def calibrate_constants(q: int, p: int, d, seed: int = 0):
         assertions=assertions,
         extras={"ledger": ledger.to_dict()},
         ledger_hash=ledger.content_hash())
-    return ledger, report
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +740,7 @@ _RUNNERS = {
     "thm-12": exp_theorem_12,
     "thm-13": exp_theorem_13,
     "lemma-aux": exp_lemma_aux,
-    "calibrate": lambda **p: calibrate_constants(**p)[1],
+    "calibrate": calibrate_constants,
 }
 
 EXPERIMENT_NAMES = tuple(_RUNNERS)

@@ -31,10 +31,6 @@ class EpsGrowthError(ValueError):
     """The growth rule grows too slowly: the required degree is unrepresentable."""
 
 
-def ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def iroot_floor(x: int, k: int) -> int:
     """Largest n >= 0 with n**k <= x (x >= 0, k >= 1), exact Newton steps."""
     if x < 0:
@@ -150,7 +146,7 @@ class PowerEps(EpsRule):
         self.name = "linear" if a == 1 else f"power:{a}"
 
     def min_degree(self, threshold: Fraction, max_bits: int = DEFAULT_MAX_BITS) -> int:
-        n = max(1, iroot_ceil(max(ceil_fraction(threshold), 1), self.a))
+        n = max(1, iroot_ceil(max(math.ceil(threshold), 1), self.a))
         return self._budget(n, max_bits)
 
 

@@ -361,16 +361,16 @@ def _grown(rows, moved, size, build):
     return out
 
 
-def _gap_points(gaps, per_gap: int, ends: bool = True):
+def _gap_points(gaps, per_gap: int):
     """per_gap open Chebyshev points on each (lo, hi, sigma) gap, led and
-    closed by the gap's ends unless ``ends`` is False, and the index of the
-    gap of each point.  The points run gap by gap, ascending, so an end
-    two gaps share appears twice, once in each gap."""
+    closed by the gap's ends, and the index of the gap of each point.
+    The points run gap by gap, ascending, so an end two gaps share
+    appears twice, once in each gap."""
     pts = []
     for lo, hi, _ in gaps:
         inner = chebyshev_points(Interval(lo, hi), per_gap, open_ends=True)
-        pts.append(np.r_[lo, inner, hi] if ends else inner)
-    owner = np.repeat(np.arange(len(gaps)), per_gap + 2 if ends else per_gap)
+        pts.append(np.r_[lo, inner, hi])
+    owner = np.repeat(np.arange(len(gaps)), per_gap + 2)
     return np.concatenate(pts or [np.zeros(0)]), owner
 
 

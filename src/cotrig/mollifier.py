@@ -102,11 +102,11 @@ class MollifierTable:
     is 2/Z psi^(j-1), a row of bump_derivatives, and every derivative is
     read through jet(u, rows, order).  mass is the bump mass Z.
     s_norm(j) is the one route to the sup of |S^(j)|; no norm is stored
-    ahead of time.  max_order is the highest order whose norm every
-    ledger lists, not a cap on s_norm.
+    ahead of time.  max_order, a class constant, is the highest order
+    whose norm every ledger lists, not a cap on s_norm.
     """
 
-    max_order: int
+    max_order = 8
     mass: float
     cheb_coeffs: np.ndarray = field(repr=False)
     # sup of |S^(j)| by order j, for each order s_norm has read
@@ -173,6 +173,4 @@ def build_mollifier_table() -> MollifierTable:
     below, mass = _cumulative_bump(nodes)
     s_nodes = -1.0 + 2.0 / mass * below
     cheb_coeffs = _cheb.chebfit(nodes, s_nodes, _CHEB_DEGREE)
-
-    # every ledger lists the step norms of orders 0..8
-    return MollifierTable(max_order=8, mass=mass, cheb_coeffs=cheb_coeffs)
+    return MollifierTable(mass=mass, cheb_coeffs=cheb_coeffs)

@@ -12,11 +12,12 @@ zone.
 Integrals, antiderivatives and derivatives are exact coefficient
 operations.  The jet, the first `rows` of values, first and second
 derivatives, comes from one Clenshaw pass per distinct series length,
-over every point of the pieces of that length and every row at once, and
-evaluation is its row 0; the derivative series are zero-padded at the top
-to that length, and zero padding leaves every Clenshaw step's result
-unchanged, so each row is bit-identical to numpy's chebval of its own
-piece.  The sup norm, grids.sup_norm of the jet seeded with Chebyshev
+over every point of the pieces of that length and every row at once (a
+spline whose pieces all have one length takes the same loop, as one
+group), and evaluation is its row 0; the derivative series are
+zero-padded at the top to that length, and zero padding leaves every
+Clenshaw step's result unchanged, so each row is bit-identical to
+numpy's chebval of its own piece.  The sup norm, grids.sup_norm of the jet seeded with Chebyshev
 points of every piece, is polished by Newton steps on the jet.
 """
 
@@ -103,12 +104,9 @@ class PiecewiseCheb:
         lengths, groups = self._stacks(rows)
         out = np.empty((rows, xs.size))
         for pieces, stack in groups:
-            if len(groups) == 1:  # every point is in this group
-                sel, held, slots = slice(None), idx, idx
-            else:
-                sel = np.flatnonzero(lengths[idx] == stack.shape[0])
-                held = idx[sel]
-                slots = np.searchsorted(pieces, held)
+            sel = np.flatnonzero(lengths[idx] == stack.shape[0])
+            held = idx[sel]
+            slots = np.searchsorted(pieces, held)
             if held.size:
                 u = (xs[sel] - self.centres[held]) / self.halves[held]
                 out[:, sel] = _clenshaw(stack, slots, u)

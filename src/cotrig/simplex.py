@@ -210,7 +210,10 @@ class LinearProgram:
         self._highs.changeColsCost(n, np.arange(n, dtype=np.int32), cost)
 
     def add_rows(self, rows, lower, upper) -> None:
-        """Append the dense rows with lower <= rows x <= upper."""
+        """Append the dense rows with lower <= rows x <= upper, or raise
+        LPNumericalError and add nothing when an entry is not finite, a
+        bound is NaN, or HiGHS refuses the rows (as it does an entry of
+        1e15 or more; it takes a NaN entry)."""
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.num_cols:
             raise ValueError("rows must have one entry per column")
@@ -221,10 +224,17 @@ class LinearProgram:
             raise ValueError("need one lower and one upper bound per row")
         if m == 0:
             return
+        if not np.isfinite(rows).all() or np.isnan(lower).any() \
+                or np.isnan(upper).any():
+            raise LPNumericalError("constraint rows with a NaN or infinite "
+                                   "entry or a NaN bound")
         nz_rows, nz_cols = np.nonzero(rows)
         starts = np.searchsorted(nz_rows, np.arange(m)).astype(np.int32)
-        self._highs.addRows(m, lower, upper, nz_rows.size, starts,
-                            nz_cols.astype(np.int32), rows[nz_rows, nz_cols])
+        status = self._highs.addRows(m, lower, upper, nz_rows.size, starts,
+                                     nz_cols.astype(np.int32),
+                                     rows[nz_rows, nz_cols])
+        if status.name == "kError":
+            raise LPNumericalError("HiGHS refused the constraint rows")
         self.row_lower = np.concatenate([self.row_lower, lower])
         self.row_upper = np.concatenate([self.row_upper, upper])
 

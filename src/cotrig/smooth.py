@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import TWO_PI, Interval, chebyshev_points, sup_norm
-from .mollifier import MollifierTable, build_mollifier_table
+from .mollifier import build_mollifier_table
 from .piecewise import PiecewiseCheb, zero_mean_levels
 from .splines import step_offset
 
@@ -37,13 +37,13 @@ class SmoothSpline:
     jet(x, rows, order) reads every derivative.  Orders j <= r are the
     stored levels (piecewise Chebyshev series, whose jet is one Clenshaw
     pass per series length).  Above r they are closed forms on the zones,
-    from the step table's jet: one bump recursion per zone.
+    from the jet of the process's step table, build_mollifier_table(), the
+    table the levels are built from: one bump recursion per zone.
     """
 
     r: int
     d: float
     lam: float
-    table: MollifierTable
     levels: list
 
     @property
@@ -68,13 +68,14 @@ class SmoothSpline:
             return self.levels[self.r - order].jet(x, rows)
         k = order - self.r
         lam, d = self.lam, self.d
+        table = build_mollifier_table()
         xs = -d + np.mod(np.asarray(x, dtype=float).ravel() + d, TWO_PI)
         out = np.zeros((rows, xs.size))
         for sign, u in ((1.0, (xs - 2.0 * lam) / lam),
                         (-1.0, (xs + d - 2.0 * lam) / lam)):
             m = np.abs(u) < 1.0
             if m.any():
-                for i, row in enumerate(self.table.jet(u[m], rows, k)):
+                for i, row in enumerate(table.jet(u[m], rows, k)):
                     out[i, m] = sign * row / lam ** (k + i)
         return out
 
@@ -82,7 +83,7 @@ class SmoothSpline:
         if j <= self.r:
             return self.levels[self.r - j].sup_norm()
         k = j - self.r
-        return self.table.s_norm(k) / self.lam ** k
+        return build_mollifier_table().s_norm(k) / self.lam ** k
 
     def seed_points(self) -> np.ndarray:
         """Top-level breakpoints and 65 Chebyshev points in every zone."""
@@ -120,12 +121,11 @@ def build_smooth_spline(r: int, d: float, lam: float) -> SmoothSpline:
                 0.5 * (TWO_PI - d - 3 * lam)],
         coefficients=[[1.0 - gamma], down, [-1.0 - gamma], up, [1.0 - gamma]],
         periodic=True)
-    return SmoothSpline(r=r, d=d, lam=lam, table=table,
-                        levels=zero_mean_levels(base, r))
+    return SmoothSpline(r=r, d=d, lam=lam, levels=zero_mean_levels(base, r))
 
 
-def spline_distance(f, g, window: Interval, seeds=None) -> float:
-    """Refined sup of |f - g| over the window, seeding kink and zone points
-    and Newton-polished by the difference of the two jets."""
-    return sup_norm(lambda x, rows=3: f.jet(x, rows) - g.jet(x, rows), window,
-                    seeds=seeds, floor=4096)
+def spline_distance(f, g: SmoothSpline) -> float:
+    """Refined sup of |f - g| over g's window, seeded with g's kink and
+    zone points and Newton-polished by the difference of the two jets."""
+    return sup_norm(lambda x, rows=3: f.jet(x, rows) - g.jet(x, rows),
+                    g.window, seeds=g.seed_points(), floor=4096)

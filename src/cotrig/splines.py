@@ -68,7 +68,6 @@ class IdealSpline:
 
     r: int
     b: float
-    offset: float
     levels: list
 
     @property
@@ -95,7 +94,8 @@ class IdealSpline:
 
     def sup_derivative(self, j: int) -> float:
         """Refined sup of |f^(j)|, 0 <= j <= r.  At j = r the pieces are
-        the constants -1 - offset and 1 - offset, so it is 1 + offset."""
+        the constants -1 - offset and 1 - offset, offset = step_offset(b),
+        so it is 1 + offset."""
         return self._level(j).sup_norm()
 
     def residual_poly(self):
@@ -126,4 +126,4 @@ def build_ideal_spline(r: int, b: float) -> IdealSpline:
                          halves=[0.5 * b, 0.5 * (TWO_PI - b)],
                          coefficients=[[-1.0 - offset], [1.0 - offset]],
                          periodic=True)
-    return IdealSpline(r=r, b=b, offset=offset, levels=zero_mean_levels(step, r))
+    return IdealSpline(r=r, b=b, levels=zero_mean_levels(step, r))

@@ -19,8 +19,9 @@ Coefficients with a leading axis of length K store K polynomials of one
 degree, a family for grids.sup_norm; each point runs the same Horner
 steps on its own member's coefficients, so a member's values are those it
 has on its own.
-The basis matrices that feed the minimax LP keep their cos/sin table: the
-LP needs every column, not their sum.
+The basis matrices that feed the minimax LP keep one cos/sin table,
+trig_derivative_basis, for every derivative order; trig_basis is its
+order 0.  The LP needs every column, not their sum.
 """
 
 from __future__ import annotations
@@ -119,26 +120,20 @@ class TrigPoly:
 
 def trig_basis(ts: np.ndarray, degree: int) -> np.ndarray:
     """Point-evaluation matrix of the basis [1, cos kt, sin kt], k=1..degree."""
-    ts = np.asarray(ts, dtype=float)
-    cols = [np.ones_like(ts)]
-    if degree:
-        kt = np.outer(ts, np.arange(1, degree + 1))
-        cols.append(np.cos(kt))
-        cols.append(np.sin(kt))
-        return np.column_stack(cols)
-    return cols[0][:, None]
+    return trig_derivative_basis(ts, degree, 0)
 
 
 def trig_derivative_basis(ts: np.ndarray, degree: int, order: int) -> np.ndarray:
     """Point evaluations of the order-th derivative of each basis element.
 
-    Column layout matches trig_basis: constant, cosines, sines.  Uses the
-    phase-shift identity d^q/dt^q cos(kt) = k^q cos(kt + q pi/2).
+    Columns: constant, cosines, sines.  Uses the phase-shift identity
+    d^q/dt^q cos(kt) = k^q cos(kt + q pi/2); at order 0 the phase is 0 and
+    the scale 1, so the cosines and sines are cos(kt) and sin(kt) exactly.
     """
     ts = np.asarray(ts, dtype=float)
-    if order == 0:
-        return trig_basis(ts, degree)
     out = np.zeros((ts.size, 2 * degree + 1))
+    if order == 0:
+        out[:, 0] = 1.0
     if degree:
         k = np.arange(1, degree + 1)
         kt = np.outer(ts, k)

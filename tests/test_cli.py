@@ -345,6 +345,17 @@ def test_a_solve_that_gives_up_says_so(tmp_path, capsys, monkeypatch):
     assert len(solution["rounds"]) == 1
 
 
+def test_a_solve_whose_sign_rows_overflow_is_a_numerical_failure(
+        tmp_path, capsys):
+    # k^q overflows at q = 400, so the normalised sign rows hold NaN and
+    # inf: the LP refuses them with a typed error instead of a wrong fit
+    argv = ["solve", "--target", "ideal:1:1.2", "--degree", "8", "--q", "400",
+            "--Y", "-1.2", "0", "--out", str(tmp_path / "run")]
+    with np.errstate(all="ignore"):
+        assert cli.main(argv) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
 def _exit_code(argv) -> int:
     """cli.main's return code, or the code of the SystemExit argparse raises."""
     try:

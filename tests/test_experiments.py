@@ -46,7 +46,7 @@ def test_bernstein_n_4_8_and_calibrate_pinned():
     report = exp_bernstein_interval(1.0, [4, 8], trials=40, seed=1)
     assert report.constants[0].value == BERNSTEIN_4_8_RHO
     assert report.fingerprint() == BERNSTEIN_4_8_FINGERPRINT
-    _, report = calibrate_constants(3, 4, 1, seed=0)
+    report = calibrate_constants(3, 4, 1, seed=0)
     assert report.passed
     assert report.constants[0].value == BERNSTEIN_4_8_RHO
     assert report.fingerprint() == CALIBRATE_FINGERPRINT

@@ -7,16 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cotrig.ledger import (ConstantsLedger, EpsGrowthError, LogEps,
-                           PowerEps, TowerEps, ceil_fraction,
-                           ilog_threshold, iroot_ceil, iroot_floor,
-                           make_empirical_ledger, make_proven_ledger,
-                           parse_eps_rule)
-
-
-def test_ceil_fraction():
-    assert ceil_fraction(Fraction(7, 2)) == 4
-    assert ceil_fraction(Fraction(-7, 2)) == -3
-    assert ceil_fraction(Fraction(4)) == 4
+                           PowerEps, TowerEps, ilog_threshold, iroot_ceil,
+                           iroot_floor, make_empirical_ledger,
+                           make_proven_ledger, parse_eps_rule)
 
 
 def test_iroot_floor_exact_and_big():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from cotrig.grids import FULL_PERIOD, Interval
+from cotrig.grids import FULL_PERIOD, Interval, chebyshev_points
 from cotrig import minimax
 from cotrig.minimax import best_approx, best_co_q_monotone, solve_grid_minimax
 from cotrig.signsets import SignChangeSet
@@ -245,7 +245,10 @@ def _constrained_grid_problem():
     xs = np.linspace(-np.pi, np.pi, 401)
     values = np.sin(xs) + 0.5 * np.sin(2 * xs) ** 2 + 0.2 * np.abs(xs - 1)
     gaps = SignChangeSet([-np.pi / 2, np.pi / 2]).intervals()
-    pts, owner = minimax._gap_points(gaps, 200, ends=False)
+    pts = np.concatenate([chebyshev_points(Interval(lo, hi), 200,
+                                           open_ends=True)
+                          for lo, hi, _ in gaps])
+    owner = np.repeat(np.arange(len(gaps)), 200)
     return values, trig_basis(xs, 4), \
         minimax._constraint_rows(gaps, pts, owner, 4, 3)
 

@@ -5,8 +5,9 @@ back to the plain import), that every import is of the standard
 library or a declared dependency, that sup norms are taken of one
 callable each, that one function writes every file, that every
 defaulted parameter has a caller that sets it, that every definition
-has a caller outside the tests, and that the CLI runs the same in one
-process as in fresh ones.
+has a caller outside the tests, that no private name leaves its module
+but three, and that the CLI runs the same in one process as in fresh
+ones.
 The package root exports no names, so there are none to resolve."""
 
 import ast
@@ -237,6 +238,19 @@ def test_one_function_writes_every_file():
     # every file the package writes, and every directory it makes, goes
     # through reports._write_text
     assert sorted(set(_file_writers())) == [("reports.py", "_write_text")]
+
+
+def test_private_names_stay_in_their_module():
+    # a private name imported by another module is a second caller of an
+    # implementation detail; only these three remain
+    imported = {(path.stem, node.module, alias.name)
+                for path in (ROOT / "src" / "cotrig").glob("*.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names if alias.name.startswith("_")}
+    assert imported == {("cli", "mollifier", "_MAX_BUMP_ORDER"),
+                        ("experiments", "minimax", "_split_points"),
+                        ("minimax", "grids", "_newton_refine_max")}
 
 
 def _calls_by_callee(paths) -> dict:

@@ -10,7 +10,8 @@ from scipy.optimize import linprog
 
 import cotrig.simplex
 from cotrig.simplex import (LinearProgram, LPInfeasibleError,
-                            LPIterationLimitError, LPUnboundedError, solve_lp)
+                            LPIterationLimitError, LPNumericalError,
+                            LPUnboundedError, solve_lp)
 
 
 def _standard_form(A, b, c):
@@ -46,6 +47,24 @@ def test_negative_rhs_rows_are_flipped():
     assert sol.x[0] == pytest.approx(2.0, abs=1e-12)
     assert sol.objective == pytest.approx(6.0, abs=1e-12)
     assert sol.duals[0] == pytest.approx(-3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("entry, bound", [
+    (np.nan, 0.0),      # HiGHS takes a NaN entry
+    (np.inf, 0.0),      # and refuses an infinite one
+    (1e300, 0.0),       # or one above its largest matrix value
+    (1.0, np.nan),
+])
+def test_rows_that_cannot_be_posed_raise_and_add_nothing(entry, bound):
+    lp = LinearProgram([1.0, 1.0])
+    lp.add_rows(np.array([[1.0, 1.0]]), np.array([1.0]), np.array([np.inf]))
+    with pytest.raises(LPNumericalError):
+        lp.add_rows(np.array([[1.0, entry]]), np.array([bound]),
+                    np.array([np.inf]))
+    assert lp._highs.getNumRow() == 1
+    assert lp.row_lower.tolist() == [1.0]
+    assert lp.row_upper.tolist() == [np.inf]
+    assert solve_lp(lp).objective == pytest.approx(1.0, abs=1e-12)
 
 
 def test_infeasible():

@@ -176,8 +176,7 @@ def test_smooth_close_to_ideal_spline():
         dists = []
         for lam in (d / 6, d / 12):
             sp = build_smooth_spline(r, d, lam)
-            dist = spline_distance(sp, ideal, sp.window,
-                                   seeds=sp.seed_points())
+            dist = spline_distance(ideal, sp)
             assert dist <= 8.0 * np.pi ** (r - 1) * lam
             dists.append(dist)
         assert 0.3 <= dists[1] / dists[0] <= 0.7
@@ -194,4 +193,4 @@ def test_smooth_seed_points():
 
 def test_spline_distance_of_identical_functions():
     sp = build_smooth_spline(1, np.pi / 2, np.pi / 12)
-    assert spline_distance(sp, sp, sp.window) == 0.0
+    assert spline_distance(sp, sp) == 0.0

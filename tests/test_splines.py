@@ -50,7 +50,7 @@ def test_build_validation():
 def test_full_cut_degree_one_is_shifted_abs():
     # b = pi gives offset 0 and the spline |x| - pi/2 on [-pi, pi]
     sp = build_ideal_spline(1, np.pi)
-    assert sp.offset == 0.0
+    assert step_offset(sp.b) == 0.0
     xs = np.linspace(-np.pi, np.pi, 41)
     assert np.allclose(sp(xs), np.abs(xs) - np.pi / 2, atol=1e-13)
     assert sp(0.0) == pytest.approx(-np.pi / 2, abs=1e-13)
@@ -60,7 +60,7 @@ def test_top_derivative_sup_is_exactly_one_plus_offset():
     for r in (1, 2, 3):
         for b in (np.pi / 4, np.pi / 2, np.pi):
             sp = build_ideal_spline(r, b)
-            assert sp.sup_derivative(r) == 1.0 + sp.offset
+            assert sp.sup_derivative(r) == 1.0 + step_offset(sp.b)
 
 
 def test_every_level_has_zero_period_mean():
@@ -76,7 +76,8 @@ def test_smoothness_at_breakpoints(join_defects):
         for level in sp.levels[1:]:
             assert join_defects(level).max() < 1e-10
         # the top derivative jumps by 2 at both joins
-        assert np.allclose(join_defects(sp.levels[0]) * (1.0 + sp.offset), 2.0)
+        assert np.allclose(
+            join_defects(sp.levels[0]) * (1.0 + step_offset(sp.b)), 2.0)
 
 
 def test_residual_polynomial_leading_coefficient():

@@ -173,6 +173,12 @@ def test_derivative_order_validation():
     assert TrigPoly(2.0).jet([0.0, 1.0], 2, 1).tolist() == [[0.0] * 2] * 2
 
 
+def _reference_trig_basis(ts, degree):
+    """[1, cos kt, sin kt], k = 1..degree, each column from its own table."""
+    kt = np.outer(ts, np.arange(1, degree + 1))
+    return np.column_stack([np.ones_like(ts), np.cos(kt), np.sin(kt)])
+
+
 def test_trig_basis_columns():
     ts = np.array([0.0, 0.5])
     B = trig_basis(ts, 2)
@@ -184,6 +190,15 @@ def test_trig_basis_columns():
     assert np.allclose(B[:, 4], np.sin(2 * ts))
     B0 = trig_basis(ts, 0)
     assert B0.shape == (2, 1)
+
+
+def test_trig_basis_is_the_cos_sin_table_bit_for_bit():
+    # trig_basis is trig_derivative_basis at order 0, whose phase 0 and
+    # scale 1 leave cos(kt) and sin(kt) exact
+    ts = np.random.default_rng(3).uniform(-np.pi, np.pi, 257)
+    for degree in range(129):
+        assert np.array_equal(trig_basis(ts, degree),
+                              _reference_trig_basis(ts, degree))
 
 
 def test_trig_derivative_basis_matches_exact_derivative():
